@@ -36,9 +36,6 @@ class FreeBasis:
         """The i-th pure free state (computational-frame amplitudes)."""
         return self.vectors[:, i].copy()
 
-    def reciprocal_state(self, i: int) -> np.ndarray:
-        return self.reciprocal[:, i].copy()
-
     def to_free_frame(self, amp: np.ndarray) -> np.ndarray:
         """Coefficients of `amp` in the free basis: reciprocal' @ amp."""
         amp = np.asarray(amp, dtype=complex)

@@ -44,9 +44,6 @@ class EigResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
 
 def herm_eig(h: np.ndarray, asym_tol: float = 1e-8) -> EigResult:
     """Eigendecomposition of a Hermitian matrix.

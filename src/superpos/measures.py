@@ -195,7 +195,7 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
     if sol.gap > 1e-6:
         raise SolverFailure(f"duality gap {sol.gap:.3e} above 1e-6")
     s = max(float(sol.primal - 1.0), 0.0)
-    mix = np.sum([x * b for x, b in zip(sol.x, mats)], axis=0)
+    mix = np.sum([x * b for x, b in zip(sol.p, mats)], axis=0)
     delta = DensityMatrix(mix / np.trace(mix).real)
     tau = None
     if s > 1e-10:
@@ -206,4 +206,4 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
         excess = (u * w) @ u.conj().T
         tau = DensityMatrix(excess / np.trace(excess).real)
     return MeasureReport(value=s, certificate={"s": s, "delta": delta, "tau": tau},
-                         extra={"weights": sol.x.copy(), "gap": sol.gap})
+                         extra={"weights": sol.p.copy(), "gap": sol.gap})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FreeBasis, new_free_basis, tensor_basis
-from .errors import DimensionMismatch, InvalidState, NotUnitary
+from .errors import DimensionMismatch, InvalidState, NoConvergence, NotUnitary
 from .kraus import Channel, complete_free
 from .linalg import dagger, herm_eig, hermitian_part
 from .sdp import SdpSolution
@@ -242,8 +242,8 @@ def conversion_heatmap(a: float, initial: tuple[float, float], grid_n: int,
 
     Rank-one (free) targets are always reachable with probability 1: map both
     reciprocal rows onto the target free state and complete. Higher-rank
-    targets than the source get probability 0. Cells whose solve fails are
-    reported as NaN. Returns rows (theta, phi, p).
+    targets than the source get probability 0. Cells whose solve does not
+    converge are reported as NaN. Returns rows (theta, phi, p).
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be at least 8, got {grid_n}")
@@ -262,7 +262,7 @@ def conversion_heatmap(a: float, initial: tuple[float, float], grid_n: int,
 
 def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
                  target_angles: tuple[float, float], gap_tol: float = 1e-7) -> float:
-    """Conversion probability for one heatmap target; NaN on solver failure."""
+    """Conversion probability for one heatmap target; NaN on ``NoConvergence``."""
     target = qubit_state(*target_angles)
     target_rank = superposition_rank(target, basis)
     if target_rank > source_rank:
@@ -271,6 +271,6 @@ def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
         return 1.0
     try:
         sol: SdpSolution = max_conversion_prob(source, target, basis, gap_tol=gap_tol)
-    except Exception:
+    except NoConvergence:
         return float("nan")
     return float(sol.value)

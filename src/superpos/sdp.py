@@ -1,14 +1,13 @@
 """Embedded interior-point solver for the two small LMI shapes the theory needs.
 
-``solve_lmi`` handles "maximize sum p_n subject to sum p_n A_n <= 1, p >= 0"
-with PSD data A_n and extracts a feasible dual certificate from the central
-path, so every reported optimum comes with a proven upper bound.
-``solve_cover`` handles the mirror problem "minimize sum x_i subject to
-sum x_i B_i >= rho, x >= 0" used by the robustness measure.
-
-Both run a log-det barrier with damped Newton steps; the variable counts are
-at most a few dozen and the matrices at most 8x8, so no sparsity or scaling
-tricks are required.
+One log-det barrier optimises sum x_i subject to m0 + sense * sum x_i B_i >= 0,
+x >= 0 (PSD data B_i) and certifies each optimum with a feasible dual matrix,
+so every reported value comes with a proven bound. Its two shapes are the
+public entry points: ``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1
+(dual: minimize tr Y s.t. tr(Y A_n) >= 1), and ``solve_cover`` minimizes
+sum x_i s.t. sum x_i B_i >= rho for the robustness measure (dual: maximize
+tr(rho Y) s.t. tr(Y B_i) <= 1). Variable counts are at most a few dozen and
+matrices at most 8x8, so damped Newton steps need no sparsity or scaling tricks.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ class LmiProblem:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Primal point, dual certificate and duality gap of one solve."""
+    """Primal point p, dual certificate and duality gap of a solve of either shape."""
 
     p: np.ndarray
     primal: float
@@ -57,9 +56,6 @@ class SdpSolution:
     gap: float
     value: float | None = None        # primal clamped to [0, 1] where meaningful
     completion: tuple | None = None   # free completion when a deterministic map exists
-
-    def with_extras(self, value: float | None = None, completion=None) -> "SdpSolution":
-        return replace(self, value=value, completion=completion)
 
 
 def _logdet_pd(m: np.ndarray) -> float:
@@ -134,71 +130,83 @@ def _center(cost: np.ndarray, m0: np.ndarray, mats: list[np.ndarray], x: np.ndar
     return x, _inv_pd(m)
 
 
-def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL,
-              max_outer: int = 40, dual_candidates=()) -> SdpSolution:
-    """Maximize sum p_n subject to sum p_n A_n <= 1, p >= 0.
+def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: float,
+             max_outer: int, polish: bool = False) -> SdpSolution:
+    """Optimise sum x subject to m0 + sense * sum x_i B_i >= 0, x >= 0.
 
-    The dual matrix comes from the best feasible candidate among: the central
-    path point mu * S(p)^{-1}, its compression onto the near-null space of
-    the slack (which carries the dual support at degenerate optima), the
-    scaled identity, and any caller-supplied matrices. Each candidate is
-    projected onto the PSD cone and rescaled so tr(Lambda A_n) >= 1; the
-    smallest certified trace bounds the optimum and ``gap`` is its distance
-    to the primal value.
+    sense = -1 maximises and sense = +1 minimises; ``x`` is a strictly
+    feasible start. After centering at each barrier weight mu the dual is
+    certified by the best of the ``static`` candidates (purified once), the
+    central-path point mu * S^{-1} and, with ``polish``, the
+    complementary-slackness solve of ``_polish_dual``. The solve returns once
+    the certified gap is within ``gap_tol``, or the best point when it stays
+    within 10 * gap_tol after ``max_outer`` weights.
     """
-    ops = problem.operators
-    n, d = len(ops), problem.dim
-    norm_sum = sum(float(np.linalg.norm(a, 2)) for a in ops)
-    x = np.full(n, 0.5 / (norm_sum + 1.0))
-    m0 = np.eye(d, dtype=complex)
-    mats = [-a for a in ops]
-    cost = -np.ones(n)
+    mats = list(ops) if sense > 0 else [-b for b in ops]
+    cost = sense * np.ones(len(ops))
 
-    static: list[np.ndarray] = []
-    min_trace = min(float(np.trace(a).real) for a in ops)
-    if min_trace > 0:
-        static.append(np.eye(d, dtype=complex) / min_trace)
-    for cand in dual_candidates:
-        static.append(as_complex_matrix(cand, "dual candidate"))
+    def certify(raws) -> list:
+        out = []
+        for raw in raws:
+            y = None if raw is None else _purify_dual(raw, ops, sense)
+            if y is not None:
+                out.append((y, -sense * float(np.trace(y @ m0).real)))
+        return out
 
+    fixed = certify(static)
     mu = 1.0
     best: SdpSolution | None = None
     for _ in range(max_outer):
         x, sinv = _center(cost, m0, mats, x, mu)
         primal = float(np.sum(x))
-        slack = m0 + sum(xi * mi for xi, mi in zip(x, mats))
-        candidates = list(static) + [mu * sinv]
-        polished = _polish_dual(ops, x, slack)
-        if polished is not None:
-            candidates.append(polished)
-        for raw in candidates:
-            lam = _purify_dual_upper(raw, ops)
-            if lam is None:
-                continue
-            bound = float(np.trace(lam).real)
-            gap = bound - primal
+        raws = [mu * sinv]
+        if polish:
+            raws.append(_polish_dual(ops, x, m0 + sum(xi * mi for xi, mi in zip(x, mats))))
+        for y, dual in fixed + certify(raws):
+            gap = sense * (primal - dual)
             if best is None or gap < best.gap:
-                best = SdpSolution(p=x.copy(), primal=primal, dual_matrix=lam,
-                                   dual=bound, gap=gap)
+                best = SdpSolution(p=x.copy(), primal=primal, dual_matrix=y, dual=dual, gap=gap)
         if best is not None and best.gap <= gap_tol:
-            return SdpSolution(p=x.copy(), primal=primal, dual_matrix=best.dual_matrix,
-                               dual=best.dual, gap=best.dual - primal)
+            return replace(best, p=x.copy(), primal=primal, gap=sense * (primal - best.dual))
         mu *= 0.1
     if best is not None and best.gap <= 10 * gap_tol:
         return best
     raise NoConvergence(f"duality gap {best.gap if best else np.inf:.3e} above {gap_tol:.1e}")
 
 
-def _purify_dual_upper(lam: np.ndarray, ops) -> np.ndarray | None:
-    """Project onto the PSD cone and rescale so tr(lam A_n) >= 1 for all n."""
-    res = herm_eig(hermitian_part(lam))
+def _purify_dual(y: np.ndarray, ops, sense: int) -> np.ndarray | None:
+    """Project onto the PSD cone and rescale into the dual feasible set.
+
+    The dual constraint is tr(y B_i) <= 1 for sense +1 and tr(y B_i) >= 1 for
+    sense -1; None when no positive rescale meets the latter.
+    """
+    res = herm_eig(hermitian_part(y))
     w = np.clip(res.eigenvalues, 0.0, None)
-    lam = (res.eigenvectors * w) @ res.eigenvectors.conj().T
-    vals = [float(np.trace(lam @ a).real) for a in ops]
-    m = min(vals)
-    if m <= 0:
+    y = (res.eigenvectors * w) @ res.eigenvectors.conj().T
+    # the binding pairing: the largest for sense +1, the smallest for sense -1
+    m = sense * max(sense * float(np.trace(y @ b).real) for b in ops)
+    if sense < 0 and m <= 0:
         return None
-    return lam / m if m < 1.0 else lam
+    return y / m if sense * m > sense else y
+
+
+def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL,
+              max_outer: int = 40, dual_candidates=()) -> SdpSolution:
+    """Maximize sum p_n subject to sum p_n A_n <= 1, p >= 0.
+
+    Besides the central path and its polish on the slack's near-null space,
+    the dual tries the scaled identity and any caller-supplied matrices; the
+    smallest certified trace bounds the optimum and ``gap`` is its distance
+    to the primal value.
+    """
+    ops = problem.operators
+    norm_sum = sum(float(np.linalg.norm(a, 2)) for a in ops)
+    x = np.full(len(ops), 0.5 / (norm_sum + 1.0))
+    eye = np.eye(problem.dim, dtype=complex)
+    min_trace = min(float(np.trace(a).real) for a in ops)
+    static = [eye / min_trace] if min_trace > 0 else []
+    static += [as_complex_matrix(c, "dual candidate") for c in dual_candidates]
+    return _barrier(ops, eye, -1, x, static, gap_tol, max_outer, polish=True)
 
 
 def _hermitian_coords(k: int) -> list[np.ndarray]:
@@ -263,28 +271,17 @@ def verify_dual(lam: np.ndarray, problem: LmiProblem,
     return True, bound
 
 
-@dataclass(frozen=True)
-class CoverSolution:
-    """Solution of "minimize sum x_i s.t. sum x_i B_i >= rho, x >= 0"."""
-
-    x: np.ndarray
-    primal: float
-    dual_matrix: np.ndarray
-    dual: float
-    gap: float
-
-
 def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8,
-                max_outer: int = 40) -> CoverSolution:
+                max_outer: int = 40) -> SdpSolution:
     """Minimize sum x_i subject to sum x_i B_i >= rho, x >= 0 (PSD data B_i).
 
-    The dual "maximize tr(rho Y) s.t. tr(B_i Y) <= 1, Y >= 0" is extracted
-    from the central path the same way as in ``solve_lmi`` and certifies a
-    lower bound on the optimum.
+    The solution's ``p`` holds x. The dual "maximize tr(rho Y) s.t.
+    tr(B_i Y) <= 1, Y >= 0" certifies a lower bound on the optimum; besides
+    the central path it tries (sum B_i)^{-1}, which is dual optimal when the
+    B_i project onto a basis and rho is in their cone (every free state).
     """
     rho = hermitian_part(as_complex_matrix(rho, "rho"))
     ops = [hermitian_part(as_complex_matrix(b, "B_i")) for b in mats]
-    n, d = len(ops), rho.shape[0]
     total = np.sum(ops, axis=0)
     if float(np.linalg.eigvalsh(total)[0]) <= 0:
         raise BadData("constraint matrices do not span a positive definite sum")
@@ -293,32 +290,4 @@ def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8,
         t *= 2.0
         if t > 1e12:
             raise BadData("could not find a strictly feasible start")
-    x = np.full(n, t)
-    cost = np.ones(n)
-
-    mu = 1.0
-    best: CoverSolution | None = None
-    for _ in range(max_outer):
-        x, minv = _center(cost, -rho, ops, x, mu)
-        primal = float(np.sum(x))
-        y = _purify_dual_lower(mu * minv, ops)
-        dual_val = float(np.trace(y @ rho).real)
-        gap = primal - dual_val
-        if best is None or gap < best.gap:
-            best = CoverSolution(x=x.copy(), primal=primal, dual_matrix=y,
-                                 dual=dual_val, gap=gap)
-        if gap <= gap_tol:
-            return best
-        mu *= 0.1
-    if best is not None and best.gap <= 10 * gap_tol:
-        return best
-    raise NoConvergence(f"duality gap {best.gap if best else np.inf:.3e} above {gap_tol:.1e}")
-
-
-def _purify_dual_lower(y: np.ndarray, ops) -> np.ndarray:
-    """Project onto the PSD cone and rescale so tr(B_i y) <= 1 for all i."""
-    res = herm_eig(hermitian_part(y))
-    w = np.clip(res.eigenvalues, 0.0, None)
-    y = (res.eigenvectors * w) @ res.eigenvectors.conj().T
-    m = max(float(np.trace(y @ b).real) for b in ops)
-    return y / m if m > 1.0 else y
+    return _barrier(ops, -rho, 1, np.full(len(ops), t), [_inv_pd(total)], gap_tol, max_outer)

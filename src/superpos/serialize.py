@@ -118,10 +118,6 @@ def state_from_json(node: Any, path: str = ""):
     raise SchemaViolation(path or "/", "state must carry either 'amp' or 'mat'")
 
 
-def kraus_set_to_json(operators) -> dict:
-    return {"operators": [_matrix_to_json(np.asarray(k)) for k in operators]}
-
-
 def kraus_set_from_json(node: Any, path: str = "") -> list[np.ndarray]:
     _require_keys(node, {"operators"}, path or "/")
     ops = node["operators"]

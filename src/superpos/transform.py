@@ -9,7 +9,7 @@ sets); the best conversion probability is the optimum of the small LMI
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     if value >= 1.0 - 10 * gap_tol:
         scaled = [np.sqrt(max(pn, 0.0)) * f for pn, f in zip(sol.p, ts.operators)]
         completion = tuple(complete_free(scaled, basis))
-    return sol.with_extras(value=value, completion=completion)
+    return replace(sol, value=value, completion=completion)
 
 
 def qubit_tp_residuals(type1, type2, type3, type4, overlap: float):

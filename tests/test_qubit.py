@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from superpos.errors import NotUnitary
+from superpos.errors import NoConvergence, NotUnitary
 from superpos.kraus import apply_channel, is_free_kraus, is_mfo
 from superpos.linalg import dagger, fidelity, partial_trace
 from superpos.qubit import (
@@ -307,3 +307,20 @@ def test_heatmap_cells():
         ts = enumerate_transformers(source, qubit_state(x, z), basis)
         traces = [np.trace(dagger(f) @ f).real for f in ts.operators]
         assert np.allclose(traces, 6 - 4 * np.cos(z) * np.sin(x), atol=1e-9)
+
+
+@pytest.mark.parametrize("error, nan", [(NoConvergence("duality gap above tolerance"), True),
+                                        (ValueError("malformed input"), False)])
+def test_heatmap_cell_nan_only_on_no_convergence(monkeypatch, error, nan):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("superpos.qubit.max_conversion_prob", failing)
+    basis = qubit_free_basis(0.5)
+    source = qubit_state(np.pi / 2, 0.0)
+    rank = superposition_rank(source, basis)
+    if nan:
+        assert np.isnan(heatmap_cell(basis, source, rank, (1.1, 2.0)))
+    else:
+        with pytest.raises(ValueError):
+            heatmap_cell(basis, source, rank, (1.1, 2.0))

@@ -4,7 +4,8 @@ import pytest
 from superpos.basis import symmetric_basis_d3
 from superpos.errors import BadData
 from superpos.linalg import dagger, hermitian_part
-from superpos.sampling import make_rng
+from superpos.measures import robustness
+from superpos.sampling import haar_state, make_rng, random_basis, random_density, random_free_state
 from superpos.sdp import LmiProblem, solve_cover, solve_lmi, verify_dual
 from superpos.states import PureState
 from superpos.transform import candidate_states_d3, enumerate_transformers
@@ -133,5 +134,38 @@ def test_solve_cover_diagonal_case():
     mats = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     sol = solve_cover(rho, mats)
     assert abs(sol.primal - 1.0) < 1e-7
-    assert np.allclose(sol.x, [0.7, 0.3], atol=1e-5)
+    assert np.allclose(sol.p, [0.7, 0.3], atol=1e-5)
     assert sol.gap <= 1e-8
+
+
+def _cover_cases(rng):
+    for d in (2, 3, 4, 8):
+        for kind in ("free", "pure", "ginibre"):
+            for _ in range(3):
+                b = random_basis(d, rng)
+                if kind == "free":
+                    rho = random_free_state(b, rng)
+                elif kind == "pure":
+                    rho = haar_state(d, rng).density()
+                else:
+                    rho = random_density(d, rng)
+                yield d, kind, b, rho
+
+
+def test_cover_certificate_every_solve():
+    gap_tol = 1e-8
+    for d, kind, b, rho in _cover_cases(make_rng(504)):
+        mats = [np.outer(b.vectors[:, i], b.vectors[:, i].conj()) for i in range(d)]
+        sol = solve_cover(rho.mat, mats, gap_tol=gap_tol)
+        y = sol.dual_matrix
+        assert np.linalg.eigvalsh(hermitian_part(y))[0] >= -1e-9, (d, kind)
+        assert max(np.trace(m @ y).real for m in mats) <= 1 + 1e-9, (d, kind)
+        assert abs(sol.dual - np.trace(rho.mat @ y).real) <= 1e-12, (d, kind)
+        assert 0.0 <= sol.gap <= gap_tol, (d, kind, sol.gap)
+
+
+def test_robustness_vanishes_on_free_d8_mixtures():
+    rng = make_rng(505)
+    for _ in range(6):
+        b = random_basis(8, rng)
+        assert robustness(random_free_state(b, rng), b).value <= 1e-6
