@@ -15,12 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import BadData, NoConvergence
 from .linalg import as_complex_matrix, herm_eig, hermitian_part
 
 DEFAULT_GAP_TOL = 1e-7
 _PSD_DATA_TOL = 1e-9
+_MAX_NEWTON = 80
 
 
 @dataclass(frozen=True)
@@ -58,56 +60,30 @@ class SdpSolution:
     completion: tuple | None = None   # free completion when a deterministic map exists
 
 
-def _logdet_pd(m: np.ndarray) -> float:
-    """log det of a PD matrix; -inf when the Cholesky factorization fails."""
-    try:
-        c = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return -np.inf
-    return 2.0 * float(np.sum(np.log(np.diag(c).real)))
-
-
-def _inv_pd(m: np.ndarray) -> np.ndarray:
-    """Inverse of a (numerically) PD matrix with an eigenvalue floor fallback."""
-    try:
-        inv = np.linalg.inv(m)
-        if np.all(np.isfinite(inv)):
-            return hermitian_part(inv)
-    except np.linalg.LinAlgError:
-        pass
-    w, u = np.linalg.eigh(hermitian_part(m))
-    w = np.clip(w, 1e-300, None)
-    return hermitian_part((u / w) @ u.conj().T)
-
-
-def _center(cost: np.ndarray, m0: np.ndarray, mats: list[np.ndarray], x: np.ndarray,
-            mu: float, max_newton: int = 80) -> tuple[np.ndarray, np.ndarray]:
+def _center(cost: np.ndarray, m0: np.ndarray, mats: np.ndarray, x: np.ndarray,
+            mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton for min cost.x - mu*(logdet(m0 + sum x mats) + sum log x).
 
-    Returns the centered point and the inverse slack matrix there.
+    One Cholesky factor L per trial slack gives its domain test, its log det and
+    the inverse slack L^-H L^-1. ``mats`` is (n, k, k) and ``x`` strictly
+    feasible; returns the centered point and the inverse slack there.
     """
-    n = len(mats)
+    def trial(xv):
+        if np.any(xv <= 0):
+            return None
+        try:
+            chol = np.linalg.cholesky(m0 + np.tensordot(xv, mats, 1))
+        except np.linalg.LinAlgError:
+            return None
+        linv, _ = lapack.ztrtri(chol, lower=1)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol).real)))
+        return float(cost @ xv) - mu * (logdet + float(np.sum(np.log(xv)))), linv.conj().T @ linv
 
-    def slack(xv):
-        m = m0.copy()
-        for xi, mi in zip(xv, mats):
-            m += xi * mi
-        return m
-
-    def value(xv, m):
-        logdet = _logdet_pd(m)
-        if not np.isfinite(logdet):
-            return np.inf
-        return float(cost @ xv) - mu * (logdet + float(np.sum(np.log(xv))))
-
-    m = slack(x)
-    for _ in range(max_newton):
-        minv = _inv_pd(m)
-        prods = [minv @ mi for mi in mats]
-        grad = np.array([cost[i] - mu * np.trace(prods[i]).real - mu / x[i] for i in range(n)])
-        hess = mu * np.array([[np.sum(prods[i] * prods[j].T).real for j in range(n)]
-                              for i in range(n)])
-        hess[np.diag_indices(n)] += mu / x**2
+    f0, minv = trial(x)
+    for _ in range(_MAX_NEWTON):
+        prods = minv @ mats
+        grad = cost - mu * np.einsum("nii->n", prods).real - mu / x
+        hess = mu * np.einsum("aij,bji->ab", prods, prods).real + np.diag(mu / x**2)
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
@@ -115,19 +91,16 @@ def _center(cost: np.ndarray, m0: np.ndarray, mats: list[np.ndarray], x: np.ndar
         decrement = float(-grad @ step)
         if decrement <= 1e-12:
             break
-        f0 = value(x, m)
         t = 1.0
         while t > 1e-13:
-            xn = x + t * step
-            if np.all(xn > 0):
-                mn = slack(xn)
-                if np.linalg.eigvalsh(mn)[0] > 0 and value(xn, mn) <= f0 - 0.1 * t * decrement:
-                    x, m = xn, mn
-                    break
+            accepted = trial(x + t * step)
+            if accepted is not None and accepted[0] <= f0 - 0.1 * t * decrement:
+                x, (f0, minv) = x + t * step, accepted
+                break
             t *= 0.5
         else:
             break
-    return x, _inv_pd(m)
+    return x, minv
 
 
 def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: float,
@@ -142,7 +115,8 @@ def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: fl
     the certified gap is within ``gap_tol``, or the best point when it stays
     within 10 * gap_tol after ``max_outer`` weights.
     """
-    mats = list(ops) if sense > 0 else [-b for b in ops]
+    ops = np.array(ops)
+    mats = sense * ops
     cost = sense * np.ones(len(ops))
 
     def certify(raws) -> list:
@@ -161,7 +135,7 @@ def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: fl
         primal = float(np.sum(x))
         raws = [mu * sinv]
         if polish:
-            raws.append(_polish_dual(ops, x, m0 + sum(xi * mi for xi, mi in zip(x, mats))))
+            raws.append(_polish_dual(ops, x, m0 + np.tensordot(x, mats, 1)))
         for y, dual in fixed + certify(raws):
             gap = sense * (primal - dual)
             if best is None or gap < best.gap:
@@ -174,7 +148,7 @@ def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: fl
     raise NoConvergence(f"duality gap {best.gap if best else np.inf:.3e} above {gap_tol:.1e}")
 
 
-def _purify_dual(y: np.ndarray, ops, sense: int) -> np.ndarray | None:
+def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | None:
     """Project onto the PSD cone and rescale into the dual feasible set.
 
     The dual constraint is tr(y B_i) <= 1 for sense +1 and tr(y B_i) >= 1 for
@@ -184,7 +158,7 @@ def _purify_dual(y: np.ndarray, ops, sense: int) -> np.ndarray | None:
     w = np.clip(res.eigenvalues, 0.0, None)
     y = (res.eigenvectors * w) @ res.eigenvectors.conj().T
     # the binding pairing: the largest for sense +1, the smallest for sense -1
-    m = sense * max(sense * float(np.trace(y @ b).real) for b in ops)
+    m = sense * float(np.max(sense * np.einsum("ij,nji->n", y, ops).real))
     if sense < 0 and m <= 0:
         return None
     return y / m if sense * m > sense else y
@@ -209,26 +183,18 @@ def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL,
     return _barrier(ops, eye, -1, x, static, gap_tol, max_outer, polish=True)
 
 
-def _hermitian_coords(k: int) -> list[np.ndarray]:
-    """Real orthonormal basis of k x k Hermitian matrices."""
-    out = []
-    for i in range(k):
-        e = np.zeros((k, k), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
+def _hermitian_coords(k: int) -> np.ndarray:
+    """Real orthonormal basis of k x k Hermitian matrices, stacked (k^2, k, k)."""
+    unit = np.eye(k, dtype=complex)
+    out = [np.outer(unit[i], unit[i]) for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            e = np.zeros((k, k), dtype=complex)
-            e[i, j] = e[j, i] = 1 / np.sqrt(2)
-            out.append(e)
-            e = np.zeros((k, k), dtype=complex)
-            e[i, j] = -1j / np.sqrt(2)
-            e[j, i] = 1j / np.sqrt(2)
-            out.append(e)
-    return out
+            e_ij, e_ji = np.outer(unit[i], unit[j]), np.outer(unit[j], unit[i])
+            out += [(e_ij + e_ji) / np.sqrt(2), 1j * (e_ji - e_ij) / np.sqrt(2)]
+    return np.array(out)
 
 
-def _polish_dual(ops, x: np.ndarray, slack: np.ndarray) -> np.ndarray | None:
+def _polish_dual(ops: np.ndarray, x: np.ndarray, slack: np.ndarray) -> np.ndarray | None:
     """Solve the complementary-slackness system for the dual on null(slack).
 
     Any PSD matrix supported on the null space of the optimal slack whose
@@ -245,12 +211,11 @@ def _polish_dual(ops, x: np.ndarray, slack: np.ndarray) -> np.ndarray | None:
     active = np.where(x > 1e-7 * max(float(x.max()), 1e-300))[0]
     if active.size == 0:
         return None
-    compressed = [nbasis.conj().T @ ops[n] @ nbasis for n in active]
+    compressed = nbasis.conj().T @ ops[active] @ nbasis
     coords = _hermitian_coords(k)
-    rows = np.array([[np.trace(c @ b).real for c in coords] for b in compressed])
-    target = np.ones(len(compressed))
-    sol, *_ = np.linalg.lstsq(rows, target, rcond=None)
-    xmat = sum(s * c for s, c in zip(sol, coords))
+    rows = np.einsum("cij,bji->bc", coords, compressed).real
+    sol, *_ = np.linalg.lstsq(rows, np.ones(active.size), rcond=None)
+    xmat = np.tensordot(sol, coords, 1)
     return nbasis @ xmat @ nbasis.conj().T
 
 
@@ -290,4 +255,4 @@ def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8,
         t *= 2.0
         if t > 1e12:
             raise BadData("could not find a strictly feasible start")
-    return _barrier(ops, -rho, 1, np.full(len(ops), t), [_inv_pd(total)], gap_tol, max_outer)
+    return _barrier(ops, -rho, 1, np.full(len(ops), t), [np.linalg.inv(total)], gap_tol, max_outer)

@@ -6,9 +6,9 @@ from superpos.errors import BadData
 from superpos.linalg import dagger, hermitian_part
 from superpos.measures import robustness
 from superpos.sampling import haar_state, make_rng, random_basis, random_density, random_free_state
-from superpos.sdp import LmiProblem, solve_cover, solve_lmi, verify_dual
+from superpos.sdp import LmiProblem, _center, solve_cover, solve_lmi, verify_dual
 from superpos.states import PureState
-from superpos.transform import candidate_states_d3, enumerate_transformers
+from superpos.transform import candidate_states_d3, enumerate_transformers, max_conversion_prob
 
 
 def random_psd(d: int, rng) -> np.ndarray:
@@ -169,3 +169,50 @@ def test_robustness_vanishes_on_free_d8_mixtures():
     for _ in range(6):
         b = random_basis(8, rng)
         assert robustness(random_free_state(b, rng), b).value <= 1e-6
+
+
+def _explicit_newton(cost, m0, mats, x, mu):
+    """Inverse slack and Newton decrement g'H^{-1}g, built one operator pair at a time."""
+    slack = m0 + sum(xi * mi for xi, mi in zip(x, mats))
+    sinv = np.linalg.inv(slack)
+    n = len(mats)
+    grad = np.array([cost[i] - mu * np.trace(sinv @ mats[i]).real - mu / x[i] for i in range(n)])
+    hess = np.array([[mu * np.trace(sinv @ mats[i] @ sinv @ mats[j]).real for j in range(n)]
+                     for i in range(n)])
+    hess += np.diag(mu / x**2)
+    return sinv, float(grad @ np.linalg.solve(hess, grad))
+
+
+@pytest.mark.parametrize("n", [2, 6, 24])
+@pytest.mark.parametrize("d", [2, 4])
+def test_center_matches_explicit_newton_system(n, d):
+    # the solve_lmi shape: maximise sum x subject to 1 - sum x_n A_n >= 0
+    rng = make_rng(506 + 10 * n + d)
+    ops = [random_psd(d, rng) for _ in range(n)]
+    mats = -np.array(ops)
+    m0 = np.eye(d, dtype=complex)
+    cost = -np.ones(n)
+    x = np.full(n, 0.5 / (sum(np.linalg.norm(a, 2) for a in ops) + 1.0))
+    for mu in (1.0, 1e-1, 1e-2, 1e-3):
+        x, sinv = _center(cost, m0, mats, x, mu)
+        if mu in (1.0, 1e-3):
+            expected, decrement = _explicit_newton(cost, m0, mats, x, mu)
+            assert np.linalg.norm(sinv - expected) <= 1e-9 * np.linalg.norm(expected), (n, d, mu)
+            assert decrement <= 1e-9, (n, d, mu, decrement)
+
+
+@pytest.mark.parametrize("support", [4, 5])
+def test_conversion_certificate_at_transformer_sizes(support):
+    gap_tol = 1e-7
+    rng = make_rng(507 + support)
+    for _ in range(2):
+        b = random_basis(support, rng)
+        psi, phi = haar_state(support, rng), haar_state(support, rng)
+        ts = enumerate_transformers(psi, phi, b)
+        problem = LmiProblem.from_matrices([dagger(f) @ f for f in ts.operators])
+        assert len(problem.operators) == {4: 24, 5: 120}[support]
+        sol = max_conversion_prob(psi, phi, b, gap_tol=gap_tol)
+        feasible, bound = verify_dual(sol.dual_matrix, problem)
+        assert feasible
+        assert bound >= sol.primal - 1e-9
+        assert 0.0 <= sol.gap <= 10 * gap_tol, sol.gap
