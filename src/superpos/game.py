@@ -7,11 +7,14 @@ feasible p; the restart outcome is their free completion. On free inputs the
 outcome distribution is uniform and the post-measurement states carry no
 information; on the uniform superposition input the d post-measurement
 states are linearly independent, so a zero-error discrimination strategy
-wins every conclusive round.
+wins every conclusive round. The simulator tabulates each input's outcome and
+verdict distributions once per call, then samples each turn by inverse CDF
+from the draws ``Generator.choice`` would make: the RNG stream is unchanged.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +65,10 @@ def build_game(basis: FreeBasis) -> GameSpec:
     """
     d = basis.d
     p = filter_probability(basis)
-    w = basis.reciprocal
+    w_dag = basis.reciprocal.conj().T
     v = basis.vectors
-    ops = []
-    for n in range(1, d + 1):
-        k = np.zeros((d, d), dtype=complex)
-        for j in range(1, d + 1):
-            k += np.exp(2j * np.pi * j * n / d) * np.outer(v[:, j - 1], w[:, j - 1].conj())
-        ops.append(np.sqrt(p / d) * k)
+    j = np.arange(1, d + 1)
+    ops = [np.sqrt(p / d) * (v * np.exp(2j * np.pi * j * n / d)) @ w_dag for n in j]
     restart = complete_free(ops, basis)
     return GameSpec(basis=basis, p=p, informative=tuple(ops), restart=tuple(restart))
 
@@ -99,16 +98,20 @@ def _usd_povm(states: list[PureState]) -> tuple[np.ndarray, float]:
     return reciprocal, smin ** 2
 
 
-def _discriminate(states: list[PureState], received: PureState,
-                  rng: np.random.Generator) -> int | None:
-    reciprocal, scaling = _usd_povm(states)
-    amps = reciprocal.conj().T @ received.amp
-    probs = np.clip(scaling * np.abs(amps) ** 2, 0.0, None)
-    inconclusive = max(0.0, 1.0 - probs.sum())
-    full = np.append(probs, inconclusive)
-    full /= full.sum()
-    outcome = int(rng.choice(len(full), p=full))
-    return None if outcome == len(states) else outcome
+def _cdf(weights) -> list[float]:
+    """Normalized cumulative table: ``bisect_right(table, rng.random())`` draws
+    the same index from the same stream as ``rng.choice(len(p), p=p)``."""
+    p = np.clip(weights, 0.0, None)
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _verdict_cdf(reciprocal: np.ndarray, scaling: float, received: np.ndarray) -> list[float]:
+    """USD outcome table: index i names state i, index len(reciprocal) is inconclusive."""
+    probs = np.clip(scaling * np.abs(reciprocal.conj().T @ received) ** 2, 0.0, None)
+    return _cdf(np.append(probs, max(0.0, 1.0 - probs.sum())))
 
 
 def discriminate(states: list[PureState], received: PureState,
@@ -118,7 +121,9 @@ def discriminate(states: list[PureState], received: PureState,
     A conclusive result identifies the received state with zero error; None
     signals the inconclusive outcome. Deterministic for a given seed.
     """
-    return _discriminate(states, received, make_rng(rng_seed))
+    cdf = _verdict_cdf(*_usd_povm(states), received.amp)
+    outcome = bisect_right(cdf, make_rng(rng_seed).random())
+    return None if outcome == len(states) else outcome
 
 
 def simulate(spec: GameSpec, input_kind: str, turns: int, rng_seed: int) -> GameStats:
@@ -128,6 +133,9 @@ def simulate(spec: GameSpec, input_kind: str, turns: int, rng_seed: int) -> Game
     answers only on conclusive discrimination of the post-measurement state.
     ``free``: Bob hands in a uniformly random pure free state and is forced
     to guess the outcome whenever the turn is informative.
+
+    Raises ``LinearlyDependentEnsemble`` before the first turn when the
+    superposed input's post-measurement states are linearly dependent.
     """
     if turns < 1:
         raise ValueError(f"turns must be >= 1, got {turns}")
@@ -135,38 +143,30 @@ def simulate(spec: GameSpec, input_kind: str, turns: int, rng_seed: int) -> Game
         raise ValueError(f"input_kind must be 'free' or 'superposed', got {input_kind!r}")
     rng = make_rng(rng_seed)
     d = spec.basis.d
-    all_ops = list(spec.informative) + list(spec.restart)
-    superposed = uniform_superposition(spec.basis)
-    candidates = [s for _, s in outcome_states(spec, superposed)]
+    all_ops = spec.informative + spec.restart
 
-    conclusive = wins = losses = 0
-    for _ in range(turns):
-        if input_kind == "free":
-            state = PureState(spec.basis.state(int(rng.integers(d))))
-        else:
-            state = superposed
-        vecs = [k @ state.amp for k in all_ops]
-        probs = np.array([np.linalg.norm(v) ** 2 for v in vecs])
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        outcome = int(rng.choice(len(all_ops), p=probs))
-        if outcome >= d:
-            continue  # restart outcome: new turn, no answer
-        if input_kind == "free":
-            conclusive += 1
-            guess = int(rng.integers(d))
-            if guess == outcome:
-                wins += 1
-            else:
-                losses += 1
-        else:
-            post = PureState.normalized(vecs[outcome])
-            verdict = _discriminate(candidates, post, rng)
-            if verdict is None:
-                continue
-            conclusive += 1
-            if verdict == outcome:
-                wins += 1
-            else:
-                losses += 1
-    return GameStats(turns=turns, conclusive_turns=conclusive, wins=wins, losses=losses)
+    def outcome_cdf(amp: np.ndarray) -> list[float]:
+        return _cdf([np.linalg.norm(k @ amp) ** 2 for k in all_ops])
+
+    conclusive = wins = 0
+    if input_kind == "free":
+        cdfs = [outcome_cdf(spec.basis.state(i)) for i in range(d)]
+        for _ in range(turns):
+            outcome = bisect_right(cdfs[int(rng.integers(d))], rng.random())
+            if outcome < d:  # informative: Bob must guess; restart asks nothing
+                conclusive += 1
+                wins += int(rng.integers(d)) == outcome
+    else:
+        superposed = uniform_superposition(spec.basis)
+        posts = [s for _, s in outcome_states(spec, superposed)]
+        povm = _usd_povm(posts)
+        cdf = outcome_cdf(superposed.amp)
+        verdicts = [_verdict_cdf(*povm, s.amp) for s in posts]  # row n: state after outcome n
+        for _ in range(turns):
+            outcome = bisect_right(cdf, rng.random())
+            if outcome < d:
+                verdict = bisect_right(verdicts[outcome], rng.random())
+                if verdict < d:  # conclusive; index d is the inconclusive outcome
+                    conclusive += 1
+                    wins += verdict == outcome
+    return GameStats(turns=turns, conclusive_turns=conclusive, wins=wins, losses=conclusive - wins)

@@ -1,9 +1,14 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
 from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.errors import LinearlyDependentEnsemble
 from superpos.game import (
+    GameStats,
+    _cdf,
+    _usd_povm,
     build_game,
     discriminate,
     outcome_states,
@@ -150,3 +155,93 @@ def test_simulate_deterministic_for_seed():
     a = simulate(spec, "superposed", turns=500, rng_seed=42)
     b = simulate(spec, "superposed", turns=500, rng_seed=42)
     assert a == b
+
+
+def _discriminate_per_turn(states, received, rng):
+    reciprocal, scaling = _usd_povm(states)
+    amps = reciprocal.conj().T @ received.amp
+    probs = np.clip(scaling * np.abs(amps) ** 2, 0.0, None)
+    inconclusive = max(0.0, 1.0 - probs.sum())
+    full = np.append(probs, inconclusive)
+    full /= full.sum()
+    outcome = int(rng.choice(len(full), p=full))
+    return None if outcome == len(states) else outcome
+
+
+def _simulate_per_turn(spec, input_kind, turns, rng_seed):
+    """Reference simulator: rng.choice and a fresh USD POVM on every turn."""
+    rng = make_rng(rng_seed)
+    d = spec.basis.d
+    all_ops = list(spec.informative) + list(spec.restart)
+    superposed = uniform_superposition(spec.basis)
+    candidates = [s for _, s in outcome_states(spec, superposed)]
+
+    conclusive = wins = losses = 0
+    for _ in range(turns):
+        if input_kind == "free":
+            state = PureState(spec.basis.state(int(rng.integers(d))))
+        else:
+            state = superposed
+        vecs = [k @ state.amp for k in all_ops]
+        probs = np.array([np.linalg.norm(v) ** 2 for v in vecs])
+        probs = np.clip(probs, 0.0, None)
+        probs /= probs.sum()
+        outcome = int(rng.choice(len(all_ops), p=probs))
+        if outcome >= d:
+            continue  # restart outcome: new turn, no answer
+        if input_kind == "free":
+            conclusive += 1
+            guess = int(rng.integers(d))
+            if guess == outcome:
+                wins += 1
+            else:
+                losses += 1
+        else:
+            post = PureState.normalized(vecs[outcome])
+            verdict = _discriminate_per_turn(candidates, post, rng)
+            if verdict is None:
+                continue
+            conclusive += 1
+            if verdict == outcome:
+                wins += 1
+            else:
+                losses += 1
+    return GameStats(turns=turns, conclusive_turns=conclusive, wins=wins, losses=losses)
+
+
+def test_simulate_matches_per_turn_reference():
+    rng = make_rng(904)
+    bases = [symmetric_basis_d3(), orthonormal_basis(3)]
+    bases += [random_basis(d, rng) for d in range(2, 9)]
+    for b in bases:
+        spec = build_game(b)
+        for kind in ("free", "superposed"):
+            for seed in (1, 22, 333):
+                assert simulate(spec, kind, 2000, seed) == _simulate_per_turn(spec, kind, 2000, seed)
+
+
+def test_inverse_cdf_matches_generator_choice():
+    # simulate replaces rng.choice(n, p=p) by bisect_right over _cdf; the two
+    # must consume the same draw and return the same index, or the seeded
+    # RNG stream of every simulation changes
+    src = make_rng(905)
+    twin_a, twin_b = make_rng(906), make_rng(906)
+    for trial in range(100_000):
+        n = int(src.integers(2, 14))
+        weights = src.random(n) ** 3
+        if trial % 5 == 0:
+            weights[int(src.integers(n))] = 0.0
+        p = weights / weights.sum()
+        assert int(twin_a.choice(n, p=p)) == bisect_right(_cdf(weights), twin_b.random())
+
+
+def test_build_game_matches_outer_product_sum():
+    rng = make_rng(907)
+    for d in range(2, 9):
+        b = random_basis(d, rng)
+        v, w = b.vectors, b.reciprocal
+        for n, op in enumerate(build_game(b).informative, start=1):
+            k = np.zeros((d, d), dtype=complex)
+            for j in range(1, d + 1):
+                k += np.exp(2j * np.pi * j * n / d) * np.outer(v[:, j - 1], w[:, j - 1].conj())
+            assert np.abs(op - np.sqrt(b.sigma_min ** 2 / d) * k).max() < 1e-14
