@@ -10,12 +10,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .basis import FreeBasis
 from .errors import NoConvergence, SolverFailure
 from .sampling import make_rng
-from .sdp import solve_cover
+from .sdp import SdpSolution, solve_cover
 from .states import (
     DensityMatrix,
     PureState,
@@ -53,18 +53,21 @@ def _entropy_terms(rho_mat: np.ndarray) -> float:
     return float(np.sum(live * np.log(live)))
 
 
+def _cross_entropy_eig(w: np.ndarray, rho_eig: np.ndarray) -> float:
+    """-tr[rho ln sigma] from sigma's eigenvalues w and rho in sigma's eigenbasis.
+
+    +inf when rho has weight outside the support of sigma (eigenvalues <= 1e-15).
+    """
+    pops = np.diag(rho_eig).real
+    inside = w > 1e-15
+    if np.any(pops[~inside] > 1e-12):
+        return np.inf
+    return float(-pops[inside] @ np.log(w[inside]))
+
+
 def _cross_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
-    """-tr[rho ln sigma]; +inf when rho has weight outside the support of sigma."""
     w, u = np.linalg.eigh(sigma_mat)
-    pops = np.einsum("ij,jk,ki->i", u.conj().T, rho_mat, u).real
-    out = 0.0
-    for lam, pop in zip(w, pops):
-        if lam <= 1e-15:
-            if pop > 1e-12:
-                return np.inf
-            continue
-        out -= pop * np.log(lam)
-    return out
+    return _cross_entropy_eig(w, u.conj().T @ rho_mat @ u)
 
 
 def relative_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
@@ -75,19 +78,28 @@ def _free_sigma(basis: FreeBasis, q: np.ndarray) -> np.ndarray:
     return (basis.vectors * q) @ basis.vectors.conj().T
 
 
-def _rel_ent_gradient(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> np.ndarray:
-    """Gradient of q -> -tr[rho ln sigma(q)] via the Frechet derivative of ln."""
-    sigma = _free_sigma(basis, q)
-    w, u = np.linalg.eigh(sigma)
+def _rel_ent_terms(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> tuple[float, np.ndarray]:
+    """-tr[rho ln sigma(q)] and its gradient in q, from one eigh of sigma(q).
+
+    The gradient is the adjoint Frechet derivative of ln applied to rho. Rows
+    and columns outside sigma's support (the rule of ``_cross_entropy_eig``)
+    hold only rounding noise of rho there, which 1/w would blow up; they are
+    zeroed, which leaves the one-sided derivative on a face of the simplex.
+    """
+    w, u = np.linalg.eigh(_free_sigma(basis, q))
+    rho_eig = u.conj().T @ rho_mat @ u
+    value = _cross_entropy_eig(w, rho_eig)
+    outside = w <= 1e-15
+    rho_eig[outside, :] = 0.0
+    rho_eig[:, outside] = 0.0
     w = np.clip(w, 1e-300, None)
     logs = np.log(w)
     diff = w[:, None] - w[None, :]
     ratio = np.where(np.abs(diff) > 1e-14, (logs[:, None] - logs[None, :]) / np.where(diff == 0, 1, diff),
                      1.0 / w[:, None])
-    rho_eig = u.conj().T @ rho_mat @ u
-    t = u @ (ratio * rho_eig) @ u.conj().T   # adjoint Frechet derivative applied to rho
+    t = u @ (ratio * rho_eig) @ u.conj().T
     c = basis.vectors
-    return -np.einsum("ij,jk,ki->i", c.conj().T, t, c).real
+    return value, -np.einsum("ij,jk,ki->i", c.conj().T, t, c).real
 
 
 def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9,
@@ -97,23 +109,23 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9,
     Away-step variant: the linear subproblem still only picks simplex
     vertices, but each iteration may also shrink the weight of the worst
     active vertex, which keeps convergence linear when the optimum sits on a
-    face. Steps use an exact 1-d line search; converged when successive
-    values differ by less than tol.
+    face. Each step goes to the exact minimiser along its direction (see
+    ``_line_minimiser``). Converged when the Frank-Wolfe gap, which bounds
+    value - minimum and is reported as ``extra["fw_gap"]``, is at most tol, or
+    when a step that stopped short of the end of its segment gained less than
+    tol; a step to the end (which drops an away vertex) never stops the loop.
     """
     d = basis.d
     rho_entropy = _entropy_terms(rho.mat)
     q = np.full(d, 1.0 / d)
-
-    def objective(qv: np.ndarray) -> float:
-        return rho_entropy + _cross_entropy(rho.mat, _free_sigma(basis, qv))
-
-    value = objective(q)
+    cross, grad = _rel_ent_terms(rho.mat, basis, q)
     for _ in range(max_iter):
-        grad = _rel_ent_gradient(rho.mat, basis, q)
         towards = int(np.argmin(grad))
         fw_direction = -q.copy()
         fw_direction[towards] += 1.0
         fw_gap = float(-grad @ fw_direction)
+        if fw_gap <= tol:
+            break
         active = np.where(q > 1e-14)[0]
         away = int(active[np.argmax(grad[active])])
         away_gap = float(grad[away] - grad @ q)
@@ -125,24 +137,52 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9,
             direction = fw_direction
             gamma_max = 1.0
 
-        def line(gamma: float) -> float:
-            return objective(q + gamma * direction)
+        trials = {0.0: (q, cross, grad)}   # point, cross entropy and gradient on the segment
 
-        res = minimize_scalar(line, bounds=(0.0, gamma_max), method="bounded",
-                              options={"xatol": 1e-14, "maxiter": 80})
-        gamma = float(res.x)
-        new_q = np.clip(q + gamma * direction, 0.0, None)
-        new_q /= new_q.sum()
-        new_value = objective(new_q)
-        if new_value > value:
-            new_q, new_value = q, value
-        q, improvement, value = new_q, value - new_value, new_value
-        if improvement < tol:
-            sigma = _free_sigma(basis, q)
-            return MeasureReport(value=max(value, 0.0),
-                                 certificate=DensityMatrix(sigma / np.trace(sigma).real),
-                                 extra={"weights": q.copy()})
-    raise NoConvergence(f"no convergence within {max_iter} Frank-Wolfe iterations")
+        def at(gamma: float) -> tuple:
+            if gamma not in trials:
+                point = np.clip(q + gamma * direction, 0.0, None)
+                point /= point.sum()
+                trials[gamma] = (point, *_rel_ent_terms(rho.mat, basis, point))
+            return trials[gamma]
+
+        gamma = _line_minimiser(lambda g: float(at(g)[2] @ direction), lambda g: at(g)[1], gamma_max)
+        new_q, new_cross, new_grad = at(gamma)
+        improvement = cross - new_cross
+        if improvement < 0:   # rounding on a flat segment; keeping q would repeat this step
+            break
+        q, cross, grad = new_q, new_cross, new_grad
+        if improvement < tol and gamma < gamma_max:
+            break
+    else:
+        raise NoConvergence(f"no convergence within {max_iter} Frank-Wolfe iterations")
+    sigma = _free_sigma(basis, q)
+    return MeasureReport(value=max(rho_entropy + cross, 0.0),
+                         certificate=DensityMatrix(sigma / np.trace(sigma).real),
+                         extra={"weights": q.copy(), "fw_gap": max(fw_gap, 0.0)})
+
+
+def _line_minimiser(slope, value, gamma_max: float) -> float:
+    """Minimiser on [0, gamma_max] of a convex phi with phi'(0) < 0, from phi'.
+
+    gamma_max itself when phi is finite there and still falling; otherwise
+    the root of phi' by brentq. When phi is infinite at gamma_max (sigma loses
+    part of rho's support there), phi' grows without bound below it, so the
+    bracket's upper end walks halfway towards gamma_max until phi' > 0.
+    """
+    lo, hi = 0.0, gamma_max
+    if np.isfinite(value(gamma_max)):
+        if slope(gamma_max) <= 0:
+            return gamma_max
+    else:
+        hi = 0.5 * gamma_max
+        for _ in range(60):
+            if slope(hi) > 0:
+                break
+            lo, hi = hi, 0.5 * (hi + gamma_max)
+        else:
+            return lo
+    return brentq(slope, lo, hi, xtol=1e-14)
 
 
 def rank_measure(state, basis: FreeBasis, mixings: int = 1000,
@@ -180,22 +220,51 @@ def rank_measure(state, basis: FreeBasis, mixings: int = 1000,
     return MeasureReport(value=max(best, 0.0), upper_bound=m > 1)
 
 
+def _rank_one_cover(rho: DensityMatrix, basis: FreeBasis) -> SdpSolution | None:
+    """Closed-form optimum of the robustness cover when rho is rank one, else None.
+
+    For rho = lam |psi><psi| with free-frame coefficients c of psi,
+    x_i = lam |c_i| sum|c| covers rho by Cauchy-Schwarz, and Y = |y><y| with
+    y = W phase(c) (W the reciprocal frame) has tr(B_i Y) = 1 and
+    tr(rho Y) = lam (sum|c|)^2, so the two certify each other (Napoli et al.,
+    PRL 116, 150502). The dual is rescaled into tr(B_i Y) <= 1 and the gap
+    taken as in the barrier solver, so rounding shows in ``gap``.
+    """
+    w, u = np.linalg.eigh(rho.mat)
+    if w[-2] > 1e-12:   # a second eigenvalue above rounding: not rank one
+        return None
+    c = basis.to_free_frame(u[:, -1])
+    mags = np.abs(c)
+    x = w[-1] * mags * mags.sum()
+    y = basis.reciprocal @ np.exp(1j * np.angle(c))
+    y_mat = np.outer(y, y.conj()) / max(float(np.max(np.abs(basis.vectors.conj().T @ y) ** 2)), 1.0)
+    primal, dual = float(np.sum(x)), float(np.trace(rho.mat @ y_mat).real)
+    return SdpSolution(p=x, primal=primal, dual_matrix=y_mat, dual=dual, gap=primal - dual)
+
+
 def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> MeasureReport:
     """Minimal s >= 0 such that (rho + s tau)/(1+s) is free for some state tau.
 
     Solved as "minimize sum x_i - 1 subject to sum x_i |c_i><c_i| >= rho,
     x >= 0" (substitute x_i = (1+s) q_i); the certificate holds the optimal
-    (s, closest free state delta, witness tau).
+    (s, closest free state delta, witness tau). A rank-one rho takes the
+    closed form of ``_rank_one_cover``, whose primal point and dual matrix
+    certify each other; any other rho, or a closed form whose certified gap
+    exceeds gap_tol, goes to the barrier solver ``solve_cover``.
+    ``extra["method"]`` says which ("closed_form" or "sdp").
     """
-    mats = [np.outer(basis.vectors[:, i], basis.vectors[:, i].conj()) for i in range(basis.d)]
-    try:
-        sol = solve_cover(rho.mat, mats, gap_tol=gap_tol)
-    except NoConvergence as exc:
-        raise SolverFailure(str(exc)) from exc
+    sol, method = _rank_one_cover(rho, basis), "closed_form"
+    if sol is None or sol.gap > gap_tol:
+        method = "sdp"
+        mats = [np.outer(basis.vectors[:, i], basis.vectors[:, i].conj()) for i in range(basis.d)]
+        try:
+            sol = solve_cover(rho.mat, mats, gap_tol=gap_tol)
+        except NoConvergence as exc:
+            raise SolverFailure(str(exc)) from exc
     if sol.gap > 1e-6:
         raise SolverFailure(f"duality gap {sol.gap:.3e} above 1e-6")
     s = max(float(sol.primal - 1.0), 0.0)
-    mix = np.sum([x * b for x, b in zip(sol.p, mats)], axis=0)
+    mix = _free_sigma(basis, sol.p)
     delta = DensityMatrix(mix / np.trace(mix).real)
     tau = None
     if s > 1e-10:
@@ -206,4 +275,4 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
         excess = (u * w) @ u.conj().T
         tau = DensityMatrix(excess / np.trace(excess).real)
     return MeasureReport(value=s, certificate={"s": s, "delta": delta, "tau": tau},
-                         extra={"weights": sol.p.copy(), "gap": sol.gap})
+                         extra={"weights": sol.p.copy(), "gap": sol.gap, "method": method})

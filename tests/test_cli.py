@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -191,3 +192,37 @@ def test_kraus_check_cli(tmp_path, capsys):
 
 def test_unknown_command_exits_two(capsys):
     assert dispatch(["frobnicate"]) == 2
+
+
+# Output of the paths whose numbers no solver change may move, byte for byte at
+# 9 significant digits, on the d3_files fixtures.
+GOLDEN = {
+    ("convert", "prob", "--from", "candidate", "--to", "target"):
+        '{"deterministic": false, "dual": 0.571428571, "gap": 9.99898307e-08, "p": [0.0952380786, '
+        '0.0952380786, 0.0952380786, 0.0952380786, 0.0952380786, 0.0952380786], "primal": 0.571428471, '
+        '"value": 0.571428471}\n',
+    ("measure", "robustness", "--state", "free_state"):
+        '{"certificate": {"s": 2.9698648e-09}, "convention": "nat", "upper_bound": false, '
+        '"value": 2.9698648e-09}\n',
+    ("measure", "robustness", "--state", "candidate"):
+        '{"certificate": {"s": 5.0}, "convention": "nat", "upper_bound": false, "value": 5.0}\n',
+    ("measure", "l1", "--state", "free_state"):
+        '{"convention": "nat", "upper_bound": false, "value": 1.11022302e-16}\n',
+    ("measure", "l1", "--state", "candidate"):
+        '{"convention": "nat", "upper_bound": false, "value": 4.0}\n',
+}
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=lambda a: "-".join(a))
+def test_cli_output_is_pinned(argv, d3_files, capsys):
+    resolved = [d3_files.get(a, a) for a in argv] + ["--basis", d3_files["basis"]]
+    assert dispatch(resolved) == 0
+    assert capsys.readouterr().out == GOLDEN[argv]
+
+
+def test_heatmap_output_is_pinned(tmp_path):
+    out_path = tmp_path / "map.csv"
+    assert dispatch(["qubit", "heatmap", "--a", "0.5", "--theta", "1.5707963", "--phi", "0",
+                     "--grid", "8", "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == (GOLDEN_DIR / "heatmap_a0.5_grid8.csv").read_bytes()

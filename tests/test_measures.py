@@ -1,8 +1,13 @@
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.kraus import free_channel, measure_selective
 from superpos.measures import (
+    _cross_entropy,
+    _entropy_terms,
+    _free_sigma,
+    _rel_ent_terms,
     l1_measure,
     rank_measure,
     rel_entropy_measure,
@@ -10,6 +15,7 @@ from superpos.measures import (
     robustness,
 )
 from superpos.qubit import qubit_free_basis
+from superpos.sdp import solve_cover
 from superpos.sampling import (
     haar_state,
     make_rng,
@@ -80,6 +86,74 @@ def test_rel_entropy_overlapping_qubit_grid_oracle():
     assert is_free(rep.certificate, b, 1e-6) is True
 
 
+def test_rel_entropy_zero_on_every_single_basis_state():
+    # a free pure state is its own closest free state; draw 620 (d = 3, k = 0)
+    # once stopped at 0.117 when a drop step gained almost nothing
+    rng = make_rng(9)
+    for _ in range(1500):
+        d = int(rng.integers(2, 5))
+        b = random_basis(d, rng)
+        k = int(rng.integers(d))
+        assert rel_entropy_measure(PureState(b.state(k)).density(), b).value <= 1e-6
+
+
+def brent_frank_wolfe(rho, basis, tol=1e-9, max_iter=10_000) -> float:
+    """The earlier Frank-Wolfe loop: bounded Brent on the objective for every step."""
+    rho_entropy = _entropy_terms(rho.mat)
+    q = np.full(basis.d, 1.0 / basis.d)
+
+    def objective(qv):
+        return rho_entropy + _cross_entropy(rho.mat, _free_sigma(basis, qv))
+
+    value = objective(q)
+    for _ in range(max_iter):
+        grad = _rel_ent_terms(rho.mat, basis, q)[1]
+        towards = int(np.argmin(grad))
+        fw_direction = -q.copy()
+        fw_direction[towards] += 1.0
+        fw_gap = float(-grad @ fw_direction)
+        active = np.where(q > 1e-14)[0]
+        away = int(active[np.argmax(grad[active])])
+        away_gap = float(grad[away] - grad @ q)
+        if away_gap > fw_gap and q[away] < 1.0 - 1e-14:
+            direction = q.copy()
+            direction[away] -= 1.0
+            gamma_max = q[away] / (1.0 - q[away])
+        else:
+            direction, gamma_max = fw_direction, 1.0
+        res = minimize_scalar(lambda g: objective(q + g * direction), bounds=(0.0, gamma_max),
+                              method="bounded", options={"xatol": 1e-14, "maxiter": 80})
+        new_q = np.clip(q + float(res.x) * direction, 0.0, None)
+        new_q /= new_q.sum()
+        new_value = objective(new_q)
+        if new_value > value:
+            new_q, new_value = q, value
+        q, improvement, value = new_q, value - new_value, new_value
+        if improvement < tol:
+            return max(value, 0.0)
+    raise AssertionError("oracle did not converge")
+
+
+def test_rel_entropy_never_above_brent_oracle():
+    rng = make_rng(606)
+    for d in range(2, 9):
+        for j in range(9):
+            b = random_basis(d, rng)
+            if j % 3 == 0:
+                rho = haar_state(d, rng).density()
+            elif j % 3 == 1:
+                rho = random_density(d, rng)
+            else:
+                w = float(rng.random())
+                rho = DensityMatrix(w * haar_state(d, rng).density().mat
+                                    + (1 - w) * random_density(d, rng).mat)
+            rep = rel_entropy_measure(rho, b)
+            oracle = brent_frank_wolfe(rho, b)
+            assert rep.value <= oracle + 1e-9
+            # the reported Frank-Wolfe gap bounds value - minimum <= value - oracle
+            assert rep.value - oracle <= rep.extra["fw_gap"] + 1e-12
+
+
 def test_rank_measure_examples():
     b = symmetric_basis_d3()
     assert rank_measure(PureState(b.state(0)), b).value == 0.0
@@ -112,6 +186,48 @@ def test_robustness_examples():
     # the witness reconstructs the state: rho = (1+s) delta - s tau
     recon = (1 + cert["s"]) * cert["delta"].mat - cert["s"] * cert["tau"].mat
     assert np.abs(recon - plus.density().mat).max() < 1e-4
+
+
+def basis_near_dependent(d, rng):
+    """Random basis with sigma_min in [0.1, 0.15), the floor random_basis allows."""
+    while True:
+        b = random_basis(d, rng)
+        if b.sigma_min < 0.15:
+            return b
+
+
+def test_robustness_closed_form_matches_sdp():
+    rng = make_rng(607)
+    for d in (2, 3, 4, 8):
+        for make in (lambda: random_basis(d, rng), lambda: orthonormal_basis(d),
+                     lambda: basis_near_dependent(d, rng)):
+            for j in range(4):
+                b = make()
+                psi = haar_state(d, rng) if j % 2 == 0 else PureState(b.state(int(rng.integers(d))))
+                rho = psi.density()
+                rep = robustness(rho, b)
+                assert rep.extra["method"] == "closed_form"
+                assert rep.extra["gap"] <= 1e-8
+                mats = [np.outer(b.vectors[:, i], b.vectors[:, i].conj()) for i in range(d)]
+                sol = solve_cover(rho.mat, mats)
+                # the SDP brackets the optimum between its dual and primal values
+                assert sol.dual - 1e-12 <= rep.value + 1.0 <= sol.primal + 1e-12
+                assert abs(rep.value - (sol.primal - 1.0)) <= 1e-8
+                if b.sigma_min == 1.0:
+                    assert abs(rep.value - l1_measure(rho, b).value) <= 1e-9
+                cert = rep.certificate
+                if cert["tau"] is not None:
+                    s = cert["s"]
+                    resid = rho.mat + s * cert["tau"].mat - (1 + s) * cert["delta"].mat
+                    assert np.abs(resid).max() <= 1e-8 * (1 + s)
+
+
+def test_robustness_mixed_state_uses_sdp():
+    rng = make_rng(608)
+    b = random_basis(3, rng)
+    rep = robustness(random_density(3, rng), b)
+    assert rep.extra["method"] == "sdp"
+    assert rep.extra["gap"] <= 1e-6
 
 
 def robustness_grid_oracle(rho: DensityMatrix, basis, n: int = 200_001) -> float:
