@@ -1,9 +1,10 @@
 """Embedded interior-point solver for the two small LMI shapes the theory needs.
 
 One log-det barrier optimises sum x_i subject to m0 + sense * sum x_i B_i >= 0,
-x >= 0 (PSD data B_i) and certifies each optimum with a feasible dual matrix,
-so every reported value comes with a proven bound. Its two shapes are the
-public entry points: ``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1
+x >= 0 (PSD data B_i) and certifies each optimum with a feasible dual matrix:
+every returned solution has a certified duality gap of at most ``gap_tol``,
+and a solve that cannot certify one raises ``NoConvergence``. Its two shapes
+are the public entry points: ``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1
 (dual: minimize tr Y s.t. tr(Y A_n) >= 1), and ``solve_cover`` minimizes
 sum x_i s.t. sum x_i B_i >= rho for the robustness measure (dual: maximize
 tr(rho Y) s.t. tr(Y B_i) <= 1). Variable counts are at most a few dozen and
@@ -18,11 +19,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import BadData, NoConvergence
-from .linalg import as_complex_matrix, herm_eig, hermitian_part
+from .linalg import as_complex_matrix, hermitian_part
 
 DEFAULT_GAP_TOL = 1e-7
 _PSD_DATA_TOL = 1e-9
 _MAX_NEWTON = 80
+_MAX_OUTER = 40
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,14 @@ def _center(cost: np.ndarray, m0: np.ndarray, mats: np.ndarray, x: np.ndarray,
     the inverse slack L^-H L^-1. ``mats`` is (n, k, k) and ``x`` strictly
     feasible; returns the centered point and the inverse slack there.
     """
+    k = m0.shape[0]
+    flat = mats.reshape(len(mats), k * k)
+
     def trial(xv):
-        if np.any(xv <= 0):
+        if (xv <= 0).any():
             return None
-        try:
-            chol = np.linalg.cholesky(m0 + np.tensordot(xv, mats, 1))
-        except np.linalg.LinAlgError:
+        chol, info = lapack.zpotrf(m0 + (xv @ flat).reshape(k, k), lower=1)
+        if info:   # not positive definite: outside the domain
             return None
         linv, _ = lapack.ztrtri(chol, lower=1)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol).real)))
@@ -103,17 +107,16 @@ def _center(cost: np.ndarray, m0: np.ndarray, mats: np.ndarray, x: np.ndarray,
     return x, minv
 
 
-def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: float,
-             max_outer: int, polish: bool = False) -> SdpSolution:
+def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: float) -> SdpSolution:
     """Optimise sum x subject to m0 + sense * sum x_i B_i >= 0, x >= 0.
 
     sense = -1 maximises and sense = +1 minimises; ``x`` is a strictly
     feasible start. After centering at each barrier weight mu the dual is
     certified by the best of the ``static`` candidates (purified once), the
-    central-path point mu * S^{-1} and, with ``polish``, the
-    complementary-slackness solve of ``_polish_dual``. The solve returns once
-    the certified gap is within ``gap_tol``, or the best point when it stays
-    within 10 * gap_tol after ``max_outer`` weights.
+    central-path point mu * S^{-1} and the complementary-slackness solve of
+    ``_polish_dual``. The solve returns as soon as the certified gap is within
+    ``gap_tol`` and raises ``NoConvergence`` when ``_MAX_OUTER`` weights
+    never reach it.
     """
     ops = np.array(ops)
     mats = sense * ops
@@ -130,21 +133,17 @@ def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: fl
     fixed = certify(static)
     mu = 1.0
     best: SdpSolution | None = None
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         x, sinv = _center(cost, m0, mats, x, mu)
         primal = float(np.sum(x))
-        raws = [mu * sinv]
-        if polish:
-            raws.append(_polish_dual(ops, x, m0 + np.tensordot(x, mats, 1)))
-        for y, dual in fixed + certify(raws):
+        polished = _polish_dual(ops, x, m0 + np.tensordot(x, mats, 1))
+        for y, dual in fixed + certify([mu * sinv, polished]):
             gap = sense * (primal - dual)
             if best is None or gap < best.gap:
                 best = SdpSolution(p=x.copy(), primal=primal, dual_matrix=y, dual=dual, gap=gap)
         if best is not None and best.gap <= gap_tol:
             return replace(best, p=x.copy(), primal=primal, gap=sense * (primal - best.dual))
         mu *= 0.1
-    if best is not None and best.gap <= 10 * gap_tol:
-        return best
     raise NoConvergence(f"duality gap {best.gap if best else np.inf:.3e} above {gap_tol:.1e}")
 
 
@@ -154,9 +153,8 @@ def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | Non
     The dual constraint is tr(y B_i) <= 1 for sense +1 and tr(y B_i) >= 1 for
     sense -1; None when no positive rescale meets the latter.
     """
-    res = herm_eig(hermitian_part(y))
-    w = np.clip(res.eigenvalues, 0.0, None)
-    y = (res.eigenvectors * w) @ res.eigenvectors.conj().T
+    w, v = np.linalg.eigh(hermitian_part(y))
+    y = (v * np.clip(w, 0.0, None)) @ v.conj().T
     # the binding pairing: the largest for sense +1, the smallest for sense -1
     m = sense * float(np.max(sense * np.einsum("ij,nji->n", y, ops).real))
     if sense < 0 and m <= 0:
@@ -165,13 +163,13 @@ def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | Non
 
 
 def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL,
-              max_outer: int = 40, dual_candidates=()) -> SdpSolution:
+              dual_candidates=()) -> SdpSolution:
     """Maximize sum p_n subject to sum p_n A_n <= 1, p >= 0.
 
     Besides the central path and its polish on the slack's near-null space,
     the dual tries the scaled identity and any caller-supplied matrices; the
-    smallest certified trace bounds the optimum and ``gap`` is its distance
-    to the primal value.
+    smallest certified trace bounds the optimum and ``gap``, its distance to
+    the primal value, is at most ``gap_tol`` (``NoConvergence`` otherwise).
     """
     ops = problem.operators
     norm_sum = sum(float(np.linalg.norm(a, 2)) for a in ops)
@@ -180,18 +178,7 @@ def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL,
     min_trace = min(float(np.trace(a).real) for a in ops)
     static = [eye / min_trace] if min_trace > 0 else []
     static += [as_complex_matrix(c, "dual candidate") for c in dual_candidates]
-    return _barrier(ops, eye, -1, x, static, gap_tol, max_outer, polish=True)
-
-
-def _hermitian_coords(k: int) -> np.ndarray:
-    """Real orthonormal basis of k x k Hermitian matrices, stacked (k^2, k, k)."""
-    unit = np.eye(k, dtype=complex)
-    out = [np.outer(unit[i], unit[i]) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            e_ij, e_ji = np.outer(unit[i], unit[j]), np.outer(unit[j], unit[i])
-            out += [(e_ij + e_ji) / np.sqrt(2), 1j * (e_ji - e_ij) / np.sqrt(2)]
-    return np.array(out)
+    return _barrier(ops, eye, -1, x, static, gap_tol)
 
 
 def _polish_dual(ops: np.ndarray, x: np.ndarray, slack: np.ndarray) -> np.ndarray | None:
@@ -200,7 +187,9 @@ def _polish_dual(ops: np.ndarray, x: np.ndarray, slack: np.ndarray) -> np.ndarra
     Any PSD matrix supported on the null space of the optimal slack whose
     pairings with the active constraints equal one has trace equal to the
     primal optimum, so a least-squares solve there recovers the exact dual
-    even when the central-path estimate is noisy.
+    even when the central-path estimate is noisy. For Hermitian X and C_a,
+    tr(X C_a) = [Re vec X, Im vec X] . [Re vec C_a, Im vec C_a], and the
+    min-norm solution lies in the span of these rows, so X is Hermitian.
     """
     w, u = np.linalg.eigh(hermitian_part(slack))
     null_mask = w <= 1e-6 * max(float(w[-1]), 1.0)
@@ -208,15 +197,11 @@ def _polish_dual(ops: np.ndarray, x: np.ndarray, slack: np.ndarray) -> np.ndarra
     if k == 0:
         return None
     nbasis = u[:, null_mask]
-    active = np.where(x > 1e-7 * max(float(x.max()), 1e-300))[0]
-    if active.size == 0:
-        return None
-    compressed = nbasis.conj().T @ ops[active] @ nbasis
-    coords = _hermitian_coords(k)
-    rows = np.einsum("cij,bji->bc", coords, compressed).real
+    active = np.where(x > 1e-7 * float(x.max()))[0]   # x > 0, so never empty
+    compressed = (nbasis.conj().T @ ops[active] @ nbasis).reshape(active.size, k * k)
+    rows = np.concatenate([compressed.real, compressed.imag], axis=1)
     sol, *_ = np.linalg.lstsq(rows, np.ones(active.size), rcond=None)
-    xmat = np.tensordot(sol, coords, 1)
-    return nbasis @ xmat @ nbasis.conj().T
+    return nbasis @ (sol[:k * k] + 1j * sol[k * k:]).reshape(k, k) @ nbasis.conj().T
 
 
 def verify_dual(lam: np.ndarray, problem: LmiProblem,
@@ -236,13 +221,13 @@ def verify_dual(lam: np.ndarray, problem: LmiProblem,
     return True, bound
 
 
-def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8,
-                max_outer: int = 40) -> SdpSolution:
+def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:
     """Minimize sum x_i subject to sum x_i B_i >= rho, x >= 0 (PSD data B_i).
 
     The solution's ``p`` holds x. The dual "maximize tr(rho Y) s.t.
-    tr(B_i Y) <= 1, Y >= 0" certifies a lower bound on the optimum; besides
-    the central path it tries (sum B_i)^{-1}, which is dual optimal when the
+    tr(B_i Y) <= 1, Y >= 0" certifies a lower bound on the optimum within
+    ``gap_tol`` of it (``NoConvergence`` otherwise); besides the central path
+    and its polish it tries (sum B_i)^{-1}, which is dual optimal when the
     B_i project onto a basis and rho is in their cone (every free state).
     """
     rho = hermitian_part(as_complex_matrix(rho, "rho"))
@@ -255,4 +240,4 @@ def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8,
         t *= 2.0
         if t > 1e12:
             raise BadData("could not find a strictly feasible start")
-    return _barrier(ops, -rho, 1, np.full(len(ops), t), [np.linalg.inv(total)], gap_tol, max_outer)
+    return _barrier(ops, -rho, 1, np.full(len(ops), t), [np.linalg.inv(total)], gap_tol)

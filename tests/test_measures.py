@@ -230,6 +230,19 @@ def test_robustness_mixed_state_uses_sdp():
     assert rep.extra["gap"] <= 1e-6
 
 
+def test_robustness_honours_a_loose_gap_tol():
+    # the caller's gap_tol is the only tolerance: a loose one returns a value
+    # certified to it, within gap_tol of the tightly solved optimum
+    rng = make_rng(609)
+    for d in (2, 3, 4):
+        for _ in range(5):
+            b = random_basis(d, rng)
+            rho = random_density(d, rng)
+            loose = robustness(rho, b, gap_tol=1e-4)
+            assert 0.0 <= loose.extra["gap"] <= 1e-4, (d, loose.extra["gap"])
+            assert abs(loose.value - robustness(rho, b).value) <= 1e-4 + 1e-8
+
+
 def robustness_grid_oracle(rho: DensityMatrix, basis, n: int = 200_001) -> float:
     """Qubit grid oracle: scan x1, resolve the minimal feasible x2 exactly.
 
