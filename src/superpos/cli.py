@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = state_sub.add_parser(name)
         sp.add_argument("--state", required=True)
         sp.add_argument("--basis", required=True)
-        sp.add_argument("--tol", type=float, default=1e-9)
+        if name != "expand":
+            sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--out")
 
     kraus_p = sub.add_parser("kraus", help="free Kraus recognition and completion")
@@ -91,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
         kp = kraus_sub.add_parser(name)
         kp.add_argument("--in", dest="path", required=True)
         kp.add_argument("--basis", required=True)
-        kp.add_argument("--tol", type=float, default=1e-9)
+        if name == "check":
+            kp.add_argument("--tol", type=float, default=1e-9)
         kp.add_argument("--out")
 
     measure_p = sub.add_parser("measure", help="superposition measures")
@@ -100,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
         mp = measure_sub.add_parser(name)
         mp.add_argument("--state", required=True)
         mp.add_argument("--basis", required=True)
-        mp.add_argument("--tol", type=float, default=1e-9)
+        if name == "relent":
+            mp.add_argument("--tol", type=float, default=1e-9)
         mp.add_argument("--out")
 
     convert_p = sub.add_parser("convert", help="pure-state conversion")
@@ -184,13 +187,13 @@ def _run(args) -> int:
 
     if args.command == "measure":
         basis = serialize.load_basis(args.basis)
-        rho = _as_density(serialize.load_state(args.state))
+        state = serialize.load_state(args.state)
+        rho = _as_density(state)
         if args.action == "l1":
             report = measures.l1_measure(rho, basis)
         elif args.action == "relent":
             report = measures.rel_entropy_measure(rho, basis, tol=args.tol)
         elif args.action == "rank":
-            state = serialize.load_state(args.state)
             report = measures.rank_measure(state, basis)
         else:
             report = measures.robustness(rho, basis)

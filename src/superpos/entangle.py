@@ -50,9 +50,7 @@ def faithful_conversion(basis: FreeBasis, locals_=None) -> ConversionMap:
     if smin <= 1e-8:
         raise LinearlyDependent(f"local states: smallest singular value {smin:.3e}")
     p = smin ** 2
-    splitter = np.zeros((d * d, d), dtype=complex)
-    for i in range(d):
-        splitter += np.outer(np.kron(v_s[:, i], v_s[:, i]), basis.reciprocal[:, i].conj())
+    splitter = np.einsum("ai,bi->abi", v_s, v_s).reshape(d * d, d) @ dagger(basis.reciprocal)
     local_filter = np.sqrt(p) * np.linalg.inv(v_s)
     return ConversionMap(splitter=splitter, local_filter=local_filter,
                          probability=p, success_probability=p ** 2)

@@ -4,7 +4,9 @@ A Kraus operator K is superposition-free exactly when it maps every pure free
 state onto a multiple of a single pure free state, i.e. when the matrix
 ``M = W' K V`` (free-frame representation) has at most one nonzero entry per
 column. ``FreeKrausForm`` stores that sparse data: one coefficient and one
-output label per input label.
+output label per input label, and ``FreeKrausForm.matrix`` is the one
+constructor that turns it into an operator; every free-operator builder in
+the library goes through it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     NotTracePreserving,
 )
 from .linalg import as_complex_matrix, dagger, herm_eig, hermitian_part, partial_trace
-from .states import DensityMatrix, free_expansion, is_free
+from .states import DensityMatrix, free_expansion, free_mixture, is_free
 
 TP_TOL = 1e-9
 FREE_TOL = 1e-9
@@ -31,18 +33,18 @@ FREE_TOL = 1e-9
 class FreeKrausForm:
     """Coefficients c_k and index function f of a free Kraus operator.
 
-    The represented operator is ``sum_k c_k |c_{f(k)}><c_k^perp|``.
+    The represented operator is ``sum_k c_k |c_{f(k)}><c_k^perp|``;
+    ``matrix`` is the one place that builds it.
     """
 
     coeffs: np.ndarray    # (d,) complex
     index_fn: np.ndarray  # (d,) int, output label per input label
 
     def matrix(self, basis: FreeBasis) -> np.ndarray:
+        """The operator on ``basis``, summed term by term in label order."""
         v, w = basis.vectors, basis.reciprocal
-        out = np.zeros((basis.d, basis.d), dtype=complex)
-        for k, (c, f) in enumerate(zip(self.coeffs, self.index_fn)):
-            out += c * np.outer(v[:, f], w[:, k].conj())
-        return out
+        outers = v[:, self.index_fn].T[:, :, None] * w.conj().T[:, None, :]
+        return (np.asarray(self.coeffs)[:, None, None] * outers).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,12 @@ def is_free_kraus(k: np.ndarray, basis: FreeBasis, tol: float = FREE_TOL) -> Fre
     if k.shape != (basis.d, basis.d):
         raise DimensionMismatch(f"operator shape {k.shape} != ({basis.d}, {basis.d})")
     m = dagger(basis.reciprocal) @ k @ basis.vectors
-    coeffs = np.zeros(basis.d, dtype=complex)
-    index_fn = np.arange(basis.d)
-    for j in range(basis.d):
-        live = np.where(np.abs(m[:, j]) > tol)[0]
-        if live.size > 1:
-            return None
-        if live.size == 1:
-            coeffs[j] = m[live[0], j]
-            index_fn[j] = live[0]
+    live = np.abs(m) > tol
+    if np.any(live.sum(axis=0) > 1):
+        return None
+    labels, nonzero = np.arange(basis.d), live.any(axis=0)
+    index_fn = np.where(nonzero, live.argmax(axis=0), labels)
+    coeffs = np.where(nonzero, m[index_fn, labels], 0)
     return FreeKrausForm(coeffs=coeffs, index_fn=index_fn)
 
 
@@ -172,10 +171,8 @@ def is_mfo(ch: Channel, basis: FreeBasis, tol: float = FREE_TOL) -> bool:
     """
     if not ch.is_trace_preserving:
         raise NotTracePreserving(f"defect norm {np.linalg.norm(ch.defect):.3e}")
-    for i in range(basis.d):
-        c = basis.state(i)
-        out = apply_channel(ch, DensityMatrix(np.outer(c, c.conj())))
-        if not is_free(out, basis, tol):
+    for weights in np.eye(basis.d):
+        if not is_free(apply_channel(ch, free_mixture(basis, weights)), basis, tol):
             return False
     return True
 
@@ -205,20 +202,15 @@ def reduce_ancilla(
         raise NotFree("sigma_B is not free")
     weights = np.clip(np.diag(free_expansion(sigma_b, basis_b).coeffs).real, 0.0, None)
 
-    va, wa = basis_a.vectors, basis_a.reciprocal
-    vb = basis_b.vectors
     out = []
     for j in range(db):
         if weights[j] < 1e-14:
             continue
+        k_in = np.arange(da) * db + j
+        g, h = np.divmod(form.index_fn[k_in], db)
         for x in range(db):
-            f = np.zeros((da, da), dtype=complex)
-            for i in range(da):
-                k_in = i * db + j
-                g, h = divmod(int(form.index_fn[k_in]), db)
-                amp = np.sqrt(weights[j]) * form.coeffs[k_in] * vb[x, h]
-                f += amp * np.outer(va[:, g], wa[:, i].conj())
-            out.append(f)
+            amp = np.sqrt(weights[j]) * form.coeffs[k_in] * basis_b.vectors[x, h]
+            out.append(FreeKrausForm(amp, g).matrix(basis_a))
     return out
 
 

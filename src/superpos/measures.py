@@ -26,6 +26,7 @@ from .states import (
 )
 
 LOG_CONVENTION = "nat"
+_MAX_FW_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,7 @@ def _rel_ent_terms(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> tupl
     return value, -np.einsum("ij,jk,ki->i", c.conj().T, t, c).real
 
 
-def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9,
-                        max_iter: int = 10_000) -> MeasureReport:
+def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9) -> MeasureReport:
     """Minimum relative entropy to the free set, by Frank-Wolfe over the simplex.
 
     Away-step variant: the linear subproblem still only picks simplex
@@ -119,7 +119,7 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9,
     rho_entropy = _entropy_terms(rho.mat)
     q = np.full(d, 1.0 / d)
     cross, grad = _rel_ent_terms(rho.mat, basis, q)
-    for _ in range(max_iter):
+    for _ in range(_MAX_FW_ITER):
         towards = int(np.argmin(grad))
         fw_direction = -q.copy()
         fw_direction[towards] += 1.0
@@ -155,7 +155,7 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9,
         if improvement < tol and gamma < gamma_max:
             break
     else:
-        raise NoConvergence(f"no convergence within {max_iter} Frank-Wolfe iterations")
+        raise NoConvergence(f"no convergence within {_MAX_FW_ITER} Frank-Wolfe iterations")
     sigma = _free_sigma(basis, q)
     return MeasureReport(value=max(rho_entropy + cross, 0.0),
                          certificate=DensityMatrix(sigma / np.trace(sigma).real),

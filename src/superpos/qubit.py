@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import FreeBasis, new_free_basis, tensor_basis
 from .errors import DimensionMismatch, InvalidState, NoConvergence, NotUnitary
-from .kraus import Channel, complete_free
+from .kraus import Channel, FreeKrausForm, complete_free
 from .linalg import dagger, herm_eig, hermitian_part
 from .sdp import SdpSolution
 from .states import DensityMatrix, PureState, superposition_rank
@@ -141,21 +141,17 @@ def _shape_constants(a: float) -> tuple[float, float, float]:
 def free_qubit_kraus(kind: int, params, a: float) -> np.ndarray:
     """One of the four free qubit Kraus types for overlap a.
 
-    Each type is the conjugation V K~ V^{-1} of the incoherent operator K~
-    with the given pair of nonzero entries: kind 1 fills row 1, kind 2 the
-    diagonal, kind 3 row 2, kind 4 the antidiagonal.
+    The free operator sending free state k to free state f(k) with
+    coefficient params[k], where the index function f of kind 1 is (0, 0),
+    of kind 2 (0, 1), of kind 3 (1, 1) and of kind 4 (1, 0). In the free frame
+    kind 1 fills row 1, kind 2 the diagonal, kind 3 row 2, kind 4 the
+    antidiagonal.
     """
-    x, y = complex(params[0]), complex(params[1])
-    templates = {
-        1: np.array([[x, y], [0, 0]]),
-        2: np.array([[x, 0], [0, y]]),
-        3: np.array([[0, 0], [x, y]]),
-        4: np.array([[0, y], [x, 0]]),
-    }
-    if kind not in templates:
+    index_fns = {1: (0, 0), 2: (0, 1), 3: (1, 1), 4: (1, 0)}
+    if kind not in index_fns:
         raise ValueError(f"kind must be 1..4, got {kind}")
-    v = qubit_free_basis(a).vectors
-    return v @ templates[kind] @ np.linalg.inv(v)
+    coeffs = np.array([complex(params[0]), complex(params[1])])
+    return FreeKrausForm(coeffs, np.array(index_fns[kind])).matrix(qubit_free_basis(a))
 
 
 def generate_from_m2(theta_t: float, phi_t: float, a: float) -> Channel:
@@ -213,14 +209,11 @@ def inject_unitary(u: np.ndarray, a: float) -> Channel:
     ])
     single = qubit_free_basis(a)
     product = tensor_basis(single, single)
-    vp, wp = product.vectors, product.reciprocal
-    f0 = np.zeros((4, 4), dtype=complex)
-    f1 = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            k_in = 2 * i + j
-            f0 += c[j, i] * np.outer(vp[:, 2 * j], wp[:, k_in].conj())
-            f1 += d[1 - j, i] * np.outer(vp[:, 2 * (1 - j) + 1], wp[:, k_in].conj())
+    # input label 2i + j: f0 sends it to label 2j (system j, ancilla 0),
+    # f1 to label 3 - 2j (system 1 - j, ancilla 1)
+    i, j = np.divmod(np.arange(4), 2)
+    f0 = FreeKrausForm(c[j, i], 2 * j).matrix(product)
+    f1 = FreeKrausForm(d[1 - j, i], 3 - 2 * j).matrix(product)
     completion = complete_free([f0, f1], product)
     return Channel(tuple([f0, f1] + completion))
 
@@ -235,8 +228,7 @@ def fo_certificate_residual(a: float, theta: float) -> float:
     return float(np.cos(theta) * (1.0 - a))
 
 
-def conversion_heatmap(a: float, initial: tuple[float, float], grid_n: int,
-                       gap_tol: float = 1e-7) -> np.ndarray:
+def conversion_heatmap(a: float, initial: tuple[float, float], grid_n: int) -> np.ndarray:
     """Optimal free conversion probability from one initial qubit state to a
     (grid_n x 2*grid_n) polar-angle grid of pure targets.
 
@@ -255,14 +247,16 @@ def conversion_heatmap(a: float, initial: tuple[float, float], grid_n: int,
     rows = []
     for theta in thetas:
         for phi in phis:
-            rows.append((theta, phi, heatmap_cell(basis, source, source_rank,
-                                                  (theta, phi), gap_tol)))
+            rows.append((theta, phi, heatmap_cell(basis, source, source_rank, (theta, phi))))
     return np.array(rows)
 
 
 def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
-                 target_angles: tuple[float, float], gap_tol: float = 1e-7) -> float:
-    """Conversion probability for one heatmap target; NaN on ``NoConvergence``."""
+                 target_angles: tuple[float, float]) -> float:
+    """Conversion probability for one heatmap target; NaN on ``NoConvergence``.
+
+    Each solve runs at ``max_conversion_prob``'s default gap tolerance.
+    """
     target = qubit_state(*target_angles)
     target_rank = superposition_rank(target, basis)
     if target_rank > source_rank:
@@ -270,7 +264,7 @@ def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
     if target_rank < source_rank:
         return 1.0
     try:
-        sol: SdpSolution = max_conversion_prob(source, target, basis, gap_tol=gap_tol)
+        sol: SdpSolution = max_conversion_prob(source, target, basis)
     except NoConvergence:
         return float("nan")
     return float(sol.value)

@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import FreeBasis, new_free_basis
-from .states import DensityMatrix, PureState
+from .kraus import FreeKrausForm
+from .states import DensityMatrix, PureState, free_mixture
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -61,9 +62,7 @@ def random_basis(d: int, rng, min_sigma: float = 0.1) -> FreeBasis:
 def random_free_state(basis: FreeBasis, rng) -> DensityMatrix:
     """Random statistical mixture of the pure free states."""
     rng = _as_rng(rng)
-    w = rng.dirichlet(np.ones(basis.d))
-    v = basis.vectors
-    return DensityMatrix((v * w) @ v.conj().T)
+    return free_mixture(basis, rng.dirichlet(np.ones(basis.d)))
 
 
 def random_free_operator(basis: FreeBasis, rng) -> np.ndarray:
@@ -71,12 +70,7 @@ def random_free_operator(basis: FreeBasis, rng) -> np.ndarray:
     rng = _as_rng(rng)
     d = basis.d
     coeffs = rng.normal(size=d) + 1j * rng.normal(size=d)
-    labels = rng.integers(d, size=d)
-    v, w = basis.vectors, basis.reciprocal
-    k = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        k += coeffs[j] * np.outer(v[:, labels[j]], w[:, j].conj())
-    return k
+    return FreeKrausForm(coeffs, rng.integers(d, size=d)).matrix(basis)
 
 
 def random_subnormalized_free_ops(basis: FreeBasis, rng, n_ops: int = 2,

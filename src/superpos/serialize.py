@@ -83,6 +83,9 @@ def basis_from_json(node: Any, path: str = "") -> FreeBasis:
     if not isinstance(cols, list) or len(cols) != d:
         raise SchemaViolation(f"{path}/columns", f"expected {d} columns")
     columns = [_parse_complex_vector(c, f"{path}/columns/{i}") for i, c in enumerate(cols)]
+    for i, c in enumerate(columns):
+        if c.shape[0] != d:
+            raise SchemaViolation(f"{path}/columns/{i}", f"expected {d} entries, got {c.shape[0]}")
     try:
         return new_free_basis(columns)
     except SuperposError as exc:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import FreeBasis, symmetric_basis_d3
 from .errors import RankMismatch, SupportTooLarge
-from .kraus import complete_free
+from .kraus import FreeKrausForm, complete_free
 from .sdp import LmiProblem, SdpSolution, solve_lmi
 from .states import PureState, pure_free_coefficients
 
@@ -54,13 +54,15 @@ def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis,
         raise RankMismatch(f"superposition ranks differ: {len(support_r)} vs {len(support_s)}")
     if len(support_r) > MAX_SUPPORT:
         raise SupportTooLarge(f"support size {len(support_r)} exceeds {MAX_SUPPORT}")
-    v, w = basis.vectors, basis.reciprocal
+    rows = list(support_r)
     ops = []
     for image in itertools.permutations(support_s):
-        f = np.zeros((basis.d, basis.d), dtype=complex)
-        for j, fj in zip(support_r, image):
-            f += (dst[fj] / src[j]) * np.outer(v[:, fj], w[:, j].conj())
-        ops.append(f)
+        # labels outside the source support get coefficient 0
+        coeffs = np.zeros(basis.d, dtype=complex)
+        coeffs[rows] = dst[list(image)] / src[rows]
+        index_fn = np.arange(basis.d)
+        index_fn[rows] = image
+        ops.append(FreeKrausForm(coeffs, index_fn).matrix(basis))
     return TransformerSet(source=psi, target=phi, support_source=support_r,
                           support_target=support_s, operators=tuple(ops))
 
@@ -78,7 +80,7 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     problem = LmiProblem.from_matrices([f.conj().T @ f for f in ts.operators])
     # the source projector is always dual feasible with trace 1: every
     # transformer maps the source exactly onto the unit-norm target
-    source_proj = np.outer(psi.amp, psi.amp.conj())
+    source_proj = psi.amp[:, None] * psi.amp.conj()
     sol = solve_lmi(problem, gap_tol=gap_tol, dual_candidates=(source_proj,))
     value = float(min(max(sol.primal, 0.0), 1.0))
     completion = None

@@ -110,6 +110,12 @@ def test_unknown_field_rejected():
     assert "unknown field" in str(err.value)
 
 
+def test_ragged_basis_columns_name_the_column():
+    with pytest.raises(SchemaViolation) as err:
+        basis_from_json({"d": 2, "columns": [[[1, 0], [0, 0]], [[0, 0]]]})
+    assert err.value.pointer == "/columns/1"
+
+
 def test_subnormalized_state_names_trace(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"mat": [[[0.45, 0.0], [0.0, 0.0]],
                                                [[0.0, 0.0], [0.45, 0.0]]]})
@@ -192,6 +198,30 @@ def test_kraus_check_cli(tmp_path, capsys):
 
 def test_unknown_command_exits_two(capsys):
     assert dispatch(["frobnicate"]) == 2
+
+
+# --tol is registered only on the subcommands that pass it to the library
+TOL_USE = {
+    ("state", "rank", "--state", "candidate"): 0,
+    ("state", "free", "--state", "free_state"): 0,
+    ("kraus", "check", "--in", "identity"): 0,
+    ("measure", "relent", "--state", "free_state"): 0,
+    ("state", "expand", "--state", "free_state"): 2,
+    ("kraus", "complete", "--in", "identity"): 2,
+    ("measure", "l1", "--state", "free_state"): 2,
+    ("measure", "rank", "--state", "candidate"): 2,
+    ("measure", "robustness", "--state", "free_state"): 2,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TOL_USE), ids=lambda a: "-".join(a[:2]))
+def test_tol_only_where_it_is_used(argv, d3_files, capsys):
+    identity = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+    d3_files["identity"] = write(d3_files["tmp"], "identity.json", {"operators": [identity]})
+    resolved = [d3_files.get(a, a) for a in argv] + ["--basis", d3_files["basis"]]
+    assert dispatch(resolved) == 0
+    assert dispatch(resolved + ["--tol", "0.5"]) == TOL_USE[argv]
+    capsys.readouterr()
 
 
 # Output of the paths whose numbers no solver change may move, byte for byte at

@@ -5,6 +5,7 @@ from superpos.basis import orthonormal_basis, symmetric_basis_d3, tensor_basis
 from superpos.errors import NotFree, NotSubnormalized, NotTracePreserving
 from superpos.kraus import (
     Channel,
+    FreeKrausForm,
     apply_channel,
     complete_free,
     free_channel,
@@ -15,7 +16,7 @@ from superpos.kraus import (
     reduced_action,
 )
 from superpos.linalg import dagger
-from superpos.qubit import build_phi, channel_from_bloch, qubit_free_basis
+from superpos.qubit import build_phi, channel_from_bloch, free_qubit_kraus, qubit_free_basis
 from superpos.sampling import (
     haar_state,
     make_rng,
@@ -260,3 +261,74 @@ def test_reduce_ancilla_rejects_non_free_inputs():
     plus = PureState(np.array([1, 1]) / np.sqrt(2)).density()
     with pytest.raises(NotFree):
         reduce_ancilla(np.eye(4, dtype=complex), plus, ba, bb)
+
+
+# The per-label loops that built and recognised free operators before
+# FreeKrausForm.matrix became their one constructor, kept as oracles.
+def loop_matrix(coeffs, index_fn, basis):
+    v, w = basis.vectors, basis.reciprocal
+    out = np.zeros((basis.d, basis.d), dtype=complex)
+    for k, (c, f) in enumerate(zip(coeffs, index_fn)):
+        out += c * np.outer(v[:, f], w[:, k].conj())
+    return out
+
+
+def loop_is_free_kraus(k, basis, tol=1e-9):
+    m = dagger(basis.reciprocal) @ k @ basis.vectors
+    coeffs = np.zeros(basis.d, dtype=complex)
+    index_fn = np.arange(basis.d)
+    for j in range(basis.d):
+        live = np.where(np.abs(m[:, j]) > tol)[0]
+        if live.size > 1:
+            return None
+        if live.size == 1:
+            coeffs[j] = m[live[0], j]
+            index_fn[j] = live[0]
+    return coeffs, index_fn
+
+
+def test_free_kraus_matrix_matches_outer_product_loop():
+    rng = make_rng(410)
+    for d in range(2, 9):
+        for trial in range(40):
+            b = random_basis(d, rng)
+            coeffs = rng.normal(size=d) + 1j * rng.normal(size=d)
+            coeffs[rng.random(d) < 0.3] = 0.0
+            # every other trial draws from d // 2 labels, so some labels repeat
+            index_fn = rng.integers(d if trial % 2 else d // 2, size=d)
+            built = FreeKrausForm(coeffs, index_fn).matrix(b)
+            assert np.array_equal(built, loop_matrix(coeffs, index_fn, b))
+
+
+def test_free_qubit_kraus_matches_conjugated_template():
+    rng = make_rng(411)
+    for a in (0.0, 0.3, 0.6, 0.9):
+        v = qubit_free_basis(a).vectors
+        for _ in range(10):
+            x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
+            templates = {1: [[x, y], [0, 0]], 2: [[x, 0], [0, y]],
+                         3: [[0, 0], [x, y]], 4: [[0, y], [x, 0]]}
+            for kind, t in templates.items():
+                expected = v @ np.array(t) @ np.linalg.inv(v)
+                assert np.abs(free_qubit_kraus(kind, (x, y), a) - expected).max() < 1e-12
+
+
+def test_is_free_kraus_matches_per_column_loop():
+    rng = make_rng(412)
+    for d in range(2, 9):
+        for _ in range(20):
+            b = random_basis(d, rng)
+            m = dagger(b.reciprocal) @ random_free_operator(b, rng) @ b.vectors
+            j = int(rng.integers(d))
+            zero_column, two_live = m.copy(), m.copy()
+            zero_column[:, j] = 0.0
+            two_live[(np.argmax(np.abs(m[:, j])) + 1) % d, j] = 0.5
+            for mat in (m, zero_column, two_live):
+                k = b.vectors @ mat @ dagger(b.reciprocal)
+                form, expected = is_free_kraus(k, b), loop_is_free_kraus(k, b)
+                if expected is None:
+                    assert form is None
+                else:
+                    assert np.array_equal(form.coeffs, expected[0])
+                    assert np.array_equal(form.index_fn, expected[1])
+            assert is_free_kraus(b.vectors @ two_live @ dagger(b.reciprocal), b) is None

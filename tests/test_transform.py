@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,38 @@ def test_candidate_states_properties():
         assert superposition_rank(cand, b) == 3
         mags = np.abs(b.to_free_frame(cand.amp))
         assert np.abs(mags - np.sqrt(2 / 3)).max() < 1e-10
+
+
+def loop_transformers(psi, phi, basis, support_r, support_s):
+    """The per-label outer-product loop that built the transformers before
+    FreeKrausForm.matrix became their constructor, kept as an oracle."""
+    src = basis.to_free_frame(psi.amp)
+    dst = basis.to_free_frame(phi.amp)
+    v, w = basis.vectors, basis.reciprocal
+    ops = []
+    for image in itertools.permutations(support_s):
+        f = np.zeros((basis.d, basis.d), dtype=complex)
+        for j, fj in zip(support_r, image):
+            f += (dst[fj] / src[j]) * np.outer(v[:, fj], w[:, j].conj())
+        ops.append(f)
+    return ops
+
+
+def test_enumerate_transformers_matches_outer_product_loop():
+    rng = make_rng(207)
+    for r in range(2, 6):
+        # d > r leaves the columns outside the source support zero
+        for d in range(r, min(r + 3, 8) + 1):
+            b = random_basis(d, rng)
+            supports, states = [], []
+            for _ in range(2):
+                support = tuple(int(i) for i in np.sort(rng.choice(d, r, replace=False)))
+                coeffs = np.zeros(d, dtype=complex)
+                coeffs[list(support)] = rng.normal(size=r) + 1j * rng.normal(size=r)
+                supports.append(support)
+                states.append(PureState.normalized(b.vectors @ coeffs))
+            ts = enumerate_transformers(states[0], states[1], b)
+            assert (ts.support_source, ts.support_target) == tuple(supports)
+            expected = loop_transformers(states[0], states[1], b, *supports)
+            assert len(ts.operators) == len(expected)
+            assert all(np.array_equal(f, g) for f, g in zip(ts.operators, expected))
