@@ -171,6 +171,9 @@ def _run(args) -> int:
     if args.command == "kraus":
         basis = serialize.load_basis(args.basis)
         ops = serialize.load_kraus_set(args.path)
+        for i, k in enumerate(ops):
+            if k.shape != (basis.d, basis.d):
+                raise SchemaViolation(f"/operators/{i}", f"shape {k.shape} != ({basis.d}, {basis.d})")
         if args.action == "check":
             forms = [kraus.is_free_kraus(k, basis, args.tol) for k in ops]
             _emit_json({

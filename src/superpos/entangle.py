@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FreeBasis
-from .errors import DimensionMismatch, LinearlyDependent
-from .linalg import dagger, min_singular_value
+from .basis import FreeBasis, filter_probability, new_free_basis, orthonormal_basis
+from .errors import DimensionMismatch
+from .linalg import dagger
 from .states import PureState, schmidt_rank, superposition_rank
 
 
@@ -40,18 +40,13 @@ def faithful_conversion(basis: FreeBasis, locals_=None) -> ConversionMap:
     probability of a trace non-increasing local inversion.
     """
     d = basis.d
-    if locals_ is None:
-        v_s = np.eye(d, dtype=complex)
-    else:
-        v_s = np.column_stack([np.asarray(c, dtype=complex) for c in locals_])
-        if v_s.shape != (d, d):
-            raise DimensionMismatch(f"need {d} local vectors of dimension {d}, got {v_s.shape}")
-    smin = min_singular_value(v_s)
-    if smin <= 1e-8:
-        raise LinearlyDependent(f"local states: smallest singular value {smin:.3e}")
-    p = smin ** 2
-    splitter = np.einsum("ai,bi->abi", v_s, v_s).reshape(d * d, d) @ dagger(basis.reciprocal)
-    local_filter = np.sqrt(p) * np.linalg.inv(v_s)
+    local = orthonormal_basis(d) if locals_ is None else new_free_basis(locals_)
+    if local.d != d:
+        raise DimensionMismatch(f"need {d} local vectors of dimension {d}, got {local.vectors.shape}")
+    p = filter_probability(local)
+    splitter = np.einsum("ai,bi->abi", local.vectors, local.vectors).reshape(d * d, d) \
+        @ dagger(basis.reciprocal)
+    local_filter = np.sqrt(p) * dagger(local.reciprocal)
     return ConversionMap(splitter=splitter, local_filter=local_filter,
                          probability=p, success_probability=p ** 2)
 

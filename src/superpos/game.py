@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FreeBasis, filter_probability
-from .errors import LinearlyDependentEnsemble
+from .basis import FreeBasis, filter_probability, new_free_basis
+from .errors import LinearlyDependent, LinearlyDependentEnsemble
 from .kraus import Channel, complete_free
 from .sampling import make_rng
 from .states import PureState
-
-_ENSEMBLE_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,12 +88,11 @@ def outcome_states(spec: GameSpec, state: PureState) -> list[tuple[float, PureSt
 
 def _usd_povm(states: list[PureState]) -> tuple[np.ndarray, float]:
     """Reciprocal-frame vectors and the largest uniform scaling keeping the POVM valid."""
-    mat = np.column_stack([s.amp for s in states])
-    smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
-    if smin <= _ENSEMBLE_THRESHOLD:
-        raise LinearlyDependentEnsemble(f"ensemble smallest singular value {smin:.3e}")
-    reciprocal = np.linalg.inv(mat.conj().T)
-    return reciprocal, smin ** 2
+    try:
+        frame = new_free_basis([s.amp for s in states])
+    except LinearlyDependent as exc:
+        raise LinearlyDependentEnsemble(f"ensemble: {exc}") from exc
+    return frame.reciprocal, filter_probability(frame)
 
 
 def _cdf(weights) -> list[float]:

@@ -220,26 +220,25 @@ def rank_measure(state, basis: FreeBasis, mixings: int = 1000,
     return MeasureReport(value=max(best, 0.0), upper_bound=m > 1)
 
 
-def _rank_one_cover(rho: DensityMatrix, basis: FreeBasis) -> SdpSolution | None:
-    """Closed-form optimum of the robustness cover when rho is rank one, else None.
+def _closed_form_cover(rho: DensityMatrix, basis: FreeBasis) -> SdpSolution | None:
+    """Closed-form optimum of the robustness cover at d = 2 or for rank-one rho, else None.
 
-    For rho = lam |psi><psi| with free-frame coefficients c of psi,
-    x_i = lam |c_i| sum|c| covers rho by Cauchy-Schwarz, and Y = |y><y| with
-    y = W phase(c) (W the reciprocal frame) has tr(B_i Y) = 1 and
-    tr(rho Y) = lam (sum|c|)^2, so the two certify each other (Napoli et al.,
-    PRL 116, 150502). The dual is rescaled into tr(B_i Y) <= 1 and the gap
-    taken as in the barrier solver, so rounding shows in ``gap``.
+    In the free frame C = W' rho W (W the reciprocal frame) the cover reads
+    diag(x) >= C. x_i = sum_j |C_ij| is feasible for every rho, because
+    diag(x) - C is diagonally dominant. Y = W y y' W', with y the phases of
+    C's top eigenvector, has tr(B_i Y) = |y_i|^2 = 1 and tr(rho Y) = y' C y,
+    which reaches sum_ij |C_ij| when C is 2 x 2 or rank one (Napoli et al.,
+    PRL 116, 150502), so the two certify each other; rounding shows in ``gap``.
     """
-    w, u = np.linalg.eigh(rho.mat)
-    if w[-2] > 1e-12:   # a second eigenvalue above rounding: not rank one
+    coeffs = free_expansion(rho, basis).coeffs
+    w, u = np.linalg.eigh(coeffs)
+    if basis.d > 2 and w[-2] > 1e-12 * w[-1]:   # a second eigenvalue above rounding
         return None
-    c = basis.to_free_frame(u[:, -1])
-    mags = np.abs(c)
-    x = w[-1] * mags * mags.sum()
-    y = basis.reciprocal @ np.exp(1j * np.angle(c))
-    y_mat = np.outer(y, y.conj()) / max(float(np.max(np.abs(basis.vectors.conj().T @ y) ** 2)), 1.0)
-    primal, dual = float(np.sum(x)), float(np.trace(rho.mat @ y_mat).real)
-    return SdpSolution(p=x, primal=primal, dual_matrix=y_mat, dual=dual, gap=primal - dual)
+    x = np.abs(coeffs).sum(axis=1)
+    wy = basis.reciprocal @ np.exp(1j * np.angle(u[:, -1]))
+    primal, dual = float(x.sum()), float((wy.conj() @ rho.mat @ wy).real)
+    return SdpSolution(p=x, primal=primal, dual_matrix=np.outer(wy, wy.conj()), dual=dual,
+                       gap=max(primal - dual, 0.0))
 
 
 def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> MeasureReport:
@@ -247,13 +246,14 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
 
     Solved as "minimize sum x_i - 1 subject to sum x_i |c_i><c_i| >= rho,
     x >= 0" (substitute x_i = (1+s) q_i); the certificate holds the optimal
-    (s, closest free state delta, witness tau). A rank-one rho takes the
-    closed form of ``_rank_one_cover``, whose primal point and dual matrix
-    certify each other; any other rho, or a closed form whose certified gap
-    exceeds gap_tol, goes to the barrier solver ``solve_cover``.
+    (s, closest free state delta, witness tau). A rank-one rho, and every rho
+    at d = 2, takes the closed form R + 1 = sum_ij |C_ij| over the free-frame
+    coefficients C of ``_closed_form_cover``, whose primal point and dual
+    matrix certify each other; any other rho, or a closed form whose certified
+    gap exceeds gap_tol, goes to the barrier solver ``solve_cover``.
     ``extra["method"]`` says which ("closed_form" or "sdp").
     """
-    sol, method = _rank_one_cover(rho, basis), "closed_form"
+    sol, method = _closed_form_cover(rho, basis), "closed_form"
     if sol is None or sol.gap > gap_tol:
         method = "sdp"
         mats = [np.outer(basis.vectors[:, i], basis.vectors[:, i].conj()) for i in range(basis.d)]

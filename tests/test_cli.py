@@ -116,6 +116,16 @@ def test_ragged_basis_columns_name_the_column():
     assert err.value.pointer == "/columns/1"
 
 
+@pytest.mark.parametrize("action", ["check", "complete"])
+def test_wrong_shaped_operator_names_the_operator(action, tmp_path, capsys):
+    identity = [[[float(i == j), 0.0] for j in range(2)] for i in range(2)]
+    wide = [[[0.0, 0.0]] * 3] * 2
+    ops = write(tmp_path, "ops.json", {"operators": [identity, wide]})
+    b = write(tmp_path, "b.json", basis_to_json(qubit_free_basis(0.2)))
+    assert dispatch(["kraus", action, "--in", ops, "--basis", b]) == 2
+    assert "error: /operators/1: " in capsys.readouterr().err
+
+
 def test_subnormalized_state_names_trace(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"mat": [[[0.45, 0.0], [0.0, 0.0]],
                                                [[0.0, 0.0], [0.45, 0.0]]]})

@@ -3,7 +3,7 @@ import pytest
 
 from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.entangle import faithful_conversion, filter_validity_defect, verify_faithful
-from superpos.errors import LinearlyDependent
+from superpos.errors import DimensionMismatch, LinearlyDependent, NotNormalized
 from superpos.sampling import haar_state, make_rng, random_basis
 from superpos.states import PureState, schmidt_rank, superposition_rank
 
@@ -92,3 +92,11 @@ def test_rejects_dependent_locals():
     b = orthonormal_basis(2)
     with pytest.raises(LinearlyDependent):
         faithful_conversion(b, [[1, 0], [1, 1e-12]])
+
+
+def test_rejects_non_unit_or_wrong_sized_locals():
+    b = orthonormal_basis(2)
+    with pytest.raises(NotNormalized):
+        faithful_conversion(b, [[2, 0], [0, 1]])
+    with pytest.raises(DimensionMismatch):
+        faithful_conversion(b, np.eye(3))

@@ -3,7 +3,9 @@ from scipy.optimize import minimize_scalar
 
 from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.kraus import free_channel, measure_selective
+from superpos.linalg import hermitian_part
 from superpos.measures import (
+    _closed_form_cover,
     _cross_entropy,
     _entropy_terms,
     _free_sigma,
@@ -198,28 +200,42 @@ def basis_near_dependent(d, rng):
 
 def test_robustness_closed_form_matches_sdp():
     rng = make_rng(607)
+    mixed_rng = make_rng(617)
     for d in (2, 3, 4, 8):
         for make in (lambda: random_basis(d, rng), lambda: orthonormal_basis(d),
                      lambda: basis_near_dependent(d, rng)):
             for j in range(4):
                 b = make()
                 psi = haar_state(d, rng) if j % 2 == 0 else PureState(b.state(int(rng.integers(d))))
-                rho = psi.density()
-                rep = robustness(rho, b)
-                assert rep.extra["method"] == "closed_form"
-                assert rep.extra["gap"] <= 1e-8
-                mats = [np.outer(b.vectors[:, i], b.vectors[:, i].conj()) for i in range(d)]
-                sol = solve_cover(rho.mat, mats)
-                # the SDP brackets the optimum between its dual and primal values
-                assert sol.dual - 1e-12 <= rep.value + 1.0 <= sol.primal + 1e-12
-                assert abs(rep.value - (sol.primal - 1.0)) <= 1e-8
-                if b.sigma_min == 1.0:
-                    assert abs(rep.value - l1_measure(rho, b).value) <= 1e-9
-                cert = rep.certificate
-                if cert["tau"] is not None:
-                    s = cert["s"]
-                    resid = rho.mat + s * cert["tau"].mat - (1 + s) * cert["delta"].mat
-                    assert np.abs(resid).max() <= 1e-8 * (1 + s)
+                rhos = [psi.density()]
+                if d == 2:   # every qubit state: free, Ginibre, rank-deficient, pure + mixed
+                    t = mixed_rng.random()
+                    rhos += [random_free_state(b, mixed_rng), random_density(2, mixed_rng),
+                             random_density(2, mixed_rng, rank=1),
+                             DensityMatrix(t * haar_state(2, mixed_rng).density().mat
+                                           + (1 - t) * random_density(2, mixed_rng).mat)]
+                for rho in rhos:
+                    rep = robustness(rho, b)
+                    assert rep.extra["method"] == "closed_form"
+                    assert 0.0 <= rep.extra["gap"] <= 1e-8
+                    mats = [np.outer(b.vectors[:, i], b.vectors[:, i].conj()) for i in range(d)]
+                    sol = solve_cover(rho.mat, mats)
+                    # the SDP brackets the optimum between its dual and primal values
+                    assert sol.dual - 1e-12 <= rep.value + 1.0 <= sol.primal + 1e-12
+                    assert abs(rep.value - (sol.primal - 1.0)) <= 1e-8
+                    # the closed-form dual passes the checks every barrier dual passes
+                    cover = _closed_form_cover(rho, b)
+                    y = cover.dual_matrix
+                    assert np.linalg.eigvalsh(hermitian_part(y))[0] >= -1e-9
+                    assert max(np.trace(m @ y).real for m in mats) <= 1 + 1e-9
+                    assert abs(cover.dual - np.trace(rho.mat @ y).real) <= 1e-12
+                    if b.sigma_min == 1.0:
+                        assert abs(rep.value - l1_measure(rho, b).value) <= 1e-9
+                    cert = rep.certificate
+                    if cert["tau"] is not None:
+                        s = cert["s"]
+                        resid = rho.mat + s * cert["tau"].mat - (1 + s) * cert["delta"].mat
+                        assert np.abs(resid).max() <= 1e-8 * (1 + s)
 
 
 def test_robustness_mixed_state_uses_sdp():
