@@ -15,7 +15,7 @@ import numpy as np
 
 from . import entangle, game, kraus, measures, qubit, serialize, transform
 from .basis import filter_probability
-from .errors import NoConvergence, SchemaViolation, SolverFailure, SuperposError
+from .errors import NoConvergence, SchemaViolation, SuperposError
 from .states import (
     DensityMatrix,
     PureState,
@@ -269,7 +269,7 @@ def dispatch(argv) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return _run(args)
-    except (NoConvergence, SolverFailure) as exc:
+    except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (SuperposError, ValueError, OSError) as exc:

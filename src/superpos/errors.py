@@ -61,10 +61,6 @@ class NoConvergence(SuperposError):
     pass
 
 
-class SolverFailure(SuperposError):
-    pass
-
-
 class SchemaViolation(SuperposError):
     """Raised on malformed JSON input; message carries a JSON-pointer path."""
 

@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis import FreeBasis
-from .errors import NoConvergence, SolverFailure
+from .errors import NoConvergence
 from .sampling import make_rng
 from .sdp import SdpSolution, solve_cover
 from .states import (
@@ -104,85 +103,34 @@ def _rel_ent_terms(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> tupl
 
 
 def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9) -> MeasureReport:
-    """Minimum relative entropy to the free set, by Frank-Wolfe over the simplex.
+    """Minimum relative entropy to the free set, by a multiplicative update on the simplex.
 
-    Away-step variant: the linear subproblem still only picks simplex
-    vertices, but each iteration may also shrink the weight of the worst
-    active vertex, which keeps convergence linear when the optimum sits on a
-    face. Each step goes to the exact minimiser along its direction (see
-    ``_line_minimiser``). Converged when the Frank-Wolfe gap, which bounds
-    value - minimum and is reported as ``extra["fw_gap"]``, is at most tol, or
-    when a step that stopped short of the end of its segment gained less than
-    tol; a step to the end (which drops an away vertex) never stops the loop.
+    Each step sets q_i <- q_i * c_i'Tc_i, where -grad_i = c_i'Tc_i >= 0 (T the
+    Schur product of ln's Loewner matrix with rho in sigma's eigenbasis, see
+    ``_rel_ent_terms``) and sum_i q_i c_i'Tc_i = tr rho = 1, so q stays on the
+    simplex. The loop stops when the Frank-Wolfe gap grad.q - min grad, which
+    bounds value - minimum and is reported as ``extra["fw_gap"]``, is at most
+    tol, and raises ``NoConvergence`` otherwise. A free rho starts at its free
+    weights, the optimum; any other rho starts at the uniform mixture.
     """
-    d = basis.d
-    rho_entropy = _entropy_terms(rho.mat)
-    q = np.full(d, 1.0 / d)
-    cross, grad = _rel_ent_terms(rho.mat, basis, q)
+    if is_free(rho, basis):
+        q = np.clip(np.diag(free_expansion(rho, basis).coeffs).real, 0.0, None)
+        q /= q.sum()
+    else:
+        q = np.full(basis.d, 1.0 / basis.d)
     for _ in range(_MAX_FW_ITER):
-        towards = int(np.argmin(grad))
-        fw_direction = -q.copy()
-        fw_direction[towards] += 1.0
-        fw_gap = float(-grad @ fw_direction)
+        cross, grad = _rel_ent_terms(rho.mat, basis, q)
+        fw_gap = float(grad @ q - grad.min())
         if fw_gap <= tol:
             break
-        active = np.where(q > 1e-14)[0]
-        away = int(active[np.argmax(grad[active])])
-        away_gap = float(grad[away] - grad @ q)
-        if away_gap > fw_gap and q[away] < 1.0 - 1e-14:
-            direction = q.copy()
-            direction[away] -= 1.0
-            gamma_max = q[away] / (1.0 - q[away])
-        else:
-            direction = fw_direction
-            gamma_max = 1.0
-
-        trials = {0.0: (q, cross, grad)}   # point, cross entropy and gradient on the segment
-
-        def at(gamma: float) -> tuple:
-            if gamma not in trials:
-                point = np.clip(q + gamma * direction, 0.0, None)
-                point /= point.sum()
-                trials[gamma] = (point, *_rel_ent_terms(rho.mat, basis, point))
-            return trials[gamma]
-
-        gamma = _line_minimiser(lambda g: float(at(g)[2] @ direction), lambda g: at(g)[1], gamma_max)
-        new_q, new_cross, new_grad = at(gamma)
-        improvement = cross - new_cross
-        if improvement < 0:   # rounding on a flat segment; keeping q would repeat this step
-            break
-        q, cross, grad = new_q, new_cross, new_grad
-        if improvement < tol and gamma < gamma_max:
-            break
+        q = q * -grad
+        q /= q.sum()
     else:
-        raise NoConvergence(f"no convergence within {_MAX_FW_ITER} Frank-Wolfe iterations")
+        raise NoConvergence(f"Frank-Wolfe gap {fw_gap:.3e} above {tol:.1e} after {_MAX_FW_ITER} updates")
     sigma = _free_sigma(basis, q)
-    return MeasureReport(value=max(rho_entropy + cross, 0.0),
+    return MeasureReport(value=max(_entropy_terms(rho.mat) + cross, 0.0),
                          certificate=DensityMatrix(sigma / np.trace(sigma).real),
-                         extra={"weights": q.copy(), "fw_gap": max(fw_gap, 0.0)})
-
-
-def _line_minimiser(slope, value, gamma_max: float) -> float:
-    """Minimiser on [0, gamma_max] of a convex phi with phi'(0) < 0, from phi'.
-
-    gamma_max itself when phi is finite there and still falling; otherwise
-    the root of phi' by brentq. When phi is infinite at gamma_max (sigma loses
-    part of rho's support there), phi' grows without bound below it, so the
-    bracket's upper end walks halfway towards gamma_max until phi' > 0.
-    """
-    lo, hi = 0.0, gamma_max
-    if np.isfinite(value(gamma_max)):
-        if slope(gamma_max) <= 0:
-            return gamma_max
-    else:
-        hi = 0.5 * gamma_max
-        for _ in range(60):
-            if slope(hi) > 0:
-                break
-            lo, hi = hi, 0.5 * (hi + gamma_max)
-        else:
-            return lo
-    return brentq(slope, lo, hi, xtol=1e-14)
+                         extra={"weights": q, "fw_gap": max(fw_gap, 0.0)})
 
 
 def rank_measure(state, basis: FreeBasis, mixings: int = 1000,
@@ -220,20 +168,19 @@ def rank_measure(state, basis: FreeBasis, mixings: int = 1000,
     return MeasureReport(value=max(best, 0.0), upper_bound=m > 1)
 
 
-def _closed_form_cover(rho: DensityMatrix, basis: FreeBasis) -> SdpSolution | None:
-    """Closed-form optimum of the robustness cover at d = 2 or for rank-one rho, else None.
+def _closed_form_cover(rho: DensityMatrix, basis: FreeBasis) -> SdpSolution:
+    """Closed-form candidate for the robustness cover, with its certified gap.
 
     In the free frame C = W' rho W (W the reciprocal frame) the cover reads
     diag(x) >= C. x_i = sum_j |C_ij| is feasible for every rho, because
     diag(x) - C is diagonally dominant. Y = W y y' W', with y the phases of
     C's top eigenvector, has tr(B_i Y) = |y_i|^2 = 1 and tr(rho Y) = y' C y,
-    which reaches sum_ij |C_ij| when C is 2 x 2 or rank one (Napoli et al.,
-    PRL 116, 150502), so the two certify each other; rounding shows in ``gap``.
+    which reaches sum_ij |C_ij| when C is 2 x 2, rank one (Napoli et al.,
+    PRL 116, 150502) or diagonal (every free rho), so the two certify each
+    other there; elsewhere ``gap`` shows how far apart they are.
     """
     coeffs = free_expansion(rho, basis).coeffs
-    w, u = np.linalg.eigh(coeffs)
-    if basis.d > 2 and w[-2] > 1e-12 * w[-1]:   # a second eigenvalue above rounding
-        return None
+    _, u = np.linalg.eigh(coeffs)
     x = np.abs(coeffs).sum(axis=1)
     wy = basis.reciprocal @ np.exp(1j * np.angle(u[:, -1]))
     primal, dual = float(x.sum()), float((wy.conj() @ rho.mat @ wy).real)
@@ -246,21 +193,19 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
 
     Solved as "minimize sum x_i - 1 subject to sum x_i |c_i><c_i| >= rho,
     x >= 0" (substitute x_i = (1+s) q_i); the certificate holds the optimal
-    (s, closest free state delta, witness tau). A rank-one rho, and every rho
-    at d = 2, takes the closed form R + 1 = sum_ij |C_ij| over the free-frame
-    coefficients C of ``_closed_form_cover``, whose primal point and dual
-    matrix certify each other; any other rho, or a closed form whose certified
-    gap exceeds gap_tol, goes to the barrier solver ``solve_cover``.
-    ``extra["method"]`` says which ("closed_form" or "sdp").
+    (s, closest free state delta, witness tau). Every rho first tries the
+    closed form R + 1 = sum_ij |C_ij| over the free-frame coefficients C of
+    ``_closed_form_cover``, kept when its primal point and dual matrix certify
+    each other within gap_tol (every rank-one, every d = 2 and every free rho);
+    any other rho goes to the barrier solver ``solve_cover``, whose
+    ``NoConvergence`` propagates. ``extra["method"]`` says which
+    ("closed_form" or "sdp").
     """
     sol, method = _closed_form_cover(rho, basis), "closed_form"
-    if sol is None or sol.gap > gap_tol:
+    if sol.gap > gap_tol:
         method = "sdp"
         mats = [np.outer(basis.vectors[:, i], basis.vectors[:, i].conj()) for i in range(basis.d)]
-        try:
-            sol = solve_cover(rho.mat, mats, gap_tol=gap_tol)
-        except NoConvergence as exc:
-            raise SolverFailure(str(exc)) from exc
+        sol = solve_cover(rho.mat, mats, gap_tol=gap_tol)
     s = max(float(sol.primal - 1.0), 0.0)
     mix = _free_sigma(basis, sol.p)
     delta = DensityMatrix(mix / np.trace(mix).real)

@@ -162,23 +162,18 @@ def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | Non
     return y / m if sense * m > sense else y
 
 
-def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL,
-              dual_candidates=()) -> SdpSolution:
+def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     """Maximize sum p_n subject to sum p_n A_n <= 1, p >= 0.
 
-    Besides the central path and its polish on the slack's near-null space,
-    the dual tries the scaled identity and any caller-supplied matrices; the
-    smallest certified trace bounds the optimum and ``gap``, its distance to
-    the primal value, is at most ``gap_tol`` (``NoConvergence`` otherwise).
+    The dual comes from the central path and its polish on the slack's
+    near-null space; the smallest certified trace bounds the optimum and
+    ``gap``, its distance to the primal value, is at most ``gap_tol``
+    (``NoConvergence`` otherwise).
     """
     ops = problem.operators
     norm_sum = sum(float(np.linalg.norm(a, 2)) for a in ops)
     x = np.full(len(ops), 0.5 / (norm_sum + 1.0))
-    eye = np.eye(problem.dim, dtype=complex)
-    min_trace = min(float(np.trace(a).real) for a in ops)
-    static = [eye / min_trace] if min_trace > 0 else []
-    static += [as_complex_matrix(c, "dual candidate") for c in dual_candidates]
-    return _barrier(ops, eye, -1, x, static, gap_tol)
+    return _barrier(ops, np.eye(problem.dim, dtype=complex), -1, x, [], gap_tol)
 
 
 def _polish_dual(ops: np.ndarray, x: np.ndarray, slack: np.ndarray) -> np.ndarray | None:

@@ -78,10 +78,7 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     """
     ts = enumerate_transformers(psi, phi, basis)
     problem = LmiProblem.from_matrices([f.conj().T @ f for f in ts.operators])
-    # the source projector is always dual feasible with trace 1: every
-    # transformer maps the source exactly onto the unit-norm target
-    source_proj = psi.amp[:, None] * psi.amp.conj()
-    sol = solve_lmi(problem, gap_tol=gap_tol, dual_candidates=(source_proj,))
+    sol = solve_lmi(problem, gap_tol=gap_tol)
     value = float(min(max(sol.primal, 0.0), 1.0))
     completion = None
     if value >= 1.0 - 10 * gap_tol:

@@ -242,8 +242,7 @@ GOLDEN = {
         '0.0952380786, 0.0952380786, 0.0952380786, 0.0952380786, 0.0952380786], "primal": 0.571428471, '
         '"value": 0.571428471}\n',
     ("measure", "robustness", "--state", "free_state"):
-        '{"certificate": {"s": 2.9698648e-09}, "convention": "nat", "upper_bound": false, '
-        '"value": 2.9698648e-09}\n',
+        '{"certificate": {"s": 0.0}, "convention": "nat", "upper_bound": false, "value": 0.0}\n',
     ("measure", "robustness", "--state", "candidate"):
         '{"certificate": {"s": 5.0}, "convention": "nat", "upper_bound": false, "value": 5.0}\n',
     ("measure", "l1", "--state", "free_state"):

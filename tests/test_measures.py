@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -28,6 +33,8 @@ from superpos.sampling import (
 )
 from superpos.states import DensityMatrix, PureState, free_mixture, is_free
 from superpos.transform import candidate_states_d3
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def sample_resourceful_pure(basis, rng, floor: float = 0.25):
@@ -156,6 +163,42 @@ def test_rel_entropy_never_above_brent_oracle():
             assert rep.value - oracle <= rep.extra["fw_gap"] + 1e-12
 
 
+def test_rel_entropy_certifies_at_tol():
+    # every returned value carries a Frank-Wolfe gap of at most tol, on the
+    # state classes of criterion 10 (pure, mixed, S2b outcomes, S3 mixtures)
+    rng = make_rng(611)
+    tol = 1e-9
+    for d in range(2, 9):
+        for j in range(8):
+            b = random_basis(d, rng)
+            if j % 4 == 0:
+                rho = haar_state(d, rng).density()
+            elif j % 4 == 1:
+                rho = random_density(d, rng)
+            elif j % 4 == 2:
+                w = float(rng.random())
+                rho = DensityMatrix(w * haar_state(d, rng).density().mat
+                                    + (1 - w) * random_density(d, rng).mat)
+            else:
+                ch = free_channel(random_subnormalized_free_ops(b, rng, n_ops=2), b)
+                outcomes = measure_selective(ch, random_density(d, rng))
+                rho = outcomes[int(rng.integers(len(outcomes)))][1]
+            rep = rel_entropy_measure(rho, b, tol=tol)
+            assert 0.0 <= rep.extra["fw_gap"] <= tol, (d, j, rep.extra["fw_gap"])
+            assert abs(rep.extra["weights"].sum() - 1.0) <= 1e-12
+            assert rep.extra["weights"].min() >= 0.0
+
+
+def test_import_leaves_scipy_optimize_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = "import sys, superpos; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+
+
 def test_rank_measure_examples():
     b = symmetric_basis_d3()
     assert rank_measure(PureState(b.state(0)), b).value == 0.0
@@ -214,6 +257,8 @@ def test_robustness_closed_form_matches_sdp():
                              random_density(2, mixed_rng, rank=1),
                              DensityMatrix(t * haar_state(2, mixed_rng).density().mat
                                            + (1 - t) * random_density(2, mixed_rng).mat)]
+                else:   # C = W' rho W is diagonal for a free rho, where the closed form is exact
+                    rhos.append(random_free_state(b, mixed_rng))
                 for rho in rhos:
                     rep = robustness(rho, b)
                     assert rep.extra["method"] == "closed_form"
