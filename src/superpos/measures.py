@@ -13,7 +13,6 @@ import numpy as np
 
 from .basis import FreeBasis
 from .errors import NoConvergence
-from .sampling import make_rng
 from .sdp import SdpSolution, solve_cover
 from .states import (
     DensityMatrix,
@@ -133,13 +132,12 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9)
                          extra={"weights": q, "fw_gap": max(fw_gap, 0.0)})
 
 
-def rank_measure(state, basis: FreeBasis, mixings: int = 1000,
-                 rng_seed: int = 7) -> MeasureReport:
+def rank_measure(state, basis: FreeBasis) -> MeasureReport:
     """log of the superposition rank (pure), or a convex-roof upper bound (mixed).
 
-    The mixed value minimizes the average log-rank over the eigendecomposition
-    and ``mixings`` random-unitary reshufflings of it, and is only an upper
-    bound on the true convex roof.
+    The mixed value is 0 for free states and otherwise the eigendecomposition
+    average sum_k lam_k log rank(psi_k), an upper bound on the convex roof
+    (``upper_bound`` is set when rho has more than one eigenvector).
     """
     if isinstance(state, PureState):
         return MeasureReport(value=float(np.log(superposition_rank(state, basis))))
@@ -147,25 +145,8 @@ def rank_measure(state, basis: FreeBasis, mixings: int = 1000,
         # free states decompose into rank-one free pure states, so the roof is 0
         return MeasureReport(value=0.0)
     decomp = eigen_decomposition(state)
-    weights = np.array([lam for lam, _ in decomp])
-    vectors = np.stack([np.sqrt(lam) * psi.amp for lam, psi in decomp])
-    m = len(decomp)
-
-    def decomposition_value(mat: np.ndarray) -> float:
-        total = 0.0
-        for row in mat:
-            p = float(np.linalg.norm(row) ** 2)
-            if p > 1e-12:
-                total += p * np.log(superposition_rank(PureState.normalized(row), basis))
-        return total
-
-    best = float(np.sum(weights * [np.log(superposition_rank(psi, basis)) for _, psi in decomp]))
-    rng = make_rng(rng_seed)
-    for _ in range(mixings):
-        z = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / np.sqrt(2)
-        u, _ = np.linalg.qr(z)
-        best = min(best, decomposition_value(u @ vectors))
-    return MeasureReport(value=max(best, 0.0), upper_bound=m > 1)
+    value = float(np.sum([lam * np.log(superposition_rank(psi, basis)) for lam, psi in decomp]))
+    return MeasureReport(value=max(value, 0.0), upper_bound=len(decomp) > 1)
 
 
 def _closed_form_cover(rho: DensityMatrix, basis: FreeBasis) -> SdpSolution:

@@ -133,11 +133,6 @@ def channel_from_bloch(bloch_map: BlochMap) -> Channel:
     return Channel(tuple(kraus_from_choi(choi(bloch_map))))
 
 
-def _shape_constants(a: float) -> tuple[float, float, float]:
-    root = np.sqrt(1 - a * a)
-    return 1 + root, 1 - root, 1 / (2 * root)
-
-
 def free_qubit_kraus(kind: int, params, a: float) -> np.ndarray:
     """One of the four free qubit Kraus types for overlap a.
 
@@ -158,25 +153,21 @@ def generate_from_m2(theta_t: float, phi_t: float, a: float) -> Channel:
     """Trace-preserving free channel sending the maximal-superposition state to
     the pure target at polar angles (theta_t, phi_t) with certainty.
 
-    Uses one Kraus operator of each free type; the two diagonal-type
-    operators each carry half the target amplitude while the two others
-    annihilate the source state.
+    With m and t the free-frame coefficients of source and target, the
+    diagonal and antidiagonal types take (gamma, delta) = t / (sqrt(2) m) and
+    (-delta, -gamma). Types 1 and 3 are s|c_k><w| with w = c_1^perp + c_2^perp,
+    which annihilates the source, so D = 1 - K_2'K_2 - K_4'K_4 = 2 s^2 |w><w|.
     """
-    big, small, _ = _shape_constants(a)
-    c_half = np.cos(theta_t / 2)
-    s_half = np.exp(1j * phi_t) * np.sin(theta_t / 2)
-    scale = 1.0 / (2 * (1 + a))
-    delta = scale * ((small + a) * c_half - (a + big) * s_half)
-    gamma = scale * ((big + a) * c_half - (a + small) * s_half)
-    # normalization forces the cross factor inside the square root
-    shared = np.sqrt(a * (1 + np.cos(phi_t) * np.sin(theta_t)) / (2 * (1 + a)))
-    ops = (
-        free_qubit_kraus(1, (shared, shared), a),
-        free_qubit_kraus(2, (gamma, delta), a),
-        free_qubit_kraus(3, (shared, shared), a),
-        free_qubit_kraus(4, (-delta, -gamma), a),
-    )
-    return Channel(ops)
+    basis = qubit_free_basis(a)
+    m = basis.to_free_frame(max_superposition_state().amp)
+    gamma, delta = basis.to_free_frame(qubit_state(theta_t, phi_t).amp) / (np.sqrt(2) * m)
+    k2, k4 = free_qubit_kraus(2, (gamma, delta), a), free_qubit_kraus(4, (-delta, -gamma), a)
+    w = basis.reciprocal.sum(axis=1)
+    defect = np.eye(2) - dagger(k2) @ k2 - dagger(k4) @ k4
+    # <w|D|w> is 0, up to rounding of either sign, at a = 0 and for the source as target
+    shared = np.sqrt(max(np.vdot(w, defect @ w).real, 0.0) / (2 * np.vdot(w, w).real ** 2))
+    k1, k3 = (free_qubit_kraus(kind, (shared, shared), a) for kind in (1, 3))
+    return Channel((k1, k2, k3, k4))
 
 
 def inject_unitary(u: np.ndarray, a: float) -> Channel:
@@ -186,28 +177,19 @@ def inject_unitary(u: np.ndarray, a: float) -> Channel:
     The first two Kraus operators route the rotated state to the two free
     states of the ancilla; the remaining operators are the free completion
     and annihilate every input of the form (state (x) maximal superposition).
+    With R = W'uV / sqrt(2) and m the maximal state's free-frame
+    coefficients, the first operator (ancilla label j to system label j)
+    takes c = R / m[:, None], the second (to 1 - j) d = R / m[::-1, None].
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 unitary, got shape {u.shape}")
     if np.linalg.norm(dagger(u) @ u - np.eye(2)) > 1e-10:
         raise NotUnitary("u is not unitary to 1e-10")
-    big, small, _ = _shape_constants(a)
-    s = 2 * np.sqrt(1 + a)
-    u00, u01, u10, u11 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
-    c = np.array([
-        [(big * u00 + a * (u01 - u10) - small * u11) / s,
-         (big * u01 + a * (u00 - u11) - small * u10) / s],
-        [(small * u01 + a * (u00 - u11) - big * u10) / s,
-         (small * u00 + a * (u01 - u10) - big * u11) / s],
-    ])
-    d = np.array([
-        [(small * u11 + a * (u10 - u01) - big * u00) / s,
-         (small * u10 + a * (u11 - u00) - big * u01) / s],
-        [(big * u10 + a * (u11 - u00) - small * u01) / s,
-         (big * u11 + a * (u10 - u01) - small * u00) / s],
-    ])
     single = qubit_free_basis(a)
+    m = single.to_free_frame(max_superposition_state().amp)
+    r = dagger(single.reciprocal) @ u @ single.vectors / np.sqrt(2)
+    c, d = r / m[:, None], r / m[::-1, None]
     product = tensor_basis(single, single)
     # input label 2i + j: f0 sends it to label 2j (system j, ancilla 0),
     # f1 to label 3 - 2j (system 1 - j, ancilla 1)

@@ -13,7 +13,7 @@ matrices at most 8x8, so damped Newton steps need no sparsity or scaling tricks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -112,11 +112,11 @@ def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: fl
 
     sense = -1 maximises and sense = +1 minimises; ``x`` is a strictly
     feasible start. After centering at each barrier weight mu the dual is
-    certified by the best of the ``static`` candidates (purified once), the
-    central-path point mu * S^{-1} and the complementary-slackness solve of
-    ``_polish_dual``. The solve returns as soon as the certified gap is within
-    ``gap_tol`` and raises ``NoConvergence`` when ``_MAX_OUTER`` weights
-    never reach it.
+    certified by the best of that weight's candidates: the ``static`` ones
+    (purified once), the central-path point mu * S^{-1} and the
+    complementary-slackness solve of ``_polish_dual``. The solve returns that
+    weight's point and dual as soon as the certified gap is within ``gap_tol``
+    and raises ``NoConvergence`` when ``_MAX_OUTER`` weights never reach it.
     """
     ops = np.array(ops)
     mats = sense * ops
@@ -131,20 +131,19 @@ def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: fl
         return out
 
     fixed = certify(static)
-    mu = 1.0
-    best: SdpSolution | None = None
+    mu, gap = 1.0, np.inf
     for _ in range(_MAX_OUTER):
         x, sinv = _center(cost, m0, mats, x, mu)
         primal = float(np.sum(x))
         polished = _polish_dual(ops, x, m0 + np.tensordot(x, mats, 1))
-        for y, dual in fixed + certify([mu * sinv, polished]):
+        candidates = fixed + certify([mu * sinv, polished])
+        if candidates:
+            y, dual = min(candidates, key=lambda cand: sense * (primal - cand[1]))
             gap = sense * (primal - dual)
-            if best is None or gap < best.gap:
-                best = SdpSolution(p=x.copy(), primal=primal, dual_matrix=y, dual=dual, gap=gap)
-        if best is not None and best.gap <= gap_tol:
-            return replace(best, p=x.copy(), primal=primal, gap=sense * (primal - best.dual))
+            if gap <= gap_tol:
+                return SdpSolution(p=x, primal=primal, dual_matrix=y, dual=dual, gap=gap)
         mu *= 0.1
-    raise NoConvergence(f"duality gap {best.gap if best else np.inf:.3e} above {gap_tol:.1e}")
+    raise NoConvergence(f"duality gap {gap:.3e} above {gap_tol:.1e}")
 
 
 def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | None:

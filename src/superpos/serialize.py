@@ -9,6 +9,7 @@ round-trip), so save(load(x)) is byte-stable.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -30,9 +31,11 @@ def _require_keys(obj: dict, required: set, path: str) -> None:
 
 
 def _parse_complex(node: Any, path: str) -> complex:
+    # json reads NaN, Infinity and integers of any size; NaN fails the bound
     if (not isinstance(node, list) or len(node) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)):
-        raise SchemaViolation(path, "complex numbers must be [re, im] pairs of numbers")
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       and abs(x) <= sys.float_info.max for x in node)):
+        raise SchemaViolation(path, "complex numbers must be [re, im] pairs of finite numbers")
     return complex(node[0], node[1])
 
 

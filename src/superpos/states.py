@@ -26,7 +26,7 @@ class PureState:
     def __post_init__(self):
         amp = np.asarray(self.amp, dtype=complex).reshape(-1)
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > PURE_NORM_TOL:
+        if not abs(norm - 1.0) <= PURE_NORM_TOL:   # written so that NaN fails
             raise NotNormalized(f"state norm {norm:.12g} != 1")
         object.__setattr__(self, "amp", amp)
 

@@ -103,6 +103,19 @@ def test_malformed_complex_rejected():
         state_from_json({"amp": [{"re": 1}]})
 
 
+@pytest.mark.parametrize("argv", [["state", "rank"], ["entangle", "convert"]])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "int-1e400"])
+def test_non_finite_amplitude_names_the_number(argv, bad, d3_files, capsys):
+    path = d3_files["tmp"] / "nonfinite.json"
+    path.write_text('{"amp": [[%s, 0], [0, 0], [0, 0]]}' % bad, encoding="utf-8")
+    code = dispatch(argv + ["--state", str(path), "--basis", d3_files["basis"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: /amp/0: " in captured.err
+
+
 def test_unknown_field_rejected():
     with pytest.raises(SchemaViolation) as err:
         basis_from_json({"d": 2, "columns": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],

@@ -31,7 +31,15 @@ from superpos.sampling import (
     random_free_state,
     random_subnormalized_free_ops,
 )
-from superpos.states import DensityMatrix, PureState, free_mixture, is_free
+from superpos.states import (
+    RANK_TOL,
+    DensityMatrix,
+    PureState,
+    eigen_decomposition,
+    free_mixture,
+    is_free,
+    superposition_rank,
+)
 from superpos.transform import candidate_states_d3
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -214,9 +222,69 @@ def test_rank_measure_mixed_upper_bound():
     rng = make_rng(602)
     b = qubit_free_basis(0.4)
     rho = random_density(2, rng)
-    rep = rank_measure(rho, b, mixings=200)
+    rep = rank_measure(rho, b)
     assert rep.upper_bound
     assert 0.0 <= rep.value <= np.log(2) + 1e-12
+
+
+def _reshuffling_oracle(rho, basis, mixings=1000, rng_seed=7):
+    """The search rank_measure once ran on mixed states: the least average log-rank
+    over the eigendecomposition rows sqrt(lam) psi and ``mixings`` Haar-random
+    reshufflings U (sqrt(lam) psi) of them. Same seed, draws, QR and rank rule as
+    that search; its per-row loop is evaluated here for all reshufflings at once.
+    """
+    decomp = eigen_decomposition(rho)
+    weights = np.array([lam for lam, _ in decomp])
+    vectors = np.stack([np.sqrt(lam) * psi.amp for lam, psi in decomp])
+    m = len(decomp)
+    best = float(np.sum(weights * [np.log(superposition_rank(psi, basis)) for _, psi in decomp]))
+    z = make_rng(rng_seed).normal(size=(mixings, 2, m, m))
+    u, _ = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2))
+    rows = u @ vectors
+    p = np.linalg.norm(rows, axis=2) ** 2
+    coeffs = np.abs(rows @ basis.reciprocal.conj())
+    ranks = np.sum(coeffs > RANK_TOL * coeffs.max(axis=2, keepdims=True), axis=2)
+    values = np.where(p > 1e-12, p * np.log(np.maximum(ranks, 1)), 0.0).sum(axis=1)
+    return max(min(best, float(values.min())), 0.0)
+
+
+def _low_rank_pure(basis, k, rng):
+    """Random pure state on k randomly chosen free states (superposition rank k)."""
+    labels = rng.choice(basis.d, size=k, replace=False)
+    coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    return PureState.normalized(basis.vectors[:, labels] @ coeffs).amp
+
+
+def test_rank_measure_matches_reshuffling_oracle():
+    # generic and rank-deficient spectra, mixtures of low-superposition-rank
+    # pure states, and degenerate spectra (a pure state plus white noise, the
+    # flat state on the span of two low-rank pure states)
+    rng = make_rng(611)
+    checked = 0
+    for d in range(2, 7):
+        basis = random_basis(d, rng)
+        for case in range(48):
+            kind = case % 4
+            k = int(rng.integers(1, max(d - 1, 2) + 1))
+            if kind == 0:
+                mat = random_density(d, rng, rank=int(rng.integers(2, d + 1))).mat
+            elif kind == 1:
+                vecs = [_low_rank_pure(basis, k, rng) for _ in range(int(rng.integers(2, 4)))]
+                weights = rng.dirichlet(np.ones(len(vecs)))
+                mat = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+            elif kind == 2:
+                v, p = _low_rank_pure(basis, k, rng), rng.uniform(0.2, 0.9)
+                mat = (1 - p) * np.eye(d) / d + p * np.outer(v, v.conj())
+            else:
+                q, _ = np.linalg.qr(np.column_stack([_low_rank_pure(basis, k, rng) for _ in range(2)]))
+                mat = q @ q.conj().T / 2
+            rho = DensityMatrix(mat)
+            if is_free(rho, basis):
+                continue
+            value, oracle = rank_measure(rho, basis).value, _reshuffling_oracle(rho, basis)
+            assert oracle - 1e-12 <= value <= oracle + 1e-12
+            checked += 1
+    assert checked >= 200
 
 
 def test_robustness_examples():

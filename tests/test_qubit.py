@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from superpos.errors import NoConvergence, NotUnitary
-from superpos.kraus import apply_channel, is_free_kraus, is_mfo
+from superpos.basis import tensor_basis
+from superpos.kraus import FreeKrausForm, apply_channel, complete_free, is_free_kraus, is_mfo
 from superpos.linalg import dagger, fidelity, partial_trace
 from superpos.qubit import (
     BlochMap,
@@ -197,6 +198,68 @@ def test_generate_from_m2_mixed_targets_by_convexity():
             phi = float(np.arctan2(r[1], r[0]) % (2 * np.pi))
             total += lam * apply_channel(generate_from_m2(theta, phi, a), m2).mat
         assert np.abs(total - rho.mat).max() < 1e-9
+
+
+def _transcribed_generation_coefficients(theta, phi, a):
+    """gamma, delta and the shared type-1/3 weight of generate_from_m2, as
+    formulas in the parametrisation of qubit_free_basis(a)."""
+    root = np.sqrt(1 - a * a)
+    big, small = 1 + root, 1 - root
+    c_half = np.cos(theta / 2)
+    s_half = np.exp(1j * phi) * np.sin(theta / 2)
+    scale = 1.0 / (2 * (1 + a))
+    delta = scale * ((small + a) * c_half - (a + big) * s_half)
+    gamma = scale * ((big + a) * c_half - (a + small) * s_half)
+    shared = np.sqrt(a * (1 + np.cos(phi) * np.sin(theta)) / (2 * (1 + a)))
+    return gamma, delta, shared
+
+
+def test_generate_from_m2_matches_transcribed_coefficients():
+    rng = make_rng(808)
+    for _ in range(300):
+        a = float(rng.uniform(0.0, 0.95))
+        theta, phi = float(rng.uniform(0, np.pi)), float(rng.uniform(0, 2 * np.pi))
+        gamma, delta, shared = _transcribed_generation_coefficients(theta, phi, a)
+        expected = (free_qubit_kraus(1, (shared, shared), a), free_qubit_kraus(2, (gamma, delta), a),
+                    free_qubit_kraus(3, (shared, shared), a), free_qubit_kraus(4, (-delta, -gamma), a))
+        for built, ref in zip(generate_from_m2(theta, phi, a).kraus, expected, strict=True):
+            assert np.abs(built - ref).max() < 1e-13
+
+
+def _transcribed_injection_operators(u, a):
+    """The two routing operators of inject_unitary, from its coefficients c, d
+    as formulas in the parametrisation of qubit_free_basis(a)."""
+    root = np.sqrt(1 - a * a)
+    big, small = 1 + root, 1 - root
+    s = 2 * np.sqrt(1 + a)
+    u00, u01, u10, u11 = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
+    c = np.array([
+        [(big * u00 + a * (u01 - u10) - small * u11) / s,
+         (big * u01 + a * (u00 - u11) - small * u10) / s],
+        [(small * u01 + a * (u00 - u11) - big * u10) / s,
+         (small * u00 + a * (u01 - u10) - big * u11) / s],
+    ])
+    d = np.array([
+        [(small * u11 + a * (u10 - u01) - big * u00) / s,
+         (small * u10 + a * (u11 - u00) - big * u01) / s],
+        [(big * u10 + a * (u11 - u00) - small * u01) / s,
+         (big * u11 + a * (u10 - u01) - small * u00) / s],
+    ])
+    product = tensor_basis(qubit_free_basis(a), qubit_free_basis(a))
+    i, j = np.divmod(np.arange(4), 2)
+    return (FreeKrausForm(c[j, i], 2 * j).matrix(product),
+            FreeKrausForm(d[1 - j, i], 3 - 2 * j).matrix(product)), product
+
+
+def test_inject_unitary_matches_transcribed_coefficients():
+    rng = make_rng(809)
+    for _ in range(100):
+        a = float(rng.uniform(0.0, 0.95))
+        u = haar_unitary(2, rng)
+        (f0, f1), product = _transcribed_injection_operators(u, a)
+        expected = [f0, f1] + complete_free([f0, f1], product)
+        for built, ref in zip(inject_unitary(u, a).kraus, expected, strict=True):
+            assert np.abs(built - ref).max() < 1e-13
 
 
 def test_inject_unitary_orthonormal_identity():

@@ -5,7 +5,15 @@ from superpos.basis import symmetric_basis_d3
 from superpos.errors import BadData
 from superpos.linalg import dagger, hermitian_part
 from superpos.measures import robustness
-from superpos.sampling import haar_state, make_rng, random_basis, random_density, random_free_state
+from superpos.kraus import free_channel, measure_selective
+from superpos.sampling import (
+    haar_state,
+    make_rng,
+    random_basis,
+    random_density,
+    random_free_state,
+    random_subnormalized_free_ops,
+)
 from superpos.sdp import LmiProblem, _center, _polish_dual, solve_cover, solve_lmi, verify_dual
 from superpos.states import PureState
 from superpos.transform import candidate_states_d3, enumerate_transformers, max_conversion_prob
@@ -172,6 +180,23 @@ def test_cover_certifies_d8_mixtures(seed):
     b = random_basis(8, rng)
     t = rng.random()
     rho = t * haar_state(8, rng).density().mat + (1 - t) * random_density(8, rng).mat
+    mats = [np.outer(b.vectors[:, i], b.vectors[:, i].conj()) for i in range(8)]
+    sol = solve_cover(rho, mats, gap_tol=1e-8)
+    y = sol.dual_matrix
+    assert np.linalg.eigvalsh(hermitian_part(y))[0] >= -1e-9
+    assert max(np.trace(m @ y).real for m in mats) <= 1 + 1e-9
+    assert 0.0 <= sol.gap <= 1e-8, sol.gap
+
+
+@pytest.mark.parametrize("seed", [18, 30, 32])
+def test_cover_certifies_rank_deficient_measurement_outcomes(seed):
+    # outcomes of a selective free measurement at d = 8 (rank 5-6): here the
+    # polish alone stalls at gaps 1.8 to 3.2, and the central-path dual certifies
+    rng = make_rng(seed)
+    b = random_basis(8, rng)
+    channel = free_channel(random_subnormalized_free_ops(b, rng), b)
+    outcomes = measure_selective(channel, random_density(8, rng))
+    rho = outcomes[int(rng.integers(len(outcomes)))][1].mat
     mats = [np.outer(b.vectors[:, i], b.vectors[:, i].conj()) for i in range(8)]
     sol = solve_cover(rho, mats, gap_tol=1e-8)
     y = sol.dual_matrix

@@ -23,6 +23,11 @@ def test_pure_state_rejects_unnormalized():
         PureState(np.array([1.0, 1.0]))
 
 
+def test_pure_state_rejects_nan_amplitudes():
+    with pytest.raises(NotNormalized):
+        PureState(np.array([np.nan, 0.0]))
+
+
 def test_density_matrix_validation():
     with pytest.raises(InvalidState):
         DensityMatrix(np.diag([0.45, 0.45]))  # trace 0.9
