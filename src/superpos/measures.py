@@ -149,44 +149,43 @@ def rank_measure(state, basis: FreeBasis) -> MeasureReport:
     return MeasureReport(value=max(value, 0.0), upper_bound=len(decomp) > 1)
 
 
-def _closed_form_cover(rho: DensityMatrix, basis: FreeBasis) -> SdpSolution:
-    """Closed-form candidate for the robustness cover, with its certified gap.
+def _closed_form_cover(coeffs: np.ndarray) -> SdpSolution:
+    """Closed-form robustness cover diag(x) >= C, with its certified gap.
 
-    In the free frame C = W' rho W (W the reciprocal frame) the cover reads
-    diag(x) >= C. x_i = sum_j |C_ij| is feasible for every rho, because
-    diag(x) - C is diagonally dominant. Y = W y y' W', with y the phases of
-    C's top eigenvector, has tr(B_i Y) = |y_i|^2 = 1 and tr(rho Y) = y' C y,
-    which reaches sum_ij |C_ij| when C is 2 x 2, rank one (Napoli et al.,
-    PRL 116, 150502) or diagonal (every free rho), so the two certify each
-    other there; elsewhere ``gap`` shows how far apart they are.
+    ``coeffs`` is the free-frame C = W' rho W (W the reciprocal frame).
+    x_i = sum_j |C_ij| is feasible for every rho, because diag(x) - C is
+    diagonally dominant. Y = y y', with y the phases of C's top eigenvector,
+    has diag Y = 1 and tr(C Y) = y' C y, which reaches sum_ij |C_ij| when C is
+    2 x 2, rank one (Napoli et al., PRL 116, 150502) or diagonal (every free
+    rho), so the two certify each other there; elsewhere ``gap`` shows how far
+    apart they are.
     """
-    coeffs = free_expansion(rho, basis).coeffs
     _, u = np.linalg.eigh(coeffs)
+    y = np.exp(1j * np.angle(u[:, -1]))
     x = np.abs(coeffs).sum(axis=1)
-    wy = basis.reciprocal @ np.exp(1j * np.angle(u[:, -1]))
-    primal, dual = float(x.sum()), float((wy.conj() @ rho.mat @ wy).real)
-    return SdpSolution(p=x, primal=primal, dual_matrix=np.outer(wy, wy.conj()), dual=dual,
+    primal, dual = float(x.sum()), float((y.conj() @ coeffs @ y).real)
+    return SdpSolution(p=x, primal=primal, dual_matrix=np.outer(y, y.conj()), dual=dual,
                        gap=max(primal - dual, 0.0))
 
 
 def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> MeasureReport:
     """Minimal s >= 0 such that (rho + s tau)/(1+s) is free for some state tau.
 
-    Solved as "minimize sum x_i - 1 subject to sum x_i |c_i><c_i| >= rho,
-    x >= 0" (substitute x_i = (1+s) q_i); the certificate holds the optimal
-    (s, closest free state delta, witness tau). Every rho first tries the
-    closed form R + 1 = sum_ij |C_ij| over the free-frame coefficients C of
+    Solved in the free frame C = W' rho W as "minimize sum x_i - 1 subject to
+    diag(x) >= C", i.e. sum x_i |c_i><c_i| >= rho with x_i = (1+s) q_i; the
+    certificate holds the optimal (s, closest free state delta, witness tau).
+    Every rho first tries the closed form R + 1 = sum_ij |C_ij| of
     ``_closed_form_cover``, kept when its primal point and dual matrix certify
     each other within gap_tol (every rank-one, every d = 2 and every free rho);
-    any other rho goes to the barrier solver ``solve_cover``, whose
-    ``NoConvergence`` propagates. ``extra["method"]`` says which
-    ("closed_form" or "sdp").
+    any other rho goes to ``solve_cover`` over C and the unit projectors, from
+    the closed-form start 2 lam_max(C) * 1; its ``NoConvergence`` propagates.
+    ``extra["method"]`` says which ("closed_form" or "sdp").
     """
-    sol, method = _closed_form_cover(rho, basis), "closed_form"
+    coeffs = free_expansion(rho, basis).coeffs
+    sol, method = _closed_form_cover(coeffs), "closed_form"
     if sol.gap > gap_tol:
         method = "sdp"
-        mats = [np.outer(basis.vectors[:, i], basis.vectors[:, i].conj()) for i in range(basis.d)]
-        sol = solve_cover(rho.mat, mats, gap_tol=gap_tol)
+        sol = solve_cover(coeffs, [np.diag(e) for e in np.eye(basis.d)], gap_tol=gap_tol)
     s = max(float(sol.primal - 1.0), 0.0)
     mix = _free_sigma(basis, sol.p)
     delta = DensityMatrix(mix / np.trace(mix).real)

@@ -219,19 +219,18 @@ def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:
     """Minimize sum x_i subject to sum x_i B_i >= rho, x >= 0 (PSD data B_i).
 
     The solution's ``p`` holds x. The dual "maximize tr(rho Y) s.t.
-    tr(B_i Y) <= 1, Y >= 0" certifies a lower bound on the optimum within
-    ``gap_tol`` of it (``NoConvergence`` otherwise); besides the central path
-    and its polish it tries (sum B_i)^{-1}, which is dual optimal when the
-    B_i project onto a basis and rho is in their cone (every free state).
+    tr(B_i Y) <= 1, Y >= 0" certifies a lower bound within ``gap_tol`` of the
+    optimum (``NoConvergence`` otherwise). A Cholesky factor L of sum B_i gives
+    the start t * 1, strictly feasible at t = 2 lam_max(L^-1 rho L^-H) (t = 1
+    if that is <= 0), and the dual candidate (sum B_i)^{-1} = L^-H L^-1, optimal
+    when the B_i project onto a basis and rho is in their cone (free states).
     """
     rho = hermitian_part(as_complex_matrix(rho, "rho"))
     ops = [hermitian_part(as_complex_matrix(b, "B_i")) for b in mats]
-    total = np.sum(ops, axis=0)
-    if float(np.linalg.eigvalsh(total)[0]) <= 0:
+    chol, info = lapack.zpotrf(np.sum(ops, axis=0), lower=1)
+    if info:
         raise BadData("constraint matrices do not span a positive definite sum")
-    t = 1.0
-    while np.linalg.eigvalsh(t * total - rho)[0] <= 1e-12:
-        t *= 2.0
-        if t > 1e12:
-            raise BadData("could not find a strictly feasible start")
-    return _barrier(ops, -rho, 1, np.full(len(ops), t), [np.linalg.inv(total)], gap_tol)
+    linv = lapack.ztrtri(chol, lower=1)[0]
+    top = float(np.linalg.eigvalsh(linv @ rho @ linv.conj().T)[-1])
+    x = np.full(len(ops), 2.0 * top if top > 0 else 1.0)
+    return _barrier(ops, -rho, 1, x, [linv.conj().T @ linv], gap_tol)

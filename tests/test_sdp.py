@@ -15,7 +15,7 @@ from superpos.sampling import (
     random_subnormalized_free_ops,
 )
 from superpos.sdp import LmiProblem, _center, _polish_dual, solve_cover, solve_lmi, verify_dual
-from superpos.states import PureState
+from superpos.states import PureState, free_expansion
 from superpos.transform import candidate_states_d3, enumerate_transformers, max_conversion_prob
 
 
@@ -161,15 +161,30 @@ def _cover_cases(rng):
 
 
 def test_cover_certificate_every_solve():
+    # each input is solved twice: over rho and the |c_i><c_i|, and in the free
+    # frame over C = W' rho W and the unit projectors, where diag(x) >= C is the
+    # same constraint on the same x
     gap_tol = 1e-8
     for d, kind, b, rho in _cover_cases(make_rng(504)):
         mats = [np.outer(b.vectors[:, i], b.vectors[:, i].conj()) for i in range(d)]
-        sol = solve_cover(rho.mat, mats, gap_tol=gap_tol)
-        y = sol.dual_matrix
-        assert np.linalg.eigvalsh(hermitian_part(y))[0] >= -1e-9, (d, kind)
-        assert max(np.trace(m @ y).real for m in mats) <= 1 + 1e-9, (d, kind)
-        assert abs(sol.dual - np.trace(rho.mat @ y).real) <= 1e-12, (d, kind)
-        assert 0.0 <= sol.gap <= gap_tol, (d, kind, sol.gap)
+        coeffs, units = free_expansion(rho, b).coeffs, [np.diag(e) for e in np.eye(d)]
+        primals = []
+        for data, ops in ((rho.mat, mats), (coeffs, units)):
+            sol = solve_cover(data, ops, gap_tol=gap_tol)
+            y = sol.dual_matrix
+            assert np.linalg.eigvalsh(hermitian_part(y))[0] >= -1e-9, (d, kind)
+            assert max(np.trace(m @ y).real for m in ops) <= 1 + 1e-9, (d, kind)
+            assert abs(sol.dual - np.trace(data @ y).real) <= 1e-12, (d, kind)
+            assert 0.0 <= sol.gap <= gap_tol, (d, kind, sol.gap)
+            primals.append(sol.primal)
+        assert abs(primals[0] - primals[1]) <= gap_tol, (d, kind)
+
+
+def test_solve_cover_rejects_singular_constraint_sum():
+    # two copies of diag(1, 0) cover nothing along e_2
+    half = np.diag([1.0, 0.0])
+    with pytest.raises(BadData, match="positive definite sum"):
+        solve_cover(np.eye(2) / 2, [half, half])
 
 
 @pytest.mark.parametrize("seed", [14, 173, 260])
