@@ -31,7 +31,7 @@ from .kraus import (
     measure_selective,
     reduce_ancilla,
 )
-from .linalg import EigResult, fidelity, herm_eig, psd_check, svd
+from .linalg import fidelity, herm_eig
 from .measures import (
     MeasureReport,
     l1_measure,
@@ -58,7 +58,6 @@ from .qubit import (
 from .sdp import LmiProblem, SdpSolution, solve_cover, solve_lmi, verify_dual
 from .states import (
     DensityMatrix,
-    FreeExpansion,
     PureState,
     free_expansion,
     free_mixture,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, LinearlyDependent, NotNormalized
-from .linalg import as_complex_matrix, dagger, min_singular_value
+from .linalg import as_complex_matrix, dagger
 
 INDEPENDENCE_THRESHOLD = 1e-8
 UNIT_NORM_TOL = 1e-8
@@ -60,7 +60,7 @@ def new_free_basis(columns) -> FreeBasis:
     bad = np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
     if bad.size:
         raise NotNormalized(f"column {bad[0]} has norm {norms[bad[0]]:.12g}")
-    smin = min_singular_value(v)
+    smin = float(np.linalg.svd(v, compute_uv=False)[-1])
     if smin <= INDEPENDENCE_THRESHOLD:
         raise LinearlyDependent(f"smallest singular value {smin:.3e} <= {INDEPENDENCE_THRESHOLD:.0e}")
     gram = dagger(v) @ v

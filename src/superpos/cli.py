@@ -164,7 +164,7 @@ def _run(args) -> int:
         elif args.action == "free":
             _emit_json({"is_free": is_free(_as_density(state), basis, args.tol)}, args.out)
         else:
-            coeffs = free_expansion(_as_density(state), basis).coeffs
+            coeffs = free_expansion(_as_density(state), basis)
             _emit_json({"coeffs": _matrix_out(coeffs)}, args.out)
         return EXIT_OK
 

@@ -51,11 +51,11 @@ def faithful_conversion(basis: FreeBasis, locals_=None) -> ConversionMap:
                          probability=p, success_probability=p ** 2)
 
 
-def verify_faithful(conv: ConversionMap, psi: PureState, basis: FreeBasis,
-                    tol: float = 1e-8) -> bool:
-    """True iff the filtered output's Schmidt rank equals the superposition rank."""
+def verify_faithful(conv: ConversionMap, psi: PureState, basis: FreeBasis) -> bool:
+    """True iff the filtered output's Schmidt rank, counting singular values
+    above 1e-8, equals the superposition rank."""
     out = conv.convert(psi)
-    return schmidt_rank(PureState.normalized(out), basis.d, basis.d, tol) \
+    return schmidt_rank(PureState.normalized(out), basis.d, basis.d, 1e-8) \
         == superposition_rank(psi, basis)
 
 

@@ -146,12 +146,12 @@ def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:
         if k.shape != (d, d):
             raise DimensionMismatch(f"operator shape {k.shape} != ({d}, {d})")
         residue -= dagger(k) @ k
-    res = herm_eig(hermitian_part(residue))
-    if res.eigenvalues[0] < -TP_TOL:
-        raise NotSubnormalized(f"residue eigenvalue {res.eigenvalues[0]:.3e} < 0")
+    w, v = herm_eig(residue)
+    if w[0] < -TP_TOL:
+        raise NotSubnormalized(f"residue eigenvalue {w[0]:.3e} < 0")
     target = basis.vectors[:, 0]
     completion = []
-    for p, vec in zip(res.eigenvalues, res.eigenvectors.T):
+    for p, vec in zip(w, v.T):
         if p > 1e-12:
             completion.append(np.sqrt(p) * np.outer(target, vec.conj()))
     return completion
@@ -177,13 +177,8 @@ def is_mfo(ch: Channel, basis: FreeBasis, tol: float = FREE_TOL) -> bool:
     return True
 
 
-def reduce_ancilla(
-    l_op: np.ndarray,
-    sigma_b: DensityMatrix,
-    basis_a: FreeBasis,
-    basis_b: FreeBasis,
-    tol: float = FREE_TOL,
-) -> list[np.ndarray]:
+def reduce_ancilla(l_op: np.ndarray, sigma_b: DensityMatrix, basis_a: FreeBasis,
+                   basis_b: FreeBasis) -> list[np.ndarray]:
     """Free Kraus operators on A reproducing ``tr_B L (rho (x) sigma_B) L'``.
 
     Requires L free on the product basis and sigma_B free on basis B; the
@@ -195,12 +190,12 @@ def reduce_ancilla(
     if l_op.shape != (da * db, da * db):
         raise DimensionMismatch(f"operator shape {l_op.shape} != ({da * db},)*2")
     product = tensor_basis(basis_a, basis_b)
-    form = is_free_kraus(l_op, product, tol)
+    form = is_free_kraus(l_op, product)
     if form is None:
         raise NotFree("L is not free on the product basis")
-    if not is_free(sigma_b, basis_b, tol):
+    if not is_free(sigma_b, basis_b, FREE_TOL):
         raise NotFree("sigma_B is not free")
-    weights = np.clip(np.diag(free_expansion(sigma_b, basis_b).coeffs).real, 0.0, None)
+    weights = np.clip(np.diag(free_expansion(sigma_b, basis_b)).real, 0.0, None)
 
     out = []
     for j in range(db):

@@ -1,4 +1,5 @@
-"""Dense complex matrix kernel used by every other module.
+"""Dense complex matrix helpers: validation, Hermitian eigendecomposition,
+square roots, fidelity and partial traces.
 
 All routines operate on plain ``numpy`` arrays and are pure functions; the
 dimensions encountered in this library are tiny (d <= 8), so robustness is
@@ -7,13 +8,9 @@ preferred over asymptotic speed everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NonHermitian
-
-DEFAULT_TOL = 1e-9
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -37,64 +34,33 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class EigResult:
-    """Hermitian eigendecomposition with eigenvalues in ascending order."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def herm_eig(h: np.ndarray, asym_tol: float = 1e-8) -> EigResult:
-    """Eigendecomposition of a Hermitian matrix.
+def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues in ascending order and eigenvectors of a Hermitian matrix.
 
     The input is symmetrized internally; raises ``NonHermitian`` when the
-    anti-Hermitian part exceeds ``asym_tol * ||h||``.
+    anti-Hermitian part exceeds ``1e-8 * max(1, ||h||)``, the relative rule
+    ``DensityMatrix`` uses, so rounding residue of a near-zero matrix passes.
     """
     h = as_complex_matrix(h, "h")
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {h.shape}")
-    scale = np.linalg.norm(h)
     asym = np.linalg.norm(h - h.conj().T)
-    if asym > asym_tol * max(scale, np.finfo(float).tiny):
-        raise NonHermitian(f"anti-Hermitian part {asym:.3e} exceeds {asym_tol:.1e}*||h||")
-    w, v = np.linalg.eigh(hermitian_part(h))
-    return EigResult(w, v)
-
-
-def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``m = u @ diag(s) @ v.conj().T``.
-
-    Singular values are nonnegative and nonincreasing.
-    """
-    m = as_complex_matrix(m, "m")
-    u, s, vh = np.linalg.svd(m)
-    return u, s, vh.conj().T
-
-
-def psd_check(h: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue of Hermitian ``h`` is >= -tol*max(1, ||h||)."""
-    w = herm_eig(h).eigenvalues
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return bool(w.size == 0 or w[0] >= -tol * scale)
-
-
-def min_singular_value(m: np.ndarray) -> float:
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[-1])
+    if asym > 1e-8 * max(1.0, np.linalg.norm(h)):
+        raise NonHermitian(f"anti-Hermitian part {asym:.3e} exceeds 1e-8*max(1, ||h||)")
+    return np.linalg.eigh(hermitian_part(h))
 
 
 def herm_sqrt(h: np.ndarray) -> np.ndarray:
     """Matrix square root of a PSD Hermitian matrix (eigenvalues clipped at 0)."""
-    res = herm_eig(h)
-    w = np.sqrt(np.clip(res.eigenvalues, 0.0, None))
-    return (res.eigenvectors * w) @ res.eigenvectors.conj().T
+    w, v = herm_eig(h)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` of two states."""
     r = herm_sqrt(rho)
     inner = hermitian_part(r @ sigma @ r)
-    w = np.clip(herm_eig(inner).eigenvalues, 0.0, None)
+    w = np.clip(herm_eig(inner)[0], 0.0, None)
     return float(np.sum(np.sqrt(w)) ** 2)
 
 

@@ -40,7 +40,7 @@ class MeasureReport:
 
 def l1_measure(rho: DensityMatrix, basis: FreeBasis) -> MeasureReport:
     """Sum of off-diagonal moduli of the free-frame expansion."""
-    coeffs = free_expansion(rho, basis).coeffs
+    coeffs = free_expansion(rho, basis)
     value = float(np.sum(np.abs(coeffs)) - np.sum(np.abs(np.diag(coeffs))))
     return MeasureReport(value=max(value, 0.0))
 
@@ -113,7 +113,7 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9)
     weights, the optimum; any other rho starts at the uniform mixture.
     """
     if is_free(rho, basis):
-        q = np.clip(np.diag(free_expansion(rho, basis).coeffs).real, 0.0, None)
+        q = np.clip(np.diag(free_expansion(rho, basis)).real, 0.0, None)
         q /= q.sum()
     else:
         q = np.full(basis.d, 1.0 / basis.d)
@@ -181,7 +181,7 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
     the closed-form start 2 lam_max(C) * 1; its ``NoConvergence`` propagates.
     ``extra["method"]`` says which ("closed_form" or "sdp").
     """
-    coeffs = free_expansion(rho, basis).coeffs
+    coeffs = free_expansion(rho, basis)
     sol, method = _closed_form_cover(coeffs), "closed_form"
     if sol.gap > gap_tol:
         method = "sdp"

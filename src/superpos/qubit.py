@@ -17,7 +17,7 @@ import numpy as np
 from .basis import FreeBasis, new_free_basis, tensor_basis
 from .errors import DimensionMismatch, InvalidState, NoConvergence, NotUnitary
 from .kraus import Channel, FreeKrausForm, complete_free
-from .linalg import dagger, herm_eig, hermitian_part
+from .linalg import as_complex_matrix, dagger, herm_eig
 from .sdp import SdpSolution
 from .states import DensityMatrix, PureState, superposition_rank
 from .transform import max_conversion_prob
@@ -116,14 +116,23 @@ def choi(bloch_map: BlochMap) -> np.ndarray:
     return c
 
 
-def kraus_from_choi(choi_matrix: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
-    """Kraus operators of a completely positive qubit map from its Choi matrix."""
-    res = herm_eig(hermitian_part(choi_matrix))
-    if res.eigenvalues[0] < -1e-8:
-        raise InvalidState(f"Choi matrix has eigenvalue {res.eigenvalues[0]:.3e}: not CP")
+def kraus_from_choi(choi_matrix: np.ndarray) -> list[np.ndarray]:
+    """Kraus operators of a completely positive qubit map from its 4 x 4 Choi
+    matrix, one per eigenvalue above 1e-10.
+
+    Raises ``DimensionMismatch`` for any other shape, ``NonHermitian`` (from
+    ``herm_eig``) for a non-Hermitian matrix and ``InvalidState`` for an
+    eigenvalue below -1e-8.
+    """
+    choi_matrix = as_complex_matrix(choi_matrix, "Choi matrix")
+    if choi_matrix.shape != (4, 4):
+        raise DimensionMismatch(f"qubit Choi matrix must be 4 x 4, got {choi_matrix.shape}")
+    w, v = herm_eig(choi_matrix)
+    if w[0] < -1e-8:
+        raise InvalidState(f"Choi matrix has eigenvalue {w[0]:.3e}: not CP")
     ops = []
-    for lam, vec in zip(res.eigenvalues, res.eigenvectors.T):
-        if lam > tol:
+    for lam, vec in zip(w, v.T):
+        if lam > 1e-10:
             ops.append(np.sqrt(lam) * vec.reshape(2, 2).T)
     return ops
 

@@ -23,6 +23,7 @@ from .linalg import as_complex_matrix, hermitian_part
 
 DEFAULT_GAP_TOL = 1e-7
 _PSD_DATA_TOL = 1e-9
+_DUAL_TOL = 1e-9
 _MAX_NEWTON = 80
 _MAX_OUTER = 40
 
@@ -198,19 +199,18 @@ def _polish_dual(ops: np.ndarray, x: np.ndarray, slack: np.ndarray) -> np.ndarra
     return nbasis @ (sol[:k * k] + 1j * sol[k * k:]).reshape(k, k) @ nbasis.conj().T
 
 
-def verify_dual(lam: np.ndarray, problem: LmiProblem,
-                tol: float = 1e-9) -> tuple[bool, float]:
+def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:
     """Check dual feasibility of lam and return (feasible, tr lam).
 
-    Feasible means lam >= -tol and tr(lam A_n) >= 1 - tol for every n; the
-    trace of any feasible lam upper-bounds the primal optimum.
+    Feasible means lam >= -_DUAL_TOL and tr(lam A_n) >= 1 - _DUAL_TOL for
+    every n; the trace of any feasible lam upper-bounds the primal optimum.
     """
     lam = hermitian_part(as_complex_matrix(lam, "lam"))
     bound = float(np.trace(lam).real)
-    if float(np.linalg.eigvalsh(lam)[0]) < -tol:
+    if float(np.linalg.eigvalsh(lam)[0]) < -_DUAL_TOL:
         return False, bound
     for a in problem.operators:
-        if float(np.trace(lam @ a).real) < 1.0 - tol:
+        if float(np.trace(lam @ a).real) < 1.0 - _DUAL_TOL:
             return False, bound
     return True, bound
 

@@ -73,35 +73,23 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class FreeExpansion:
-    """Coefficients of a state over the rank-one free operators |c_i><c_j|."""
-
-    coeffs: np.ndarray
-
-
-def free_expansion(rho: DensityMatrix, basis: FreeBasis) -> FreeExpansion:
-    """Expand rho over |c_i><c_j|: coefficients W' rho W for the reciprocal frame W."""
+def free_expansion(rho: DensityMatrix, basis: FreeBasis) -> np.ndarray:
+    """Coefficients W' rho W of rho over |c_i><c_j|, W the reciprocal frame."""
     if rho.dim != basis.d:
         raise DimensionMismatch(f"state dimension {rho.dim} != basis dimension {basis.d}")
     w = basis.reciprocal
-    return FreeExpansion(dagger(w) @ rho.mat @ w)
-
-
-def pure_free_coefficients(psi: PureState, basis: FreeBasis) -> np.ndarray:
-    """Coefficients of a pure state over the free states."""
-    return basis.to_free_frame(psi.amp)
+    return dagger(w) @ rho.mat @ w
 
 
 def superposition_rank(psi: PureState, basis: FreeBasis, tol: float = RANK_TOL) -> int:
     """Number of free-frame coefficients above tol relative to the largest one."""
-    coeffs = np.abs(pure_free_coefficients(psi, basis))
+    coeffs = np.abs(basis.to_free_frame(psi.amp))
     return int(np.sum(coeffs > tol * coeffs.max()))
 
 
 def is_free(rho: DensityMatrix, basis: FreeBasis, tol: float = RANK_TOL) -> bool:
     """True iff rho is a statistical mixture of the pure free states."""
-    coeffs = free_expansion(rho, basis).coeffs
+    coeffs = free_expansion(rho, basis)
     off = coeffs - np.diag(np.diag(coeffs))
     if np.abs(off).max(initial=0.0) > tol:
         return False
@@ -129,9 +117,9 @@ def schmidt_rank(psi: PureState, dim_a: int, dim_b: int, tol: float = RANK_TOL) 
 
 def eigen_decomposition(rho: DensityMatrix) -> list[tuple[float, PureState]]:
     """Spectral decomposition as (weight, pure state) pairs, zero weights dropped."""
-    res = herm_eig(rho.mat)
+    w, v = herm_eig(rho.mat)
     out = []
-    for lam, vec in zip(res.eigenvalues, res.eigenvectors.T):
+    for lam, vec in zip(w, v.T):
         if lam > 1e-12:
             out.append((float(lam), PureState.normalized(vec)))
     return out

@@ -17,7 +17,7 @@ from .basis import FreeBasis, symmetric_basis_d3
 from .errors import RankMismatch, SupportTooLarge
 from .kraus import FreeKrausForm, complete_free
 from .sdp import LmiProblem, SdpSolution, solve_lmi
-from .states import PureState, pure_free_coefficients
+from .states import RANK_TOL, PureState
 
 MAX_SUPPORT = 5  # r! operators; 5! = 120 is the desk-scale cap
 
@@ -33,23 +33,22 @@ class TransformerSet:
     operators: tuple
 
 
-def _support(coeffs: np.ndarray, tol: float) -> tuple:
+def _support(coeffs: np.ndarray) -> tuple:
     mags = np.abs(coeffs)
-    return tuple(int(i) for i in np.where(mags > tol * mags.max())[0])
+    return tuple(int(i) for i in np.where(mags > RANK_TOL * mags.max())[0])
 
 
-def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis,
-                           tol: float = 1e-9) -> TransformerSet:
+def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> TransformerSet:
     """Enumerate the r! exact free transformers between equal-rank pure states.
 
     Support sets are ordered ascending and target orderings run in
     lexicographic order, so operator identities are reproducible.
     Raises ``RankMismatch`` when the superposition ranks differ.
     """
-    src = pure_free_coefficients(psi, basis)
-    dst = pure_free_coefficients(phi, basis)
-    support_r = _support(src, tol)
-    support_s = _support(dst, tol)
+    src = basis.to_free_frame(psi.amp)
+    dst = basis.to_free_frame(phi.amp)
+    support_r = _support(src)
+    support_s = _support(dst)
     if len(support_r) != len(support_s):
         raise RankMismatch(f"superposition ranks differ: {len(support_r)} vs {len(support_s)}")
     if len(support_r) > MAX_SUPPORT:
@@ -90,26 +89,20 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
 def qubit_tp_residuals(type1, type2, type3, type4, overlap: float):
     """Trace-preservation residuals of a grouped qubit free-Kraus coefficient set.
 
-    Each group is a sequence of coefficient pairs, one per operator of that
-    type. Returns (r1, r2, r3): the two real power defects and the complex
-    cross defect; all three vanish exactly when a trace-preserving free
-    channel with these coefficients exists.
+    Each group is a sequence of coefficient pairs c, one per operator of that
+    type, whose index functions f are (0, 0), (0, 1), (1, 1) and (1, 0). With
+    G = [[1, overlap], [overlap, 1]] the Gram matrix, the free-frame defect is
+    D = V'(sum K'K - 1)V = sum_K conj(c) c^T o G[f, f] - G, and (r1, r2, r3) =
+    (D_11, D_22, D_12) are the two real power defects and the complex cross
+    defect; all three vanish exactly when a trace-preserving free channel with
+    these coefficients exists.
     """
-    a1 = np.asarray([p for p, _ in type1], dtype=complex)
-    b1 = np.asarray([q for _, q in type1], dtype=complex)
-    g2 = np.asarray([p for p, _ in type2], dtype=complex)
-    d2 = np.asarray([q for _, q in type2], dtype=complex)
-    m3 = np.asarray([p for p, _ in type3], dtype=complex)
-    n3 = np.asarray([q for _, q in type3], dtype=complex)
-    e4 = np.asarray([p for p, _ in type4], dtype=complex)
-    x4 = np.asarray([q for _, q in type4], dtype=complex)
-    r1 = float(np.sum(np.abs(a1) ** 2) + np.sum(np.abs(g2) ** 2)
-               + np.sum(np.abs(m3) ** 2) + np.sum(np.abs(e4) ** 2) - 1.0)
-    r2 = float(np.sum(np.abs(b1) ** 2) + np.sum(np.abs(d2) ** 2)
-               + np.sum(np.abs(n3) ** 2) + np.sum(np.abs(x4) ** 2) - 1.0)
-    r3 = complex(np.sum(a1.conj() * b1) + np.sum(m3.conj() * n3)
-                 + overlap * (np.sum(g2.conj() * d2) + np.sum(e4.conj() * x4) - 1.0))
-    return r1, r2, r3
+    g = np.array([[1.0, overlap], [overlap, 1.0]])
+    defect = -g.astype(complex)
+    for group, f in zip((type1, type2, type3, type4), ((0, 0), (0, 1), (1, 1), (1, 0))):
+        c = np.asarray(group, dtype=complex).reshape(-1, 2)
+        defect += (c.conj().T @ c) * g[np.ix_(f, f)]
+    return float(defect[0, 0].real), float(defect[1, 1].real), complex(defect[0, 1])
 
 
 def candidate_states_d3() -> list[PureState]:

@@ -58,7 +58,7 @@ def test_filter_probability_examples():
 
 def test_filter_probability_matches_gram_eigenvalue():
     b = symmetric_basis_d3()
-    eigs = herm_eig(b.gram).eigenvalues
+    eigs, _ = herm_eig(b.gram)
     assert np.allclose(eigs, [0.5, 0.5, 2.0], atol=1e-12)
     assert abs(filter_probability(b) - eigs[0]) < 1e-12
 

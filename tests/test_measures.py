@@ -342,7 +342,7 @@ def test_robustness_closed_form_matches_sdp():
                     assert abs(rep.value - (sol.primal - 1.0)) <= 1e-8
                     # the closed-form dual passes the checks every barrier dual passes
                     # (in the free frame: tr(B_i Y) is Y_ii and tr(rho Y) is tr(C Y))
-                    coeffs = free_expansion(rho, b).coeffs
+                    coeffs = free_expansion(rho, b)
                     cover = _closed_form_cover(coeffs)
                     y = cover.dual_matrix
                     assert np.linalg.eigvalsh(hermitian_part(y))[0] >= -1e-9

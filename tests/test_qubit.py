@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from superpos.errors import NoConvergence, NotUnitary
+from superpos.errors import DimensionMismatch, NoConvergence, NonHermitian, NotUnitary
 from superpos.basis import tensor_basis
 from superpos.kraus import FreeKrausForm, apply_channel, complete_free, is_free_kraus, is_mfo
 from superpos.linalg import dagger, fidelity, partial_trace
@@ -16,6 +16,7 @@ from superpos.qubit import (
     generate_from_m2,
     heatmap_cell,
     inject_unitary,
+    kraus_from_choi,
     max_superposition_state,
     qubit_free_basis,
     qubit_state,
@@ -121,6 +122,18 @@ def test_channel_from_bloch_reproduces_action():
         assert ch.is_trace_preserving
         rho = random_density(2, rng)
         assert np.abs(apply_channel(ch, rho).mat - bm.apply_state(rho).mat).max() < 1e-9
+
+
+def test_kraus_from_choi_rejects_wrong_shape():
+    with pytest.raises(DimensionMismatch):
+        kraus_from_choi(np.eye(9) / 3)
+
+
+def test_kraus_from_choi_rejects_non_hermitian():
+    c = choi(build_phi(0.3, np.pi / 4, 0.0))
+    c[0, 3] += 0.1
+    with pytest.raises(NonHermitian):
+        kraus_from_choi(c)
 
 
 def test_free_qubit_kraus_examples():

@@ -167,7 +167,7 @@ def test_cover_certificate_every_solve():
     gap_tol = 1e-8
     for d, kind, b, rho in _cover_cases(make_rng(504)):
         mats = [np.outer(b.vectors[:, i], b.vectors[:, i].conj()) for i in range(d)]
-        coeffs, units = free_expansion(rho, b).coeffs, [np.diag(e) for e in np.eye(d)]
+        coeffs, units = free_expansion(rho, b), [np.diag(e) for e in np.eye(d)]
         primals = []
         for data, ops in ((rho.mat, mats), (coeffs, units)):
             sol = solve_cover(data, ops, gap_tol=gap_tol)

@@ -154,6 +154,45 @@ def test_tp_residuals_row_pair():
     assert np.abs(total - np.eye(2)).max() > 0.1  # not trace preserving at a = 0.5
 
 
+def transcribed_tp_sums(type1, type2, type3, type4, a):
+    """Reference: the residuals written out as eight per-type sums."""
+    a1, b1, g2, d2, m3, n3, e4, x4 = (
+        np.asarray([pair[k] for pair in group], dtype=complex)
+        for group in (type1, type2, type3, type4) for k in (0, 1))
+    r1 = float(np.sum(np.abs(a1) ** 2) + np.sum(np.abs(g2) ** 2)
+               + np.sum(np.abs(m3) ** 2) + np.sum(np.abs(e4) ** 2) - 1.0)
+    r2 = float(np.sum(np.abs(b1) ** 2) + np.sum(np.abs(d2) ** 2)
+               + np.sum(np.abs(n3) ** 2) + np.sum(np.abs(x4) ** 2) - 1.0)
+    r3 = complex(np.sum(a1.conj() * b1) + np.sum(m3.conj() * n3)
+                 + a * (np.sum(g2.conj() * d2) + np.sum(e4.conj() * x4) - 1.0))
+    return r1, r2, r3
+
+
+def test_tp_residuals_match_kraus_oracle():
+    # the residuals are the free-frame entries (0,0), (1,1), (0,1) of
+    # -V'(1 - sum K'K)V over the operators free_qubit_kraus builds
+    from superpos.qubit import free_qubit_kraus
+
+    rng = make_rng(706)
+    assert qubit_tp_residuals([], [], [], [], 0.4) == (-1.0, -1.0, -0.4 + 0j)
+    for _ in range(300):
+        a = float(rng.uniform(0.0, 0.9))
+        groups = [[tuple(rng.normal(size=2) + 1j * rng.normal(size=2))
+                   for _ in range(int(rng.integers(0, 3)))] for _ in range(4)]
+        v = qubit_free_basis(a).vectors
+        defect = np.eye(2, dtype=complex)
+        for kind, group in enumerate(groups, start=1):
+            for pair in group:
+                k = free_qubit_kraus(kind, pair, a)
+                defect -= dagger(k) @ k
+        oracle = -dagger(v) @ defect @ v
+        got = qubit_tp_residuals(*groups, a)
+        expected = (oracle[0, 0].real, oracle[1, 1].real, oracle[0, 1])
+        scale = 1.0 + np.abs(oracle).max()
+        assert np.abs(np.subtract(got, expected)).max() <= 1e-10 * scale
+        assert np.abs(np.subtract(got, transcribed_tp_sums(*groups, a))).max() <= 1e-13
+
+
 def test_candidate_states_properties():
     b = symmetric_basis_d3()
     cands = candidate_states_d3()
