@@ -34,20 +34,28 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_hermitian_matrix(a, name: str = "h") -> np.ndarray:
+    """Validate a finite square complex matrix as Hermitian; return it unchanged.
+
+    Raises ``NonHermitian`` when the anti-Hermitian part exceeds
+    ``1e-8 * max(1, ||a||)``, the relative rule ``DensityMatrix`` uses, so
+    rounding residue of a near-zero matrix passes.
+    """
+    m = as_complex_matrix(a, name)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected square matrix, got {m.shape}")
+    asym = np.linalg.norm(m - m.conj().T)
+    if asym > 1e-8 * max(1.0, np.linalg.norm(m)):
+        raise NonHermitian(f"anti-Hermitian part {asym:.3e} exceeds 1e-8*max(1, ||{name}||)")
+    return m
+
+
 def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues in ascending order and eigenvectors of a Hermitian matrix.
 
-    The input is symmetrized internally; raises ``NonHermitian`` when the
-    anti-Hermitian part exceeds ``1e-8 * max(1, ||h||)``, the relative rule
-    ``DensityMatrix`` uses, so rounding residue of a near-zero matrix passes.
+    The input passes ``as_hermitian_matrix`` and is symmetrized internally.
     """
-    h = as_complex_matrix(h, "h")
-    if h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {h.shape}")
-    asym = np.linalg.norm(h - h.conj().T)
-    if asym > 1e-8 * max(1.0, np.linalg.norm(h)):
-        raise NonHermitian(f"anti-Hermitian part {asym:.3e} exceeds 1e-8*max(1, ||h||)")
-    return np.linalg.eigh(hermitian_part(h))
+    return np.linalg.eigh(hermitian_part(as_hermitian_matrix(h)))
 
 
 def herm_sqrt(h: np.ndarray) -> np.ndarray:
@@ -57,10 +65,12 @@ def herm_sqrt(h: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` of two states."""
+    """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` of two states.
+
+    Raises ``NonHermitian`` when ``rho`` or ``sigma`` fails ``as_hermitian_matrix``.
+    """
     r = herm_sqrt(rho)
-    inner = hermitian_part(r @ sigma @ r)
-    w = np.clip(herm_eig(inner)[0], 0.0, None)
+    w = np.clip(herm_eig(r @ as_hermitian_matrix(sigma, "sigma") @ r)[0], 0.0, None)
     return float(np.sum(np.sqrt(w)) ** 2)
 
 

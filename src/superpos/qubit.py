@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FreeBasis, new_free_basis, tensor_basis
-from .errors import DimensionMismatch, InvalidState, NoConvergence, NotUnitary
+from .errors import DimensionMismatch, InvalidState, NotUnitary
 from .kraus import Channel, FreeKrausForm, complete_free
 from .linalg import as_complex_matrix, dagger, herm_eig
-from .sdp import SdpSolution
 from .states import DensityMatrix, PureState, superposition_rank
 from .transform import max_conversion_prob
 
@@ -225,8 +224,8 @@ def conversion_heatmap(a: float, initial: tuple[float, float], grid_n: int) -> n
 
     Rank-one (free) targets are always reachable with probability 1: map both
     reciprocal rows onto the target free state and complete. Higher-rank
-    targets than the source get probability 0. Cells whose solve does not
-    converge are reported as NaN. Returns rows (theta, phi, p).
+    targets than the source get probability 0. A cell whose solve does not
+    converge raises ``NoConvergence``. Returns rows (theta, phi, p).
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be at least 8, got {grid_n}")
@@ -244,9 +243,10 @@ def conversion_heatmap(a: float, initial: tuple[float, float], grid_n: int) -> n
 
 def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
                  target_angles: tuple[float, float]) -> float:
-    """Conversion probability for one heatmap target; NaN on ``NoConvergence``.
+    """Conversion probability for one heatmap target.
 
-    Each solve runs at ``max_conversion_prob``'s default gap tolerance.
+    Each solve runs at ``max_conversion_prob``'s default gap tolerance; a solve
+    that cannot certify it raises ``NoConvergence``.
     """
     target = qubit_state(*target_angles)
     target_rank = superposition_rank(target, basis)
@@ -254,8 +254,4 @@ def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
         return 0.0
     if target_rank < source_rank:
         return 1.0
-    try:
-        sol: SdpSolution = max_conversion_prob(source, target, basis)
-    except NoConvergence:
-        return float("nan")
-    return float(sol.value)
+    return float(max_conversion_prob(source, target, basis).value)

@@ -1,6 +1,7 @@
 """Seeded random generation of states, bases and free operations.
 
-Everything draws from a counter-based 64-bit Philox generator so that runs
+Every sampler takes an ``np.random.Generator`` and draws from it; build one
+with ``make_rng(seed)``, a counter-based 64-bit Philox generator, so that runs
 are bit-reproducible for a given seed.
 """
 
@@ -18,40 +19,32 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _as_rng(rng) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else make_rng(int(rng))
-
-
-def haar_state(d: int, rng) -> PureState:
-    rng = _as_rng(rng)
+def haar_state(d: int, rng: np.random.Generator) -> PureState:
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState.normalized(v)
 
 
-def haar_unitary(d: int, rng) -> np.ndarray:
-    rng = _as_rng(rng)
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases.conj()
 
 
-def random_density(d: int, rng, rank: int | None = None) -> DensityMatrix:
+def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     """Ginibre-induced random mixed state."""
-    rng = _as_rng(rng)
     k = rank or d
     g = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)
 
 
-def random_basis(d: int, rng, min_sigma: float = 0.1) -> FreeBasis:
+def random_basis(d: int, rng: np.random.Generator, min_sigma: float = 0.1) -> FreeBasis:
     """Random normalized basis, resampled until sigma_min >= min_sigma.
 
     The floor keeps the reciprocal frame well conditioned so that
     biorthogonality holds to ~1e-12 in double precision.
     """
-    rng = _as_rng(rng)
     while True:
         v = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         v /= np.linalg.norm(v, axis=0)
@@ -59,24 +52,21 @@ def random_basis(d: int, rng, min_sigma: float = 0.1) -> FreeBasis:
             return new_free_basis([v[:, i] for i in range(d)])
 
 
-def random_free_state(basis: FreeBasis, rng) -> DensityMatrix:
+def random_free_state(basis: FreeBasis, rng: np.random.Generator) -> DensityMatrix:
     """Random statistical mixture of the pure free states."""
-    rng = _as_rng(rng)
     return free_mixture(basis, rng.dirichlet(np.ones(basis.d)))
 
 
-def random_free_operator(basis: FreeBasis, rng) -> np.ndarray:
+def random_free_operator(basis: FreeBasis, rng: np.random.Generator) -> np.ndarray:
     """Random free Kraus operator: random coefficients and index function."""
-    rng = _as_rng(rng)
     d = basis.d
     coeffs = rng.normal(size=d) + 1j * rng.normal(size=d)
     return FreeKrausForm(coeffs, rng.integers(d, size=d)).matrix(basis)
 
 
-def random_subnormalized_free_ops(basis: FreeBasis, rng, n_ops: int = 2,
+def random_subnormalized_free_ops(basis: FreeBasis, rng: np.random.Generator, n_ops: int = 2,
                                   slack: float = 0.9) -> list[np.ndarray]:
     """Random free operators jointly scaled so sum K'K <= slack * identity."""
-    rng = _as_rng(rng)
     ops = [random_free_operator(basis, rng) for _ in range(n_ops)]
     total = np.sum([k.conj().T @ k for k in ops], axis=0)
     scale = np.sqrt(slack / max(float(np.linalg.eigvalsh(total)[-1]), 1e-300))

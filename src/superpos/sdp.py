@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import BadData, NoConvergence
-from .linalg import as_complex_matrix, hermitian_part
+from .linalg import as_complex_matrix, as_hermitian_matrix, hermitian_part
 
 DEFAULT_GAP_TOL = 1e-7
 _PSD_DATA_TOL = 1e-9
@@ -204,8 +204,9 @@ def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:
 
     Feasible means lam >= -_DUAL_TOL and tr(lam A_n) >= 1 - _DUAL_TOL for
     every n; the trace of any feasible lam upper-bounds the primal optimum.
+    A lam that fails ``as_hermitian_matrix`` raises ``NonHermitian``.
     """
-    lam = hermitian_part(as_complex_matrix(lam, "lam"))
+    lam = hermitian_part(as_hermitian_matrix(lam, "lam"))
     bound = float(np.trace(lam).real)
     if float(np.linalg.eigvalsh(lam)[0]) < -_DUAL_TOL:
         return False, bound

@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from superpos.basis import symmetric_basis_d3
-from superpos.cli import dispatch
+from superpos.cli import _build_parser, dispatch
 from superpos.errors import SchemaViolation
 from superpos.measures import l1_measure
 from superpos.qubit import qubit_free_basis
@@ -38,6 +39,8 @@ def d3_files(tmp_path):
                            pure_state_to_json(candidate_states_d3()[0])),
         "target": write(tmp_path, "target.json",
                         pure_state_to_json(PureState(np.array([1, 0, 0], dtype=complex)))),
+        "operators": write(tmp_path, "ops.json", {"operators": [
+            [[[0.6 * (i == j), 0.0] for j in range(3)] for i in range(3)]]}),
         "tmp": tmp_path,
     }
 
@@ -278,3 +281,66 @@ def test_heatmap_output_is_pinned(tmp_path):
     assert dispatch(["qubit", "heatmap", "--a", "0.5", "--theta", "1.5707963", "--phi", "0",
                      "--grid", "8", "--out", str(out_path)]) == 0
     assert out_path.read_bytes() == (GOLDEN_DIR / "heatmap_a0.5_grid8.csv").read_bytes()
+
+
+# Output of every leaf GOLDEN leaves out, as full argument lists on the
+# d3_files fixtures (each value after a flag names a fixture file).
+PINNED = {
+    ("basis", "check", "--in", "basis"):
+        '{"d": 3, "filter_probability": 0.5, "gram": [[[1.0, 0.0], [0.5, 0.0], [0.5, 0.0]], '
+        '[[0.5, 0.0], [1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0], [1.0, 0.0]]], '
+        '"sigma_min": 0.707106781}\n',
+    ("state", "rank", "--state", "candidate", "--basis", "basis"):
+        '{"superposition_rank": 3}\n',
+    ("state", "free", "--state", "free_state", "--basis", "basis"):
+        '{"is_free": true}\n',
+    ("state", "expand", "--state", "free_state", "--basis", "basis"):
+        '{"coeffs": [[[0.2, 0.0], [2.80256155e-17, 0.0], [-1.41478277e-17, 0.0]], '
+        '[[5.01678432e-17, 0.0], [0.3, 0.0], [5.34330808e-18, 0.0]], [[3.0561517e-18, 0.0], '
+        '[1.32026881e-17, 0.0], [0.5, 0.0]]]}\n',
+    ("kraus", "check", "--in", "operators", "--basis", "basis"):
+        '{"forms": [{"coeffs": [[0.6, 0.0], [0.6, 0.0], [0.6, 0.0]], "index_fn": [0, 1, 2]}], '
+        '"free": [true]}\n',
+    ("kraus", "complete", "--in", "operators", "--basis", "basis"):
+        '{"operators": [[[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.565685425, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0]], [[0.565685425, 0.0], [0.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0]], [[0.0, 0.0], [0.565685425, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.565685425, '
+        '0.0], [0.0, 0.0]]], [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], '
+        '[0.565685425, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.565685425, 0.0]]]]}\n',
+    ("measure", "relent", "--state", "candidate", "--basis", "basis"):
+        '{"certificate": {"mat": [[[0.333333333, 0.0], [0.166666667, 0.0], [0.166666667, 0.0]], '
+        '[[0.166666667, 0.0], [0.333333333, 0.0], [0.166666667, 0.0]], [[0.166666667, 0.0], '
+        '[0.166666667, 0.0], [0.333333333, 0.0]]]}, "convention": "nat", "upper_bound": false, '
+        '"value": 1.79175947}\n',
+    ("measure", "rank", "--state", "candidate", "--basis", "basis"):
+        '{"convention": "nat", "upper_bound": false, "value": 1.09861229}\n',
+    ("game", "simulate", "--basis", "basis", "--input", "superposed", "--turns", "200",
+     "--seed", "3"):
+        '{"conclusive_turns": 50, "losses": 0, "p": 0.5, "turns": 200, "win_rate": 1.0, '
+        '"wins": 50}\n',
+    ("entangle", "convert", "--basis", "basis", "--state", "candidate"):
+        '{"classical_rank": 3, "probability": 1.0, "schmidt_rank": 3}\n',
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED), ids=lambda a: "-".join(a[:2]))
+def test_cli_leaf_output_is_pinned(argv, d3_files, capsys):
+    resolved = list(argv[:2]) + [d3_files.get(a, a) for a in argv[2:]]
+    assert dispatch(resolved) == 0
+    assert capsys.readouterr().out == PINNED[argv]
+
+
+def _leaves(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path
+        return
+    for name, child in subparsers[0].choices.items():
+        yield from _leaves(child, path + (name,))
+
+
+def test_every_leaf_has_pinned_output():
+    pinned = {argv[:2] for argv in (*GOLDEN, *PINNED)} | {("qubit", "heatmap")}
+    leaves = set(_leaves(_build_parser()))
+    assert leaves and all(len(leaf) == 2 for leaf in leaves)
+    assert leaves <= pinned, sorted(leaves - pinned)

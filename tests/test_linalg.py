@@ -101,6 +101,18 @@ def test_fidelity_extremes():
     assert abs(fidelity(rho, np.diag([0.0, 1.0]).astype(complex))) < 1e-12
 
 
+def test_fidelity_rejects_non_hermitian_sigma():
+    # at rho = 1/2 the product sqrt(rho) sigma sqrt(rho) is non-Hermitian; at the
+    # pure rho it is 0.5 |0><0|, Hermitian outright, so sigma itself is checked
+    sigma = np.array([[0.5, 0.4], [0.0, 0.5]])
+    for rho in (np.diag([0.5, 0.5]), np.diag([1.0, 0.0])):
+        with pytest.raises(NonHermitian):
+            fidelity(rho, sigma)
+    # rounding residue in a Hermitian sigma passes
+    residue = 1e-17j * np.array([[0, 1], [0, 0]])
+    assert abs(fidelity(np.eye(2) / 2, np.eye(2) / 2 + residue) - 1) < 1e-12
+
+
 def test_partial_trace_of_product():
     rng = make_rng(105)
     a = hermitian_part(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))

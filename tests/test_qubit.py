@@ -385,9 +385,9 @@ def test_heatmap_cells():
         assert np.allclose(traces, 6 - 4 * np.cos(z) * np.sin(x), atol=1e-9)
 
 
-@pytest.mark.parametrize("error, nan", [(NoConvergence("duality gap above tolerance"), True),
-                                        (ValueError("malformed input"), False)])
-def test_heatmap_cell_nan_only_on_no_convergence(monkeypatch, error, nan):
+@pytest.mark.parametrize("error", [NoConvergence("duality gap above tolerance"),
+                                   ValueError("malformed input")], ids=["no-convergence", "value"])
+def test_heatmap_cell_propagates_solver_errors(monkeypatch, error):
     def failing(*args, **kwargs):
         raise error
 
@@ -395,8 +395,5 @@ def test_heatmap_cell_nan_only_on_no_convergence(monkeypatch, error, nan):
     basis = qubit_free_basis(0.5)
     source = qubit_state(np.pi / 2, 0.0)
     rank = superposition_rank(source, basis)
-    if nan:
-        assert np.isnan(heatmap_cell(basis, source, rank, (1.1, 2.0)))
-    else:
-        with pytest.raises(ValueError):
-            heatmap_cell(basis, source, rank, (1.1, 2.0))
+    with pytest.raises(type(error)):
+        heatmap_cell(basis, source, rank, (1.1, 2.0))

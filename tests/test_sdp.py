@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superpos.basis import symmetric_basis_d3
-from superpos.errors import BadData
+from superpos.errors import BadData, NonHermitian
 from superpos.linalg import dagger, hermitian_part
 from superpos.measures import robustness
 from superpos.kraus import free_channel, measure_selective
@@ -75,6 +75,16 @@ def test_verify_dual_examples():
     assert abs(bound - 4.0) < 1e-12
     infeasible, _ = verify_dual(-np.eye(4, dtype=complex), problem)
     assert not infeasible
+
+
+def test_verify_dual_rejects_non_hermitian():
+    # the Hermitian part of lam is the identity, a feasible dual of bound 2,
+    # but lam itself is no dual point
+    problem = LmiProblem.from_matrices([np.eye(2)])
+    with pytest.raises(NonHermitian):
+        verify_dual(np.array([[1.0, 5.0], [-5.0, 1.0]]), problem)
+    feasible, bound = verify_dual(np.eye(2) + 1e-12j * np.array([[0, 1], [0, 0]]), problem)
+    assert feasible and abs(bound - 2.0) < 1e-12
 
 
 def test_verify_dual_qubit_landscape():
