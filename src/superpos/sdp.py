@@ -7,8 +7,9 @@ and a solve that cannot certify one raises ``NoConvergence``. Its two shapes
 are the public entry points: ``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1
 (dual: minimize tr Y s.t. tr(Y A_n) >= 1), and ``solve_cover`` minimizes
 sum x_i s.t. sum x_i B_i >= rho for the robustness measure (dual: maximize
-tr(rho Y) s.t. tr(Y B_i) <= 1). Variable counts are at most a few dozen and
-matrices at most 8x8, so damped Newton steps need no sparsity or scaling tricks.
+tr(rho Y) s.t. tr(Y B_i) <= 1); non-Hermitian data raises ``NonHermitian``.
+Variable counts are at most a few dozen and matrices at most 8x8, so damped
+Newton steps on numpy's Cholesky need no sparsity or scaling tricks.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import BadData, NoConvergence
-from .linalg import as_complex_matrix, as_hermitian_matrix, hermitian_part
+from .linalg import as_hermitian_matrix, hermitian_part
 
 DEFAULT_GAP_TOL = 1e-7
 _PSD_DATA_TOL = 1e-9
@@ -37,7 +37,7 @@ class LmiProblem:
 
     @staticmethod
     def from_matrices(mats) -> "LmiProblem":
-        ops = tuple(hermitian_part(as_complex_matrix(m, "A_n")) for m in mats)
+        ops = tuple(hermitian_part(as_hermitian_matrix(m, "A_n")) for m in mats)
         if not ops:
             raise BadData("need at least one constraint matrix")
         dim = ops[0].shape[0]
@@ -67,20 +67,20 @@ def _center(cost: np.ndarray, m0: np.ndarray, mats: np.ndarray, x: np.ndarray,
             mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton for min cost.x - mu*(logdet(m0 + sum x mats) + sum log x).
 
-    One Cholesky factor L per trial slack gives its domain test, its log det and
-    the inverse slack L^-H L^-1. ``mats`` is (n, k, k) and ``x`` strictly
+    One ``np.linalg.cholesky`` factor L per trial slack gives its domain test,
+    log det and inverse slack L^-H L^-1. ``mats`` is (n, k, k) and ``x`` strictly
     feasible; returns the centered point and the inverse slack there.
     """
-    k = m0.shape[0]
-    flat = mats.reshape(len(mats), k * k)
+    flat = mats.reshape(len(mats), -1)
 
     def trial(xv):
         if (xv <= 0).any():
             return None
-        chol, info = lapack.zpotrf(m0 + (xv @ flat).reshape(k, k), lower=1)
-        if info:   # not positive definite: outside the domain
+        try:
+            chol = np.linalg.cholesky(m0 + (xv @ flat).reshape(m0.shape))
+        except np.linalg.LinAlgError:   # not positive definite: outside the domain
             return None
-        linv, _ = lapack.ztrtri(chol, lower=1)
+        linv = np.linalg.inv(chol)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol).real)))
         return float(cost @ xv) - mu * (logdet + float(np.sum(np.log(xv)))), linv.conj().T @ linv
 
@@ -136,7 +136,7 @@ def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: fl
     for _ in range(_MAX_OUTER):
         x, sinv = _center(cost, m0, mats, x, mu)
         primal = float(np.sum(x))
-        polished = _polish_dual(ops, x, m0 + np.tensordot(x, mats, 1))
+        polished = _polish_dual(ops, x, m0 + (x @ mats.reshape(len(x), -1)).reshape(m0.shape))
         candidates = fixed + certify([mu * sinv, polished])
         if candidates:
             y, dual = min(candidates, key=lambda cand: sense * (primal - cand[1]))
@@ -226,12 +226,12 @@ def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:
     if that is <= 0), and the dual candidate (sum B_i)^{-1} = L^-H L^-1, optimal
     when the B_i project onto a basis and rho is in their cone (free states).
     """
-    rho = hermitian_part(as_complex_matrix(rho, "rho"))
-    ops = [hermitian_part(as_complex_matrix(b, "B_i")) for b in mats]
-    chol, info = lapack.zpotrf(np.sum(ops, axis=0), lower=1)
-    if info:
-        raise BadData("constraint matrices do not span a positive definite sum")
-    linv = lapack.ztrtri(chol, lower=1)[0]
+    rho = hermitian_part(as_hermitian_matrix(rho, "rho"))
+    ops = [hermitian_part(as_hermitian_matrix(b, "B_i")) for b in mats]
+    try:
+        linv = np.linalg.inv(np.linalg.cholesky(np.sum(ops, axis=0)))
+    except np.linalg.LinAlgError:
+        raise BadData("constraint matrices do not span a positive definite sum") from None
     top = float(np.linalg.eigvalsh(linv @ rho @ linv.conj().T)[-1])
     x = np.full(len(ops), 2.0 * top if top > 0 else 1.0)
     return _barrier(ops, -rho, 1, x, [linv.conj().T @ linv], gap_tol)

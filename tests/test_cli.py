@@ -254,7 +254,7 @@ def test_tol_only_where_it_is_used(argv, d3_files, capsys):
 # 9 significant digits, on the d3_files fixtures.
 GOLDEN = {
     ("convert", "prob", "--from", "candidate", "--to", "target"):
-        '{"deterministic": false, "dual": 0.571428571, "gap": 9.99898307e-08, "p": [0.0952380786, '
+        '{"deterministic": false, "dual": 0.571428571, "gap": 9.99898309e-08, "p": [0.0952380786, '
         '0.0952380786, 0.0952380786, 0.0952380786, 0.0952380786, 0.0952380786], "primal": 0.571428471, '
         '"value": 0.571428471}\n',
     ("measure", "robustness", "--state", "free_state"):

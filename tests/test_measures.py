@@ -202,13 +202,30 @@ def test_rel_entropy_certifies_at_tol():
 
 
 def test_import_leaves_scipy_optimize_out():
+    # SciPy is blocked before the import: the library and both SDP shapes,
+    # a conversion (solve_lmi) and a d = 3 mixed-state cover (solve_cover),
+    # run on numpy alone
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    probe = "import sys, superpos; print('scipy.optimize' in sys.modules)"
+    probe = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "import numpy as np",
+        "import superpos",
+        "from superpos.basis import symmetric_basis_d3",
+        "from superpos.measures import robustness",
+        "from superpos.sampling import make_rng, random_density",
+        "from superpos.states import PureState",
+        "from superpos.transform import candidate_states_d3, max_conversion_prob",
+        "b = symmetric_basis_d3()",
+        "target = PureState(np.array([1, 0, 0], dtype=complex))",
+        "print(round(max_conversion_prob(candidate_states_d3()[0], target, b).primal, 6))",
+        "print(robustness(random_density(3, make_rng(606)), b).extra['method'])",
+    ])
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["0.571428", "sdp"]
 
 
 def test_rank_measure_examples():

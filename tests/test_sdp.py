@@ -77,14 +77,24 @@ def test_verify_dual_examples():
     assert not infeasible
 
 
-def test_verify_dual_rejects_non_hermitian():
-    # the Hermitian part of lam is the identity, a feasible dual of bound 2,
-    # but lam itself is no dual point
-    problem = LmiProblem.from_matrices([np.eye(2)])
+def _dual_bound(lam):
+    feasible, bound = verify_dual(lam, LmiProblem.from_matrices([np.eye(2)]))
+    assert feasible
+    return bound
+
+
+@pytest.mark.parametrize("entry, value, tol", [
+    (_dual_bound, 2.0, 1e-12),
+    (lambda a: solve_lmi(LmiProblem.from_matrices([a])).primal, 1.0, 1e-7),
+    (lambda rho: solve_cover(rho / 2, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).primal,
+     1.0, 1e-8),
+], ids=["verify_dual", "from_matrices", "solve_cover"])
+def test_verify_dual_rejects_non_hermitian(entry, value, tol):
+    # the Hermitian part of the matrix is the identity, valid input whose
+    # optimum or bound is ``value``, but the matrix itself is no valid input
     with pytest.raises(NonHermitian):
-        verify_dual(np.array([[1.0, 5.0], [-5.0, 1.0]]), problem)
-    feasible, bound = verify_dual(np.eye(2) + 1e-12j * np.array([[0, 1], [0, 0]]), problem)
-    assert feasible and abs(bound - 2.0) < 1e-12
+        entry(np.array([[1.0, 5.0], [-5.0, 1.0]]))
+    assert abs(entry(np.eye(2) + 1e-12j * np.array([[0, 1], [0, 0]])) - value) <= tol
 
 
 def test_verify_dual_qubit_landscape():
