@@ -57,9 +57,3 @@ def verify_faithful(conv: ConversionMap, psi: PureState, basis: FreeBasis) -> bo
     out = conv.convert(psi)
     return schmidt_rank(PureState.normalized(out), basis.d, basis.d, 1e-8) \
         == superposition_rank(psi, basis)
-
-
-def filter_validity_defect(conv: ConversionMap) -> float:
-    """Largest eigenvalue of filter'filter minus 1; <= 0 means trace non-increasing."""
-    f = conv.local_filter
-    return float(np.max(np.linalg.eigvalsh(dagger(f) @ f)) - 1.0)

@@ -22,7 +22,7 @@ from .errors import (
     NotSubnormalized,
     NotTracePreserving,
 )
-from .linalg import as_complex_matrix, dagger, herm_eig, hermitian_part, partial_trace
+from .linalg import as_complex_matrix, dagger, herm_eig, hermitian_part
 from .states import DensityMatrix, free_expansion, free_mixture, is_free
 
 TP_TOL = 1e-9
@@ -207,10 +207,3 @@ def reduce_ancilla(l_op: np.ndarray, sigma_b: DensityMatrix, basis_a: FreeBasis,
             amp = np.sqrt(weights[j]) * form.coeffs[k_in] * basis_b.vectors[x, h]
             out.append(FreeKrausForm(amp, g).matrix(basis_a))
     return out
-
-
-def reduced_action(l_op: np.ndarray, rho_a: np.ndarray, sigma_b: DensityMatrix,
-                   dim_a: int, dim_b: int) -> np.ndarray:
-    """Direct evaluation of ``tr_B L (rho_A (x) sigma_B) L'`` for verification."""
-    joint = np.kron(np.asarray(rho_a, dtype=complex), sigma_b.mat)
-    return partial_trace(l_op @ joint @ dagger(l_op), dim_a, dim_b, keep="a")

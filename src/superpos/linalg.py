@@ -37,9 +37,9 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 def as_hermitian_matrix(a, name: str = "h") -> np.ndarray:
     """Validate a finite square complex matrix as Hermitian; return it unchanged.
 
-    Raises ``NonHermitian`` when the anti-Hermitian part exceeds
-    ``1e-8 * max(1, ||a||)``, the relative rule ``DensityMatrix`` uses, so
-    rounding residue of a near-zero matrix passes.
+    Raises ``NonHermitian`` when ||a - a'|| exceeds ``1e-8 * max(1, ||a||)``
+    (Frobenius norms), so rounding residue of a near-zero matrix passes.
+    ``DensityMatrix`` applies the same form with ``states.HERMITIAN_TOL`` = 1e-10.
     """
     m = as_complex_matrix(a, name)
     if m.shape[0] != m.shape[1]:

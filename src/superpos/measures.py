@@ -64,15 +64,6 @@ def _cross_entropy_eig(w: np.ndarray, rho_eig: np.ndarray) -> float:
     return float(-pops[inside] @ np.log(w[inside]))
 
 
-def _cross_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
-    w, u = np.linalg.eigh(sigma_mat)
-    return _cross_entropy_eig(w, u.conj().T @ rho_mat @ u)
-
-
-def relative_entropy(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
-    return _entropy_terms(rho_mat) + _cross_entropy(rho_mat, sigma_mat)
-
-
 def _free_sigma(basis: FreeBasis, q: np.ndarray) -> np.ndarray:
     return (basis.vectors * q) @ basis.vectors.conj().T
 

@@ -8,8 +8,10 @@ are the public entry points: ``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <=
 (dual: minimize tr Y s.t. tr(Y A_n) >= 1), and ``solve_cover`` minimizes
 sum x_i s.t. sum x_i B_i >= rho for the robustness measure (dual: maximize
 tr(rho Y) s.t. tr(Y B_i) <= 1); non-Hermitian data raises ``NonHermitian``.
-Variable counts are at most a few dozen and matrices at most 8x8, so damped
-Newton steps on numpy's Cholesky need no sparsity or scaling tricks.
+Centering halves each Newton step only until numpy's Cholesky factors the new
+slack, whose inverse then serves the next step and weight; the certified gap,
+not a barrier value, guards every result. Variable counts stay at a few dozen
+and matrices at 8x8, so no sparsity or scaling tricks are needed.
 """
 
 from __future__ import annotations
@@ -63,28 +65,26 @@ class SdpSolution:
     completion: tuple | None = None   # free completion when a deterministic map exists
 
 
+def _inverse_slack(m0: np.ndarray, mats: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """(m0 + sum x_i mats_i)^-1 = L^-H L^-1 from a Cholesky factor L; None off the domain."""
+    if (x <= 0).any():
+        return None
+    try:
+        chol = np.linalg.cholesky(m0 + (x @ mats.reshape(len(x), -1)).reshape(m0.shape))
+    except np.linalg.LinAlgError:   # not positive definite
+        return None
+    linv = np.linalg.inv(chol)
+    return linv.conj().T @ linv
+
+
 def _center(cost: np.ndarray, m0: np.ndarray, mats: np.ndarray, x: np.ndarray,
-            mu: float) -> tuple[np.ndarray, np.ndarray]:
+            mu: float, minv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton for min cost.x - mu*(logdet(m0 + sum x mats) + sum log x).
 
-    One ``np.linalg.cholesky`` factor L per trial slack gives its domain test,
-    log det and inverse slack L^-H L^-1. ``mats`` is (n, k, k) and ``x`` strictly
-    feasible; returns the centered point and the inverse slack there.
+    ``mats`` is (n, k, k) and ``minv`` the inverse slack at the strictly feasible
+    ``x``. Steps take the largest t in 1, 1/2, ... (above 1e-13) that stays in
+    the domain; returns the centered point and the inverse slack there.
     """
-    flat = mats.reshape(len(mats), -1)
-
-    def trial(xv):
-        if (xv <= 0).any():
-            return None
-        try:
-            chol = np.linalg.cholesky(m0 + (xv @ flat).reshape(m0.shape))
-        except np.linalg.LinAlgError:   # not positive definite: outside the domain
-            return None
-        linv = np.linalg.inv(chol)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol).real)))
-        return float(cost @ xv) - mu * (logdet + float(np.sum(np.log(xv)))), linv.conj().T @ linv
-
-    f0, minv = trial(x)
     for _ in range(_MAX_NEWTON):
         prods = minv @ mats
         grad = cost - mu * np.einsum("nii->n", prods).real - mu / x
@@ -93,18 +93,14 @@ def _center(cost: np.ndarray, m0: np.ndarray, mats: np.ndarray, x: np.ndarray,
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             break
-        decrement = float(-grad @ step)
-        if decrement <= 1e-12:
+        if float(-grad @ step) <= 1e-12:
             break
         t = 1.0
-        while t > 1e-13:
-            accepted = trial(x + t * step)
-            if accepted is not None and accepted[0] <= f0 - 0.1 * t * decrement:
-                x, (f0, minv) = x + t * step, accepted
-                break
+        while (trial := _inverse_slack(m0, mats, x + t * step)) is None:
             t *= 0.5
-        else:
-            break
+            if t <= 1e-13:
+                return x, minv
+        x, minv = x + t * step, trial
     return x, minv
 
 
@@ -132,9 +128,9 @@ def _barrier(ops, m0: np.ndarray, sense: int, x: np.ndarray, static, gap_tol: fl
         return out
 
     fixed = certify(static)
-    mu, gap = 1.0, np.inf
+    mu, gap, sinv = 1.0, np.inf, _inverse_slack(m0, mats, x)
     for _ in range(_MAX_OUTER):
-        x, sinv = _center(cost, m0, mats, x, mu)
+        x, sinv = _center(cost, m0, mats, x, mu, sinv)
         primal = float(np.sum(x))
         polished = _polish_dual(ops, x, m0 + (x @ mats.reshape(len(x), -1)).reshape(m0.shape))
         candidates = fixed + certify([mu * sinv, polished])

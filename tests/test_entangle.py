@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from superpos.basis import orthonormal_basis, symmetric_basis_d3
-from superpos.entangle import faithful_conversion, filter_validity_defect, verify_faithful
+from superpos.entangle import ConversionMap, faithful_conversion, verify_faithful
 from superpos.errors import DimensionMismatch, LinearlyDependent, NotNormalized
+from superpos.linalg import dagger
 from superpos.sampling import haar_state, make_rng, random_basis
 from superpos.states import PureState, schmidt_rank, superposition_rank
+
+
+def filter_validity_defect(conv: ConversionMap) -> float:
+    """Largest eigenvalue of filter'filter minus 1; <= 0 means trace non-increasing."""
+    f = conv.local_filter
+    return float(np.max(np.linalg.eigvalsh(dagger(f) @ f)) - 1.0)
 
 
 def test_orthonormal_copier():

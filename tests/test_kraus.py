@@ -13,9 +13,8 @@ from superpos.kraus import (
     is_mfo,
     measure_selective,
     reduce_ancilla,
-    reduced_action,
 )
-from superpos.linalg import dagger
+from superpos.linalg import dagger, partial_trace
 from superpos.qubit import build_phi, channel_from_bloch, free_qubit_kraus, qubit_free_basis
 from superpos.sampling import (
     haar_state,
@@ -214,6 +213,13 @@ def test_reduce_ancilla_identity():
     rho = haar_state(2, rng).density()
     out = sum(f @ rho.mat @ dagger(f) for f in fam)
     assert np.abs(out - rho.mat).max() < 1e-9
+
+
+def reduced_action(l_op: np.ndarray, rho_a: np.ndarray, sigma_b: DensityMatrix,
+                   dim_a: int, dim_b: int) -> np.ndarray:
+    """Direct evaluation of ``tr_B L (rho_A (x) sigma_B) L'``."""
+    joint = np.kron(np.asarray(rho_a, dtype=complex), sigma_b.mat)
+    return partial_trace(l_op @ joint @ dagger(l_op), dim_a, dim_b, keep="a")
 
 
 def test_reduce_ancilla_swap_like_operator():

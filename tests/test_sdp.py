@@ -303,7 +303,7 @@ def _explicit_newton(cost, m0, mats, x, mu):
 
 @pytest.mark.parametrize("n", [2, 6, 24])
 @pytest.mark.parametrize("d", [2, 4])
-def test_center_matches_explicit_newton_system(n, d):
+def test_center_matches_explicit_newton_system(n, d, monkeypatch):
     # the solve_lmi shape: maximise sum x subject to 1 - sum x_n A_n >= 0
     rng = make_rng(506 + 10 * n + d)
     ops = [random_psd(d, rng) for _ in range(n)]
@@ -311,12 +311,19 @@ def test_center_matches_explicit_newton_system(n, d):
     m0 = np.eye(d, dtype=complex)
     cost = -np.ones(n)
     x = np.full(n, 0.5 / (sum(np.linalg.norm(a, 2) for a in ops) + 1.0))
+    sinv = np.linalg.inv(m0 + np.tensordot(x, mats, 1))
     for mu in (1.0, 1e-1, 1e-2, 1e-3):
-        x, sinv = _center(cost, m0, mats, x, mu)
+        x, sinv = _center(cost, m0, mats, x, mu, sinv)
         if mu in (1.0, 1e-3):
             expected, decrement = _explicit_newton(cost, m0, mats, x, mu)
             assert np.linalg.norm(sinv - expected) <= 1e-9 * np.linalg.norm(expected), (n, d, mu)
             assert decrement <= 1e-9, (n, d, mu, decrement)
+    # the carried inverse slack: re-centring a centred point factors nothing
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(m) or cholesky(m))
+    again, again_sinv = _center(cost, m0, mats, x, 1e-3, sinv)
+    assert not factored and np.array_equal(again, x) and np.array_equal(again_sinv, sinv), (n, d)
 
 
 @pytest.mark.parametrize("support", [4, 5])
