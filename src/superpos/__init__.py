@@ -12,7 +12,6 @@ faithful conversion of superposition into entanglement.
 from .basis import (
     FreeBasis,
     filter_probability,
-    gram,
     new_free_basis,
     orthonormal_basis,
     symmetric_basis_d3,
@@ -70,7 +69,6 @@ from .transform import (
     candidate_states_d3,
     enumerate_transformers,
     max_conversion_prob,
-    qubit_tp_residuals,
 )
 
 __version__ = "0.1.0"

@@ -68,11 +68,6 @@ def new_free_basis(columns) -> FreeBasis:
     return FreeBasis(vectors=v, gram=gram, reciprocal=reciprocal, sigma_min=smin)
 
 
-def gram(basis: FreeBasis) -> np.ndarray:
-    """Gram matrix of the free states; entry (i, j) is their overlap."""
-    return basis.gram.copy()
-
-
 def filter_probability(basis: FreeBasis) -> float:
     """Largest p with p * (V^{-1})' V^{-1} <= identity, i.e. sigma_min(V)^2.
 

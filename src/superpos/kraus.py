@@ -135,20 +135,16 @@ def measure_selective(ch: Channel, rho: DensityMatrix) -> list[tuple[float, Dens
 def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:
     """Free Kraus operators completing a trace non-increasing set to trace preserving.
 
-    The residue ``1 - sum K'K`` is eigendecomposed and each eigenvector |n>
-    with weight p_n contributes ``sqrt(p_n) |c_1><n|``; eigenvalues below
-    1e-12 are dropped.
+    The set is validated as a ``Channel`` (one shape, sum K'K <= 1); its
+    defect ``1 - sum K'K`` is eigendecomposed and each eigenvector |n> with
+    weight p_n contributes ``sqrt(p_n) |c_1><n|``; eigenvalues below 1e-12
+    are dropped.
     """
-    ops = [as_complex_matrix(k, "Kraus operator") for k in partial]
+    channel = Channel(tuple(partial))
     d = basis.d
-    residue = np.eye(d, dtype=complex)
-    for k in ops:
-        if k.shape != (d, d):
-            raise DimensionMismatch(f"operator shape {k.shape} != ({d}, {d})")
-        residue -= dagger(k) @ k
-    w, v = herm_eig(residue)
-    if w[0] < -TP_TOL:
-        raise NotSubnormalized(f"residue eigenvalue {w[0]:.3e} < 0")
+    if channel.kraus[0].shape != (d, d):
+        raise DimensionMismatch(f"operator shape {channel.kraus[0].shape} != ({d}, {d})")
+    w, v = herm_eig(channel.defect)
     target = basis.vectors[:, 0]
     completion = []
     for p, vec in zip(w, v.T):
@@ -167,10 +163,9 @@ def is_mfo(ch: Channel, basis: FreeBasis, tol: float = FREE_TOL) -> bool:
     """True iff the channel maps every free state to a free state.
 
     Checking the d pure free states suffices: the free set is their convex
-    hull and the channel is linear.
+    hull and the channel is linear; ``apply_channel`` raises
+    ``NotTracePreserving`` for a trace-decreasing channel.
     """
-    if not ch.is_trace_preserving:
-        raise NotTracePreserving(f"defect norm {np.linalg.norm(ch.defect):.3e}")
     for weights in np.eye(basis.d):
         if not is_free(apply_channel(ch, free_mixture(basis, weights)), basis, tol):
             return False

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import FreeBasis, new_free_basis, tensor_basis
 from .errors import DimensionMismatch, InvalidState, NotUnitary
-from .kraus import Channel, FreeKrausForm, complete_free
+from .kraus import Channel, FreeKrausForm, free_channel
 from .linalg import as_complex_matrix, dagger, herm_eig
 from .states import DensityMatrix, PureState, superposition_rank
 from .transform import max_conversion_prob
@@ -171,7 +171,7 @@ def generate_from_m2(theta_t: float, phi_t: float, a: float) -> Channel:
     gamma, delta = basis.to_free_frame(qubit_state(theta_t, phi_t).amp) / (np.sqrt(2) * m)
     k2, k4 = free_qubit_kraus(2, (gamma, delta), a), free_qubit_kraus(4, (-delta, -gamma), a)
     w = basis.reciprocal.sum(axis=1)
-    defect = np.eye(2) - dagger(k2) @ k2 - dagger(k4) @ k4
+    defect = Channel((k2, k4)).defect
     # <w|D|w> is 0, up to rounding of either sign, at a = 0 and for the source as target
     shared = np.sqrt(max(np.vdot(w, defect @ w).real, 0.0) / (2 * np.vdot(w, w).real ** 2))
     k1, k3 = (free_qubit_kraus(kind, (shared, shared), a) for kind in (1, 3))
@@ -204,8 +204,7 @@ def inject_unitary(u: np.ndarray, a: float) -> Channel:
     i, j = np.divmod(np.arange(4), 2)
     f0 = FreeKrausForm(c[j, i], 2 * j).matrix(product)
     f1 = FreeKrausForm(d[1 - j, i], 3 - 2 * j).matrix(product)
-    completion = complete_free([f0, f1], product)
-    return Channel(tuple([f0, f1] + completion))
+    return free_channel([f0, f1], product)
 
 
 def fo_certificate_residual(a: float, theta: float) -> float:
@@ -252,6 +251,6 @@ def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
     target_rank = superposition_rank(target, basis)
     if target_rank > source_rank:
         return 0.0
-    if target_rank < source_rank:
+    if target_rank == 1:
         return 1.0
     return float(max_conversion_prob(source, target, basis).value)

@@ -81,10 +81,15 @@ def free_expansion(rho: DensityMatrix, basis: FreeBasis) -> np.ndarray:
     return dagger(w) @ rho.mat @ w
 
 
+def free_support(coeffs: np.ndarray, tol: float = RANK_TOL) -> tuple:
+    """Ascending labels of the free-frame coefficients above tol relative to the largest one."""
+    mags = np.abs(coeffs)
+    return tuple(int(i) for i in np.where(mags > tol * mags.max())[0])
+
+
 def superposition_rank(psi: PureState, basis: FreeBasis, tol: float = RANK_TOL) -> int:
     """Number of free-frame coefficients above tol relative to the largest one."""
-    coeffs = np.abs(basis.to_free_frame(psi.amp))
-    return int(np.sum(coeffs > tol * coeffs.max()))
+    return len(free_support(basis.to_free_frame(psi.amp), tol))
 
 
 def is_free(rho: DensityMatrix, basis: FreeBasis, tol: float = RANK_TOL) -> bool:

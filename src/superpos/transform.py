@@ -1,9 +1,10 @@
 """Pure-state conversion: transformer enumeration and optimal probabilities.
 
-Two pure states of equal superposition rank r admit exactly r! free operators
-mapping source to target exactly (one per bijection between the support
-sets); the best conversion probability is the optimum of the small LMI
-"maximize sum p_n s.t. sum p_n F_n'F_n <= 1" over those operators.
+Between equal-rank pure states, the r! free operators that map source to
+target exactly and vanish off the source support (one per bijection between
+the support sets) are enumerated; the conversion probability is the optimum
+of the small LMI "maximize sum p_n s.t. sum p_n F_n'F_n <= 1" over them: the
+free optimum at full support r = d, a certified lower bound at r < d.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from .basis import FreeBasis, symmetric_basis_d3
 from .errors import RankMismatch, SupportTooLarge
 from .kraus import FreeKrausForm, complete_free
 from .sdp import LmiProblem, SdpSolution, solve_lmi
-from .states import RANK_TOL, PureState
+from .states import PureState, free_support
 
 MAX_SUPPORT = 5  # r! operators; 5! = 120 is the desk-scale cap
 
 
 @dataclass(frozen=True)
 class TransformerSet:
-    """All r! free operators sending `source` to `target` exactly."""
+    """The r! free operators sending `source` to `target` exactly and vanishing off its support."""
 
     source: PureState
     target: PureState
@@ -33,13 +34,8 @@ class TransformerSet:
     operators: tuple
 
 
-def _support(coeffs: np.ndarray) -> tuple:
-    mags = np.abs(coeffs)
-    return tuple(int(i) for i in np.where(mags > RANK_TOL * mags.max())[0])
-
-
 def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> TransformerSet:
-    """Enumerate the r! exact free transformers between equal-rank pure states.
+    """Enumerate the r! exact free transformers that vanish off the source support.
 
     Support sets are ordered ascending and target orderings run in
     lexicographic order, so operator identities are reproducible.
@@ -47,8 +43,8 @@ def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> 
     """
     src = basis.to_free_frame(psi.amp)
     dst = basis.to_free_frame(phi.amp)
-    support_r = _support(src)
-    support_s = _support(dst)
+    support_r = free_support(src)
+    support_s = free_support(dst)
     if len(support_r) != len(support_s):
         raise RankMismatch(f"superposition ranks differ: {len(support_r)} vs {len(support_s)}")
     if len(support_r) > MAX_SUPPORT:
@@ -68,7 +64,8 @@ def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> 
 
 def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
                         gap_tol: float = 1e-7) -> SdpSolution:
-    """Optimal free conversion probability between equal-rank pure states.
+    """Conversion probability over ``enumerate_transformers``: the free optimum
+    at full support, a certified lower bound on it at support r < d.
 
     Returns the LMI solution with ``value`` clamped to [0, 1]; when the value
     reaches 1 within solver resolution a free completion of the optimal
@@ -84,25 +81,6 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
         scaled = [np.sqrt(max(pn, 0.0)) * f for pn, f in zip(sol.p, ts.operators)]
         completion = tuple(complete_free(scaled, basis))
     return replace(sol, value=value, completion=completion)
-
-
-def qubit_tp_residuals(type1, type2, type3, type4, overlap: float):
-    """Trace-preservation residuals of a grouped qubit free-Kraus coefficient set.
-
-    Each group is a sequence of coefficient pairs c, one per operator of that
-    type, whose index functions f are (0, 0), (0, 1), (1, 1) and (1, 0). With
-    G = [[1, overlap], [overlap, 1]] the Gram matrix, the free-frame defect is
-    D = V'(sum K'K - 1)V = sum_K conj(c) c^T o G[f, f] - G, and (r1, r2, r3) =
-    (D_11, D_22, D_12) are the two real power defects and the complex cross
-    defect; all three vanish exactly when a trace-preserving free channel with
-    these coefficients exists.
-    """
-    g = np.array([[1.0, overlap], [overlap, 1.0]])
-    defect = -g.astype(complex)
-    for group, f in zip((type1, type2, type3, type4), ((0, 0), (0, 1), (1, 1), (1, 0))):
-        c = np.asarray(group, dtype=complex).reshape(-1, 2)
-        defect += (c.conj().T @ c) * g[np.ix_(f, f)]
-    return float(defect[0, 0].real), float(defect[1, 1].real), complex(defect[0, 1])
 
 
 def candidate_states_d3() -> list[PureState]:

@@ -3,7 +3,6 @@ import pytest
 
 from superpos.basis import (
     filter_probability,
-    gram,
     new_free_basis,
     orthonormal_basis,
     symmetric_basis_d3,
@@ -40,11 +39,11 @@ def test_symmetric_d3_reciprocal_vectors():
 
 
 def test_gram_examples():
-    assert np.allclose(gram(orthonormal_basis(3)), np.eye(3), atol=1e-12)
-    g3 = gram(symmetric_basis_d3())
+    assert np.allclose(orthonormal_basis(3).gram, np.eye(3), atol=1e-12)
+    g3 = symmetric_basis_d3().gram
     assert np.allclose(g3, 0.5 * (np.eye(3) + np.ones((3, 3))), atol=1e-12)
     st = np.sin(np.pi / 3)
-    g2 = gram(triangular_qubit_basis(np.pi / 3))
+    g2 = triangular_qubit_basis(np.pi / 3).gram
     assert np.allclose(g2, [[1, st], [st, 1]], atol=1e-12)
 
 

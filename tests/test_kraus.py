@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superpos.basis import orthonormal_basis, symmetric_basis_d3, tensor_basis
-from superpos.errors import NotFree, NotSubnormalized, NotTracePreserving
+from superpos.errors import DimensionMismatch, NotFree, NotSubnormalized, NotTracePreserving
 from superpos.kraus import (
     Channel,
     FreeKrausForm,
@@ -168,6 +168,11 @@ def test_complete_free_rejects_oversized_sets():
         complete_free([np.sqrt(1.5) * np.eye(2, dtype=complex)], b)
 
 
+def test_complete_free_rejects_empty_set():
+    with pytest.raises(DimensionMismatch, match="at least one Kraus operator"):
+        complete_free([], qubit_free_basis(0.2))
+
+
 def test_freeness_closure_on_free_states():
     rng = make_rng(406)
     for _ in range(300):
@@ -203,6 +208,11 @@ def test_is_mfo_examples():
     plus = np.array([1, 1]) / np.sqrt(2)
     replace = Channel((np.outer(plus, [1, 0]), np.outer(plus, [0, 1])))
     assert not is_mfo(replace, b)
+
+
+def test_is_mfo_rejects_trace_decreasing_channel():
+    with pytest.raises(NotTracePreserving):
+        is_mfo(Channel((0.5 * np.eye(2, dtype=complex),)), qubit_free_basis(0.5))
 
 
 def test_reduce_ancilla_identity():

@@ -23,7 +23,7 @@ from superpos.qubit import (
     state_from_bloch,
 )
 from superpos.sampling import haar_unitary, make_rng, random_density
-from superpos.states import DensityMatrix, is_free, superposition_rank
+from superpos.states import DensityMatrix, PureState, is_free, superposition_rank
 
 
 def phi_choi_eigenvalues(a: float, theta: float, phi: float) -> np.ndarray:
@@ -383,6 +383,19 @@ def test_heatmap_cells():
         ts = enumerate_transformers(source, qubit_state(x, z), basis)
         traces = [np.trace(dagger(f) @ f).real for f in ts.operators]
         assert np.allclose(traces, 6 - 4 * np.cos(z) * np.sin(x), atol=1e-9)
+
+
+def test_heatmap_free_source_reaches_every_free_target():
+    # a rank-one target is free: the replacement channel reaches it from any
+    # source, a free one included (the support-1 LMI alone gives 1 - a^2)
+    for a in (0.2, 0.5, 0.8):
+        basis = qubit_free_basis(a)
+        theta = np.arccos(np.sqrt(1 - a * a))
+        for k in range(2):
+            source = PureState(basis.state(k))
+            for target_angles in ((theta, 0.0), (np.pi - theta, 0.0)):
+                assert superposition_rank(qubit_state(*target_angles), basis) == 1
+                assert heatmap_cell(basis, source, 1, target_angles) == 1.0
 
 
 @pytest.mark.parametrize("error", [NoConvergence("duality gap above tolerance"),
