@@ -11,7 +11,7 @@ the library goes through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,9 +49,13 @@ class FreeKrausForm:
 
 @dataclass(frozen=True)
 class Channel:
-    """Kraus-operator collection, trace non-increasing by construction."""
+    """Kraus-operator collection, trace non-increasing by construction.
+
+    ``defect`` = 1 - sum K'K is summed once, at construction.
+    """
 
     kraus: tuple
+    defect: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(as_complex_matrix(k, "Kraus operator") for k in self.kraus)
@@ -61,22 +65,17 @@ class Channel:
         if any(k.shape != shape for k in ops):
             raise DimensionMismatch("Kraus operators must share one shape")
         object.__setattr__(self, "kraus", ops)
-        wmin = float(np.linalg.eigvalsh(hermitian_part(self.defect))[0])
+        defect = np.eye(shape[1], dtype=complex)
+        for k in ops:
+            defect -= dagger(k) @ k
+        object.__setattr__(self, "defect", defect)
+        wmin = float(np.linalg.eigvalsh(hermitian_part(defect))[0])
         if wmin < -TP_TOL:
             raise NotSubnormalized(f"sum K'K exceeds identity by {-wmin:.3e}")
 
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
-
-    @property
-    def defect(self) -> np.ndarray:
-        """1 - sum K'K; zero for a trace-preserving channel."""
-        d = self.kraus[0].shape[1]
-        acc = np.eye(d, dtype=complex)
-        for k in self.kraus:
-            acc -= dagger(k) @ k
-        return acc
 
     @property
     def is_trace_preserving(self) -> bool:

@@ -223,8 +223,9 @@ def conversion_heatmap(a: float, initial: tuple[float, float], grid_n: int) -> n
 
     Rank-one (free) targets are always reachable with probability 1: map both
     reciprocal rows onto the target free state and complete. Higher-rank
-    targets than the source get probability 0. A cell whose solve does not
-    converge raises ``NoConvergence``. Returns rows (theta, phi, p).
+    targets than the source get probability 0. Every other cell is a
+    support-2 conversion that ``heatmap_cell`` answers in closed form, with no
+    solver run. Returns rows (theta, phi, p).
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be at least 8, got {grid_n}")
@@ -244,8 +245,9 @@ def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
                  target_angles: tuple[float, float]) -> float:
     """Conversion probability for one heatmap target.
 
-    Each solve runs at ``max_conversion_prob``'s default gap tolerance; a solve
-    that cannot certify it raises ``NoConvergence``.
+    Equal-rank targets take ``max_conversion_prob``'s closed form for support
+    2, no solver run; its dual certifies the value within the default gap
+    tolerance (``NoConvergence`` otherwise).
     """
     target = qubit_state(*target_angles)
     target_rank = superposition_rank(target, basis)

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from superpos.basis import orthonormal_basis, symmetric_basis_d3
-from superpos.errors import RankMismatch
-from superpos.kraus import is_free_kraus
+from superpos.errors import NoConvergence, RankMismatch
+from superpos.kraus import Channel, apply_channel, is_free_kraus
 from superpos.linalg import dagger
-from superpos.qubit import free_qubit_kraus, qubit_free_basis
+from superpos.qubit import PAULI, free_qubit_kraus, qubit_free_basis, qubit_state
 from superpos.sampling import haar_state, make_rng, random_basis
-from superpos.states import PureState, superposition_rank
+from superpos.sdp import DEFAULT_GAP_TOL, LmiProblem, solve_lmi, verify_dual
+from superpos.states import DensityMatrix, PureState, superposition_rank
 from superpos.transform import (
+    _closed_form,
+    _qubit_optimum,
     candidate_states_d3,
     enumerate_transformers,
     max_conversion_prob,
@@ -125,6 +128,97 @@ def test_relabeling_symmetry():
         v1 = max_conversion_prob(psi, phi, b).value
         v2 = max_conversion_prob(psi, phi, b2).value
         assert abs(v1 - v2) <= 1e-7
+
+
+def assert_certified_optimum(sol, problem):
+    """The closed form against the barrier on the same LMI: a feasible p >= 0,
+    a dual that verify_dual accepts, a gap at rounding level and a value at
+    or above the barrier's by at most its gap tolerance."""
+    feasible, bound = verify_dual(sol.dual_matrix, problem)
+    assert feasible and abs(bound - sol.dual) <= 1e-12
+    assert abs(sol.gap) <= 1e-12 and abs(sol.dual - sol.primal - sol.gap) <= 1e-15
+    assert np.min(sol.p) >= 0.0 and abs(np.sum(sol.p) - sol.primal) <= 1e-15
+    slack = np.eye(problem.dim) - sum(pn * a for pn, a in zip(sol.p, problem.operators))
+    assert np.linalg.eigvalsh(slack)[0] >= -1e-12
+    barrier = solve_lmi(problem)
+    assert 0.0 <= sol.primal - barrier.primal <= DEFAULT_GAP_TOL
+
+
+def test_closed_form_matches_barrier_on_random_supports():
+    rng = make_rng(708)
+    for d in range(2, 9):
+        b = random_basis(d, rng)
+        for r in (1, 2):
+            for _ in range(3):
+                states = []
+                for _ in range(2):
+                    coeffs = np.zeros(d, dtype=complex)
+                    support = rng.choice(d, r, replace=False)
+                    coeffs[support] = rng.normal(size=r) + 1j * rng.normal(size=r)
+                    states.append(PureState.normalized(b.vectors @ coeffs))
+                sol = max_conversion_prob(*states, b)
+                ts = enumerate_transformers(*states, b)
+                assert len(sol.p) == len(ts.operators) == r
+                assert_certified_optimum(sol, LmiProblem.from_matrices(
+                    [dagger(f) @ f for f in ts.operators]))
+
+
+def bloch_operator(a, b):
+    """The square root of a*1 + b.sigma (a > |b|), an operator F with F'F = a*1 + b.sigma."""
+    w, v = np.linalg.eigh(a * PAULI[0] + sum(bk * pk for bk, pk in zip(b, PAULI[1:])))
+    return (v * np.sqrt(w)) @ dagger(v)
+
+
+@pytest.mark.parametrize("pair, alpha", [
+    # |da| < |db| with h > 0: the stationary point
+    pytest.param(((1.0, (0.3, 0.0, 0.5)), (1.1, (0.3, 0.0, -0.4))), None, id="interior"),
+    # |da| < |db| with the stationary point at -0.125, clipped to 0
+    pytest.param(((1.0, (0.2, 0.0, 0.9)), (1.0, (0.2, 0.0, 0.1))), 0.0, id="clipped"),
+    # |da| >= |db|: the top eigenvalue grows with alpha, or falls with it
+    pytest.param(((2.0, (0.1, 0.0, 0.0)), (1.0, (0.0, 0.0, 0.1))), 0.0, id="end-0"),
+    pytest.param(((1.0, (0.0, 0.0, 0.1)), (2.0, (0.1, 0.0, 0.0))), 1.0, id="end-1"),
+    # equal Bloch parts: L = 0, decided by da alone
+    pytest.param(((1.5, (0.1, -0.2, 0.3)), (1.0, (0.1, -0.2, 0.3))), 0.0, id="db-zero"),
+    pytest.param(((1.0, (0.1, -0.2, 0.3)), (1.0, (0.1, -0.2, 0.3))), 1.0, id="db-zero-da-zero"),
+    # collinear Bloch parts: the optimum is the kink b(alpha) = 0, where the
+    # top eigenvalue is double and the dual is fixed by the pairings alone
+    pytest.param(((1.1, (0.0, 0.0, 0.5)), (1.0, (0.0, 0.0, -0.5))), 0.5, id="h-zero"),
+    pytest.param(((1.0, (0.0, 0.0, 0.5)), (1.0, (0.0, 0.0, -0.5))), 0.5, id="h-zero-da-zero"),
+])
+def test_closed_form_branches(pair, alpha):
+    ops = [bloch_operator(a, np.array(b)) for a, b in pair]
+    a, b = np.array([pair[0][0], pair[1][0]]), np.array([pair[0][1], pair[1][1]])
+    got, _ = _qubit_optimum(a, b)
+    if alpha is None:
+        assert 0.0 < got < 1.0
+    else:
+        assert abs(got - alpha) <= 1e-15
+    sol = _closed_form(ops, np.eye(2, dtype=complex))
+    assert_certified_optimum(sol, LmiProblem.from_matrices([dagger(f) @ f for f in ops]))
+
+
+def test_closed_form_keeps_the_gap_contract():
+    # a certified gap is never below zero by more than rounding, so a negative
+    # tolerance cannot be met: the closed form raises as the barrier does
+    b = qubit_free_basis(0.5)
+    with pytest.raises(NoConvergence):
+        max_conversion_prob(qubit_state(np.pi / 2, 0.0), qubit_state(1.1, 2.0), b, gap_tol=-1e-3)
+
+
+def test_support_two_source_to_source_is_deterministic():
+    # the identity is one of the two transformers, so the value reaches 1 and
+    # the optimal operators get a free trace-preserving completion
+    basis = qubit_free_basis(0.5)
+    psi = qubit_state(np.pi / 2, 0.0)
+    sol = max_conversion_prob(psi, psi, basis)
+    assert abs(sol.value - 1.0) <= 1e-12 and abs(sol.gap) <= 1e-12
+    ts = enumerate_transformers(psi, psi, basis)
+    scaled = [np.sqrt(pn) * f for pn, f in zip(sol.p, ts.operators)]
+    channel = Channel(tuple(scaled) + sol.completion)
+    assert channel.is_trace_preserving
+    assert all(is_free_kraus(k, basis) is not None for k in sol.completion)
+    pure = np.outer(psi.amp, psi.amp.conj())
+    assert np.abs(apply_channel(channel, DensityMatrix(pure)).mat - pure).max() <= 1e-10
 
 
 @pytest.mark.xfail(strict=True, reason="at support r < d max_conversion_prob optimizes only "
