@@ -7,7 +7,8 @@ of the small LMI "maximize sum p_n s.t. sum p_n F_n'F_n <= 1" over them: the
 free optimum at full support r = d, a certified lower bound at r < d.
 Support r <= 2 (one or two operators, acting on the r-dimensional span of
 the source's reciprocal vectors) is solved in closed form with its dual
-certificate; support r >= 3 goes to the interior-point ``solve_lmi``.
+certificate; support r >= 3 goes to the primal-dual interior-point
+``solve_lmi``, which certifies its optimum with the dual iterate.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     at full support, a certified lower bound on it at support r < d.
 
     Support r <= 2 is answered in closed form with its dual, support r >= 3
-    by ``solve_lmi``; either way the certified gap is at most ``gap_tol``
+    by the primal-dual ``solve_lmi`` (up to 120 operators at r = 5); either
+    way the certified gap is at most ``gap_tol``
     (``NoConvergence`` otherwise). Returns the solution with
     ``value`` clamped to [0, 1]; when the value reaches 1 within solver
     resolution a free completion of the optimal operators is attached, making

@@ -254,9 +254,9 @@ def test_tol_only_where_it_is_used(argv, d3_files, capsys):
 # 9 significant digits, on the d3_files fixtures.
 GOLDEN = {
     ("convert", "prob", "--from", "candidate", "--to", "target"):
-        '{"deterministic": false, "dual": 0.571428571, "gap": 9.99898309e-08, "p": [0.0952380786, '
-        '0.0952380786, 0.0952380786, 0.0952380786, 0.0952380786, 0.0952380786], "primal": 0.571428471, '
-        '"value": 0.571428471}\n',
+        '{"deterministic": false, "dual": 0.571428583, "gap": 1.35415302e-08, "p": [0.0952380948, '
+        '0.0952380949, 0.0952380948, 0.0952380948, 0.0952380949, 0.0952380949], "primal": 0.571428569, '
+        '"value": 0.571428569}\n',
     ("measure", "robustness", "--state", "free_state"):
         '{"certificate": {"s": 0.0}, "convention": "nat", "upper_bound": false, "value": 0.0}\n',
     ("measure", "robustness", "--state", "candidate"):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from superpos import sdp
 from superpos.basis import symmetric_basis_d3
-from superpos.errors import BadData, NonHermitian
+from superpos.errors import BadData, NoConvergence, NonHermitian
 from superpos.linalg import dagger, hermitian_part
 from superpos.measures import robustness
 from superpos.kraus import free_channel, measure_selective
@@ -14,7 +15,16 @@ from superpos.sampling import (
     random_free_state,
     random_subnormalized_free_ops,
 )
-from superpos.sdp import LmiProblem, _center, _polish_dual, solve_cover, solve_lmi, verify_dual
+from superpos.sdp import (
+    DEFAULT_GAP_TOL,
+    LmiProblem,
+    _center,
+    _polish_dual,
+    _purify_dual,
+    solve_cover,
+    solve_lmi,
+    verify_dual,
+)
 from superpos.states import PureState, free_expansion
 from superpos.transform import candidate_states_d3, enumerate_transformers, max_conversion_prob
 
@@ -341,3 +351,84 @@ def test_conversion_certificate_at_transformer_sizes(support):
         assert feasible
         assert bound >= sol.primal - 1e-9
         assert 0.0 <= sol.gap <= gap_tol, sol.gap
+
+
+def barrier_lmi(problem):
+    """The log-det barrier on the solve_lmi shape, as an oracle: centre with
+    ``_center`` at mu = 1, 0.1, ... and bound the optimum by the purified
+    central-path and polished duals. Returns the last (feasible) primal value and
+    the smallest certified dual bound; they may stay apart where ``_center`` stalls."""
+    ops = np.array(problem.operators)
+    n, k = len(ops), problem.dim
+    m0, mats, cost = np.eye(k, dtype=complex), -ops, -np.ones(n)
+    x = np.full(n, 0.5 / (sum(np.linalg.norm(a, 2) for a in ops) + 1.0))
+    sinv = np.linalg.inv(m0 + np.tensordot(x, mats, 1))
+    primal, dual = 0.0, np.inf
+    for mu in 0.1 ** np.arange(40):
+        x, sinv = _center(cost, m0, mats, x, mu, sinv)
+        primal = float(np.sum(x))
+        for raw in (mu * sinv, _polish_dual(ops, x, m0 + np.tensordot(x, mats, 1))):
+            y = None if raw is None else _purify_dual(raw, ops, -1)
+            if y is not None:
+                dual = min(dual, float(np.trace(y).real))
+        if dual - primal <= DEFAULT_GAP_TOL:
+            break
+    return primal, dual
+
+
+def assert_lmi_certified(sol, problem):
+    """A p >= 0 inside the LMI, a dual verify_dual accepts (its pairings at least
+    one up to rounding, not only to verify_dual's 1e-9) and a gap within DEFAULT_GAP_TOL."""
+    feasible, bound = verify_dual(sol.dual_matrix, problem)
+    assert feasible and abs(bound - sol.dual) <= 1e-12
+    assert np.einsum("ij,nji->n", sol.dual_matrix, np.array(problem.operators)).real.min() >= 1 - 1e-12
+    assert 0.0 <= sol.gap <= DEFAULT_GAP_TOL and abs(sol.dual - sol.primal - sol.gap) <= 1e-15
+    assert np.min(sol.p) >= 0.0 and abs(np.sum(sol.p) - sol.primal) <= 1e-15
+    slack = np.eye(problem.dim) - np.tensordot(sol.p, np.array(problem.operators), 1)
+    assert np.linalg.eigvalsh(slack)[0] >= -1e-12
+
+
+def conversion_problem(support, rng):
+    """The conversion LMI between two Haar states on a random basis of full support."""
+    b = random_basis(support, rng)
+    psi, phi = haar_state(support, rng), haar_state(support, rng)
+    ts = enumerate_transformers(psi, phi, b)
+    return LmiProblem.from_matrices([dagger(f) @ f for f in ts.operators])
+
+
+@pytest.mark.parametrize("support, draws", [(3, 8), (4, 6), (5, 3)])
+def test_lmi_agrees_with_barrier(support, draws):
+    # each solver's feasible value sits below the other's certified bound, and
+    # where the barrier certifies too the two values agree within gap_tol
+    rng = make_rng(520 + support)
+    for _ in range(draws):
+        problem = conversion_problem(support, rng)
+        sol = solve_lmi(problem)
+        assert_lmi_certified(sol, problem)
+        primal, dual = barrier_lmi(problem)
+        assert primal <= sol.dual + 1e-12 and sol.primal <= dual + 1e-12, (primal, dual, sol)
+        if dual - primal <= DEFAULT_GAP_TOL:
+            assert abs(sol.primal - primal) <= DEFAULT_GAP_TOL
+
+
+@pytest.mark.parametrize("seed", [1501, 77])
+def test_lmi_certifies_support_five_conversions(seed, monkeypatch):
+    # the barrier raised NoConvergence on draws 4 and 14 of seed 1501 and on
+    # draws 5, 6 and 8 of seed 77, where _center stalls once mu <= 1e-4; each
+    # primal-dual iteration sizes two steps (predictor and corrector), and these
+    # solves take 10-16 iterations (some over 20 without the corrector's dY dZ term)
+    steps = []
+    step_lengths = sdp._step_lengths
+    monkeypatch.setattr(sdp, "_step_lengths", lambda *args: steps.append(1) or step_lengths(*args))
+    rng = make_rng(seed)
+    for _ in range(15):
+        problem = conversion_problem(5, rng)
+        steps.clear()
+        assert_lmi_certified(solve_lmi(problem), problem)
+        assert len(steps) <= 2 * 20, len(steps) // 2
+
+
+def test_lmi_negative_tolerance_raises():
+    # a certified gap is never below zero by more than rounding
+    with pytest.raises(NoConvergence):
+        solve_lmi(LmiProblem.from_matrices([np.eye(3)]), gap_tol=-1e-3)
