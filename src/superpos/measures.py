@@ -71,52 +71,89 @@ def _free_sigma(basis: FreeBasis, q: np.ndarray) -> np.ndarray:
 def _rel_ent_terms(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> tuple[float, np.ndarray]:
     """-tr[rho ln sigma(q)] and its gradient in q, from one eigh of sigma(q).
 
-    The gradient is the adjoint Frechet derivative of ln applied to rho. Rows
-    and columns outside sigma's support (the rule of ``_cross_entropy_eig``)
-    hold only rounding noise of rho there, which 1/w would blow up; they are
-    zeroed, which leaves the one-sided derivative on a face of the simplex.
+    The gradient is the adjoint Frechet derivative of ln applied to rho:
+    -grad_i = a_i'(L o rho~)a_i, with rho~ = U'rho U in sigma's eigenbasis U,
+    L the Loewner matrix of ln at sigma's eigenvalues and a_i = U'c_i. Rows and
+    columns outside sigma's support (the rule of ``_cross_entropy_eig``) hold
+    only rounding noise of rho there, which 1/w would blow up; they are zeroed,
+    which leaves the one-sided derivative on a face of the simplex.
     """
     w, u = np.linalg.eigh(_free_sigma(basis, q))
-    rho_eig = u.conj().T @ rho_mat @ u
+    uh = u.conj().T
+    rho_eig = uh @ rho_mat @ u
     value = _cross_entropy_eig(w, rho_eig)
-    outside = w <= 1e-15
-    rho_eig[outside, :] = 0.0
-    rho_eig[:, outside] = 0.0
-    w = np.clip(w, 1e-300, None)
+    if w[0] <= 1e-15:   # eigh sorts w ascending
+        outside = w <= 1e-15
+        rho_eig[outside, :] = 0.0
+        rho_eig[:, outside] = 0.0
+        w = np.clip(w, 1e-300, None)
     logs = np.log(w)
     diff = w[:, None] - w[None, :]
-    ratio = np.where(np.abs(diff) > 1e-14, (logs[:, None] - logs[None, :]) / np.where(diff == 0, 1, diff),
-                     1.0 / w[:, None])
-    t = u @ (ratio * rho_eig) @ u.conj().T
-    c = basis.vectors
-    return value, -np.einsum("ij,jk,ki->i", c.conj().T, t, c).real
+    loewner = np.repeat(1.0 / w[:, None], len(w), axis=1)
+    np.divide(logs[:, None] - logs[None, :], diff, out=loewner, where=np.abs(diff) > 1e-14)
+    a = uh @ basis.vectors
+    return value, -(a.conj() * ((loewner * rho_eig) @ a)).sum(axis=0).real
+
+
+def _extrapolate(q0: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray | None:
+    """SQUAREM's point q0 - 2 alpha r + alpha^2 v from two updates q1 = F(q0), q2 = F(q1).
+
+    r = q1 - q0, v = q2 - 2 q1 + q0 and alpha = -max(|r|/|v|, 1) (Varadhan &
+    Roland, Scand. J. Stat. 35, 2008, scheme S3). While some weight of the
+    point is not positive, alpha moves halfway to -1, where the point is q2:
+    a weight set to 0 would stay 0 under every later update. None when no
+    alpha < -1 keeps every weight positive.
+    """
+    r, v = q1 - q0, q2 - 2.0 * q1 + q0
+    v_norm = np.linalg.norm(v)
+    alpha = -max(np.linalg.norm(r) / v_norm, 1.0) if v_norm > 0 else -1.0
+    while alpha < -1.0:
+        q = q0 - 2.0 * alpha * r + alpha * alpha * v
+        if (q > 0).all():
+            return q / q.sum()
+        alpha = 0.5 * (alpha - 1.0)
+    return None
 
 
 def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9) -> MeasureReport:
-    """Minimum relative entropy to the free set, by a multiplicative update on the simplex.
+    """Minimum relative entropy to the free set, by an extrapolated multiplicative update.
 
-    Each step sets q_i <- q_i * c_i'Tc_i, where -grad_i = c_i'Tc_i >= 0 (T the
+    The update F sets q_i <- q_i * c_i'Tc_i, where -grad_i = c_i'Tc_i >= 0 (T the
     Schur product of ln's Loewner matrix with rho in sigma's eigenbasis, see
     ``_rel_ent_terms``) and sum_i q_i c_i'Tc_i = tr rho = 1, so q stays on the
-    simplex. The loop stops when the Frank-Wolfe gap grad.q - min grad, which
-    bounds value - minimum and is reported as ``extra["fw_gap"]``, is at most
-    tol, and raises ``NoConvergence`` otherwise. A free rho starts at its free
-    weights, the optimum; any other rho starts at the uniform mixture.
+    simplex; it is the EM fixed point of Cover (IEEE Trans. IT 30, 1984). Each
+    cycle takes two updates from q0 and extrapolates them by SQUAREM
+    (``_extrapolate``); the extrapolated point is kept when its cross entropy is
+    at most that of the second update, which is kept otherwise, and the next
+    cycle starts from the point kept. Every evaluated point is tested: the loop
+    stops at the first whose Frank-Wolfe gap grad.q - min grad, which bounds
+    value - minimum and is reported as ``extra["fw_gap"]``, is at most tol, and
+    raises ``NoConvergence`` after ``_MAX_FW_ITER`` updates. A free rho starts at its
+    free weights, the optimum; any other rho starts at the uniform mixture.
     """
     if is_free(rho, basis):
         q = np.clip(np.diag(free_expansion(rho, basis)).real, 0.0, None)
         q /= q.sum()
     else:
         q = np.full(basis.d, 1.0 / basis.d)
-    for _ in range(_MAX_FW_ITER):
-        cross, grad = _rel_ent_terms(rho.mat, basis, q)
-        fw_gap = float(grad @ q - grad.min())
-        if fw_gap <= tol:
-            break
+    cross, grad = _rel_ent_terms(rho.mat, basis, q)
+    cycle, updates = [q], 0
+    while (fw_gap := float(grad @ q - grad.min())) > tol:
+        if len(cycle) == 3:
+            q_ext = _extrapolate(*cycle)
+            if q_ext is not None:
+                cross_ext, grad_ext = _rel_ent_terms(rho.mat, basis, q_ext)
+                if cross_ext <= cross or grad_ext @ q_ext - grad_ext.min() <= tol:
+                    q, cross, grad = q_ext, cross_ext, grad_ext
+            cycle = [q]
+            continue
+        if updates == _MAX_FW_ITER:
+            raise NoConvergence(f"Frank-Wolfe gap {fw_gap:.3e} above {tol:.1e} after {_MAX_FW_ITER} updates")
         q = q * -grad
         q /= q.sum()
-    else:
-        raise NoConvergence(f"Frank-Wolfe gap {fw_gap:.3e} above {tol:.1e} after {_MAX_FW_ITER} updates")
+        updates += 1
+        cross, grad = _rel_ent_terms(rho.mat, basis, q)
+        cycle.append(q)
     sigma = _free_sigma(basis, q)
     return MeasureReport(value=max(_entropy_terms(rho.mat) + cross, 0.0),
                          certificate=DensityMatrix(sigma / np.trace(sigma).real),

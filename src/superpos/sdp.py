@@ -59,10 +59,14 @@ class LmiProblem:
             raise BadData("constraint matrices must share one square shape")
         stacked = np.array(ops)
         w = np.linalg.eigvalsh(stacked)
-        floor = -_PSD_DATA_TOL * np.maximum(1.0, np.linalg.norm(stacked, axis=(1, 2)))
-        negative = np.flatnonzero(w[:, 0] < floor)
+        floor = _PSD_DATA_TOL * np.maximum(1.0, np.linalg.norm(stacked, axis=(1, 2)))
+        negative = np.flatnonzero(w[:, 0] < -floor)
         if negative.size:
             raise BadData(f"constraint matrix has negative eigenvalue {w[negative[0], 0]:.3e}")
+        # a zero operator leaves its p_n unbounded: sum p_n has no maximum
+        zero = np.flatnonzero(w[:, -1] <= floor)
+        if zero.size:
+            raise BadData(f"constraint matrix {zero[0]} is zero (largest eigenvalue {w[zero[0], -1]:.3e})")
         return LmiProblem(operators=ops, dim=dim, _lambda_max=w[:, -1])
 
 

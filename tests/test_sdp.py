@@ -166,6 +166,13 @@ def test_rejects_non_psd_data():
         LmiProblem.from_matrices([np.diag([1.0, -0.5])])
 
 
+def test_rejects_zero_operator():
+    # p_2 of a zero operator is unbounded; the solve used to chase it until
+    # matmul overflowed
+    with pytest.raises(BadData, match="zero"):
+        solve_lmi(LmiProblem.from_matrices([np.eye(2), np.zeros((2, 2))]))
+
+
 def test_solve_cover_diagonal_case():
     # cover diag(0.7, 0.3) with projectors e_1, e_2: optimum x = (0.7, 0.3)
     rho = np.diag([0.7, 0.3]).astype(complex)
