@@ -8,8 +8,13 @@ outcome distribution is uniform and the post-measurement states carry no
 information; on the uniform superposition input the d post-measurement
 states are linearly independent, so a zero-error discrimination strategy
 wins every conclusive round. The simulator tabulates each input's outcome and
-verdict distributions once per call, then samples each turn by inverse CDF
-from the draws ``Generator.choice`` would make: the RNG stream is unchanged.
+verdict distributions once per call, then plays the turns in blocks with no
+Python code per turn: one to three Generator calls draw a block's randomness,
+and array operations turn it into outcomes, verdicts and wins. On the
+superposed input every turn reads the doubles ``Generator.choice`` would draw,
+so the stream and the counts equal those of a per-turn ``rng.choice`` loop; on
+the free input a block of n turns draws n inputs, then n uniforms, then n
+guesses.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from .errors import LinearlyDependent, LinearlyDependentEnsemble
 from .kraus import Channel, complete_free
 from .sampling import make_rng
 from .states import PureState
+
+# turns per block of simulate: bounds its arrays for any number of turns
+_BLOCK_TURNS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,47 +131,95 @@ def discriminate(states: list[PureState], received: PureState,
     return None if outcome == len(states) else outcome
 
 
+def _outcome_cdfs(spec: GameSpec, amps: np.ndarray) -> np.ndarray:
+    """Row k: the outcome CDF of input column k of ``amps``, over informative
+    outcomes 0..d-1 and then the restart operators."""
+    ops = np.stack(spec.informative + spec.restart)
+    probs = (np.abs(ops @ amps) ** 2).sum(axis=1).T
+    return np.array([_cdf(row) for row in probs])
+
+
+def _count_bisect(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise ``bisect_right(table[k], u[k])``: entries of a sorted row <= u."""
+    return np.count_nonzero(table <= u[:, None], axis=1)
+
+
+def _play_free(cdfs: np.ndarray, rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """Conclusive turns and wins of n free-input turns."""
+    d = len(cdfs)
+    inputs = rng.integers(d, size=n)
+    outcome = _count_bisect(cdfs[inputs], rng.random(n))
+    informative = outcome < d  # Bob must guess; restart asks nothing
+    wins = informative & (rng.integers(d, size=n) == outcome)
+    return int(np.count_nonzero(informative)), int(np.count_nonzero(wins))
+
+
+def _play_superposed(cdf: np.ndarray, verdicts: np.ndarray, u: np.ndarray,
+                     n: int) -> tuple[int, int, int]:
+    """Conclusive turns, wins and draws consumed by n superposed turns read
+    from ``u``, which begins at a turn and holds at least 2n draws.
+
+    A turn reads one draw, and one more (its verdict) after an informative
+    outcome. Position i starts a turn iff the run of draws before it that
+    would be informative as turn starts has even length: the position after
+    a non-informative draw always starts a turn, and from there informative
+    starts and their verdicts alternate.
+    """
+    d = len(verdicts)
+    outcome = np.searchsorted(cdf, u, side="right")
+    informative = outcome < d
+    pos = np.arange(len(u))
+    last_plain = np.maximum.accumulate(np.where(informative, -1, pos))
+    run = pos - 1 - np.concatenate(([-1], last_plain[:-1]))
+    starts = np.flatnonzero(run % 2 == 0)[:n]
+    asked = starts[informative[starts]]
+    verdict = _count_bisect(verdicts[outcome[asked]], u[asked + 1])
+    conclusive = verdict < d  # index d is the inconclusive outcome
+    wins = conclusive & (verdict == outcome[asked])
+    used = int(starts[-1]) + 1 + int(informative[starts[-1]])
+    return int(np.count_nonzero(conclusive)), int(np.count_nonzero(wins)), used
+
+
 def simulate(spec: GameSpec, input_kind: str, turns: int, rng_seed: int) -> GameStats:
     """Play the game for a number of turns.
 
     ``superposed``: Bob hands in the uniform superposition each turn and
     answers only on conclusive discrimination of the post-measurement state.
+    Each turn consumes the one or two doubles a per-turn ``rng.choice`` of
+    the outcome and then of the verdict would draw, so the counts equal that
+    loop's for every seed.
     ``free``: Bob hands in a uniformly random pure free state and is forced
-    to guess the outcome whenever the turn is informative.
+    to guess the outcome whenever the turn is informative. Each block of n
+    turns draws ``rng.integers(d, size=n)`` inputs, ``rng.random(n)``
+    uniforms and ``rng.integers(d, size=n)`` guesses, in that order.
 
-    Raises ``LinearlyDependentEnsemble`` before the first turn when the
-    superposed input's post-measurement states are linearly dependent.
+    Turns run in blocks of ``_BLOCK_TURNS``, which bounds memory for any
+    number of turns. Raises ``LinearlyDependentEnsemble`` before the first
+    turn when the superposed input's post-measurement states are linearly
+    dependent.
     """
     if turns < 1:
         raise ValueError(f"turns must be >= 1, got {turns}")
     if input_kind not in ("free", "superposed"):
         raise ValueError(f"input_kind must be 'free' or 'superposed', got {input_kind!r}")
     rng = make_rng(rng_seed)
-    d = spec.basis.d
-    all_ops = spec.informative + spec.restart
-
-    def outcome_cdf(amp: np.ndarray) -> list[float]:
-        return _cdf([np.linalg.norm(k @ amp) ** 2 for k in all_ops])
-
+    blocks = [min(_BLOCK_TURNS, turns - done) for done in range(0, turns, _BLOCK_TURNS)]
     conclusive = wins = 0
     if input_kind == "free":
-        cdfs = [outcome_cdf(spec.basis.state(i)) for i in range(d)]
-        for _ in range(turns):
-            outcome = bisect_right(cdfs[int(rng.integers(d))], rng.random())
-            if outcome < d:  # informative: Bob must guess; restart asks nothing
-                conclusive += 1
-                wins += int(rng.integers(d)) == outcome
+        cdfs = _outcome_cdfs(spec, spec.basis.vectors)  # row i: free state i
+        for n in blocks:
+            c, w = _play_free(cdfs, rng, n)
+            conclusive, wins = conclusive + c, wins + w
     else:
         superposed = uniform_superposition(spec.basis)
         posts = [s for _, s in outcome_states(spec, superposed)]
         povm = _usd_povm(posts)
-        cdf = outcome_cdf(superposed.amp)
-        verdicts = [_verdict_cdf(*povm, s.amp) for s in posts]  # row n: state after outcome n
-        for _ in range(turns):
-            outcome = bisect_right(cdf, rng.random())
-            if outcome < d:
-                verdict = bisect_right(verdicts[outcome], rng.random())
-                if verdict < d:  # conclusive; index d is the inconclusive outcome
-                    conclusive += 1
-                    wins += verdict == outcome
+        cdf = _outcome_cdfs(spec, superposed.amp[:, None])[0]
+        # row n: the verdict CDF of the state after outcome n
+        verdicts = np.array([_verdict_cdf(*povm, s.amp) for s in posts])
+        carry = np.empty(0)  # drawn, not yet read: the next block starts there
+        for n in blocks:
+            u = np.concatenate((carry, rng.random(max(0, 2 * n - len(carry)))))
+            c, w, used = _play_superposed(cdf, verdicts, u, n)
+            conclusive, wins, carry = conclusive + c, wins + w, u[used:]
     return GameStats(turns=turns, conclusive_turns=conclusive, wins=wins, losses=conclusive - wins)

@@ -81,13 +81,16 @@ def _rel_ent_terms(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> tupl
     w, u = np.linalg.eigh(_free_sigma(basis, q))
     uh = u.conj().T
     rho_eig = uh @ rho_mat @ u
-    value = _cross_entropy_eig(w, rho_eig)
-    if w[0] <= 1e-15:   # eigh sorts w ascending
+    if w[0] > 1e-15:   # eigh sorts w ascending: sigma has full support
+        logs = np.log(w)
+        value = float(-np.diag(rho_eig).real @ logs)
+    else:
+        value = _cross_entropy_eig(w, rho_eig)
         outside = w <= 1e-15
         rho_eig[outside, :] = 0.0
         rho_eig[:, outside] = 0.0
         w = np.clip(w, 1e-300, None)
-    logs = np.log(w)
+        logs = np.log(w)
     diff = w[:, None] - w[None, :]
     loewner = np.repeat(1.0 / w[:, None], len(w), axis=1)
     np.divide(logs[:, None] - logs[None, :], diff, out=loewner, where=np.abs(diff) > 1e-14)

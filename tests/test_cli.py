@@ -318,12 +318,23 @@ PINNED = {
      "--seed", "3"):
         '{"conclusive_turns": 50, "losses": 0, "p": 0.5, "turns": 200, "win_rate": 1.0, '
         '"wins": 50}\n',
+    # the free input's stream is the block layout of game.simulate: n inputs,
+    # n uniforms, n guesses
+    ("game", "simulate", "--basis", "basis", "--input", "free", "--turns", "200", "--seed", "3"):
+        '{"conclusive_turns": 108, "losses": 70, "p": 0.5, "turns": 200, '
+        '"win_rate": 0.351851852, "wins": 38}\n',
     ("entangle", "convert", "--basis", "basis", "--state", "candidate"):
         '{"classical_rank": 3, "probability": 1.0, "schmidt_rank": 3}\n',
 }
 
 
-@pytest.mark.parametrize("argv", sorted(PINNED), ids=lambda a: "-".join(a[:2]))
+def _pin_id(argv) -> str:
+    """The leaf's name; the free-input game pin adds its input to tell the two apart."""
+    name = "-".join(argv[:2])
+    return name + "-free" if ("--input", "free") in zip(argv, argv[1:]) else name
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED), ids=_pin_id)
 def test_cli_leaf_output_is_pinned(argv, d3_files, capsys):
     resolved = list(argv[:2]) + [d3_files.get(a, a) for a in argv[2:]]
     assert dispatch(resolved) == 0

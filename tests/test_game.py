@@ -1,8 +1,10 @@
 from bisect import bisect_right
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from superpos import game
 from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.errors import LinearlyDependentEnsemble
 from superpos.game import (
@@ -168,8 +170,8 @@ def _discriminate_per_turn(states, received, rng):
     return None if outcome == len(states) else outcome
 
 
-def _simulate_per_turn(spec, input_kind, turns, rng_seed):
-    """Reference simulator: rng.choice and a fresh USD POVM on every turn."""
+def _simulate_per_turn(spec, turns, rng_seed):
+    """Reference superposed simulator: rng.choice and a fresh USD POVM on every turn."""
     rng = make_rng(rng_seed)
     d = spec.basis.d
     all_ops = list(spec.informative) + list(spec.restart)
@@ -178,52 +180,125 @@ def _simulate_per_turn(spec, input_kind, turns, rng_seed):
 
     conclusive = wins = losses = 0
     for _ in range(turns):
-        if input_kind == "free":
-            state = PureState(spec.basis.state(int(rng.integers(d))))
-        else:
-            state = superposed
-        vecs = [k @ state.amp for k in all_ops]
+        vecs = [k @ superposed.amp for k in all_ops]
         probs = np.array([np.linalg.norm(v) ** 2 for v in vecs])
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum()
         outcome = int(rng.choice(len(all_ops), p=probs))
         if outcome >= d:
             continue  # restart outcome: new turn, no answer
-        if input_kind == "free":
-            conclusive += 1
-            guess = int(rng.integers(d))
-            if guess == outcome:
-                wins += 1
-            else:
-                losses += 1
+        post = PureState.normalized(vecs[outcome])
+        verdict = _discriminate_per_turn(candidates, post, rng)
+        if verdict is None:
+            continue
+        conclusive += 1
+        if verdict == outcome:
+            wins += 1
         else:
-            post = PureState.normalized(vecs[outcome])
-            verdict = _discriminate_per_turn(candidates, post, rng)
-            if verdict is None:
-                continue
-            conclusive += 1
-            if verdict == outcome:
-                wins += 1
-            else:
-                losses += 1
+            losses += 1
     return GameStats(turns=turns, conclusive_turns=conclusive, wins=wins, losses=losses)
+
+
+def _simulate_free_per_turn(spec, turns, rng_seed):
+    """Reference free-input simulator: the announced block layout (n inputs, n
+    uniforms, n guesses), then each turn's outcome probabilities recomputed
+    from the Kraus operators and walked until their running sum passes the
+    uniform."""
+    rng = make_rng(rng_seed)
+    d = spec.basis.d
+    all_ops = list(spec.informative) + list(spec.restart)
+
+    conclusive = wins = 0
+    for done in range(0, turns, game._BLOCK_TURNS):
+        n = min(game._BLOCK_TURNS, turns - done)
+        inputs, uniforms, guesses = rng.integers(d, size=n), rng.random(n), rng.integers(d, size=n)
+        for i, u, guess in zip(inputs, uniforms, guesses):
+            state = spec.basis.state(int(i))
+            probs = [np.linalg.norm(k @ state) ** 2 for k in all_ops]
+            total = sum(probs)
+            outcome, running = len(probs) - 1, 0.0
+            for index, p in enumerate(probs):
+                running += p / total
+                if u < running:
+                    outcome = index
+                    break
+            if outcome < d:  # restart outcomes ask nothing
+                conclusive += 1
+                wins += int(guess == outcome)
+    return GameStats(turns=turns, conclusive_turns=conclusive, wins=wins, losses=conclusive - wins)
 
 
 def test_simulate_matches_per_turn_reference():
     rng = make_rng(904)
-    bases = [symmetric_basis_d3(), orthonormal_basis(3)]
+    bases = [symmetric_basis_d3(), orthonormal_basis(3), orthonormal_basis(2)]
     bases += [random_basis(d, rng) for d in range(2, 9)]
     for b in bases:
         spec = build_game(b)
-        for kind in ("free", "superposed"):
-            for seed in (1, 22, 333):
-                assert simulate(spec, kind, 2000, seed) == _simulate_per_turn(spec, kind, 2000, seed)
+        for seed in (1, 22, 333):
+            for turns in (1, 2, 3, 2000):
+                assert simulate(spec, "superposed", turns, seed) == _simulate_per_turn(spec, turns, seed)
+                assert simulate(spec, "free", turns, seed) == _simulate_free_per_turn(spec, turns, seed)
+
+
+def test_simulate_block_boundaries(monkeypatch):
+    # seven-turn blocks put block ends inside the runs of informative draws
+    # that decide where the superposed turns start
+    monkeypatch.setattr(game, "_BLOCK_TURNS", 7)
+    rng = make_rng(908)
+    for b in (symmetric_basis_d3(), orthonormal_basis(2), random_basis(4, rng), random_basis(6, rng)):
+        spec = build_game(b)
+        for seed in (1, 22, 333):
+            for turns in range(6, 16):
+                assert simulate(spec, "superposed", turns, seed) == _simulate_per_turn(spec, turns, seed)
+                assert simulate(spec, "free", turns, seed) == _simulate_free_per_turn(spec, turns, seed)
+
+
+class _CountingRng:
+    """Generator proxy recording how many values each call returns."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.append(int(np.size(out)))
+            return out
+        return counted
+
+
+def test_simulate_draws_at_most_two_blocks_per_call(monkeypatch):
+    proxies = []
+
+    def counting_rng(seed):
+        proxies.append(_CountingRng(make_rng(seed)))
+        return proxies[-1]
+
+    monkeypatch.setattr(game, "make_rng", counting_rng)
+    spec = build_game(symmetric_basis_d3())
+    turns = 2 * game._BLOCK_TURNS + 5
+    for kind, calls_per_block in (("superposed", 1), ("free", 3)):
+        stats = simulate(spec, kind, turns, 7)
+        assert stats.turns == turns
+        draws = proxies[-1].draws
+        assert len(draws) == 3 * calls_per_block
+        assert max(draws) <= 2 * game._BLOCK_TURNS
+
+
+def test_simulate_counts_are_python_ints():
+    spec = build_game(symmetric_basis_d3())
+    for kind in ("free", "superposed"):
+        stats = simulate(spec, kind, 300, 8)
+        assert all(type(getattr(stats, f.name)) is int for f in fields(stats))
 
 
 def test_inverse_cdf_matches_generator_choice():
-    # simulate replaces rng.choice(n, p=p) by bisect_right over _cdf; the two
-    # must consume the same draw and return the same index, or the seeded
-    # RNG stream of every simulation changes
+    # simulate's superposed input replaces rng.choice(n, p=p) by bisect_right
+    # (searchsorted with side="right") over _cdf; the two must consume the
+    # same draw and return the same index, or its seeded RNG stream changes
     src = make_rng(905)
     twin_a, twin_b = make_rng(906), make_rng(906)
     for trial in range(100_000):
