@@ -7,14 +7,13 @@ feasible p; the restart outcome is their free completion. On free inputs the
 outcome distribution is uniform and the post-measurement states carry no
 information; on the uniform superposition input the d post-measurement
 states are linearly independent, so a zero-error discrimination strategy
-wins every conclusive round. The simulator tabulates each input's outcome and
-verdict distributions once per call, then plays the turns in blocks with no
-Python code per turn: one to three Generator calls draw a block's randomness,
-and array operations turn it into outcomes, verdicts and wins. On the
-superposed input every turn reads the doubles ``Generator.choice`` would draw,
-so the stream and the counts equal those of a per-turn ``rng.choice`` loop; on
-the free input a block of n turns draws n inputs, then n uniforms, then n
-guesses.
+wins every conclusive round. The simulator tabulates two tables per input
+once per call: its outcome CDFs, and Bob's answer CDF after each informative
+outcome (the zero-error verdict on the superposed input, a uniform forced
+guess on free inputs). It then plays the turns in blocks with no Python code
+per turn: a block of n turns draws n input rows, then 2n uniforms (n for the
+outcomes followed by n for the answers), and array operations turn them into
+outcomes, answers and wins.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FreeBasis, filter_probability, new_free_basis
-from .errors import LinearlyDependent, LinearlyDependentEnsemble
+from .errors import DimensionMismatch, LinearlyDependent, LinearlyDependentEnsemble
 from .kraus import Channel, complete_free
 from .sampling import make_rng
 from .states import PureState
@@ -126,7 +125,10 @@ def discriminate(states: list[PureState], received: PureState,
     A conclusive result identifies the received state with zero error; None
     signals the inconclusive outcome. Deterministic for a given seed.
     """
-    cdf = _verdict_cdf(*_usd_povm(states), received.amp)
+    reciprocal, scaling = _usd_povm(states)
+    if received.dim != len(reciprocal):
+        raise DimensionMismatch(f"received dimension {received.dim} != ensemble dimension {len(reciprocal)}")
+    cdf = _verdict_cdf(reciprocal, scaling, received.amp)
     outcome = bisect_right(cdf, make_rng(rng_seed).random())
     return None if outcome == len(states) else outcome
 
@@ -144,40 +146,21 @@ def _count_bisect(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(table <= u[:, None], axis=1)
 
 
-def _play_free(cdfs: np.ndarray, rng: np.random.Generator, n: int) -> tuple[int, int]:
-    """Conclusive turns and wins of n free-input turns."""
-    d = len(cdfs)
-    inputs = rng.integers(d, size=n)
-    outcome = _count_bisect(cdfs[inputs], rng.random(n))
-    informative = outcome < d  # Bob must guess; restart asks nothing
-    wins = informative & (rng.integers(d, size=n) == outcome)
-    return int(np.count_nonzero(informative)), int(np.count_nonzero(wins))
+def _play(cdfs: np.ndarray, answers: np.ndarray, rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """Conclusive turns and wins of n turns on uniformly drawn rows of ``cdfs``.
 
-
-def _play_superposed(cdf: np.ndarray, verdicts: np.ndarray, u: np.ndarray,
-                     n: int) -> tuple[int, int, int]:
-    """Conclusive turns, wins and draws consumed by n superposed turns read
-    from ``u``, which begins at a turn and holds at least 2n draws.
-
-    A turn reads one draw, and one more (its verdict) after an informative
-    outcome. Position i starts a turn iff the run of draws before it that
-    would be informative as turn starts has even length: the position after
-    a non-informative draw always starts a turn, and from there informative
-    starts and their verdicts alternate.
+    Row k of ``answers`` is Bob's answer CDF after informative outcome k; its
+    index d is the inconclusive answer.
     """
-    d = len(verdicts)
-    outcome = np.searchsorted(cdf, u, side="right")
-    informative = outcome < d
-    pos = np.arange(len(u))
-    last_plain = np.maximum.accumulate(np.where(informative, -1, pos))
-    run = pos - 1 - np.concatenate(([-1], last_plain[:-1]))
-    starts = np.flatnonzero(run % 2 == 0)[:n]
-    asked = starts[informative[starts]]
-    verdict = _count_bisect(verdicts[outcome[asked]], u[asked + 1])
-    conclusive = verdict < d  # index d is the inconclusive outcome
-    wins = conclusive & (verdict == outcome[asked])
-    used = int(starts[-1]) + 1 + int(informative[starts[-1]])
-    return int(np.count_nonzero(conclusive)), int(np.count_nonzero(wins)), used
+    d = len(answers)
+    inputs = rng.integers(len(cdfs), size=n)
+    u = rng.random(2 * n)
+    outcome = _count_bisect(cdfs[inputs], u[:n])
+    asked = np.flatnonzero(outcome < d)  # restart outcomes ask nothing
+    answer = _count_bisect(answers[outcome[asked]], u[n + asked])
+    conclusive = answer < d
+    wins = conclusive & (answer == outcome[asked])
+    return int(np.count_nonzero(conclusive)), int(np.count_nonzero(wins))
 
 
 def simulate(spec: GameSpec, input_kind: str, turns: int, rng_seed: int) -> GameStats:
@@ -185,16 +168,14 @@ def simulate(spec: GameSpec, input_kind: str, turns: int, rng_seed: int) -> Game
 
     ``superposed``: Bob hands in the uniform superposition each turn and
     answers only on conclusive discrimination of the post-measurement state.
-    Each turn consumes the one or two doubles a per-turn ``rng.choice`` of
-    the outcome and then of the verdict would draw, so the counts equal that
-    loop's for every seed.
     ``free``: Bob hands in a uniformly random pure free state and is forced
-    to guess the outcome whenever the turn is informative. Each block of n
-    turns draws ``rng.integers(d, size=n)`` inputs, ``rng.random(n)``
-    uniforms and ``rng.integers(d, size=n)`` guesses, in that order.
+    to guess the outcome whenever the turn is informative.
 
     Turns run in blocks of ``_BLOCK_TURNS``, which bounds memory for any
-    number of turns. Raises ``LinearlyDependentEnsemble`` before the first
+    number of turns. A block of n turns draws ``rng.integers(k, size=n)``
+    inputs (k = d free states, or k = 1 superposed input, which draws no
+    bits), then ``rng.random(2 * n)``: n outcome uniforms followed by n
+    answer uniforms. Raises ``LinearlyDependentEnsemble`` before the first
     turn when the superposed input's post-measurement states are linearly
     dependent.
     """
@@ -202,24 +183,20 @@ def simulate(spec: GameSpec, input_kind: str, turns: int, rng_seed: int) -> Game
         raise ValueError(f"turns must be >= 1, got {turns}")
     if input_kind not in ("free", "superposed"):
         raise ValueError(f"input_kind must be 'free' or 'superposed', got {input_kind!r}")
-    rng = make_rng(rng_seed)
-    blocks = [min(_BLOCK_TURNS, turns - done) for done in range(0, turns, _BLOCK_TURNS)]
-    conclusive = wins = 0
     if input_kind == "free":
+        d = spec.basis.d
         cdfs = _outcome_cdfs(spec, spec.basis.vectors)  # row i: free state i
-        for n in blocks:
-            c, w = _play_free(cdfs, rng, n)
-            conclusive, wins = conclusive + c, wins + w
+        answers = np.tile(_cdf(np.append(np.ones(d), 0.0)), (d, 1))  # uniform guess
     else:
         superposed = uniform_superposition(spec.basis)
         posts = [s for _, s in outcome_states(spec, superposed)]
         povm = _usd_povm(posts)
-        cdf = _outcome_cdfs(spec, superposed.amp[:, None])[0]
+        cdfs = _outcome_cdfs(spec, superposed.amp[:, None])
         # row n: the verdict CDF of the state after outcome n
-        verdicts = np.array([_verdict_cdf(*povm, s.amp) for s in posts])
-        carry = np.empty(0)  # drawn, not yet read: the next block starts there
-        for n in blocks:
-            u = np.concatenate((carry, rng.random(max(0, 2 * n - len(carry)))))
-            c, w, used = _play_superposed(cdf, verdicts, u, n)
-            conclusive, wins, carry = conclusive + c, wins + w, u[used:]
+        answers = np.array([_verdict_cdf(*povm, s.amp) for s in posts])
+    rng = make_rng(rng_seed)
+    conclusive = wins = 0
+    for done in range(0, turns, _BLOCK_TURNS):
+        c, w = _play(cdfs, answers, rng, min(_BLOCK_TURNS, turns - done))
+        conclusive, wins = conclusive + c, wins + w
     return GameStats(turns=turns, conclusive_turns=conclusive, wins=wins, losses=conclusive - wins)

@@ -316,13 +316,13 @@ PINNED = {
         '{"convention": "nat", "upper_bound": false, "value": 1.09861229}\n',
     ("game", "simulate", "--basis", "basis", "--input", "superposed", "--turns", "200",
      "--seed", "3"):
-        '{"conclusive_turns": 50, "losses": 0, "p": 0.5, "turns": 200, "win_rate": 1.0, '
-        '"wins": 50}\n',
-    # the free input's stream is the block layout of game.simulate: n inputs,
-    # n uniforms, n guesses
+        '{"conclusive_turns": 44, "losses": 0, "p": 0.5, "turns": 200, "win_rate": 1.0, '
+        '"wins": 44}\n',
+    # both inputs read the block layout of game.simulate: n input rows, then
+    # n outcome uniforms and n answer uniforms
     ("game", "simulate", "--basis", "basis", "--input", "free", "--turns", "200", "--seed", "3"):
-        '{"conclusive_turns": 108, "losses": 70, "p": 0.5, "turns": 200, '
-        '"win_rate": 0.351851852, "wins": 38}\n',
+        '{"conclusive_turns": 108, "losses": 63, "p": 0.5, "turns": 200, '
+        '"win_rate": 0.416666667, "wins": 45}\n',
     ("entangle", "convert", "--basis", "basis", "--state", "candidate"):
         '{"classical_rank": 3, "probability": 1.0, "schmidt_rank": 3}\n',
 }

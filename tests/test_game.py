@@ -6,7 +6,7 @@ import pytest
 
 from superpos import game
 from superpos.basis import orthonormal_basis, symmetric_basis_d3
-from superpos.errors import LinearlyDependentEnsemble
+from superpos.errors import DimensionMismatch, LinearlyDependentEnsemble
 from superpos.game import (
     GameStats,
     _cdf,
@@ -19,6 +19,7 @@ from superpos.game import (
 )
 from superpos.kraus import is_free_kraus
 from superpos.linalg import dagger
+from superpos.qubit import qubit_free_basis
 from superpos.sampling import make_rng, random_basis
 from superpos.states import PureState
 
@@ -121,6 +122,15 @@ def test_discriminate_zero_error_on_game_ensemble():
     assert conclusive > 1000  # the inconclusive rate is bounded away from 1
 
 
+def test_discriminate_rejects_dimension_mismatch():
+    states = [PureState(orthonormal_basis(2).state(i)) for i in range(2)]
+    with pytest.raises(DimensionMismatch):
+        discriminate(states, PureState(orthonormal_basis(3).state(0)), rng_seed=0)
+    states = [PureState(orthonormal_basis(3).state(i)) for i in range(3)]
+    with pytest.raises(DimensionMismatch):
+        discriminate(states, PureState(orthonormal_basis(2).state(0)), rng_seed=0)
+
+
 def test_discriminate_rejects_dependent_ensemble():
     b = orthonormal_basis(2)
     s = PureState(b.state(0))
@@ -159,72 +169,48 @@ def test_simulate_deterministic_for_seed():
     assert a == b
 
 
-def _discriminate_per_turn(states, received, rng):
-    reciprocal, scaling = _usd_povm(states)
-    amps = reciprocal.conj().T @ received.amp
-    probs = np.clip(scaling * np.abs(amps) ** 2, 0.0, None)
-    inconclusive = max(0.0, 1.0 - probs.sum())
-    full = np.append(probs, inconclusive)
-    full /= full.sum()
-    outcome = int(rng.choice(len(full), p=full))
-    return None if outcome == len(states) else outcome
+def _walk(weights, u):
+    """Index at which the running sum of the normalized weights first passes u."""
+    total, running = sum(weights), 0.0
+    for index, w in enumerate(weights):
+        running += w / total
+        if u < running:
+            return index
+    return len(weights) - 1
 
 
-def _simulate_per_turn(spec, turns, rng_seed):
-    """Reference superposed simulator: rng.choice and a fresh USD POVM on every turn."""
+def _simulate_per_turn(spec, kind, turns, rng_seed):
+    """Reference simulator: simulate's block layout (n input rows, then n
+    outcome uniforms and n answer uniforms), walked turn by turn. Each turn
+    recomputes its outcome probabilities from the Kraus operators; a free
+    turn then guesses uniformly, a superposed one builds a fresh USD POVM."""
     rng = make_rng(rng_seed)
     d = spec.basis.d
     all_ops = list(spec.informative) + list(spec.restart)
     superposed = uniform_superposition(spec.basis)
     candidates = [s for _, s in outcome_states(spec, superposed)]
 
-    conclusive = wins = losses = 0
-    for _ in range(turns):
-        vecs = [k @ superposed.amp for k in all_ops]
-        probs = np.array([np.linalg.norm(v) ** 2 for v in vecs])
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        outcome = int(rng.choice(len(all_ops), p=probs))
-        if outcome >= d:
-            continue  # restart outcome: new turn, no answer
-        post = PureState.normalized(vecs[outcome])
-        verdict = _discriminate_per_turn(candidates, post, rng)
-        if verdict is None:
-            continue
-        conclusive += 1
-        if verdict == outcome:
-            wins += 1
-        else:
-            losses += 1
-    return GameStats(turns=turns, conclusive_turns=conclusive, wins=wins, losses=losses)
-
-
-def _simulate_free_per_turn(spec, turns, rng_seed):
-    """Reference free-input simulator: the announced block layout (n inputs, n
-    uniforms, n guesses), then each turn's outcome probabilities recomputed
-    from the Kraus operators and walked until their running sum passes the
-    uniform."""
-    rng = make_rng(rng_seed)
-    d = spec.basis.d
-    all_ops = list(spec.informative) + list(spec.restart)
-
     conclusive = wins = 0
     for done in range(0, turns, game._BLOCK_TURNS):
         n = min(game._BLOCK_TURNS, turns - done)
-        inputs, uniforms, guesses = rng.integers(d, size=n), rng.random(n), rng.integers(d, size=n)
-        for i, u, guess in zip(inputs, uniforms, guesses):
-            state = spec.basis.state(int(i))
-            probs = [np.linalg.norm(k @ state) ** 2 for k in all_ops]
-            total = sum(probs)
-            outcome, running = len(probs) - 1, 0.0
-            for index, p in enumerate(probs):
-                running += p / total
-                if u < running:
-                    outcome = index
-                    break
-            if outcome < d:  # restart outcomes ask nothing
+        inputs = rng.integers(d if kind == "free" else 1, size=n)
+        u = rng.random(2 * n)
+        for i in range(n):
+            state = spec.basis.state(int(inputs[i])) if kind == "free" else superposed.amp
+            vecs = [k @ state for k in all_ops]
+            outcome = _walk([np.linalg.norm(v) ** 2 for v in vecs], u[i])
+            if outcome >= d:
+                continue  # restart outcomes ask nothing
+            if kind == "free":
+                answer = _walk([1.0] * d, u[n + i])
+            else:
+                reciprocal, scaling = _usd_povm(candidates)
+                post = PureState.normalized(vecs[outcome])
+                probs = np.clip(scaling * np.abs(reciprocal.conj().T @ post.amp) ** 2, 0.0, None)
+                answer = _walk(list(probs) + [max(0.0, 1.0 - probs.sum())], u[n + i])
+            if answer < d:  # index d is the inconclusive answer
                 conclusive += 1
-                wins += int(guess == outcome)
+                wins += int(answer == outcome)
     return GameStats(turns=turns, conclusive_turns=conclusive, wins=wins, losses=conclusive - wins)
 
 
@@ -236,21 +222,41 @@ def test_simulate_matches_per_turn_reference():
         spec = build_game(b)
         for seed in (1, 22, 333):
             for turns in (1, 2, 3, 2000):
-                assert simulate(spec, "superposed", turns, seed) == _simulate_per_turn(spec, turns, seed)
-                assert simulate(spec, "free", turns, seed) == _simulate_free_per_turn(spec, turns, seed)
+                for kind in ("superposed", "free"):
+                    assert simulate(spec, kind, turns, seed) == _simulate_per_turn(spec, kind, turns, seed)
 
 
 def test_simulate_block_boundaries(monkeypatch):
-    # seven-turn blocks put block ends inside the runs of informative draws
-    # that decide where the superposed turns start
+    # seven-turn blocks split each call into several blocks, each drawing its
+    # own input rows and then its own outcome and answer uniforms
     monkeypatch.setattr(game, "_BLOCK_TURNS", 7)
     rng = make_rng(908)
     for b in (symmetric_basis_d3(), orthonormal_basis(2), random_basis(4, rng), random_basis(6, rng)):
         spec = build_game(b)
         for seed in (1, 22, 333):
             for turns in range(6, 16):
-                assert simulate(spec, "superposed", turns, seed) == _simulate_per_turn(spec, turns, seed)
-                assert simulate(spec, "free", turns, seed) == _simulate_free_per_turn(spec, turns, seed)
+                for kind in ("superposed", "free"):
+                    assert simulate(spec, kind, turns, seed) == _simulate_per_turn(spec, kind, turns, seed)
+
+
+def test_simulate_superposed_conclusive_rate():
+    # outcome n is informative with probability ||K_n psi||^2, and the USD
+    # POVM, scaled by sigma_min(P)^2 over the post-measurement states P, is
+    # conclusive on each of them with probability sigma_min(P)^2
+    rng = make_rng(912)
+    bases = [symmetric_basis_d3(), orthonormal_basis(2), qubit_free_basis(0.5),
+             random_basis(3, rng, min_sigma=0.5), random_basis(4, rng, min_sigma=0.5)]
+    turns = 20_000
+    for seed, b in enumerate(bases, start=5):
+        spec = build_game(b)
+        outs = outcome_states(spec, uniform_superposition(b))
+        posts = np.column_stack([s.amp for _, s in outs])
+        rate = sum(p for p, _ in outs) * np.linalg.svd(posts, compute_uv=False)[-1] ** 2
+        stats = simulate(spec, "superposed", turns, seed)
+        if abs(rate - 1.0) < 1e-12:
+            assert stats.conclusive_turns == turns
+        else:
+            assert abs(stats.conclusive_turns - rate * turns) <= 4 * np.sqrt(turns * rate * (1 - rate))
 
 
 class _CountingRng:
@@ -280,11 +286,11 @@ def test_simulate_draws_at_most_two_blocks_per_call(monkeypatch):
     monkeypatch.setattr(game, "make_rng", counting_rng)
     spec = build_game(symmetric_basis_d3())
     turns = 2 * game._BLOCK_TURNS + 5
-    for kind, calls_per_block in (("superposed", 1), ("free", 3)):
+    for kind in ("superposed", "free"):
         stats = simulate(spec, kind, turns, 7)
         assert stats.turns == turns
         draws = proxies[-1].draws
-        assert len(draws) == 3 * calls_per_block
+        assert len(draws) == 3 * 2  # input rows, then outcome and answer uniforms
         assert max(draws) <= 2 * game._BLOCK_TURNS
 
 
@@ -296,9 +302,9 @@ def test_simulate_counts_are_python_ints():
 
 
 def test_inverse_cdf_matches_generator_choice():
-    # simulate's superposed input replaces rng.choice(n, p=p) by bisect_right
-    # (searchsorted with side="right") over _cdf; the two must consume the
-    # same draw and return the same index, or its seeded RNG stream changes
+    # discriminate replaces rng.choice(n, p=p) by bisect_right over _cdf; the
+    # two must consume the same draw and return the same index, or its
+    # seeded verdicts change
     src = make_rng(905)
     twin_a, twin_b = make_rng(906), make_rng(906)
     for trial in range(100_000):
