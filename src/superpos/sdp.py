@@ -1,22 +1,22 @@
-"""Embedded interior-point solvers for the two small LMI shapes the theory needs.
+"""Embedded interior-point solver for the two small LMI shapes the theory needs.
 
-Each shape has one loop, and every returned solution carries a feasible dual
-matrix that certifies a duality gap of at most ``gap_tol``; a solve that cannot
+Both shapes run one infeasible-start primal-dual path-following loop: maximize
+cost.p s.t. Z = F0 - sum p_n A_n >= 0, p >= 0, whose dual is minimize tr(F0 Y)
+s.t. tr(A_n Y) - s_n = cost_n, Y >= 0, s >= 0. HKM directions (Helmberg, Rendl,
+Vanderbei and Wolkowicz 1996) from one factored Schur matrix per iteration,
+combined with Mehrotra's predictor-corrector, keep p strictly feasible while Y
+and its surplus s reach their equality constraints. Each shape turns iterates
+into its own dual certificate: every returned solution carries a feasible dual
+matrix that certifies a duality gap of at most ``gap_tol``, a solve that cannot
 certify one raises ``NoConvergence``, and non-Hermitian data raises
 ``NonHermitian``.
 
-``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1, p >= 0 (dual: minimize
-tr Y s.t. tr(Y A_n) >= 1, Y >= 0) with an infeasible-start primal-dual
-path-following loop: HKM directions (Helmberg, Rendl, Vanderbei and Wolkowicz
-1996) from one factored Schur matrix per iteration, combined with Mehrotra's
-predictor-corrector, keep p strictly feasible while Y and its surplus reach
-their equality constraints. ``solve_cover`` minimizes sum x_i s.t.
-sum x_i B_i >= rho for the robustness measure (dual: maximize tr(rho Y) s.t.
-tr(Y B_i) <= 1) with a log-det barrier: centering halves each Newton step only
-until numpy's Cholesky factors the new slack, whose inverse then serves the
-next step and weight; the certified gap, not a barrier value, guards every
-result. Variable counts stay at a few dozen (120 at support 5) and matrices at
-8x8, so no sparsity or scaling tricks are needed.
+``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1 (F0 = 1, cost = 1; dual:
+minimize tr Y s.t. tr(Y A_n) >= 1). ``solve_cover`` minimizes sum x_i s.t.
+sum x_i B_i >= rho for the robustness measure (F0 = -rho, A_i = -B_i,
+cost = -1; dual: maximize tr(rho Y) s.t. tr(Y B_i) <= 1). Variable counts stay
+at a few dozen (120 at support 5) and matrices at 8x8, so no sparsity or
+scaling tricks are needed.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .linalg import as_hermitian_matrix, hermitian_part
 DEFAULT_GAP_TOL = 1e-7
 _PSD_DATA_TOL = 1e-9
 _DUAL_TOL = 1e-9
-_MAX_NEWTON = 80
-_MAX_OUTER = 40
 _MAX_PD_ITER = 50
 _STEP = 0.95
 
@@ -51,23 +49,31 @@ class LmiProblem:
 
     @staticmethod
     def from_matrices(mats) -> "LmiProblem":
-        ops = tuple(hermitian_part(as_hermitian_matrix(m, "A_n")) for m in mats)
-        if not ops:
-            raise BadData("need at least one constraint matrix")
-        dim = ops[0].shape[0]
-        if any(m.shape != (dim, dim) for m in ops):
-            raise BadData("constraint matrices must share one square shape")
-        stacked = np.array(ops)
-        w = np.linalg.eigvalsh(stacked)
-        floor = _PSD_DATA_TOL * np.maximum(1.0, np.linalg.norm(stacked, axis=(1, 2)))
-        negative = np.flatnonzero(w[:, 0] < -floor)
-        if negative.size:
-            raise BadData(f"constraint matrix has negative eigenvalue {w[negative[0], 0]:.3e}")
+        ops, top, floor = _psd_data(mats, "A_n")
         # a zero operator leaves its p_n unbounded: sum p_n has no maximum
-        zero = np.flatnonzero(w[:, -1] <= floor)
+        zero = np.flatnonzero(top <= floor)
         if zero.size:
-            raise BadData(f"constraint matrix {zero[0]} is zero (largest eigenvalue {w[zero[0], -1]:.3e})")
-        return LmiProblem(operators=ops, dim=dim, _lambda_max=w[:, -1])
+            raise BadData(f"constraint matrix {zero[0]} is zero (largest eigenvalue {top[zero[0]]:.3e})")
+        return LmiProblem(operators=tuple(ops), dim=ops.shape[1], _lambda_max=top)
+
+
+def _psd_data(mats, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack Hermitian matrices of one square shape, each PSD down to its rounding
+    floor _PSD_DATA_TOL * max(1, |B|) (``BadData`` otherwise); returns the
+    (n, k, k) stack, each matrix's largest eigenvalue and its floor."""
+    ops = [hermitian_part(as_hermitian_matrix(m, name)) for m in mats]
+    if not ops:
+        raise BadData("need at least one constraint matrix")
+    dim = ops[0].shape[0]
+    if any(m.shape != (dim, dim) for m in ops):
+        raise BadData("constraint matrices must share one square shape")
+    stacked = np.array(ops)
+    w = np.linalg.eigvalsh(stacked)
+    floor = _PSD_DATA_TOL * np.maximum(1.0, np.linalg.norm(stacked, axis=(1, 2)))
+    negative = np.flatnonzero(w[:, 0] < -floor)
+    if negative.size:
+        raise BadData(f"constraint matrix has negative eigenvalue {w[negative[0], 0]:.3e}")
+    return stacked, w[:, -1], floor
 
 
 @dataclass(frozen=True)
@@ -81,78 +87,6 @@ class SdpSolution:
     gap: float
     value: float | None = None        # primal clamped to [0, 1] where meaningful
     completion: tuple | None = None   # free completion when a deterministic map exists
-
-
-def _inverse_slack(m0: np.ndarray, mats: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """(m0 + sum x_i mats_i)^-1 = L^-H L^-1 from a Cholesky factor L; None off the domain."""
-    if (x <= 0).any():
-        return None
-    try:
-        chol = np.linalg.cholesky(m0 + (x @ mats.reshape(len(x), -1)).reshape(m0.shape))
-    except np.linalg.LinAlgError:   # not positive definite
-        return None
-    linv = np.linalg.inv(chol)
-    return linv.conj().T @ linv
-
-
-def _center(cost: np.ndarray, m0: np.ndarray, mats: np.ndarray, x: np.ndarray,
-            mu: float, minv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton for min cost.x - mu*(logdet(m0 + sum x mats) + sum log x).
-
-    ``mats`` is (n, k, k) and ``minv`` the inverse slack at the strictly feasible
-    ``x``. Steps take the largest t in 1, 1/2, ... (above 1e-13) that stays in
-    the domain; returns the centered point and the inverse slack there.
-    """
-    for _ in range(_MAX_NEWTON):
-        prods = minv @ mats
-        grad = cost - mu * np.einsum("nii->n", prods).real - mu / x
-        hess = mu * np.einsum("aij,bji->ab", prods, prods).real + np.diag(mu / x**2)
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            break
-        if float(-grad @ step) <= 1e-12:
-            break
-        t = 1.0
-        while (trial := _inverse_slack(m0, mats, x + t * step)) is None:
-            t *= 0.5
-            if t <= 1e-13:
-                return x, minv
-        x, minv = x + t * step, trial
-    return x, minv
-
-
-def _barrier(ops, rho: np.ndarray, x: np.ndarray, static, gap_tol: float) -> SdpSolution:
-    """Minimise sum x subject to sum x_i B_i >= rho, x >= 0 (the cover shape).
-
-    ``x`` is a strictly feasible start. After centering at each barrier weight
-    mu the dual is certified by the best of that weight's candidates: the
-    ``static`` ones (purified once), the central-path point mu * S^{-1} and the
-    complementary-slackness solve of ``_polish_dual``. The solve returns that
-    weight's point and dual as soon as the certified gap is within ``gap_tol``
-    and raises ``NoConvergence`` when ``_MAX_OUTER`` weights never reach it.
-    """
-    mats = np.array(ops)
-    m0 = -rho
-    cost = np.ones(len(mats))
-
-    def certify(raws) -> list:
-        return [(y, float(np.trace(y @ rho).real))
-                for y in (_purify_dual(raw, mats, 1) for raw in raws if raw is not None)]
-
-    fixed = certify(static)
-    mu, gap, sinv = 1.0, np.inf, _inverse_slack(m0, mats, x)
-    for _ in range(_MAX_OUTER):
-        x, sinv = _center(cost, m0, mats, x, mu, sinv)
-        primal = float(np.sum(x))
-        polished = _polish_dual(mats, x, m0 + (x @ mats.reshape(len(x), -1)).reshape(m0.shape))
-        candidates = fixed + certify([mu * sinv, polished])
-        y, dual = min(candidates, key=lambda cand: primal - cand[1])
-        gap = primal - dual
-        if gap <= gap_tol:
-            return SdpSolution(p=x, primal=primal, dual_matrix=y, dual=dual, gap=gap)
-        mu *= 0.1
-    raise NoConvergence(f"duality gap {gap:.3e} above {gap_tol:.1e}")
 
 
 def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | None:
@@ -182,41 +116,37 @@ def _step_lengths(yz_linv: np.ndarray, dy, dz, s, ds, p, dp) -> tuple[float, flo
     return tuple(_STEP / max(rate, _STEP) for rate in rates)
 
 
-def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
-    """Maximize sum p_n subject to sum p_n A_n <= 1, p >= 0.
+def _path_following(f0: np.ndarray, ops: np.ndarray, cost: np.ndarray, p: np.ndarray,
+                    certify, gap_tol: float) -> SdpSolution:
+    """Maximize cost.p subject to Z = f0 - sum p_n A_n >= 0, p >= 0.
 
-    Primal-dual path following on the pair (p, Z = 1 - sum p_n A_n) and
-    (Y >= 0, s >= 0) with tr(A_n Y) - s_n = 1. p starts strictly feasible at
-    0.5 / (sum_n lam_max(A_n) + 1) and stays so; Y = 1 and s = 1 start off
-    their equality constraints and reach them as the steps near 1. Each
-    iteration factors the HKM Schur matrix tr(A_i Y A_j Z^-1) + delta_ij s_i/p_i
-    once and takes Mehrotra's predictor and corrector, with centering
-    sigma = (mu_aff / mu)^3. Once the complementarity tr(YZ) + s.p is within
-    ``gap_tol``, Y is rescaled onto the dual feasible set; the solve returns
-    when its trace is within ``gap_tol`` of sum p, and raises
-    ``NoConvergence`` when ``_MAX_PD_ITER`` iterations never get there or a
-    factorisation fails.
+    The pair is (p, Z) and (Y >= 0, s >= 0) with tr(A_n Y) - s_n = cost_n. p
+    starts strictly feasible and stays so; Y = 1 and s = 1 start off their
+    equality constraints and reach them as the steps near 1. Each iteration
+    factors the HKM Schur matrix tr(A_i Y A_j Z^-1) + delta_ij s_i/p_i once
+    and takes Mehrotra's predictor and corrector, with centering
+    sigma = (mu_aff / mu)^3. ``certify(Y, p, complementarity)`` turns each
+    iterate into a solution with a feasible dual, or None; the first whose
+    gap is within ``gap_tol`` is returned. ``NoConvergence`` names the
+    smallest certified gap and the iterations taken when ``_MAX_PD_ITER``
+    iterations never get there or a factorisation fails.
     """
-    ops = np.array(problem.operators)
     n, k = ops.shape[:2]
     flat = ops.reshape(n, k * k)
     eye = np.eye(k, dtype=complex)
-    p = np.full(n, 0.5 / (float(np.sum(problem._lambda_max)) + 1.0))
     y, s = eye, np.ones(n)
-    gap = np.inf
+    best, complementarity, done = np.inf, np.inf, 0
     try:
-        for _ in range(_MAX_PD_ITER):
-            z = eye - (p @ flat).reshape(k, k)
+        for done in range(_MAX_PD_ITER):
+            z = f0 - (p @ flat).reshape(k, k)
             yz_linv = np.linalg.inv(np.linalg.cholesky(np.array([y, z])))
             zinv = yz_linv[1].conj().T @ yz_linv[1]
             complementarity = float(np.trace(y @ z).real) + float(s @ p)
-            if complementarity <= gap_tol:
-                cert = _purify_dual(y, ops, -1)
-                if cert is not None:
-                    primal, dual = float(np.sum(p)), float(np.trace(cert).real)
-                    gap = dual - primal
-                    if gap <= gap_tol:
-                        return SdpSolution(p=p, primal=primal, dual_matrix=cert, dual=dual, gap=gap)
+            sol = certify(y, p, complementarity)
+            if sol is not None:
+                if sol.gap <= gap_tol:
+                    return sol
+                best = min(best, sol.gap)
             mu = complementarity / (k + n)
             ay, az = ops @ y, ops @ zinv
             schur = (ay.reshape(n, -1) @ az.transpose(0, 2, 1).reshape(n, -1).T).real
@@ -224,7 +154,7 @@ def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolut
 
             def direction(target: np.ndarray, lp_target: np.ndarray):
                 """HKM step for Y Z -> R and s * p -> lp_target, given target = R Z^-1."""
-                rhs = 1.0 - (flat @ target.T.reshape(-1)).real + lp_target / p
+                rhs = cost - (flat @ target.T.reshape(-1)).real + lp_target / p
                 dp = schur_linv.T @ (schur_linv @ rhs)
                 dz = -(dp @ flat).reshape(k, k)
                 dy = hermitian_part(target - y - y @ dz @ zinv)
@@ -239,32 +169,34 @@ def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolut
             a_primal, a_dual = _step_lengths(yz_linv, dy, dz, s, ds, p, dp)
             y, s = y + a_primal * dy, s + a_primal * ds
             p = p + a_dual * dp
+        done, why = _MAX_PD_ITER, "no certified gap"
     except np.linalg.LinAlgError as err:
-        raise NoConvergence(f"factorisation failed: {err}") from None
-    raise NoConvergence(f"duality gap {gap:.3e} above {gap_tol:.1e}")
+        why = f"factorisation failed ({err})"
+    seen = f"smallest certified gap {best:.3e}" if np.isfinite(best) else "no dual certified"
+    raise NoConvergence(f"{why} after {done} iterations: {seen} against gap_tol {gap_tol:.1e}, "
+                        f"complementarity {complementarity:.3e}")
 
 
-def _polish_dual(ops: np.ndarray, x: np.ndarray, slack: np.ndarray) -> np.ndarray | None:
-    """Solve the cover's complementary-slackness system for the dual on null(slack).
+def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
+    """Maximize sum p_n subject to sum p_n A_n <= 1, p >= 0.
 
-    Any PSD Y supported on the null space of the optimal slack
-    sum x_i B_i - rho whose pairings with the active constraints equal one has
-    tr(rho Y) equal to the primal optimum, so a least-squares solve there
-    recovers the exact dual even when the central-path estimate is noisy. For Hermitian X and C_a,
-    tr(X C_a) = [Re vec X, Im vec X] . [Re vec C_a, Im vec C_a], and the
-    min-norm solution lies in the span of these rows, so X is Hermitian.
+    Path following with F0 = 1 and unit costs, so Y >= 0 and s >= 0 reach
+    tr(A_n Y) - s_n = 1; p starts at 0.5 / (sum_n lam_max(A_n) + 1). Once the
+    complementarity tr(YZ) + s.p is within ``gap_tol``, Y is rescaled onto the
+    dual feasible set, and the solve returns when its trace is within
+    ``gap_tol`` of sum p (``NoConvergence`` otherwise).
     """
-    w, u = np.linalg.eigh(hermitian_part(slack))
-    null_mask = w <= 1e-6 * max(float(w[-1]), 1.0)
-    k = int(np.sum(null_mask))
-    if k == 0:
+    ops = np.array(problem.operators)
+
+    def certify(y, p, complementarity):
+        if complementarity <= gap_tol and (cert := _purify_dual(y, ops, -1)) is not None:
+            primal, dual = float(np.sum(p)), float(np.trace(cert).real)
+            return SdpSolution(p=p, primal=primal, dual_matrix=cert, dual=dual, gap=dual - primal)
         return None
-    nbasis = u[:, null_mask]
-    active = np.where(x > 1e-7 * float(x.max()))[0]   # x > 0, so never empty
-    compressed = (nbasis.conj().T @ ops[active] @ nbasis).reshape(active.size, k * k)
-    rows = np.concatenate([compressed.real, compressed.imag], axis=1)
-    sol, *_ = np.linalg.lstsq(rows, np.ones(active.size), rcond=None)
-    return nbasis @ (sol[:k * k] + 1j * sol[k * k:]).reshape(k, k) @ nbasis.conj().T
+
+    n = len(ops)
+    p = np.full(n, 0.5 / (float(np.sum(problem._lambda_max)) + 1.0))
+    return _path_following(np.eye(problem.dim, dtype=complex), ops, np.ones(n), p, certify, gap_tol)
 
 
 def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:
@@ -287,19 +219,36 @@ def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:
 def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:
     """Minimize sum x_i subject to sum x_i B_i >= rho, x >= 0 (PSD data B_i).
 
-    The solution's ``p`` holds x. The dual "maximize tr(rho Y) s.t.
-    tr(B_i Y) <= 1, Y >= 0" certifies a lower bound within ``gap_tol`` of the
-    optimum (``NoConvergence`` otherwise). A Cholesky factor L of sum B_i gives
-    the start t * 1, strictly feasible at t = 2 lam_max(L^-1 rho L^-H) (t = 1
-    if that is <= 0), and the dual candidate (sum B_i)^{-1} = L^-H L^-1, optimal
-    when the B_i project onto a basis and rho is in their cone (free states).
+    The solution's ``p`` holds x. Path following with F0 = -rho, A_i = -B_i and
+    cost -1, from x = t * 1 with t = 2 lam_max(L^-1 rho L^-H) (t = 1 if that
+    is <= 0), strictly feasible for L a Cholesky factor of sum B_i. Every
+    iterate is certified by the better of two duals of "maximize tr(rho Y)
+    s.t. tr(B_i Y) <= 1, Y >= 0", each rescaled onto that set: the iterate Y
+    itself, and y y' with y = phase(rho phase(v)) for v the top eigenvector of
+    Y. The latter is the phase vector of the closed-form cover (Napoli et al.,
+    PRL 116, 150502) refined by one fixed-point step; at a rank-one optimum,
+    (diag(x) - rho) y = 0 in the free frame, so phase(rho y) = phase(y). The
+    solve returns once the certified gap is within ``gap_tol``
+    (``NoConvergence`` otherwise). B_i of another shape than rho, or not PSD,
+    raise ``BadData``.
     """
     rho = hermitian_part(as_hermitian_matrix(rho, "rho"))
-    ops = [hermitian_part(as_hermitian_matrix(b, "B_i")) for b in mats]
+    ops, _, _ = _psd_data(mats, "B_i")
+    if ops.shape[1:] != rho.shape:
+        raise BadData(f"constraint matrices are {ops.shape[1:]}, rho is {rho.shape}")
     try:
         linv = np.linalg.inv(np.linalg.cholesky(np.sum(ops, axis=0)))
     except np.linalg.LinAlgError:
         raise BadData("constraint matrices do not span a positive definite sum") from None
     top = float(np.linalg.eigvalsh(linv @ rho @ linv.conj().T)[-1])
-    x = np.full(len(ops), 2.0 * top if top > 0 else 1.0)
-    return _barrier(ops, rho, x, [linv.conj().T @ linv], gap_tol)
+
+    def certify(y, x, _):
+        v = np.linalg.eigh(y)[1][:, -1]
+        phases = np.exp(1j * np.angle(rho @ np.exp(1j * np.angle(v))))
+        cert = max((_purify_dual(raw, ops, 1) for raw in (y, np.outer(phases, phases.conj()))),
+                   key=lambda cand: np.trace(rho @ cand).real)
+        primal, dual = float(np.sum(x)), float(np.trace(rho @ cert).real)
+        return SdpSolution(p=x, primal=primal, dual_matrix=cert, dual=dual, gap=primal - dual)
+
+    ones = np.ones(len(ops))
+    return _path_following(-rho, -ops, -ones, (2.0 * top if top > 0 else 1.0) * ones, certify, gap_tol)

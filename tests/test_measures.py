@@ -9,7 +9,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3
-from superpos.errors import NoConvergence
 from superpos.kraus import free_channel, measure_selective
 from superpos.linalg import hermitian_part
 from superpos.measures import (
@@ -464,7 +463,7 @@ def test_robustness_closed_form_matches_sdp():
                     # the SDP brackets the optimum between its dual and primal values
                     assert sol.dual - 1e-12 <= rep.value + 1.0 <= sol.primal + 1e-12
                     assert abs(rep.value - (sol.primal - 1.0)) <= 1e-8
-                    # the closed-form dual passes the checks every barrier dual passes
+                    # the closed-form dual passes the checks every solve_cover dual passes
                     # (in the free frame: tr(B_i Y) is Y_ii and tr(rho Y) is tr(C Y))
                     coeffs = free_expansion(rho, b)
                     cover = _closed_form_cover(coeffs)
@@ -500,19 +499,10 @@ def near_dependent_batch() -> list:
     return out
 
 
-_STALLED_DRAWS = {
-    51: "d = 8, sigma_min 3.5e-4, R + 1 ~ 1.79e6: C's spectrum spans 6e-4 to 8e5 and "
-        "_center stops on an ill-conditioned Newton system at a sum x above the optimum",
-}
-
-
-@pytest.mark.parametrize("draw", [
-    pytest.param(k, marks=pytest.mark.xfail(strict=True, raises=NoConvergence,
-                                            reason=_STALLED_DRAWS[k]))
-    if k in _STALLED_DRAWS else k for k in range(60)])
+@pytest.mark.parametrize("draw", range(60))
 def test_robustness_certifies_near_dependent_bases(draw):
     # every draw, in order; solved over the rank-one |c_i><c_i| in place of the
-    # free frame's unit projectors, 54 of these 60 raise NoConvergence
+    # free frame's unit projectors, none of these 60 certifies
     b, rho = near_dependent_batch()[draw]
     rep = robustness(rho, b)
     assert 0.0 <= rep.extra["gap"] <= 1e-8, rep.extra["gap"]

@@ -18,8 +18,6 @@ from superpos.sampling import (
 from superpos.sdp import (
     DEFAULT_GAP_TOL,
     LmiProblem,
-    _center,
-    _polish_dual,
     _purify_dual,
     solve_cover,
     solve_lmi,
@@ -27,6 +25,7 @@ from superpos.sdp import (
 )
 from superpos.states import PureState, free_expansion
 from superpos.transform import candidate_states_d3, enumerate_transformers, max_conversion_prob
+from test_measures import near_dependent_batch
 
 
 def random_psd(d: int, rng) -> np.ndarray:
@@ -217,6 +216,20 @@ def test_cover_certificate_every_solve():
         assert abs(primals[0] - primals[1]) <= gap_tol, (d, kind)
 
 
+@pytest.mark.parametrize("rho, mats", [
+    # a 3 x 3 B_i against a 2 x 2 rho (numpy's matmul used to raise)
+    (np.eye(2) / 2, [np.eye(3)]),
+    # an indefinite B_1 whose sum with B_2 is positive definite (the start's
+    # slack is not, and the solve used to crash on it)
+    (np.eye(2), [np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)]),
+    # a negative eigenvalue (the solve used to return a "certified" value)
+    (np.eye(2) / 2, [np.diag([1.0, -0.5]), np.diag([0.0, 1.0])]),
+], ids=["shape", "indefinite", "negative"])
+def test_solve_cover_rejects_bad_data(rho, mats):
+    with pytest.raises(BadData):
+        solve_cover(rho, mats)
+
+
 def test_solve_cover_rejects_singular_constraint_sum():
     # two copies of diag(1, 0) cover nothing along e_2
     half = np.diag([1.0, 0.0])
@@ -226,8 +239,8 @@ def test_solve_cover_rejects_singular_constraint_sum():
 
 @pytest.mark.parametrize("seed", [14, 173, 260])
 def test_cover_certifies_d8_mixtures(seed):
-    # the central-path dual alone stalls here at gaps 1.1e-6, 1.1e-5 and 2.4e-6:
-    # the slack's near-null space is lost in rounding long before mu is small
+    # the barrier's central-path dual alone stalled here at gaps 1.1e-6, 1.1e-5
+    # and 2.4e-6; the purified primal-dual iterate certifies in 13-15 iterations
     rng = make_rng(seed)
     b = random_basis(8, rng)
     t = rng.random()
@@ -243,7 +256,8 @@ def test_cover_certifies_d8_mixtures(seed):
 @pytest.mark.parametrize("seed", [18, 30, 32])
 def test_cover_certifies_rank_deficient_measurement_outcomes(seed):
     # outcomes of a selective free measurement at d = 8 (rank 5-6): here the
-    # polish alone stalls at gaps 1.8 to 3.2, and the central-path dual certifies
+    # barrier's polish alone stalled at gaps 1.8 to 3.2; the purified
+    # primal-dual iterate certifies in 12-13 iterations
     rng = make_rng(seed)
     b = random_basis(8, rng)
     channel = free_channel(random_subnormalized_free_ops(b, rng), b)
@@ -255,6 +269,122 @@ def test_cover_certifies_rank_deficient_measurement_outcomes(seed):
     assert np.linalg.eigvalsh(hermitian_part(y))[0] >= -1e-9
     assert max(np.trace(m @ y).real for m in mats) <= 1 + 1e-9
     assert 0.0 <= sol.gap <= 1e-8, sol.gap
+
+
+
+# The log-det barrier that solved the cover before the primal-dual loop took
+# both shapes, kept as an oracle: damped Newton centering at barrier weights
+# mu = 1, 0.1, ..., each certified by purified central-path and polished duals.
+
+def _inverse_slack(m0: np.ndarray, mats: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """(m0 + sum x_i mats_i)^-1 = L^-H L^-1 from a Cholesky factor L; None off the domain."""
+    if (x <= 0).any():
+        return None
+    try:
+        chol = np.linalg.cholesky(m0 + (x @ mats.reshape(len(x), -1)).reshape(m0.shape))
+    except np.linalg.LinAlgError:   # not positive definite
+        return None
+    linv = np.linalg.inv(chol)
+    return linv.conj().T @ linv
+
+
+def _center(cost: np.ndarray, m0: np.ndarray, mats: np.ndarray, x: np.ndarray,
+            mu: float, minv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton for min cost.x - mu*(logdet(m0 + sum x mats) + sum log x).
+
+    ``mats`` is (n, k, k) and ``minv`` the inverse slack at the strictly feasible
+    ``x``. Steps take the largest t in 1, 1/2, ... (above 1e-13) that stays in
+    the domain; returns the centered point and the inverse slack there.
+    """
+    for _ in range(80):
+        prods = minv @ mats
+        grad = cost - mu * np.einsum("nii->n", prods).real - mu / x
+        hess = mu * np.einsum("aij,bji->ab", prods, prods).real + np.diag(mu / x**2)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            break
+        if float(-grad @ step) <= 1e-12:
+            break
+        t = 1.0
+        while (trial := _inverse_slack(m0, mats, x + t * step)) is None:
+            t *= 0.5
+            if t <= 1e-13:
+                return x, minv
+        x, minv = x + t * step, trial
+    return x, minv
+
+
+def _polish_dual(ops: np.ndarray, x: np.ndarray, slack: np.ndarray) -> np.ndarray | None:
+    """Solve the cover's complementary-slackness system for the dual on null(slack).
+
+    Any PSD Y supported on the null space of the optimal slack
+    sum x_i B_i - rho whose pairings with the active constraints equal one has
+    tr(rho Y) equal to the primal optimum, so a least-squares solve there
+    recovers the exact dual even when the central-path estimate is noisy. For
+    Hermitian X and C_a, tr(X C_a) = [Re vec X, Im vec X] . [Re vec C_a, Im vec C_a],
+    and the min-norm solution lies in the span of these rows, so X is Hermitian.
+    """
+    w, u = np.linalg.eigh(hermitian_part(slack))
+    null_mask = w <= 1e-6 * max(float(w[-1]), 1.0)
+    k = int(np.sum(null_mask))
+    if k == 0:
+        return None
+    nbasis = u[:, null_mask]
+    active = np.where(x > 1e-7 * float(x.max()))[0]   # x > 0, so never empty
+    compressed = (nbasis.conj().T @ ops[active] @ nbasis).reshape(active.size, k * k)
+    rows = np.concatenate([compressed.real, compressed.imag], axis=1)
+    sol, *_ = np.linalg.lstsq(rows, np.ones(active.size), rcond=None)
+    return nbasis @ (sol[:k * k] + 1j * sol[k * k:]).reshape(k, k) @ nbasis.conj().T
+
+
+def _barrier(rho: np.ndarray, ops, gap_tol: float = 1e-8) -> tuple[float, float]:
+    """The cover "minimise sum x s.t. sum x_i B_i >= rho, x >= 0" by the barrier.
+
+    Starts from t * 1 with t = 2 lam_max(L^-1 rho L^-H) (L a Cholesky factor
+    of sum B_i) and certifies with the static dual (sum B_i)^-1, the
+    central-path point mu * S^-1 and the polish, all purified. Returns the last
+    (feasible) primal value and the largest certified dual bound, once they
+    are within ``gap_tol`` or after 40 weights; they stay apart where
+    ``_center`` stalls.
+    """
+    mats = np.array(ops)
+    linv = np.linalg.inv(np.linalg.cholesky(mats.sum(axis=0)))
+    top = float(np.linalg.eigvalsh(linv @ rho @ linv.conj().T)[-1])
+    x = np.full(len(mats), 2.0 * top if top > 0 else 1.0)
+    m0, cost = -rho, np.ones(len(mats))
+    primal, dual, sinv = np.inf, -np.inf, _inverse_slack(m0, mats, x)
+    for mu in 0.1 ** np.arange(40):
+        x, sinv = _center(cost, m0, mats, x, mu, sinv)
+        primal = float(np.sum(x))
+        slack = m0 + np.tensordot(x, mats, 1)
+        for raw in (linv.conj().T @ linv, mu * sinv, _polish_dual(mats, x, slack)):
+            if raw is not None:
+                dual = max(dual, float(np.trace(_purify_dual(raw, mats, 1) @ rho).real))
+        if primal - dual <= gap_tol:
+            break
+    return primal, dual
+
+
+@pytest.mark.parametrize("batch", ["near_dependent", "random"])
+def test_cover_agrees_with_barrier(batch):
+    # free-frame covers diag(x) >= C: each solver's feasible value sits above
+    # the other's certified bound (up to rounding at R + 1 ~ 1.8e6), and where
+    # the barrier certifies too the two values agree within gap_tol
+    gap_tol = 1e-8
+    if batch == "near_dependent":
+        draws = near_dependent_batch()
+    else:
+        rng = make_rng(530)
+        draws = [(random_basis(int(d), rng), random_density(int(d), rng)) for d in rng.integers(2, 9, 40)]
+    for b, rho in draws:
+        coeffs, units = free_expansion(rho, b), [np.diag(e) for e in np.eye(b.d)]
+        sol = solve_cover(coeffs, units, gap_tol=gap_tol)
+        primal, dual = _barrier(coeffs, units, gap_tol)
+        rounding = 1e-13 * max(1.0, primal)
+        assert sol.primal >= dual - rounding and primal >= sol.dual - rounding, (b.d, sol, primal, dual)
+        if primal - dual <= gap_tol:
+            assert abs(sol.primal - primal) <= gap_tol, (b.d, sol.primal, primal)
 
 
 def _hermitian_coords(k: int) -> np.ndarray:

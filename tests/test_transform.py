@@ -131,20 +131,20 @@ def test_relabeling_symmetry():
 
 
 def assert_certified_optimum(sol, problem):
-    """The closed form against the barrier on the same LMI: a feasible p >= 0,
+    """The closed form against solve_lmi on the same LMI: a feasible p >= 0,
     a dual that verify_dual accepts, a gap at rounding level and a value at
-    or above the barrier's by at most its gap tolerance."""
+    or above solve_lmi's by at most its gap tolerance."""
     feasible, bound = verify_dual(sol.dual_matrix, problem)
     assert feasible and abs(bound - sol.dual) <= 1e-12
     assert abs(sol.gap) <= 1e-12 and abs(sol.dual - sol.primal - sol.gap) <= 1e-15
     assert np.min(sol.p) >= 0.0 and abs(np.sum(sol.p) - sol.primal) <= 1e-15
     slack = np.eye(problem.dim) - sum(pn * a for pn, a in zip(sol.p, problem.operators))
     assert np.linalg.eigvalsh(slack)[0] >= -1e-12
-    barrier = solve_lmi(problem)
-    assert 0.0 <= sol.primal - barrier.primal <= DEFAULT_GAP_TOL
+    solved = solve_lmi(problem)
+    assert 0.0 <= sol.primal - solved.primal <= DEFAULT_GAP_TOL
 
 
-def test_closed_form_matches_barrier_on_random_supports():
+def test_closed_form_matches_solve_lmi_on_random_supports():
     rng = make_rng(708)
     for d in range(2, 9):
         b = random_basis(d, rng)
@@ -199,7 +199,7 @@ def test_closed_form_branches(pair, alpha):
 
 def test_closed_form_keeps_the_gap_contract():
     # a certified gap is never below zero by more than rounding, so a negative
-    # tolerance cannot be met: the closed form raises as the barrier does
+    # tolerance cannot be met: the closed form raises as solve_lmi does
     b = qubit_free_basis(0.5)
     with pytest.raises(NoConvergence):
         max_conversion_prob(qubit_state(np.pi / 2, 0.0), qubit_state(1.1, 2.0), b, gap_tol=-1e-3)
