@@ -3,17 +3,19 @@ state discrimination.
 
 Alice's informative outcomes n = 1..d use the Fourier-phased free operators
 ``sqrt(p/d) sum_j exp(2 pi i j n / d) |c_j><c_j^perp|`` at the largest
-feasible p; the restart outcome is their free completion. On free inputs the
-outcome distribution is uniform and the post-measurement states carry no
-information; on the uniform superposition input the d post-measurement
-states are linearly independent, so a zero-error discrimination strategy
-wins every conclusive round. The simulator tabulates two tables per input
-once per call: its outcome CDFs, and Bob's answer CDF after each informative
-outcome (the zero-error verdict on the superposed input, a uniform forced
-guess on free inputs). It then plays the turns in blocks with no Python code
-per turn: a block of n turns draws n input rows, then 2n uniforms (n for the
-outcomes followed by n for the answers), and array operations turn them into
-outcomes, answers and wins.
+feasible p, built in one broadcast product; the restart outcome is their free
+completion. Free inputs leave the outcomes uniform and uninformative; on the
+uniform superposition input the d post-measurement states are linearly
+independent, so zero-error discrimination wins every conclusive round.
+``simulate`` tabulates once per call, from one product of the stacked
+operators with the input columns, the input's outcome CDFs and Bob's answer
+CDF after each informative outcome: a uniform forced guess on free inputs,
+the zero-error verdict on the superposed input, whose rows come from one
+inverse of the post-measurement states (their reciprocal frame; Chefles,
+Phys. Lett. A 239, 1998). It then plays the turns in blocks with no Python
+code per turn: a block of n turns draws n input rows, then 2n uniforms (n for
+the outcomes followed by n for the answers), and array operations turn them
+into outcomes, answers and wins.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FreeBasis, filter_probability, new_free_basis
-from .errors import DimensionMismatch, LinearlyDependent, LinearlyDependentEnsemble
+from .basis import INDEPENDENCE_THRESHOLD, FreeBasis, filter_probability
+from .errors import DimensionMismatch, LinearlyDependentEnsemble
 from .kraus import Channel, complete_free
 from .sampling import make_rng
 from .states import PureState
@@ -70,12 +72,10 @@ def build_game(basis: FreeBasis) -> GameSpec:
     """
     d = basis.d
     p = filter_probability(basis)
-    w_dag = basis.reciprocal.conj().T
-    v = basis.vectors
     j = np.arange(1, d + 1)
-    ops = [np.sqrt(p / d) * (v * np.exp(2j * np.pi * j * n / d)) @ w_dag for n in j]
-    restart = complete_free(ops, basis)
-    return GameSpec(basis=basis, p=p, informative=tuple(ops), restart=tuple(restart))
+    phase = np.exp(2j * np.pi * j * j[:, None] / d)[:, None, :]  # [n - 1, :, j - 1]
+    ops = tuple((np.sqrt(p / d) * (basis.vectors * phase)) @ basis.reciprocal.conj().T)
+    return GameSpec(basis=basis, p=p, informative=ops, restart=tuple(complete_free(ops, basis)))
 
 
 def uniform_superposition(basis: FreeBasis) -> PureState:
@@ -85,37 +85,38 @@ def uniform_superposition(basis: FreeBasis) -> PureState:
 
 def outcome_states(spec: GameSpec, state: PureState) -> list[tuple[float, PureState]]:
     """Informative-outcome probabilities and normalized post-measurement states."""
-    out = []
-    for k in spec.informative:
-        vec = k @ state.amp
-        p = float(np.linalg.norm(vec) ** 2)
-        out.append((p, PureState.normalized(vec)))
-    return out
+    vecs = np.array(spec.informative) @ state.amp
+    norms = np.linalg.norm(vecs, axis=1)
+    return [(float(n ** 2), PureState(v / n)) for n, v in zip(norms, vecs)]
 
 
-def _usd_povm(states: list[PureState]) -> tuple[np.ndarray, float]:
-    """Reciprocal-frame vectors and the largest uniform scaling keeping the POVM valid."""
-    try:
-        frame = new_free_basis([s.amp for s in states])
-    except LinearlyDependent as exc:
-        raise LinearlyDependentEnsemble(f"ensemble: {exc}") from exc
-    return frame.reciprocal, filter_probability(frame)
-
-
-def _cdf(weights) -> list[float]:
-    """Normalized cumulative table: ``bisect_right(table, rng.random())`` draws
-    the same index from the same stream as ``rng.choice(len(p), p=p)``."""
+def _cdf(weights) -> np.ndarray:
+    """Normalized cumulative tables along the last axis: ``bisect_right(row,
+    rng.random())`` draws the same index from the same stream as
+    ``rng.choice(len(p), p=p)``."""
     p = np.clip(weights, 0.0, None)
-    p /= p.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
+    p /= p.sum(axis=-1, keepdims=True)
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
-def _verdict_cdf(reciprocal: np.ndarray, scaling: float, received: np.ndarray) -> list[float]:
-    """USD outcome table: index i names state i, index len(reciprocal) is inconclusive."""
-    probs = np.clip(scaling * np.abs(reciprocal.conj().T @ received) ** 2, 0.0, None)
-    return _cdf(np.append(probs, max(0.0, 1.0 - probs.sum())))
+def _usd_cdfs(states: np.ndarray, received: np.ndarray) -> np.ndarray:
+    """Verdict CDFs of unambiguous discrimination among the unit columns of
+    ``states``, row k for column k of ``received``: index i names state i,
+    index d is inconclusive. The POVM is the states' reciprocal frame scaled
+    by sigma_min^2, so the verdict amplitudes are ``inv(states) @ received``."""
+    d, n = states.shape
+    if n != d or d < 2:
+        raise DimensionMismatch(f"need d >= 2 columns of dimension d, got {n} columns in C^{d}")
+    smin = float(np.linalg.svd(states, compute_uv=False)[-1])
+    if smin <= INDEPENDENCE_THRESHOLD:
+        raise LinearlyDependentEnsemble(
+            f"ensemble: smallest singular value {smin:.3e} <= {INDEPENDENCE_THRESHOLD:.0e}")
+    if len(received) != d:
+        raise DimensionMismatch(f"received dimension {len(received)} != ensemble dimension {d}")
+    probs = smin ** 2 * np.abs(np.linalg.inv(states) @ received).T ** 2
+    return _cdf(np.concatenate([probs, np.maximum(0.0, 1.0 - probs.sum(axis=1, keepdims=True))], axis=1))
 
 
 def discriminate(states: list[PureState], received: PureState,
@@ -125,25 +126,15 @@ def discriminate(states: list[PureState], received: PureState,
     A conclusive result identifies the received state with zero error; None
     signals the inconclusive outcome. Deterministic for a given seed.
     """
-    reciprocal, scaling = _usd_povm(states)
-    if received.dim != len(reciprocal):
-        raise DimensionMismatch(f"received dimension {received.dim} != ensemble dimension {len(reciprocal)}")
-    cdf = _verdict_cdf(reciprocal, scaling, received.amp)
+    cdf = _usd_cdfs(np.column_stack([s.amp for s in states]), received.amp[:, None])[0]
     outcome = bisect_right(cdf, make_rng(rng_seed).random())
     return None if outcome == len(states) else outcome
 
 
-def _outcome_cdfs(spec: GameSpec, amps: np.ndarray) -> np.ndarray:
-    """Row k: the outcome CDF of input column k of ``amps``, over informative
-    outcomes 0..d-1 and then the restart operators."""
-    ops = np.stack(spec.informative + spec.restart)
-    probs = (np.abs(ops @ amps) ** 2).sum(axis=1).T
-    return np.array([_cdf(row) for row in probs])
-
-
 def _count_bisect(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise ``bisect_right(table[k], u[k])``: entries of a sorted row <= u."""
-    return np.count_nonzero(table <= u[:, None], axis=1)
+    """Row-wise ``bisect_right(table[k], u[k])``: entries of a sorted row <= u,
+    counted down the columns of a transposed copy, which numpy reduces faster."""
+    return np.count_nonzero(np.ascontiguousarray(table.T) <= u, axis=0)
 
 
 def _play(cdfs: np.ndarray, answers: np.ndarray, rng: np.random.Generator, n: int) -> tuple[int, int]:
@@ -183,17 +174,19 @@ def simulate(spec: GameSpec, input_kind: str, turns: int, rng_seed: int) -> Game
         raise ValueError(f"turns must be >= 1, got {turns}")
     if input_kind not in ("free", "superposed"):
         raise ValueError(f"input_kind must be 'free' or 'superposed', got {input_kind!r}")
-    if input_kind == "free":
-        d = spec.basis.d
-        cdfs = _outcome_cdfs(spec, spec.basis.vectors)  # row i: free state i
-        answers = np.tile(_cdf(np.append(np.ones(d), 0.0)), (d, 1))  # uniform guess
+    d = spec.basis.d
+    free = input_kind == "free"
+    amps = spec.basis.vectors if free else uniform_superposition(spec.basis).amp[:, None]
+    vecs = np.array(spec.informative + spec.restart) @ amps  # [outcome, :, input]
+    # row k: the outcome CDF of input column k, informative outcomes first;
+    # contiguous rows make each row sum add in the order of a 1-D sum
+    cdfs = _cdf(np.ascontiguousarray((np.abs(vecs) ** 2).sum(axis=1).T))
+    if free:
+        answers = _cdf(np.append(np.ones(d), 0.0))[None].repeat(d, axis=0)  # uniform guess
     else:
-        superposed = uniform_superposition(spec.basis)
-        posts = [s for _, s in outcome_states(spec, superposed)]
-        povm = _usd_povm(posts)
-        cdfs = _outcome_cdfs(spec, superposed.amp[:, None])
-        # row n: the verdict CDF of the state after outcome n
-        answers = np.array([_verdict_cdf(*povm, s.amp) for s in posts])
+        posts = vecs[:d, :, 0].T  # column n: the state after outcome n
+        posts = posts / np.linalg.norm(posts, axis=0)
+        answers = _usd_cdfs(posts, posts)  # row n: its verdict CDF
     rng = make_rng(rng_seed)
     conclusive = wins = 0
     for done in range(0, turns, _BLOCK_TURNS):

@@ -22,7 +22,7 @@ from .errors import (
     NotSubnormalized,
     NotTracePreserving,
 )
-from .linalg import as_complex_matrix, dagger, herm_eig, hermitian_part
+from .linalg import as_complex_matrix, dagger, hermitian_part
 from .states import DensityMatrix, free_expansion, free_mixture, is_free
 
 TP_TOL = 1e-9
@@ -51,25 +51,34 @@ class FreeKrausForm:
 class Channel:
     """Kraus-operator collection, trace non-increasing by construction.
 
-    ``defect`` = 1 - sum K'K is summed once, at construction.
+    The operators are checked and stacked once; ``defect`` = 1 - sum K'K is
+    formed at construction from one batched product, in operator order, and
+    ``defect_eig`` is ``eigh`` of its Hermitian part.
     """
 
     kraus: tuple
     defect: np.ndarray = field(init=False, repr=False, compare=False)
+    defect_eig: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(as_complex_matrix(k, "Kraus operator") for k in self.kraus)
+        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         if not ops:
             raise DimensionMismatch("channel needs at least one Kraus operator")
         shape = ops[0].shape
         if any(k.shape != shape for k in ops):
             raise DimensionMismatch("Kraus operators must share one shape")
+        if len(shape) != 2:
+            raise DimensionMismatch(f"Kraus operator must be 2-dimensional, got shape {shape}")
+        stack = np.array(ops)
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus operator contains non-finite entries")
         object.__setattr__(self, "kraus", ops)
         defect = np.eye(shape[1], dtype=complex)
-        for k in ops:
-            defect -= dagger(k) @ k
+        for kk in stack.conj().transpose(0, 2, 1) @ stack:
+            defect -= kk
         object.__setattr__(self, "defect", defect)
-        wmin = float(np.linalg.eigvalsh(hermitian_part(defect))[0])
+        object.__setattr__(self, "defect_eig", np.linalg.eigh(hermitian_part(defect)))
+        wmin = float(self.defect_eig[0][0])
         if wmin < -TP_TOL:
             raise NotSubnormalized(f"sum K'K exceeds identity by {-wmin:.3e}")
 
@@ -143,13 +152,10 @@ def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:
     d = basis.d
     if channel.kraus[0].shape != (d, d):
         raise DimensionMismatch(f"operator shape {channel.kraus[0].shape} != ({d}, {d})")
-    w, v = herm_eig(channel.defect)
-    target = basis.vectors[:, 0]
-    completion = []
-    for p, vec in zip(w, v.T):
-        if p > 1e-12:
-            completion.append(np.sqrt(p) * np.outer(target, vec.conj()))
-    return completion
+    w, v = channel.defect_eig
+    keep = w > 1e-12
+    outers = basis.vectors[:, 0, None] * v[:, keep].conj().T[:, None, :]
+    return list(np.sqrt(w[keep])[:, None, None] * outers)
 
 
 def free_channel(operators, basis: FreeBasis) -> Channel:

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from superpos import game
-from superpos.basis import orthonormal_basis, symmetric_basis_d3
+from superpos.basis import filter_probability, new_free_basis, orthonormal_basis, symmetric_basis_d3
 from superpos.errors import DimensionMismatch, LinearlyDependentEnsemble
 from superpos.game import (
     GameStats,
     _cdf,
-    _usd_povm,
     build_game,
     discriminate,
     outcome_states,
@@ -183,12 +182,14 @@ def _simulate_per_turn(spec, kind, turns, rng_seed):
     """Reference simulator: simulate's block layout (n input rows, then n
     outcome uniforms and n answer uniforms), walked turn by turn. Each turn
     recomputes its outcome probabilities from the Kraus operators; a free
-    turn then guesses uniformly, a superposed one builds a fresh USD POVM."""
+    turn then guesses uniformly, a superposed one applies the USD POVM built
+    once per call from the free basis of the post-measurement states."""
     rng = make_rng(rng_seed)
     d = spec.basis.d
     all_ops = list(spec.informative) + list(spec.restart)
     superposed = uniform_superposition(spec.basis)
-    candidates = [s for _, s in outcome_states(spec, superposed)]
+    frame = new_free_basis([s.amp for _, s in outcome_states(spec, superposed)])
+    reciprocal, scaling = frame.reciprocal, filter_probability(frame)
 
     conclusive = wins = 0
     for done in range(0, turns, game._BLOCK_TURNS):
@@ -204,7 +205,6 @@ def _simulate_per_turn(spec, kind, turns, rng_seed):
             if kind == "free":
                 answer = _walk([1.0] * d, u[n + i])
             else:
-                reciprocal, scaling = _usd_povm(candidates)
                 post = PureState.normalized(vecs[outcome])
                 probs = np.clip(scaling * np.abs(reciprocal.conj().T @ post.amp) ** 2, 0.0, None)
                 answer = _walk(list(probs) + [max(0.0, 1.0 - probs.sum())], u[n + i])

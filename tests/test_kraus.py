@@ -173,6 +173,31 @@ def test_complete_free_rejects_empty_set():
         complete_free([], qubit_free_basis(0.2))
 
 
+def test_channel_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        k = 0.5 * np.eye(2, dtype=complex)
+        k[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Channel((0.5 * np.eye(2), k))
+
+
+def test_channel_rejects_mixed_shapes():
+    with pytest.raises(DimensionMismatch, match="share one shape"):
+        Channel((0.5 * np.eye(2), 0.5 * np.eye(3)))
+    with pytest.raises(DimensionMismatch, match="share one shape"):
+        Channel((0.5 * np.eye(2), np.zeros((3, 2))))
+
+
+def test_channel_rejects_operators_that_are_not_matrices():
+    for bad in (np.ones(2), np.zeros((2, 2, 2))):
+        with pytest.raises(DimensionMismatch, match="2-dimensional"):
+            Channel((bad,))
+        with pytest.raises(DimensionMismatch, match="2-dimensional"):
+            Channel((bad, bad))
+        with pytest.raises(DimensionMismatch):
+            Channel((0.5 * np.eye(2), bad))
+
+
 def test_freeness_closure_on_free_states():
     rng = make_rng(406)
     for _ in range(300):
