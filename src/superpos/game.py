@@ -85,6 +85,8 @@ def uniform_superposition(basis: FreeBasis) -> PureState:
 
 def outcome_states(spec: GameSpec, state: PureState) -> list[tuple[float, PureState]]:
     """Informative-outcome probabilities and normalized post-measurement states."""
+    if state.dim != spec.basis.d:
+        raise DimensionMismatch(f"state dimension {state.dim} != game dimension {spec.basis.d}")
     vecs = np.array(spec.informative) @ state.amp
     norms = np.linalg.norm(vecs, axis=1)
     return [(float(n ** 2), PureState(v / n)) for n, v in zip(norms, vecs)]

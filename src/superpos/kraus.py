@@ -34,29 +34,30 @@ class FreeKrausForm:
     """Coefficients c_k and index function f of a free Kraus operator.
 
     The represented operator is ``sum_k c_k |c_{f(k)}><c_k^perp|``;
-    ``matrix`` is the one place that builds it.
+    ``matrix`` is the one place that builds it, and builds a stack in one
+    call from leading axes of ``coeffs`` and ``index_fn``.
     """
 
-    coeffs: np.ndarray    # (d,) complex
-    index_fn: np.ndarray  # (d,) int, output label per input label
+    coeffs: np.ndarray    # (..., d) complex
+    index_fn: np.ndarray  # (..., d) int, output label per input label
 
     def matrix(self, basis: FreeBasis) -> np.ndarray:
-        """The operator on ``basis``, summed term by term in label order."""
+        """The operator(s) on ``basis``, (..., d, d), each summed term by term in label order."""
         v, w = basis.vectors, basis.reciprocal
-        outers = v[:, self.index_fn].T[:, :, None] * w.conj().T[:, None, :]
-        return (np.asarray(self.coeffs)[:, None, None] * outers).sum(axis=0)
+        outers = v.T[self.index_fn][..., None] * w.conj().T[:, None, :]
+        return (np.asarray(self.coeffs)[..., None, None] * outers).sum(axis=-3)
 
 
 @dataclass(frozen=True)
 class Channel:
     """Kraus-operator collection, trace non-increasing by construction.
 
-    The operators are checked and stacked once; ``defect`` = 1 - sum K'K is
-    formed at construction from one batched product, in operator order, and
-    ``defect_eig`` is ``eigh`` of its Hermitian part.
+    The operators are checked and kept as one (n, d, d) complex stack;
+    ``defect`` = 1 - sum K'K is formed from one batched product, in operator
+    order, and ``defect_eig`` is ``eigh`` of its Hermitian part.
     """
 
-    kraus: tuple
+    kraus: np.ndarray
     defect: np.ndarray = field(init=False, repr=False, compare=False)
     defect_eig: tuple = field(init=False, repr=False, compare=False)
 
@@ -72,7 +73,7 @@ class Channel:
         stack = np.array(ops)
         if not np.isfinite(stack).all():
             raise ValueError("Kraus operator contains non-finite entries")
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", stack)
         defect = np.eye(shape[1], dtype=complex)
         for kk in stack.conj().transpose(0, 2, 1) @ stack:
             defect -= kk
@@ -84,7 +85,7 @@ class Channel:
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     @property
     def is_trace_preserving(self) -> bool:
@@ -111,33 +112,29 @@ def is_free_kraus(k: np.ndarray, basis: FreeBasis, tol: float = FREE_TOL) -> Fre
     return FreeKrausForm(coeffs=coeffs, index_fn=index_fn)
 
 
+def _sandwich(ch: Channel, rho: DensityMatrix) -> np.ndarray:
+    """Every K rho K' of the channel, (n, d, d), from one batched product."""
+    if rho.dim != ch.dim:
+        raise DimensionMismatch(f"state dimension {rho.dim} != channel dimension {ch.dim}")
+    return ch.kraus @ rho.mat @ ch.kraus.conj().transpose(0, 2, 1)
+
+
 def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a trace-preserving channel: sum K rho K'."""
     if not ch.is_trace_preserving:
         raise NotTracePreserving(f"defect norm {np.linalg.norm(ch.defect):.3e}")
-    if rho.dim != ch.dim:
-        raise DimensionMismatch(f"state dimension {rho.dim} != channel dimension {ch.dim}")
-    out = np.zeros_like(rho.mat)
-    for k in ch.kraus:
-        out += k @ rho.mat @ dagger(k)
-    return DensityMatrix(out)
+    return DensityMatrix(_sandwich(ch, rho).sum(axis=0))
 
 
 def measure_selective(ch: Channel, rho: DensityMatrix) -> list[tuple[float, DensityMatrix]]:
     """Selective measurement outcomes (p_n, rho_n); outcomes below 1e-12 dropped."""
-    if rho.dim != ch.dim:
-        raise DimensionMismatch(f"state dimension {rho.dim} != channel dimension {ch.dim}")
-    outcomes = []
-    total = 0.0
-    for k in ch.kraus:
-        m = k @ rho.mat @ dagger(k)
-        p = float(np.trace(m).real)
-        total += p
-        if p >= 1e-12:
-            outcomes.append((p, DensityMatrix(m / p)))
+    m = _sandwich(ch, rho)
+    p = np.trace(m, axis1=1, axis2=2).real
+    total = float(p.sum())
     if total > 1.0 + TP_TOL:
         raise NotSubnormalized(f"outcome probabilities sum to {total:.12g}")
-    return outcomes
+    keep = p >= 1e-12
+    return [(float(pn), DensityMatrix(mn)) for pn, mn in zip(p[keep], m[keep] / p[keep, None, None])]
 
 
 def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:
@@ -148,10 +145,10 @@ def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:
     weight p_n contributes ``sqrt(p_n) |c_1><n|``; eigenvalues below 1e-12
     are dropped.
     """
-    channel = Channel(tuple(partial))
+    channel = Channel(partial)
     d = basis.d
-    if channel.kraus[0].shape != (d, d):
-        raise DimensionMismatch(f"operator shape {channel.kraus[0].shape} != ({d}, {d})")
+    if channel.kraus.shape[1:] != (d, d):
+        raise DimensionMismatch(f"operator shape {channel.kraus.shape[1:]} != ({d}, {d})")
     w, v = channel.defect_eig
     keep = w > 1e-12
     outers = basis.vectors[:, 0, None] * v[:, keep].conj().T[:, None, :]
@@ -161,7 +158,7 @@ def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:
 def free_channel(operators, basis: FreeBasis) -> Channel:
     """Trace-preserving channel from free Kraus operators plus their free completion."""
     ops = list(operators)
-    return Channel(tuple(ops + complete_free(ops, basis)))
+    return Channel(ops + complete_free(ops, basis))
 
 
 def is_mfo(ch: Channel, basis: FreeBasis, tol: float = FREE_TOL) -> bool:
@@ -178,12 +175,12 @@ def is_mfo(ch: Channel, basis: FreeBasis, tol: float = FREE_TOL) -> bool:
 
 
 def reduce_ancilla(l_op: np.ndarray, sigma_b: DensityMatrix, basis_a: FreeBasis,
-                   basis_b: FreeBasis) -> list[np.ndarray]:
+                   basis_b: FreeBasis) -> np.ndarray:
     """Free Kraus operators on A reproducing ``tr_B L (rho (x) sigma_B) L'``.
 
     Requires L free on the product basis and sigma_B free on basis B; the
-    returned family is indexed by the free label of sigma_B and an
-    orthonormal-basis index of B.
+    returned stack runs over the free labels of sigma_B with nonzero weight
+    and, within each, over an orthonormal-basis index of B.
     """
     da, db = basis_a.d, basis_b.d
     l_op = as_complex_matrix(l_op, "l_op")
@@ -197,13 +194,10 @@ def reduce_ancilla(l_op: np.ndarray, sigma_b: DensityMatrix, basis_a: FreeBasis,
         raise NotFree("sigma_B is not free")
     weights = np.clip(np.diag(free_expansion(sigma_b, basis_b)).real, 0.0, None)
 
-    out = []
-    for j in range(db):
-        if weights[j] < 1e-14:
-            continue
-        k_in = np.arange(da) * db + j
-        g, h = np.divmod(form.index_fn[k_in], db)
-        for x in range(db):
-            amp = np.sqrt(weights[j]) * form.coeffs[k_in] * basis_b.vectors[x, h]
-            out.append(FreeKrausForm(amp, g).matrix(basis_a))
-    return out
+    labels = np.flatnonzero(weights >= 1e-14)
+    k_in = np.arange(da) * db + labels[:, None]
+    g, h = np.divmod(form.index_fn[k_in], db)
+    # operator (j, x): coefficients sqrt(w_j) c_(k, j) V_B[x, h], index function g[j]
+    amp = (np.sqrt(weights[labels])[:, None] * form.coeffs[k_in])[:, None, :] \
+        * np.moveaxis(basis_b.vectors[:, h], 0, 1)
+    return FreeKrausForm(amp, g[:, None, :]).matrix(basis_a).reshape(-1, da, da)

@@ -106,18 +106,14 @@ def build_phi(a: float, theta: float, phi: float) -> BlochMap:
 
 def choi(bloch_map: BlochMap) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) map(|i><j|); PSD iff completely positive."""
-    c = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1.0
-            c += np.kron(e, bloch_map.apply_operator(e))
-    return c
+    images = np.array([bloch_map.apply_operator(e) for e in np.eye(4).reshape(4, 2, 2)])
+    return images.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
-def kraus_from_choi(choi_matrix: np.ndarray) -> list[np.ndarray]:
+def kraus_from_choi(choi_matrix: np.ndarray) -> np.ndarray:
     """Kraus operators of a completely positive qubit map from its 4 x 4 Choi
-    matrix, one per eigenvalue above 1e-10.
+    matrix, stacked: sqrt(lambda) reshape(v, (2, 2)).T for each eigenpair
+    (lambda, v) with lambda above 1e-10.
 
     Raises ``DimensionMismatch`` for any other shape, ``NonHermitian`` (from
     ``herm_eig``) for a non-Hermitian matrix and ``InvalidState`` for an
@@ -129,16 +125,13 @@ def kraus_from_choi(choi_matrix: np.ndarray) -> list[np.ndarray]:
     w, v = herm_eig(choi_matrix)
     if w[0] < -1e-8:
         raise InvalidState(f"Choi matrix has eigenvalue {w[0]:.3e}: not CP")
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > 1e-10:
-            ops.append(np.sqrt(lam) * vec.reshape(2, 2).T)
-    return ops
+    keep = w > 1e-10
+    return np.sqrt(w[keep])[:, None, None] * v.T[keep].reshape(-1, 2, 2).transpose(0, 2, 1)
 
 
 def channel_from_bloch(bloch_map: BlochMap) -> Channel:
     """Kraus-operator channel realizing a completely positive Bloch map."""
-    return Channel(tuple(kraus_from_choi(choi(bloch_map))))
+    return Channel(kraus_from_choi(choi(bloch_map)))
 
 
 def free_qubit_kraus(kind: int, params, a: float) -> np.ndarray:
@@ -202,9 +195,8 @@ def inject_unitary(u: np.ndarray, a: float) -> Channel:
     # input label 2i + j: f0 sends it to label 2j (system j, ancilla 0),
     # f1 to label 3 - 2j (system 1 - j, ancilla 1)
     i, j = np.divmod(np.arange(4), 2)
-    f0 = FreeKrausForm(c[j, i], 2 * j).matrix(product)
-    f1 = FreeKrausForm(d[1 - j, i], 3 - 2 * j).matrix(product)
-    return free_channel([f0, f1], product)
+    forms = FreeKrausForm(np.array([c[j, i], d[1 - j, i]]), np.array([2 * j, 3 - 2 * j]))
+    return free_channel(forms.matrix(product), product)
 
 
 def fo_certificate_residual(a: float, theta: float) -> float:

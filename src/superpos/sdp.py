@@ -37,13 +37,14 @@ _STEP = 0.95
 
 @dataclass(frozen=True)
 class LmiProblem:
-    """Data of "maximize sum p_n s.t. sum p_n A_n <= 1": the PSD matrices A_n.
+    """Data of "maximize sum p_n s.t. sum p_n A_n <= 1": the PSD matrices A_n,
+    stacked as one (n, k, k) array ``operators``.
 
     ``from_matrices`` builds it and keeps each operator's largest eigenvalue,
     from which ``solve_lmi`` takes its strictly feasible start.
     """
 
-    operators: tuple
+    operators: np.ndarray
     dim: int
     _lambda_max: np.ndarray = field(repr=False, compare=False)
 
@@ -54,7 +55,7 @@ class LmiProblem:
         zero = np.flatnonzero(top <= floor)
         if zero.size:
             raise BadData(f"constraint matrix {zero[0]} is zero (largest eigenvalue {top[zero[0]]:.3e})")
-        return LmiProblem(operators=tuple(ops), dim=ops.shape[1], _lambda_max=top)
+        return LmiProblem(operators=ops, dim=ops.shape[1], _lambda_max=top)
 
 
 def _psd_data(mats, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,7 +187,7 @@ def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolut
     dual feasible set, and the solve returns when its trace is within
     ``gap_tol`` of sum p (``NoConvergence`` otherwise).
     """
-    ops = np.array(problem.operators)
+    ops = problem.operators
 
     def certify(y, p, complementarity):
         if complementarity <= gap_tol and (cert := _purify_dual(y, ops, -1)) is not None:
@@ -208,12 +209,9 @@ def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:
     """
     lam = hermitian_part(as_hermitian_matrix(lam, "lam"))
     bound = float(np.trace(lam).real)
-    if float(np.linalg.eigvalsh(lam)[0]) < -_DUAL_TOL:
-        return False, bound
-    for a in problem.operators:
-        if float(np.trace(lam @ a).real) < 1.0 - _DUAL_TOL:
-            return False, bound
-    return True, bound
+    pairings = np.einsum("ij,nji->n", lam, problem.operators).real
+    feasible = float(np.linalg.eigvalsh(lam)[0]) >= -_DUAL_TOL and pairings.min() >= 1.0 - _DUAL_TOL
+    return bool(feasible), bound
 
 
 def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:

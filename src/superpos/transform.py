@@ -29,20 +29,22 @@ MAX_SUPPORT = 5  # r! operators; 5! = 120 is the desk-scale cap
 
 @dataclass(frozen=True)
 class TransformerSet:
-    """The r! free operators sending `source` to `target` exactly and vanishing off its support."""
+    """The r! free operators sending `source` to `target` exactly and vanishing
+    off its support, stacked as one (r!, d, d) array ``operators``."""
 
     source: PureState
     target: PureState
     support_source: tuple
     support_target: tuple
-    operators: tuple
+    operators: np.ndarray
 
 
 def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> TransformerSet:
     """Enumerate the r! exact free transformers that vanish off the source support.
 
     Support sets are ordered ascending and target orderings run in
-    lexicographic order, so operator identities are reproducible.
+    lexicographic order, so operator identities are reproducible; one
+    ``FreeKrausForm.matrix`` call builds them all.
     Raises ``RankMismatch`` when the superposition ranks differ.
     """
     src = basis.to_free_frame(psi.amp)
@@ -54,16 +56,14 @@ def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> 
     if len(support_r) > MAX_SUPPORT:
         raise SupportTooLarge(f"support size {len(support_r)} exceeds {MAX_SUPPORT}")
     rows = list(support_r)
-    ops = []
-    for image in itertools.permutations(support_s):
-        # labels outside the source support get coefficient 0
-        coeffs = np.zeros(basis.d, dtype=complex)
-        coeffs[rows] = dst[list(image)] / src[rows]
-        index_fn = np.arange(basis.d)
-        index_fn[rows] = image
-        ops.append(FreeKrausForm(coeffs, index_fn).matrix(basis))
-    return TransformerSet(source=psi, target=phi, support_source=support_r,
-                          support_target=support_s, operators=tuple(ops))
+    images = np.array(list(itertools.permutations(support_s)))
+    # labels outside the source support get coefficient 0
+    coeffs = np.zeros((len(images), basis.d), dtype=complex)
+    coeffs[:, rows] = dst[images] / src[rows]
+    index_fn = np.tile(np.arange(basis.d), (len(images), 1))
+    index_fn[:, rows] = images
+    return TransformerSet(source=psi, target=phi, support_source=support_r, support_target=support_s,
+                          operators=FreeKrausForm(coeffs, index_fn).matrix(basis))
 
 
 def _qubit_optimum(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
@@ -100,7 +100,7 @@ def _qubit_optimum(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     return alpha, dirs[np.argmax((a + dirs @ b.T).min(axis=1))]
 
 
-def _closed_form(operators, span: np.ndarray) -> SdpSolution:
+def _closed_form(operators: np.ndarray, span: np.ndarray) -> SdpSolution:
     """Optimum and dual of "maximize sum p_n s.t. sum p_n F_n'F_n <= 1" for one
     or two operators that vanish off the column span of ``span`` (d x r).
 
@@ -113,7 +113,8 @@ def _closed_form(operators, span: np.ndarray) -> SdpSolution:
     is Q P Q' / min_n tr(P Q'F_n'F_nQ); their traces meet at the optimum.
     """
     q, _ = np.linalg.qr(span)
-    blocks = np.array([g.conj().T @ g for g in (f @ q for f in operators)])
+    g = operators @ q
+    blocks = g.conj().transpose(0, 2, 1) @ g
     if len(operators) == 1:
         lam = float(blocks[0, 0, 0].real)
         p, proj = np.array([1.0 / lam]), np.eye(1) / lam
@@ -152,12 +153,12 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
         if sol.gap > gap_tol:
             raise NoConvergence(f"duality gap {sol.gap:.3e} above {gap_tol:.1e}")
     else:
-        problem = LmiProblem.from_matrices([f.conj().T @ f for f in ts.operators])
+        problem = LmiProblem.from_matrices(ts.operators.conj().transpose(0, 2, 1) @ ts.operators)
         sol = solve_lmi(problem, gap_tol=gap_tol)
     value = float(min(max(sol.primal, 0.0), 1.0))
     completion = None
     if value >= 1.0 - 10 * gap_tol:
-        scaled = [np.sqrt(max(pn, 0.0)) * f for pn, f in zip(sol.p, ts.operators)]
+        scaled = np.sqrt(np.clip(sol.p, 0.0, None))[:, None, None] * ts.operators
         completion = tuple(complete_free(scaled, basis))
     return replace(sol, value=value, completion=completion)
 

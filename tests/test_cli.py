@@ -355,3 +355,15 @@ def test_every_leaf_has_pinned_output():
     leaves = set(_leaves(_build_parser()))
     assert leaves and all(len(leaf) == 2 for leaf in leaves)
     assert leaves <= pinned, sorted(leaves - pinned)
+
+
+def test_solver_failure_exits_three_with_nothing_on_stdout(d3_files, capsys):
+    # a certified gap is never below zero by more than rounding: the
+    # support-3 conversion raises NoConvergence at a negative tolerance
+    # (written --tol=-1e-3, since argparse reads a separate "-1e-3" as a flag)
+    code = dispatch(["convert", "prob", "--from", d3_files["candidate"], "--to", d3_files["target"],
+                     "--basis", d3_files["basis"], "--tol=-1e-3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -130,6 +130,12 @@ def test_discriminate_rejects_dimension_mismatch():
         discriminate(states, PureState(orthonormal_basis(2).state(0)), rng_seed=0)
 
 
+def test_outcome_states_rejects_dimension_mismatch():
+    spec = build_game(symmetric_basis_d3())
+    with pytest.raises(DimensionMismatch):
+        outcome_states(spec, PureState(orthonormal_basis(2).state(0)))
+
+
 def test_discriminate_rejects_dependent_ensemble():
     b = orthonormal_basis(2)
     s = PureState(b.state(0))

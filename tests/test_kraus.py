@@ -20,11 +20,12 @@ from superpos.sampling import (
     haar_state,
     make_rng,
     random_basis,
+    random_density,
     random_free_operator,
     random_free_state,
     random_subnormalized_free_ops,
 )
-from superpos.states import DensityMatrix, PureState, is_free
+from superpos.states import DensityMatrix, PureState, free_expansion, is_free
 
 
 def test_identity_is_free():
@@ -115,6 +116,15 @@ def test_measure_selective_uniform_on_free_input():
     for p, out in informative:
         assert abs(p - spec.p / b.d) < 1e-10
         assert np.abs(out.mat - rho.mat).max() < 1e-9  # no information leaks
+
+
+def test_measure_selective_rejects_outcomes_above_one():
+    # each input passes its own check within 1e-9, but together the outcome
+    # total comes to (1 + 0.9e-9)^2 = 1.0000000018 > 1 + TP_TOL
+    ch = Channel((np.sqrt(1 + 0.9e-9) * np.eye(2, dtype=complex),))
+    rho = DensityMatrix((0.5 + 0.45e-9) * np.eye(2, dtype=complex))
+    with pytest.raises(NotSubnormalized, match="1.0000000018"):
+        measure_selective(ch, rho)
 
 
 def test_complete_free_trace_preserving_input():
@@ -373,3 +383,81 @@ def test_is_free_kraus_matches_per_column_loop():
                     assert np.array_equal(form.coeffs, expected[0])
                     assert np.array_equal(form.index_fn, expected[1])
             assert is_free_kraus(b.vectors @ two_live @ dagger(b.reciprocal), b) is None
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_free_kraus_form_stack_matches_row_builds(d):
+    # a stack of forms builds, bit for bit, the operators its rows build one by one
+    rng = make_rng(430 + d)
+    b = random_basis(d, rng)
+    coeffs = rng.normal(size=(6, d)) + 1j * rng.normal(size=(6, d))
+    index_fn = rng.integers(d, size=(6, d))
+    stack = FreeKrausForm(coeffs, index_fn).matrix(b)
+    assert stack.shape == (6, d, d)
+    rows = [FreeKrausForm(c, f).matrix(b) for c, f in zip(coeffs, index_fn)]
+    assert np.array_equal(stack, np.array(rows))
+
+
+# The per-operator loops of apply_channel, measure_selective and reduce_ancilla
+# before they read the Kraus stack in one batched product, kept as oracles.
+def loop_apply_channel(ch, rho):
+    out = np.zeros_like(rho.mat)
+    for k in ch.kraus:
+        out += k @ rho.mat @ dagger(k)
+    return DensityMatrix(out).mat
+
+
+def loop_measure_selective(ch, rho):
+    outcomes = []
+    for k in ch.kraus:
+        m = k @ rho.mat @ dagger(k)
+        p = float(np.trace(m).real)
+        if p >= 1e-12:
+            outcomes.append((p, DensityMatrix(m / p).mat))
+    return outcomes
+
+
+def loop_reduce_ancilla(l_op, sigma_b, basis_a, basis_b):
+    da, db = basis_a.d, basis_b.d
+    form = is_free_kraus(l_op, tensor_basis(basis_a, basis_b))
+    weights = np.clip(np.diag(free_expansion(sigma_b, basis_b)).real, 0.0, None)
+    out = []
+    for j in range(db):
+        if weights[j] < 1e-14:
+            continue
+        k_in = np.arange(da) * db + j
+        g, h = np.divmod(form.index_fn[k_in], db)
+        for x in range(db):
+            amp = np.sqrt(weights[j]) * form.coeffs[k_in] * basis_b.vectors[x, h]
+            out.append(FreeKrausForm(amp, g).matrix(basis_a))
+    return np.array(out)
+
+
+def test_channel_stack_matches_per_operator_loop():
+    rng = make_rng(413)
+    for d in range(2, 9):
+        for trial in range(20):
+            b = random_basis(d, rng)
+            ops = random_subnormalized_free_ops(b, rng, n_ops=int(rng.integers(1, 4)))
+            ch = free_channel(ops, b)
+            rho = haar_state(d, rng).density() if trial % 2 else random_density(d, rng)
+            assert np.array_equal(apply_channel(ch, rho).mat, loop_apply_channel(ch, rho))
+            for channel in (ch, Channel(ops)):
+                outcomes = measure_selective(channel, rho)
+                expected = loop_measure_selective(channel, rho)
+                assert len(outcomes) == len(expected)
+                for (p, out), (q, mat) in zip(outcomes, expected):
+                    assert p == q and np.array_equal(out.mat, mat)
+
+
+def test_reduce_ancilla_matches_per_label_loop():
+    rng = make_rng(414)
+    for trial in range(40):
+        da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        ba, bb = random_basis(da, rng), random_basis(db, rng)
+        l_op = random_free_operator(tensor_basis(ba, bb), rng)
+        # every third sigma_B is a single free state, so some labels carry no weight
+        sigma = (DensityMatrix(np.outer(bb.state(1), bb.state(1).conj())) if trial % 3 == 0
+                 else random_free_state(bb, rng))
+        fam = reduce_ancilla(l_op, sigma, ba, bb)
+        assert np.array_equal(fam, loop_reduce_ancilla(l_op, sigma, ba, bb))

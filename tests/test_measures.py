@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3
+from superpos.errors import NoConvergence
 from superpos.kraus import free_channel, measure_selective
 from superpos.linalg import hermitian_part
 from superpos.measures import (
@@ -618,3 +619,13 @@ def test_reports_carry_convention():
     plus = PureState(np.array([1, 1]) / np.sqrt(2))
     assert rel_entropy_measure(plus.density(), b).convention == "nat"
     assert rank_measure(plus, b).convention == "nat"
+
+
+def test_rel_entropy_update_cap_raises(monkeypatch):
+    rng = make_rng(608)
+    b = random_basis(3, rng)
+    rho = random_density(3, rng)
+    assert not is_free(rho, b)
+    monkeypatch.setattr("superpos.measures._MAX_FW_ITER", 1)
+    with pytest.raises(NoConvergence, match="after 1 updates"):
+        rel_entropy_measure(rho, b)

@@ -4,13 +4,14 @@ import pytest
 from superpos.errors import DimensionMismatch, NoConvergence, NonHermitian, NotUnitary
 from superpos.basis import tensor_basis
 from superpos.kraus import FreeKrausForm, apply_channel, complete_free, is_free_kraus, is_mfo
-from superpos.linalg import dagger, fidelity, partial_trace
+from superpos.linalg import dagger, fidelity, herm_eig, partial_trace
 from superpos.qubit import (
     BlochMap,
     bloch_vector,
     build_phi,
     channel_from_bloch,
     choi,
+    conversion_heatmap,
     fo_certificate_residual,
     free_qubit_kraus,
     generate_from_m2,
@@ -122,6 +123,17 @@ def test_channel_from_bloch_reproduces_action():
         assert ch.is_trace_preserving
         rho = random_density(2, rng)
         assert np.abs(apply_channel(ch, rho).mat - bm.apply_state(rho).mat).max() < 1e-9
+
+
+def test_kraus_from_choi_matches_eigenpair_loop():
+    # the per-eigenpair loop kraus_from_choi ran before it built one stack
+    rng = make_rng(810)
+    for _ in range(60):
+        c = choi(build_phi(float(rng.uniform(0.0, 0.95)), float(rng.uniform(0.0, np.pi)),
+                           float(rng.uniform(0.0, 2 * np.pi))))
+        w, v = herm_eig(c)
+        expected = [np.sqrt(lam) * vec.reshape(2, 2).T for lam, vec in zip(w, v.T) if lam > 1e-10]
+        assert np.array_equal(kraus_from_choi(c), np.array(expected))
 
 
 def test_kraus_from_choi_rejects_wrong_shape():
@@ -410,3 +422,16 @@ def test_heatmap_cell_propagates_solver_errors(monkeypatch, error):
     rank = superposition_rank(source, basis)
     with pytest.raises(type(error)):
         heatmap_cell(basis, source, rank, (1.1, 2.0))
+
+
+def test_heatmap_from_free_source_is_zero_on_rank_two_targets():
+    # the free state with Bloch vector (a, 0, sqrt(1 - a^2)) reaches no target
+    # of superposition rank 2
+    a = 0.5
+    basis = qubit_free_basis(a)
+    initial = (float(np.arccos(np.sqrt(1 - a * a))), 0.0)
+    assert superposition_rank(qubit_state(*initial), basis) == 1
+    rows = conversion_heatmap(a, initial, 8)
+    ranks = np.array([superposition_rank(qubit_state(theta, phi), basis) for theta, phi, _ in rows])
+    assert np.count_nonzero(ranks == 2) > 0
+    assert np.all(rows[ranks == 2, 2] == 0.0)

@@ -75,6 +75,11 @@ def test_maximal_candidate_bounded_by_dual():
     assert feasible
     assert abs(bound - 16 / 17) < 1e-12
     assert sol.primal <= bound + 1e-8
+    # 0.9 Y stays PSD, but its pairings tr(0.9 Y A_n) fall to about 0.9 < 1
+    assert verify_dual(sol.dual_matrix, problem)[0]
+    feasible, bound = verify_dual(0.9 * sol.dual_matrix, problem)
+    assert not feasible
+    assert abs(bound - 0.9 * sol.dual) < 1e-12
 
 
 def test_verify_dual_examples():
@@ -569,3 +574,10 @@ def test_lmi_negative_tolerance_raises():
     # a certified gap is never below zero by more than rounding
     with pytest.raises(NoConvergence):
         solve_lmi(LmiProblem.from_matrices([np.eye(3)]), gap_tol=-1e-3)
+
+
+
+def test_lmi_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(sdp, "_MAX_PD_ITER", 1)
+    with pytest.raises(NoConvergence, match="no certified gap after 1 iterations"):
+        solve_lmi(LmiProblem.from_matrices([np.eye(3)]))

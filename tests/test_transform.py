@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -337,5 +338,5 @@ def test_enumerate_transformers_matches_outer_product_loop():
             ts = enumerate_transformers(states[0], states[1], b)
             assert (ts.support_source, ts.support_target) == tuple(supports)
             expected = loop_transformers(states[0], states[1], b, *supports)
-            assert len(ts.operators) == len(expected)
-            assert all(np.array_equal(f, g) for f, g in zip(ts.operators, expected))
+            assert ts.operators.shape == (math.factorial(r), d, d)
+            assert np.array_equal(ts.operators, np.array(expected))
