@@ -19,7 +19,7 @@ INDEPENDENCE_THRESHOLD = 1e-8
 UNIT_NORM_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreeBasis:
     """The d pure free states, their Gram matrix, and the reciprocal frame."""
 

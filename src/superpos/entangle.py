@@ -18,7 +18,7 @@ from .linalg import dagger
 from .states import PureState, schmidt_rank, superposition_rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConversionMap:
     """Label-copying isometry plus the local filter that orthogonalizes it."""
 

@@ -35,7 +35,7 @@ from .states import PureState
 _BLOCK_TURNS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
     """Alice's operation: d informative free operators plus their completion."""
 

@@ -29,7 +29,7 @@ TP_TOL = 1e-9
 FREE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreeKrausForm:
     """Coefficients c_k and index function f of a free Kraus operator.
 
@@ -48,7 +48,7 @@ class FreeKrausForm:
         return (np.asarray(self.coeffs)[..., None, None] * outers).sum(axis=-3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Kraus-operator collection, trace non-increasing by construction.
 
@@ -58,8 +58,8 @@ class Channel:
     """
 
     kraus: np.ndarray
-    defect: np.ndarray = field(init=False, repr=False, compare=False)
-    defect_eig: tuple = field(init=False, repr=False, compare=False)
+    defect: np.ndarray = field(init=False, repr=False)
+    defect_eig: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)

@@ -1,7 +1,9 @@
 """Superposition quantifiers: l1, relative entropy, rank, and robustness.
 
 All entropic quantities use the natural logarithm; every report carries the
-convention so downstream output is unambiguous.
+convention so downstream output is unambiguous. Robustness is certified in
+three steps, each tried only when the last misses its gap: a closed form, a
+phase fixed point refined from it, and the interior-point cover of ``sdp``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .states import (
 
 LOG_CONVENTION = "nat"
 _MAX_FW_ITER = 10_000
+_MAX_PHASE_STEPS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureReport:
     """A nonnegative measure value plus an optional certificate payload."""
 
@@ -199,6 +202,33 @@ def _closed_form_cover(coeffs: np.ndarray) -> SdpSolution:
                        gap=max(primal - dual, 0.0))
 
 
+def _phase_cover(coeffs: np.ndarray, y: np.ndarray, gap_tol: float) -> SdpSolution | None:
+    """Refine the phase vector y by y <- phase(C y); the first pair within gap_tol, or None.
+
+    Each step pairs the dual Y = y y' (diag Y = 1, value y'Cy) with the primal
+    x = |Cy| + t 1, t = max(0, -lam_min(diag|Cy| - C)) plus a rounding margin
+    d eps max|Cy| (eps the machine epsilon). The two meet at a fixed point
+    y = phase(Cy) with diag|Cy| - C >= 0, the certificate of angular
+    synchronisation (Bandeira, Boumal and Singer, Math. Program. 163, 2017)
+    that the generalised power method reaches (Boumal, SIAM J. Optim. 26,
+    2016). As t >= 0, sum|Cy| - y'Cy bounds the gap from below, so only a step
+    within gap_tol on it pays for the eigvalsh. None after ``_MAX_PHASE_STEPS``.
+    """
+    d = len(y)
+    for _ in range(_MAX_PHASE_STEPS):
+        g = coeffs @ y
+        mag, dual = np.abs(g), float((y.conj() @ g).real)
+        if mag.sum() - dual <= gap_tol:
+            lam = float(np.linalg.eigvalsh(np.diag(mag) - coeffs)[0])
+            x = mag + (max(-lam, 0.0) + d * np.finfo(float).eps * mag.max())
+            primal = float(x.sum())
+            if primal - dual <= gap_tol:
+                return SdpSolution(p=x, primal=primal, dual_matrix=np.outer(y, y.conj()), dual=dual,
+                                   gap=max(primal - dual, 0.0))
+        y = np.exp(1j * np.angle(g))
+    return None
+
+
 def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> MeasureReport:
     """Minimal s >= 0 such that (rho + s tau)/(1+s) is free for some state tau.
 
@@ -207,14 +237,20 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
     certificate holds the optimal (s, closest free state delta, witness tau).
     Every rho first tries the closed form R + 1 = sum_ij |C_ij| of
     ``_closed_form_cover``, kept when its primal point and dual matrix certify
-    each other within gap_tol (every rank-one, every d = 2 and every free rho);
-    any other rho goes to ``solve_cover`` over C and the unit projectors, from
-    the closed-form start 2 lam_max(C) * 1; its ``NoConvergence`` propagates.
-    ``extra["method"]`` says which ("closed_form" or "sdp").
+    each other within gap_tol (every rank-one, every d = 2 and every free rho).
+    Otherwise ``_phase_cover`` refines the closed form's phase vector by
+    y <- phase(C y) and keeps the first certified pair within gap_tol; a rho
+    where that stalls goes to ``solve_cover`` over C and the unit projectors,
+    from the closed-form start 2 lam_max(C) * 1, whose ``NoConvergence``
+    propagates. ``extra["method"]`` says which ("closed_form", "phase" or
+    "sdp").
     """
     coeffs = free_expansion(rho, basis)
     sol, method = _closed_form_cover(coeffs), "closed_form"
     if sol.gap > gap_tol:
+        # Y = y y' for the closed form's phase vector y: its first column is y up to a unit factor
+        sol, method = _phase_cover(coeffs, sol.dual_matrix[:, 0], gap_tol), "phase"
+    if sol is None:
         method = "sdp"
         sol = solve_cover(coeffs, [np.diag(e) for e in np.eye(basis.d)], gap_tol=gap_tol)
     s = max(float(sol.primal - 1.0), 0.0)

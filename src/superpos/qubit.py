@@ -67,7 +67,7 @@ def state_from_bloch(r) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochMap:
     """Affine Bloch-ball representation of a qubit map: r -> translation + matrix r."""
 

@@ -35,7 +35,7 @@ _MAX_PD_ITER = 50
 _STEP = 0.95
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LmiProblem:
     """Data of "maximize sum p_n s.t. sum p_n A_n <= 1": the PSD matrices A_n,
     stacked as one (n, k, k) array ``operators``.
@@ -46,7 +46,7 @@ class LmiProblem:
 
     operators: np.ndarray
     dim: int
-    _lambda_max: np.ndarray = field(repr=False, compare=False)
+    _lambda_max: np.ndarray = field(repr=False)
 
     @staticmethod
     def from_matrices(mats) -> "LmiProblem":
@@ -77,7 +77,7 @@ def _psd_data(mats, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return stacked, w[:, -1], floor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdpSolution:
     """Primal point p, dual certificate and duality gap of a solve of either shape."""
 
@@ -225,10 +225,11 @@ def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:
     itself, and y y' with y = phase(rho phase(v)) for v the top eigenvector of
     Y. The latter is the phase vector of the closed-form cover (Napoli et al.,
     PRL 116, 150502) refined by one fixed-point step; at a rank-one optimum,
-    (diag(x) - rho) y = 0 in the free frame, so phase(rho y) = phase(y). The
-    solve returns once the certified gap is within ``gap_tol``
-    (``NoConvergence`` otherwise). B_i of another shape than rho, or not PSD,
-    raise ``BadData``.
+    (diag(x) - rho) y = 0 in the free frame, so phase(rho y) = phase(y).
+    Iterates are certified only near the end, once the complementarity is
+    within 10 gap_tol max(1, sum x). The solve returns once the certified gap
+    is within ``gap_tol`` (``NoConvergence`` otherwise). B_i of another shape
+    than rho, or not PSD, raise ``BadData``.
     """
     rho = hermitian_part(as_hermitian_matrix(rho, "rho"))
     ops, _, _ = _psd_data(mats, "B_i")
@@ -240,7 +241,9 @@ def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:
         raise BadData("constraint matrices do not span a positive definite sum") from None
     top = float(np.linalg.eigvalsh(linv @ rho @ linv.conj().T)[-1])
 
-    def certify(y, x, _):
+    def certify(y, x, complementarity):
+        if complementarity > 10.0 * gap_tol * max(1.0, float(np.sum(x))):
+            return None
         v = np.linalg.eigh(y)[1][:, -1]
         phases = np.exp(1j * np.angle(rho @ np.exp(1j * np.angle(v))))
         cert = max((_purify_dual(raw, ops, 1) for raw in (y, np.outer(phases, phases.conj()))),

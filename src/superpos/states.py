@@ -17,7 +17,7 @@ PSD_TOL = 1e-9
 RANK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """State vector in the computational frame; unit norm enforced."""
 
@@ -46,7 +46,7 @@ class PureState:
         return PureState(vec / norm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator."""
 

@@ -27,7 +27,7 @@ from .states import PureState, free_support
 MAX_SUPPORT = 5  # r! operators; 5! = 120 is the desk-scale cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformerSet:
     """The r! free operators sending `source` to `target` exactly and vanishing
     off its support, stacked as one (r!, d, d) array ``operators``."""

@@ -18,6 +18,7 @@ from superpos.measures import (
     _entropy_terms,
     _extrapolate,
     _free_sigma,
+    _phase_cover,
     _rel_ent_terms,
     l1_measure,
     rank_measure,
@@ -309,8 +310,9 @@ def test_extrapolate_keeps_weights_positive():
 
 def test_import_leaves_scipy_optimize_out():
     # SciPy is blocked before the import: the library and both SDP shapes,
-    # a conversion (solve_lmi) and a d = 3 mixed-state cover (solve_cover),
-    # run on numpy alone
+    # a conversion (solve_lmi) and a d = 3 mixed-state cover (solve_cover,
+    # called directly, since robustness certifies this state by its phase
+    # step), run on numpy alone
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = "\n".join([
@@ -321,18 +323,22 @@ def test_import_leaves_scipy_optimize_out():
         "from superpos.basis import symmetric_basis_d3",
         "from superpos.measures import robustness",
         "from superpos.sampling import make_rng, random_density",
-        "from superpos.states import PureState",
+        "from superpos.sdp import solve_cover",
+        "from superpos.states import PureState, free_expansion",
         "from superpos.transform import candidate_states_d3, max_conversion_prob",
         "b = symmetric_basis_d3()",
         "target = PureState(np.array([1, 0, 0], dtype=complex))",
         "print(repr(max_conversion_prob(candidate_states_d3()[0], target, b).primal))",
-        "print(robustness(random_density(3, make_rng(606)), b).extra['method'])",
+        "rho = random_density(3, make_rng(606))",
+        "rep = robustness(rho, b)",
+        "cover = solve_cover(free_expansion(rho, b), [np.diag(e) for e in np.eye(3)])",
+        "print(rep.extra['method'], repr(rep.value + 1.0 - cover.primal))",
     ])
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    primal, method = proc.stdout.split()
-    assert abs(float(primal) - 4 / 7) <= 1e-7 and method == "sdp"
+    primal, method, diff = proc.stdout.split()
+    assert abs(float(primal) - 4 / 7) <= 1e-7 and method == "phase" and abs(float(diff)) <= 1e-8
 
 
 def test_rank_measure_examples():
@@ -513,12 +519,61 @@ def test_robustness_certifies_near_dependent_bases(draw):
     assert np.abs(resid).max() <= 1e-8 * (1 + s), (b.sigma_min, s)
 
 
-def test_robustness_mixed_state_uses_sdp():
+def test_robustness_mixed_state_uses_phase():
     rng = make_rng(608)
     b = random_basis(3, rng)
     rep = robustness(random_density(3, rng), b)
+    assert rep.extra["method"] == "phase"
+    assert rep.extra["gap"] <= 1e-8
+
+
+def test_robustness_mixed_state_uses_sdp():
+    # on this orthonormal d = 8 Ginibre state the phase iteration settles on a
+    # fixed point where diag|Cy| - C has a negative eigenvalue (-2.8e-2), a
+    # rank-one dual that is not optimal, so the cover goes to solve_cover
+    b = orthonormal_basis(8)
+    rho = random_density(8, make_rng(806))
+    coeffs = free_expansion(rho, b)
+    assert _phase_cover(coeffs, _closed_form_cover(coeffs).dual_matrix[:, 0], 1e-8) is None
+    rep = robustness(rho, b)
     assert rep.extra["method"] == "sdp"
-    assert rep.extra["gap"] <= 1e-6
+    assert rep.extra["gap"] <= 1e-8
+
+
+def test_phase_cover_certificates_check_independently():
+    # random, orthonormal and eps = 1e-2 near-dependent bases at d = 3..8:
+    # every pair the phase step returns is rebuilt from its x and Y and
+    # checked here, and its value is within gap_tol of solve_cover's
+    rng, gap_tol, certified = make_rng(626), 1e-8, 0
+    for d in range(3, 9):
+        for kind in ("random", "orthonormal", "near"):
+            for _ in range(4):
+                if kind == "orthonormal":
+                    b = orthonormal_basis(d)
+                else:
+                    v = random_basis(d, rng).vectors.copy()
+                    if kind == "near":
+                        v[:, 0] = v[:, 1] + 1e-2 * (rng.normal(size=d) + 1j * rng.normal(size=d))
+                        v[:, 0] /= np.linalg.norm(v[:, 0])
+                    b = new_free_basis(list(v.T))
+                coeffs = free_expansion(random_density(d, rng), b)
+                start = _closed_form_cover(coeffs)
+                assert start.gap > gap_tol
+                sol = _phase_cover(coeffs, start.dual_matrix[:, 0], gap_tol)
+                if sol is None:
+                    continue
+                certified += 1
+                y = sol.dual_matrix[:, 0]
+                assert np.abs(np.abs(y) - 1.0).max() <= 1e-12
+                assert np.allclose(sol.dual_matrix, np.outer(y, y.conj()), rtol=0, atol=1e-12)
+                assert abs(sol.dual - (y.conj() @ coeffs @ y).real) <= 1e-9 * max(1.0, sol.dual)
+                x = sol.p
+                assert sol.primal == float(x.sum())
+                np.linalg.cholesky(np.diag(x) - coeffs)
+                assert 0.0 <= sol.primal - sol.dual <= gap_tol and sol.gap <= gap_tol
+                ref = solve_cover(coeffs, [np.diag(e) for e in np.eye(d)], gap_tol=gap_tol)
+                assert abs(sol.primal - ref.primal) <= gap_tol
+    assert certified >= 60, certified
 
 
 def test_robustness_honours_a_loose_gap_tol():

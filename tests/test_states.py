@@ -1,10 +1,16 @@
+import copy
+
 import numpy as np
 import pytest
 
 from superpos.basis import symmetric_basis_d3
+from superpos.entangle import faithful_conversion
 from superpos.errors import DimensionMismatch, InvalidState, NotNormalized
-from superpos.kraus import is_free_kraus
-from superpos.qubit import qubit_free_basis
+from superpos.game import build_game
+from superpos.kraus import Channel, FreeKrausForm, is_free_kraus
+from superpos.measures import l1_measure, robustness
+from superpos.qubit import build_phi, qubit_free_basis
+from superpos.sdp import LmiProblem, solve_lmi
 from superpos.sampling import haar_state, make_rng, random_basis, random_free_operator
 from superpos.states import (
     DensityMatrix,
@@ -15,6 +21,7 @@ from superpos.states import (
     schmidt_rank,
     superposition_rank,
 )
+from superpos.transform import enumerate_transformers
 
 
 def test_pure_state_rejects_unnormalized():
@@ -144,3 +151,23 @@ def test_rank_never_increases_under_free_kraus():
         if np.linalg.norm(out) < 1e-8:
             continue
         assert superposition_rank(PureState.normalized(out), b) <= superposition_rank(psi, b)
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # == and `in` on the library's array-holding records return a bool (identity),
+    # where a field-wise == would ask numpy for the truth value of an array
+    b = symmetric_basis_d3()
+    psi = PureState(b.state(0))
+    rho = psi.density()
+    records = [
+        b, psi, rho, Channel((np.eye(3),)),
+        FreeKrausForm(np.ones(3, dtype=complex), np.arange(3)),
+        LmiProblem.from_matrices([np.eye(2)]), solve_lmi(LmiProblem.from_matrices([np.eye(2)])),
+        l1_measure(rho, b), robustness(rho, b), faithful_conversion(b), build_phi(0.5, 1.0, 0.0),
+        build_game(b), enumerate_transformers(psi, psi, b),
+    ]
+    for record in records:
+        twin = copy.copy(record)
+        assert (record == record) is True and (record == twin) is False
+        assert (record != twin) is True
+        assert record in records and twin not in records
