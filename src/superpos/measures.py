@@ -1,9 +1,9 @@
 """Superposition quantifiers: l1, relative entropy, rank, and robustness.
 
 All entropic quantities use the natural logarithm; every report carries the
-convention so downstream output is unambiguous. Robustness is certified in
-three steps, each tried only when the last misses its gap: a closed form, a
-phase fixed point refined from it, and the interior-point cover of ``sdp``.
+convention so downstream output is unambiguous. Robustness is certified by
+one phase bracket, whose start is the closed form, then the interior-point
+cover of ``sdp``.
 """
 
 from __future__ import annotations
@@ -183,48 +183,40 @@ def rank_measure(state, basis: FreeBasis) -> MeasureReport:
     return MeasureReport(value=max(value, 0.0), upper_bound=len(decomp) > 1)
 
 
-def _closed_form_cover(coeffs: np.ndarray) -> SdpSolution:
-    """Closed-form robustness cover diag(x) >= C, with its certified gap.
+def _phase_cover(coeffs: np.ndarray, gap_tol: float) -> tuple[str, SdpSolution] | None:
+    """Bracket the cover diag(x) >= C by a feasible x and a dual y y'; the first pair within gap_tol.
 
-    ``coeffs`` is the free-frame C = W' rho W (W the reciprocal frame).
-    x_i = sum_j |C_ij| is feasible for every rho, because diag(x) - C is
-    diagonally dominant. Y = y y', with y the phases of C's top eigenvector,
-    has diag Y = 1 and tr(C Y) = y' C y, which reaches sum_ij |C_ij| when C is
-    2 x 2, rank one (Napoli et al., PRL 116, 150502) or diagonal (every free
-    rho), so the two certify each other there; elsewhere ``gap`` shows how far
-    apart they are.
+    Any x with diag(x) >= C is feasible, and any unit-modulus y gives a dual
+    Y = y y' (diag Y = 1) worth y'Cy. The start pairs the closed form
+    x_i = sum_j |C_ij| (diag(x) - C is diagonally dominant) with the phases of
+    C's top eigenvector; they meet when C is 2 x 2, rank one (Napoli et al.,
+    PRL 116, 150502) or diagonal (every free rho). Each step prices y, then
+    sets y <- phase(Cy). While the best x misses gap_tol and sum|Cy| - y'Cy,
+    a lower bound on the gap, is within it, y offers x = |Cy| + t 1, with
+    t = max(0, -lam_min(diag|Cy| - C)) plus a rounding margin d eps max|Cy|,
+    kept when its sum is smaller. The two meet at a fixed point y = phase(Cy)
+    with diag|Cy| - C >= 0, the certificate of angular synchronisation
+    (Bandeira, Boumal and Singer, Math. Program. 163, 2017) that the
+    generalised power method reaches (Boumal, SIAM J. Optim. 26, 2016).
+    Returns ("closed_form" or "phase", by which x is certified, and the pair),
+    or None after ``_MAX_PHASE_STEPS`` duals.
     """
+    d = len(coeffs)
+    x = np.abs(coeffs).sum(axis=1)
+    primal, method = float(x.sum()), "closed_form"
     _, u = np.linalg.eigh(coeffs)
     y = np.exp(1j * np.angle(u[:, -1]))
-    x = np.abs(coeffs).sum(axis=1)
-    primal, dual = float(x.sum()), float((y.conj() @ coeffs @ y).real)
-    return SdpSolution(p=x, primal=primal, dual_matrix=np.outer(y, y.conj()), dual=dual,
-                       gap=max(primal - dual, 0.0))
-
-
-def _phase_cover(coeffs: np.ndarray, y: np.ndarray, gap_tol: float) -> SdpSolution | None:
-    """Refine the phase vector y by y <- phase(C y); the first pair within gap_tol, or None.
-
-    Each step pairs the dual Y = y y' (diag Y = 1, value y'Cy) with the primal
-    x = |Cy| + t 1, t = max(0, -lam_min(diag|Cy| - C)) plus a rounding margin
-    d eps max|Cy| (eps the machine epsilon). The two meet at a fixed point
-    y = phase(Cy) with diag|Cy| - C >= 0, the certificate of angular
-    synchronisation (Bandeira, Boumal and Singer, Math. Program. 163, 2017)
-    that the generalised power method reaches (Boumal, SIAM J. Optim. 26,
-    2016). As t >= 0, sum|Cy| - y'Cy bounds the gap from below, so only a step
-    within gap_tol on it pays for the eigvalsh. None after ``_MAX_PHASE_STEPS``.
-    """
-    d = len(y)
     for _ in range(_MAX_PHASE_STEPS):
         g = coeffs @ y
         mag, dual = np.abs(g), float((y.conj() @ g).real)
-        if mag.sum() - dual <= gap_tol:
+        if primal - dual > gap_tol and mag.sum() - dual <= gap_tol:
             lam = float(np.linalg.eigvalsh(np.diag(mag) - coeffs)[0])
-            x = mag + (max(-lam, 0.0) + d * np.finfo(float).eps * mag.max())
-            primal = float(x.sum())
-            if primal - dual <= gap_tol:
-                return SdpSolution(p=x, primal=primal, dual_matrix=np.outer(y, y.conj()), dual=dual,
-                                   gap=max(primal - dual, 0.0))
+            offer = mag + (max(-lam, 0.0) + d * np.finfo(float).eps * mag.max())
+            if offer.sum() < primal:
+                x, primal, method = offer, float(offer.sum()), "phase"
+        if primal - dual <= gap_tol:
+            return method, SdpSolution(p=x, primal=primal, dual_matrix=np.outer(y, y.conj()),
+                                       dual=dual, gap=max(primal - dual, 0.0))
         y = np.exp(1j * np.angle(g))
     return None
 
@@ -235,24 +227,17 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
     Solved in the free frame C = W' rho W as "minimize sum x_i - 1 subject to
     diag(x) >= C", i.e. sum x_i |c_i><c_i| >= rho with x_i = (1+s) q_i; the
     certificate holds the optimal (s, closest free state delta, witness tau).
-    Every rho first tries the closed form R + 1 = sum_ij |C_ij| of
-    ``_closed_form_cover``, kept when its primal point and dual matrix certify
-    each other within gap_tol (every rank-one, every d = 2 and every free rho).
-    Otherwise ``_phase_cover`` refines the closed form's phase vector by
-    y <- phase(C y) and keeps the first certified pair within gap_tol; a rho
-    where that stalls goes to ``solve_cover`` over C and the unit projectors,
-    from the closed-form start 2 lam_max(C) * 1, whose ``NoConvergence``
-    propagates. ``extra["method"]`` says which ("closed_form", "phase" or
+    Every rho tries one phase bracket, ``_phase_cover``, whose start is the
+    closed form R + 1 = sum_ij |C_ij| (certified on every rank-one, every
+    d = 2 and every free rho), then the SDP: a rho where the bracket stalls
+    goes to ``solve_cover`` over C and the unit projectors, from the
+    closed-form start 2 lam_max(C) * 1, whose ``NoConvergence`` propagates.
+    ``extra["method"]`` says which certified ("closed_form", "phase" or
     "sdp").
     """
     coeffs = free_expansion(rho, basis)
-    sol, method = _closed_form_cover(coeffs), "closed_form"
-    if sol.gap > gap_tol:
-        # Y = y y' for the closed form's phase vector y: its first column is y up to a unit factor
-        sol, method = _phase_cover(coeffs, sol.dual_matrix[:, 0], gap_tol), "phase"
-    if sol is None:
-        method = "sdp"
-        sol = solve_cover(coeffs, [np.diag(e) for e in np.eye(basis.d)], gap_tol=gap_tol)
+    method, sol = _phase_cover(coeffs, gap_tol) or (
+        "sdp", solve_cover(coeffs, [np.diag(e) for e in np.eye(basis.d)], gap_tol=gap_tol))
     s = max(float(sol.primal - 1.0), 0.0)
     mix = _free_sigma(basis, sol.p)
     delta = DensityMatrix(mix / np.trace(mix).real)

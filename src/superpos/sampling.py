@@ -16,6 +16,8 @@ from .states import DensityMatrix, PureState, free_mixture
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based 64-bit generator (Philox) for bit-reproducible sampling."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -82,6 +82,8 @@ def basis_from_json(node: Any, path: str = "") -> FreeBasis:
     d = node["d"]
     if not isinstance(d, int) or isinstance(d, bool):
         raise SchemaViolation(f"{path}/d", "d must be an integer")
+    if d < 2:
+        raise SchemaViolation(f"{path}/d", f"d must be at least 2, got {d}")
     cols = node["columns"]
     if not isinstance(cols, list) or len(cols) != d:
         raise SchemaViolation(f"{path}/columns", f"expected {d} columns")

@@ -10,6 +10,7 @@ from superpos.cli import _build_parser, dispatch
 from superpos.errors import SchemaViolation
 from superpos.measures import l1_measure
 from superpos.qubit import qubit_free_basis
+from superpos.sampling import make_rng
 from superpos.serialize import (
     basis_from_json,
     basis_to_json,
@@ -130,6 +131,30 @@ def test_ragged_basis_columns_name_the_column():
     with pytest.raises(SchemaViolation) as err:
         basis_from_json({"d": 2, "columns": [[[1, 0], [0, 0]], [[0, 0]]]})
     assert err.value.pointer == "/columns/1"
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_basis_below_two_dimensions_names_d(d, tmp_path, capsys):
+    payload = {"d": d, "columns": []}
+    with pytest.raises(SchemaViolation) as err:
+        basis_from_json(payload)
+    assert err.value.pointer == "/d"
+    code = dispatch(["basis", "check", "--in", write(tmp_path, "small.json", payload)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: /d: " in captured.err
+
+
+def test_negative_seed_is_named(d3_files, capsys):
+    with pytest.raises(ValueError, match="seed"):
+        make_rng(-1)
+    code = dispatch(["game", "simulate", "--basis", d3_files["basis"], "--input", "free",
+                     "--turns", "10", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "seed" in captured.err
 
 
 @pytest.mark.parametrize("action", ["check", "complete"])

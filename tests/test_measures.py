@@ -13,7 +13,6 @@ from superpos.errors import NoConvergence
 from superpos.kraus import free_channel, measure_selective
 from superpos.linalg import hermitian_part
 from superpos.measures import (
-    _closed_form_cover,
     _cross_entropy_eig,
     _entropy_terms,
     _extrapolate,
@@ -473,7 +472,9 @@ def test_robustness_closed_form_matches_sdp():
                     # the closed-form dual passes the checks every solve_cover dual passes
                     # (in the free frame: tr(B_i Y) is Y_ii and tr(rho Y) is tr(C Y))
                     coeffs = free_expansion(rho, b)
-                    cover = _closed_form_cover(coeffs)
+                    _, cover = _phase_cover(coeffs, 1e-8)
+                    # the certified primal is sum_j |C_ij| itself, bit for bit
+                    assert np.array_equal(cover.p, np.abs(coeffs).sum(axis=1))
                     y = cover.dual_matrix
                     assert np.linalg.eigvalsh(hermitian_part(y))[0] >= -1e-9
                     assert np.diag(y).real.max() <= 1 + 1e-9
@@ -534,7 +535,7 @@ def test_robustness_mixed_state_uses_sdp():
     b = orthonormal_basis(8)
     rho = random_density(8, make_rng(806))
     coeffs = free_expansion(rho, b)
-    assert _phase_cover(coeffs, _closed_form_cover(coeffs).dual_matrix[:, 0], 1e-8) is None
+    assert _phase_cover(coeffs, 1e-8) is None
     rep = robustness(rho, b)
     assert rep.extra["method"] == "sdp"
     assert rep.extra["gap"] <= 1e-8
@@ -557,11 +558,11 @@ def test_phase_cover_certificates_check_independently():
                         v[:, 0] /= np.linalg.norm(v[:, 0])
                     b = new_free_basis(list(v.T))
                 coeffs = free_expansion(random_density(d, rng), b)
-                start = _closed_form_cover(coeffs)
-                assert start.gap > gap_tol
-                sol = _phase_cover(coeffs, start.dual_matrix[:, 0], gap_tol)
-                if sol is None:
+                cover = _phase_cover(coeffs, gap_tol)
+                if cover is None:
                     continue
+                method, sol = cover
+                assert method == "phase"
                 certified += 1
                 y = sol.dual_matrix[:, 0]
                 assert np.abs(np.abs(y) - 1.0).max() <= 1e-12
