@@ -212,8 +212,8 @@ def _phase_cover(coeffs: np.ndarray, gap_tol: float) -> tuple[str, SdpSolution] 
         if primal - dual > gap_tol and mag.sum() - dual <= gap_tol:
             lam = float(np.linalg.eigvalsh(np.diag(mag) - coeffs)[0])
             offer = mag + (max(-lam, 0.0) + d * np.finfo(float).eps * mag.max())
-            if offer.sum() < primal:
-                x, primal, method = offer, float(offer.sum()), "phase"
+            if (total := float(offer.sum())) < primal:
+                x, primal, method = offer, total, "phase"
         if primal - dual <= gap_tol:
             return method, SdpSolution(p=x, primal=primal, dual_matrix=np.outer(y, y.conj()),
                                        dual=dual, gap=max(primal - dual, 0.0))
