@@ -44,25 +44,32 @@ class FreeBasis:
         return dagger(self.reciprocal) @ amp
 
 
-def new_free_basis(columns) -> FreeBasis:
-    """Build and validate a free basis from a sequence of column vectors.
-
-    Raises ``NotNormalized``, ``LinearlyDependent`` or ``DimensionMismatch``
-    when the columns do not form a normalized linearly independent set of
-    d >= 2 vectors in dimension d.
-    """
-    v = as_complex_matrix(np.column_stack([np.asarray(c, dtype=complex) for c in columns]),
-                          "basis columns")
+def _sigma_min(v: np.ndarray) -> float:
+    """Smallest singular value of d >= 2 columns in C^d (``DimensionMismatch`` for another
+    shape), above ``INDEPENDENCE_THRESHOLD`` (``LinearlyDependent`` otherwise)."""
     d, n = v.shape
     if n != d or d < 2:
         raise DimensionMismatch(f"need d >= 2 columns of dimension d, got {n} columns in C^{d}")
+    smin = float(np.linalg.svd(v, compute_uv=False)[-1])
+    if smin <= INDEPENDENCE_THRESHOLD:
+        raise LinearlyDependent(f"smallest singular value {smin:.3e} <= {INDEPENDENCE_THRESHOLD:.0e}")
+    return smin
+
+
+def new_free_basis(columns) -> FreeBasis:
+    """Build and validate a free basis from a sequence of column vectors.
+
+    Raises ``NotNormalized``, ``DimensionMismatch`` or ``LinearlyDependent``
+    (checked in that order) when the columns do not form a normalized linearly
+    independent set of d >= 2 vectors in dimension d.
+    """
+    v = as_complex_matrix(np.column_stack([np.asarray(c, dtype=complex) for c in columns]),
+                          "basis columns")
     norms = np.linalg.norm(v, axis=0)
     bad = np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
     if bad.size:
         raise NotNormalized(f"column {bad[0]} has norm {norms[bad[0]]:.12g}")
-    smin = float(np.linalg.svd(v, compute_uv=False)[-1])
-    if smin <= INDEPENDENCE_THRESHOLD:
-        raise LinearlyDependent(f"smallest singular value {smin:.3e} <= {INDEPENDENCE_THRESHOLD:.0e}")
+    smin = _sigma_min(v)
     gram = dagger(v) @ v
     reciprocal = np.linalg.inv(dagger(v))
     return FreeBasis(vectors=v, gram=gram, reciprocal=reciprocal, sigma_min=smin)

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import entangle, game, kraus, measures, qubit, serialize, transform
 from .basis import filter_probability
 from .errors import NoConvergence, SchemaViolation, SuperposError
+from .serialize import _matrix_to_json, _vector_to_json
 from .states import (
     DensityMatrix,
     PureState,
@@ -30,17 +29,24 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
-def _fmt(x) -> float:
-    """Round to 9 significant digits for deterministic output."""
-    return float(f"{float(x):.9g}")
+def _rounded(node):
+    """The JSON payload with every float at 9 significant digits, for deterministic output."""
+    if isinstance(node, dict):
+        return {key: _rounded(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_rounded(value) for value in node]
+    return float(f"{node:.9g}") if isinstance(node, float) else node
 
 
-def _complex_out(z) -> list:
-    return [_fmt(z.real), _fmt(z.imag)]
-
-
-def _matrix_out(m) -> list:
-    return [[_complex_out(complex(x)) for x in row] for row in np.asarray(m, dtype=complex)]
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite positive number, else a parse error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):   # written so that NaN fails
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _as_density(state) -> DensityMatrix:
@@ -79,9 +85,9 @@ def _basis_check(args) -> dict:
     basis = args.path
     return {
         "d": basis.d,
-        "sigma_min": _fmt(basis.sigma_min),
-        "filter_probability": _fmt(filter_probability(basis)),
-        "gram": _matrix_out(basis.gram),
+        "sigma_min": basis.sigma_min,
+        "filter_probability": filter_probability(basis),
+        "gram": _matrix_to_json(basis.gram),
     }
 
 
@@ -90,30 +96,30 @@ def _kraus_check(args) -> dict:
     return {
         "free": [f is not None for f in forms],
         "forms": [None if f is None else {
-            "coeffs": [_complex_out(c) for c in f.coeffs],
+            "coeffs": _vector_to_json(f.coeffs),
             "index_fn": [int(i) for i in f.index_fn],
         } for f in forms],
     }
 
 
 def _report_out(report) -> dict:
-    payload = {"value": _fmt(report.value), "convention": report.convention,
+    payload = {"value": report.value, "convention": report.convention,
                "upper_bound": report.upper_bound}
     if isinstance(report.certificate, DensityMatrix):
-        payload["certificate"] = {"mat": _matrix_out(report.certificate.mat)}
+        payload["certificate"] = {"mat": _matrix_to_json(report.certificate.mat)}
     elif isinstance(report.certificate, dict):
-        payload["certificate"] = {"s": _fmt(report.certificate["s"])}
+        payload["certificate"] = {"s": report.certificate["s"]}
     return payload
 
 
 def _convert_prob(args) -> dict:
     sol = transform.max_conversion_prob(args.source, args.target, args.basis, gap_tol=args.tol)
     return {
-        "value": _fmt(sol.value),
-        "primal": _fmt(sol.primal),
-        "dual": _fmt(sol.dual),
-        "gap": _fmt(sol.gap),
-        "p": [_fmt(x) for x in sol.p],
+        "value": sol.value,
+        "primal": sol.primal,
+        "dual": sol.dual,
+        "gap": sol.gap,
+        "p": sol.p.tolist(),
         "deterministic": sol.completion is not None,
     }
 
@@ -133,8 +139,8 @@ def _game_simulate(args) -> dict:
         "conclusive_turns": stats.conclusive_turns,
         "wins": stats.wins,
         "losses": stats.losses,
-        "win_rate": _fmt(stats.win_rate),
-        "p": _fmt(spec.p),
+        "win_rate": stats.win_rate,
+        "p": spec.p,
     }
 
 
@@ -144,7 +150,7 @@ def _entangle_convert(args) -> dict:
     return {
         "schmidt_rank": schmidt_rank(PureState.normalized(conv.convert(psi)), basis.d, basis.d),
         "classical_rank": superposition_rank(psi, basis),
-        "probability": _fmt(conv.success_probability),
+        "probability": conv.success_probability,
     }
 
 
@@ -173,10 +179,10 @@ _COMMANDS = {
     ("state", "free"): ((_STATE, _BASIS), 1e-9, lambda a: {
         "is_free": is_free(_as_density(a.state), a.basis, a.tol)}),
     ("state", "expand"): ((_STATE, _BASIS), None, lambda a: {
-        "coeffs": _matrix_out(free_expansion(_as_density(a.state), a.basis))}),
+        "coeffs": _matrix_to_json(free_expansion(_as_density(a.state), a.basis))}),
     ("kraus", "check"): ((_OPS, _BASIS), 1e-9, _kraus_check),
     ("kraus", "complete"): ((_OPS, _BASIS), None, lambda a: {
-        "operators": [_matrix_out(k) for k in kraus.complete_free(_square_ops(a), a.basis)]}),
+        "operators": [_matrix_to_json(k) for k in kraus.complete_free(_square_ops(a), a.basis)]}),
     ("measure", "l1"): ((_STATE, _BASIS), None, lambda a: _report_out(
         measures.l1_measure(_as_density(a.state), a.basis))),
     ("measure", "relent"): ((_STATE, _BASIS), 1e-9, lambda a: _report_out(
@@ -218,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
             if load is not None:
                 loads.append((dest, load))
         if tol is not None:
-            leaf_parser.add_argument("--tol", type=float, default=tol)
+            leaf_parser.add_argument("--tol", type=_tolerance, default=tol)
         leaf_parser.add_argument("--out")
         # the basis loads first, so its errors are reported before the other files'
         loads.sort(key=lambda item: item[0] != "basis")
@@ -237,7 +243,7 @@ def dispatch(argv) -> int:
         for dest, load in args.loads:
             setattr(args, dest, load(getattr(args, dest)))
         payload = args.handler(args)
-        text = payload if isinstance(payload, str) else serialize.canonical_dumps(payload)
+        text = payload if isinstance(payload, str) else serialize.canonical_dumps(_rounded(payload))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -25,10 +25,6 @@ class LinearlyDependent(SuperposError):
     pass
 
 
-class LinearlyDependentEnsemble(SuperposError):
-    pass
-
-
 class NotTracePreserving(SuperposError):
     pass
 

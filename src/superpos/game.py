@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import INDEPENDENCE_THRESHOLD, FreeBasis, filter_probability
-from .errors import DimensionMismatch, LinearlyDependentEnsemble
+from .basis import FreeBasis, _sigma_min, filter_probability
+from .errors import DimensionMismatch
 from .kraus import Channel, complete_free
 from .sampling import make_rng
 from .states import PureState
@@ -107,16 +107,11 @@ def _usd_cdfs(states: np.ndarray, received: np.ndarray) -> np.ndarray:
     """Verdict CDFs of unambiguous discrimination among the unit columns of
     ``states``, row k for column k of ``received``: index i names state i,
     index d is inconclusive. The POVM is the states' reciprocal frame scaled
-    by sigma_min^2, so the verdict amplitudes are ``inv(states) @ received``."""
-    d, n = states.shape
-    if n != d or d < 2:
-        raise DimensionMismatch(f"need d >= 2 columns of dimension d, got {n} columns in C^{d}")
-    smin = float(np.linalg.svd(states, compute_uv=False)[-1])
-    if smin <= INDEPENDENCE_THRESHOLD:
-        raise LinearlyDependentEnsemble(
-            f"ensemble: smallest singular value {smin:.3e} <= {INDEPENDENCE_THRESHOLD:.0e}")
-    if len(received) != d:
-        raise DimensionMismatch(f"received dimension {len(received)} != ensemble dimension {d}")
+    by sigma_min^2, so the verdict amplitudes are ``inv(states) @ received``.
+    The columns are checked as a free basis's are, by ``basis._sigma_min``."""
+    smin = _sigma_min(states)
+    if len(received) != len(states):
+        raise DimensionMismatch(f"received dimension {len(received)} != ensemble dimension {len(states)}")
     probs = smin ** 2 * np.abs(np.linalg.inv(states) @ received).T ** 2
     return _cdf(np.concatenate([probs, np.maximum(0.0, 1.0 - probs.sum(axis=1, keepdims=True))], axis=1))
 
@@ -168,7 +163,7 @@ def simulate(spec: GameSpec, input_kind: str, turns: int, rng_seed: int) -> Game
     number of turns. A block of n turns draws ``rng.integers(k, size=n)``
     inputs (k = d free states, or k = 1 superposed input, which draws no
     bits), then ``rng.random(2 * n)``: n outcome uniforms followed by n
-    answer uniforms. Raises ``LinearlyDependentEnsemble`` before the first
+    answer uniforms. Raises ``LinearlyDependent`` before the first
     turn when the superposed input's post-measurement states are linearly
     dependent.
     """

@@ -52,7 +52,7 @@ class FreeKrausForm:
 class Channel:
     """Kraus-operator collection, trace non-increasing by construction.
 
-    The operators are checked and kept as one (n, d, d) complex stack;
+    The operators are checked and kept as one read-only (n, d, d) complex stack;
     ``defect`` = 1 - sum K'K is formed from one batched product, in operator
     order, and ``defect_eig`` is ``eigh`` of its Hermitian part.
     """
@@ -73,6 +73,7 @@ class Channel:
         stack = np.array(ops)
         if not np.isfinite(stack).all():
             raise ValueError("Kraus operator contains non-finite entries")
+        stack.flags.writeable = False
         object.__setattr__(self, "kraus", stack)
         defect = np.eye(shape[1], dtype=complex)
         for kk in stack.conj().transpose(0, 2, 1) @ stack:

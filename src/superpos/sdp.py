@@ -5,11 +5,13 @@ cost.p s.t. Z = F0 - sum p_n A_n >= 0, p >= 0, whose dual is minimize tr(F0 Y)
 s.t. tr(A_n Y) - s_n = cost_n, Y >= 0, s >= 0. HKM directions (Helmberg, Rendl,
 Vanderbei and Wolkowicz 1996) from one factored Schur matrix per iteration,
 combined with Mehrotra's predictor-corrector, keep p strictly feasible while Y
-and its surplus s reach their equality constraints. Each shape turns iterates
-into its own dual certificate: every returned solution carries a feasible dual
-matrix that certifies a duality gap of at most ``gap_tol``, a solve that cannot
-certify one raises ``NoConvergence``, and non-Hermitian data raises
-``NonHermitian``.
+and its surplus s reach their equality constraints. The loop certifies its own
+iterates: once the complementarity tr(YZ) + s.p is within gap_tol max(1, sum p),
+each of the shape's candidate duals is projected onto the PSD cone and rescaled
+into the dual feasible set, the one with the smallest tr(F0 Y) bounds the
+optimum, and the first iterate whose bound is within ``gap_tol`` of sum p is
+returned with that dual matrix. A solve that cannot certify one raises
+``NoConvergence``, and non-Hermitian data raises ``NonHermitian``.
 
 ``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1 (F0 = 1, cost = 1; dual:
 minimize tr Y s.t. tr(Y A_n) >= 1). ``solve_cover`` minimizes sum x_i s.t.
@@ -38,7 +40,7 @@ _STEP = 0.95
 @dataclass(frozen=True, eq=False)
 class LmiProblem:
     """Data of "maximize sum p_n s.t. sum p_n A_n <= 1": the PSD matrices A_n,
-    stacked as one (n, k, k) array ``operators``.
+    stacked as one read-only (n, k, k) array ``operators``.
 
     ``from_matrices`` builds it and keeps each operator's largest eigenvalue,
     from which ``solve_lmi`` takes its strictly feasible start.
@@ -55,6 +57,7 @@ class LmiProblem:
         zero = np.flatnonzero(top <= floor)
         if zero.size:
             raise BadData(f"constraint matrix {zero[0]} is zero (largest eigenvalue {top[zero[0]]:.3e})")
+        ops.flags.writeable = False
         return LmiProblem(operators=ops, dim=ops.shape[1], _lambda_max=top)
 
 
@@ -118,23 +121,28 @@ def _step_lengths(yz_linv: np.ndarray, dy, dz, s, ds, p, dp) -> tuple[float, flo
 
 
 def _path_following(f0: np.ndarray, ops: np.ndarray, cost: np.ndarray, p: np.ndarray,
-                    certify, gap_tol: float) -> SdpSolution:
-    """Maximize cost.p subject to Z = f0 - sum p_n A_n >= 0, p >= 0.
+                    candidates, gap_tol: float) -> SdpSolution:
+    """Maximize cost.p subject to Z = f0 - sum p_n A_n >= 0, p >= 0, for costs of one sign.
 
     The pair is (p, Z) and (Y >= 0, s >= 0) with tr(A_n Y) - s_n = cost_n. p
     starts strictly feasible and stays so; Y = 1 and s = 1 start off their
     equality constraints and reach them as the steps near 1. Each iteration
     factors the HKM Schur matrix tr(A_i Y A_j Z^-1) + delta_ij s_i/p_i once
     and takes Mehrotra's predictor and corrector, with centering
-    sigma = (mu_aff / mu)^3. ``certify(Y, p, complementarity)`` turns each
-    iterate into a solution with a feasible dual, or None; the first whose
-    gap is within ``gap_tol`` is returned. ``NoConvergence`` names the
-    smallest certified gap and the iterations taken when ``_MAX_PD_ITER``
-    iterations never get there or a factorisation fails.
+    sigma = (mu_aff / mu)^3. Once the complementarity is within
+    ``gap_tol`` max(1, sum p), each raw dual of ``candidates(Y)`` goes through
+    ``_purify_dual`` against sign A_n (sign = cost_0); the purified one with
+    the smallest tr(f0 Y) gives the dual sign tr(f0 Y) and the gap
+    sign (dual - sum p), and the first solution whose gap is within ``gap_tol``
+    is returned. ``NoConvergence`` names the smallest certified gap and the
+    iterations taken when ``_MAX_PD_ITER`` iterations never get there or a
+    factorisation fails.
     """
     n, k = ops.shape[:2]
     flat = ops.reshape(n, k * k)
     eye = np.eye(k, dtype=complex)
+    sign = float(cost[0])
+    signed_ops = sign * ops
     y, s = eye, np.ones(n)
     best, complementarity, done = np.inf, np.inf, 0
     try:
@@ -143,11 +151,15 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, cost: np.ndarray, p: np.nda
             yz_linv = np.linalg.inv(np.linalg.cholesky(np.array([y, z])))
             zinv = yz_linv[1].conj().T @ yz_linv[1]
             complementarity = float(np.trace(y @ z).real) + float(s @ p)
-            sol = certify(y, p, complementarity)
-            if sol is not None:
-                if sol.gap <= gap_tol:
-                    return sol
-                best = min(best, sol.gap)
+            if complementarity <= gap_tol * max(1.0, primal := float(p.sum())):
+                duals = [(float(np.trace(f0 @ cert).real), cert) for raw in candidates(y)
+                         if (cert := _purify_dual(raw, signed_ops, -sign)) is not None]
+                if duals:
+                    bound, cert = min(duals, key=lambda pair: pair[0])
+                    dual = sign * bound
+                    if (gap := sign * (dual - primal)) <= gap_tol:
+                        return SdpSolution(p=p, primal=primal, dual_matrix=cert, dual=dual, gap=gap)
+                    best = min(best, gap)
             mu = complementarity / (k + n)
             ay, az = ops @ y, ops @ zinv
             schur = (ay.reshape(n, -1) @ az.transpose(0, 2, 1).reshape(n, -1).T).real
@@ -182,22 +194,13 @@ def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolut
     """Maximize sum p_n subject to sum p_n A_n <= 1, p >= 0.
 
     Path following with F0 = 1 and unit costs, so Y >= 0 and s >= 0 reach
-    tr(A_n Y) - s_n = 1; p starts at 0.5 / (sum_n lam_max(A_n) + 1). Once the
-    complementarity tr(YZ) + s.p is within ``gap_tol``, Y is rescaled onto the
-    dual feasible set, and the solve returns when its trace is within
-    ``gap_tol`` of sum p (``NoConvergence`` otherwise).
+    tr(A_n Y) - s_n = 1; p starts at 0.5 / (sum_n lam_max(A_n) + 1), and the
+    iterate Y is the one candidate dual.
     """
-    ops = problem.operators
-
-    def certify(y, p, complementarity):
-        if complementarity <= gap_tol and (cert := _purify_dual(y, ops, -1)) is not None:
-            primal, dual = float(np.sum(p)), float(np.trace(cert).real)
-            return SdpSolution(p=p, primal=primal, dual_matrix=cert, dual=dual, gap=dual - primal)
-        return None
-
-    n = len(ops)
+    n = len(problem.operators)
     p = np.full(n, 0.5 / (float(np.sum(problem._lambda_max)) + 1.0))
-    return _path_following(np.eye(problem.dim, dtype=complex), ops, np.ones(n), p, certify, gap_tol)
+    return _path_following(np.eye(problem.dim, dtype=complex), problem.operators, np.ones(n), p,
+                           lambda y: (y,), gap_tol)
 
 
 def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:
@@ -219,17 +222,13 @@ def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:
 
     The solution's ``p`` holds x. Path following with F0 = -rho, A_i = -B_i and
     cost -1, from x = t * 1 with t = 2 lam_max(L^-1 rho L^-H) (t = 1 if that
-    is <= 0), strictly feasible for L a Cholesky factor of sum B_i. Every
-    iterate is certified by the better of two duals of "maximize tr(rho Y)
-    s.t. tr(B_i Y) <= 1, Y >= 0", each rescaled onto that set: the iterate Y
-    itself, and y y' with y = phase(rho phase(v)) for v the top eigenvector of
-    Y. The latter is the phase vector of the closed-form cover (Napoli et al.,
-    PRL 116, 150502) refined by one fixed-point step; at a rank-one optimum,
-    (diag(x) - rho) y = 0 in the free frame, so phase(rho y) = phase(y).
-    Iterates are certified only near the end, once the complementarity is
-    within 10 gap_tol max(1, sum x). The solve returns once the certified gap
-    is within ``gap_tol`` (``NoConvergence`` otherwise). B_i of another shape
-    than rho, or not PSD, raise ``BadData``.
+    is <= 0), strictly feasible for L a Cholesky factor of sum B_i. The
+    candidate duals of "maximize tr(rho Y) s.t. tr(B_i Y) <= 1, Y >= 0" are the
+    iterate Y and y y' with y = phase(rho phase(v)) for v the top eigenvector of
+    Y: the phase vector of the closed-form cover (Napoli et al., PRL 116,
+    150502) refined by one fixed-point step; at a rank-one optimum,
+    (diag(x) - rho) y = 0 in the free frame, so phase(rho y) = phase(y). B_i of
+    another shape than rho, or not PSD, raise ``BadData``.
     """
     rho = hermitian_part(as_hermitian_matrix(rho, "rho"))
     ops, _, _ = _psd_data(mats, "B_i")
@@ -241,15 +240,10 @@ def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:
         raise BadData("constraint matrices do not span a positive definite sum") from None
     top = float(np.linalg.eigvalsh(linv @ rho @ linv.conj().T)[-1])
 
-    def certify(y, x, complementarity):
-        if complementarity > 10.0 * gap_tol * max(1.0, float(np.sum(x))):
-            return None
+    def candidates(y):
         v = np.linalg.eigh(y)[1][:, -1]
         phases = np.exp(1j * np.angle(rho @ np.exp(1j * np.angle(v))))
-        cert = max((_purify_dual(raw, ops, 1) for raw in (y, np.outer(phases, phases.conj()))),
-                   key=lambda cand: np.trace(rho @ cand).real)
-        primal, dual = float(np.sum(x)), float(np.trace(rho @ cert).real)
-        return SdpSolution(p=x, primal=primal, dual_matrix=cert, dual=dual, gap=primal - dual)
+        return y, np.outer(phases, phases.conj())
 
     ones = np.ones(len(ops))
-    return _path_following(-rho, -ops, -ones, (2.0 * top if top > 0 else 1.0) * ones, certify, gap_tol)
+    return _path_following(-rho, -ops, -ones, (2.0 * top if top > 0 else 1.0) * ones, candidates, gap_tol)

@@ -275,6 +275,22 @@ def test_tol_only_where_it_is_used(argv, d3_files, capsys):
     capsys.readouterr()
 
 
+TOL_LEAVES = sorted([argv for argv, code in TOL_USE.items() if code == 0]
+                    + [("convert", "prob", "--from", "candidate", "--to", "target")])
+
+
+@pytest.mark.parametrize("argv", TOL_LEAVES, ids=lambda a: "-".join(a[:2]))
+def test_tol_must_be_finite_and_positive(argv, d3_files, capsys):
+    # NaN passes every "<= tol" test as false and inf every one as true, so
+    # the parser rejects them with 0 and negatives before any file is read
+    resolved = [d3_files.get(a, a) for a in argv] + ["--basis", d3_files["basis"]]
+    for tol in ("nan", "inf", "-inf", "0", "-1e-3", "0.0"):
+        assert dispatch(resolved + [f"--tol={tol}"]) == 2, tol
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+
 # Output of the paths whose numbers no solver change may move, byte for byte at
 # 9 significant digits, on the d3_files fixtures.
 GOLDEN = {
@@ -383,11 +399,10 @@ def test_every_leaf_has_pinned_output():
 
 
 def test_solver_failure_exits_three_with_nothing_on_stdout(d3_files, capsys):
-    # a certified gap is never below zero by more than rounding: the
-    # support-3 conversion raises NoConvergence at a negative tolerance
-    # (written --tol=-1e-3, since argparse reads a separate "-1e-3" as a flag)
+    # the support-3 conversion's factorisation fails before its complementarity
+    # reaches 1e-12, so it raises NoConvergence at that tolerance
     code = dispatch(["convert", "prob", "--from", d3_files["candidate"], "--to", d3_files["target"],
-                     "--basis", d3_files["basis"], "--tol=-1e-3"])
+                     "--basis", d3_files["basis"], "--tol", "1e-12"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

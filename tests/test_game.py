@@ -6,7 +6,7 @@ import pytest
 
 from superpos import game
 from superpos.basis import filter_probability, new_free_basis, orthonormal_basis, symmetric_basis_d3
-from superpos.errors import DimensionMismatch, LinearlyDependentEnsemble
+from superpos.errors import DimensionMismatch, LinearlyDependent
 from superpos.game import (
     GameStats,
     _cdf,
@@ -128,6 +128,9 @@ def test_discriminate_rejects_dimension_mismatch():
     states = [PureState(orthonormal_basis(3).state(i)) for i in range(3)]
     with pytest.raises(DimensionMismatch):
         discriminate(states, PureState(orthonormal_basis(2).state(0)), rng_seed=0)
+    # two states in C^3 are not an ensemble of d states in C^d
+    with pytest.raises(DimensionMismatch):
+        discriminate(states[:2], states[0], rng_seed=0)
 
 
 def test_outcome_states_rejects_dimension_mismatch():
@@ -139,7 +142,7 @@ def test_outcome_states_rejects_dimension_mismatch():
 def test_discriminate_rejects_dependent_ensemble():
     b = orthonormal_basis(2)
     s = PureState(b.state(0))
-    with pytest.raises(LinearlyDependentEnsemble):
+    with pytest.raises(LinearlyDependent):
         discriminate([s, s], s, rng_seed=0)
 
 

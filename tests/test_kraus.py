@@ -191,6 +191,16 @@ def test_channel_rejects_non_finite_entries():
             Channel((0.5 * np.eye(2), k))
 
 
+def test_channel_operators_are_read_only():
+    # defect is computed once, so the stack it was computed from must not change
+    ops = [np.sqrt(0.5) * np.eye(2, dtype=complex)] * 2
+    ch = Channel(ops)
+    with pytest.raises(ValueError, match="read-only"):
+        ch.kraus[0] *= 10
+    assert np.linalg.norm(ch.defect) <= 1e-12
+    ops[0] *= 2  # the stack is a copy: the caller's arrays stay writable
+
+
 def test_channel_rejects_mixed_shapes():
     with pytest.raises(DimensionMismatch, match="share one shape"):
         Channel((0.5 * np.eye(2), 0.5 * np.eye(3)))

@@ -170,6 +170,15 @@ def test_rejects_non_psd_data():
         LmiProblem.from_matrices([np.diag([1.0, -0.5])])
 
 
+def test_lmi_operators_are_read_only():
+    # the start point comes from each operator's cached largest eigenvalue
+    mats = np.array([np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex)])
+    problem = LmiProblem.from_matrices(mats)
+    with pytest.raises(ValueError, match="read-only"):
+        problem.operators[0] *= 10
+    mats[0] *= 2  # the stack is a copy: the caller's array stays writable
+
+
 def test_rejects_zero_operator():
     # p_2 of a zero operator is unbounded; the solve used to chase it until
     # matmul overflowed
