@@ -21,7 +21,8 @@ UNIT_NORM_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class FreeBasis:
-    """The d pure free states, their Gram matrix, and the reciprocal frame."""
+    """The d pure free states, their Gram matrix, and the reciprocal frame;
+    ``new_free_basis`` builds all three read-only."""
 
     vectors: np.ndarray      # (d, d), column i is the i-th free state
     gram: np.ndarray         # vectors' @ vectors
@@ -72,6 +73,8 @@ def new_free_basis(columns) -> FreeBasis:
     smin = _sigma_min(v)
     gram = dagger(v) @ v
     reciprocal = np.linalg.inv(dagger(v))
+    for array in (v, gram, reciprocal):
+        array.flags.writeable = False
     return FreeBasis(vectors=v, gram=gram, reciprocal=reciprocal, sigma_min=smin)
 
 

@@ -14,6 +14,7 @@ import sys
 from . import entangle, game, kraus, measures, qubit, serialize, transform
 from .basis import filter_probability
 from .errors import NoConvergence, SchemaViolation, SuperposError
+from .linalg import as_tolerance
 from .serialize import _matrix_to_json, _vector_to_json
 from .states import (
     DensityMatrix,
@@ -41,12 +42,9 @@ def _rounded(node):
 def _tolerance(text: str) -> float:
     """A --tol value: a finite positive number, else a parse error (exit 2)."""
     try:
-        value = float(text)
+        return as_tolerance(float(text))
     except ValueError:
-        value = float("nan")
-    if not 0.0 < value < float("inf"):   # written so that NaN fails
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}") from None
 
 
 def _as_density(state) -> DensityMatrix:

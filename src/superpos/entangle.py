@@ -29,6 +29,8 @@ class ConversionMap:
 
     def convert(self, psi: PureState) -> np.ndarray:
         """Unnormalized filtered output of the full conversion."""
+        if psi.dim != (d := self.splitter.shape[1]):
+            raise DimensionMismatch(f"state dimension {psi.dim} != conversion dimension {d}")
         return np.kron(self.local_filter, self.local_filter) @ (self.splitter @ psi.amp)
 
 

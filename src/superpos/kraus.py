@@ -52,9 +52,9 @@ class FreeKrausForm:
 class Channel:
     """Kraus-operator collection, trace non-increasing by construction.
 
-    The operators are checked and kept as one read-only (n, d, d) complex stack;
-    ``defect`` = 1 - sum K'K is formed from one batched product, in operator
-    order, and ``defect_eig`` is ``eigh`` of its Hermitian part.
+    The operators are checked and kept as one (n, d, d) complex stack; ``defect``
+    = 1 - sum K'K is formed from one batched product, in operator order, and
+    ``defect_eig`` is ``eigh`` of its Hermitian part; all three are read-only.
     """
 
     kraus: np.ndarray
@@ -62,25 +62,22 @@ class Channel:
     defect_eig: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        ops = [np.asarray(k, dtype=complex) for k in self.kraus]
         if not ops:
             raise DimensionMismatch("channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
+        if any(k.shape != ops[0].shape for k in ops):
             raise DimensionMismatch("Kraus operators must share one shape")
-        if len(shape) != 2:
-            raise DimensionMismatch(f"Kraus operator must be 2-dimensional, got shape {shape}")
-        stack = np.array(ops)
-        if not np.isfinite(stack).all():
-            raise ValueError("Kraus operator contains non-finite entries")
-        stack.flags.writeable = False
-        object.__setattr__(self, "kraus", stack)
-        defect = np.eye(shape[1], dtype=complex)
+        stack = as_complex_matrix(ops, "Kraus operator", stack=True)
+        defect = np.eye(stack.shape[2], dtype=complex)
         for kk in stack.conj().transpose(0, 2, 1) @ stack:
             defect -= kk
+        eig = np.linalg.eigh(hermitian_part(defect))
+        for array in (stack, defect, *eig):
+            array.flags.writeable = False
+        object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "defect", defect)
-        object.__setattr__(self, "defect_eig", np.linalg.eigh(hermitian_part(defect)))
-        wmin = float(self.defect_eig[0][0])
+        object.__setattr__(self, "defect_eig", eig)
+        wmin = float(eig[0][0])
         if wmin < -TP_TOL:
             raise NotSubnormalized(f"sum K'K exceeds identity by {-wmin:.3e}")
 

@@ -1,5 +1,5 @@
-"""Dense complex matrix helpers: validation, Hermitian eigendecomposition,
-square roots, fidelity and partial traces.
+"""Dense complex matrix helpers: the input rules for matrices and tolerances,
+Hermitian eigendecomposition, square roots, fidelity and partial traces.
 
 All routines operate on plain ``numpy`` arrays and are pure functions; the
 dimensions encountered in this library are tiny (d <= 8), so robustness is
@@ -19,43 +19,46 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A') / 2."""
+    """(A + A') / 2, of one matrix or of each matrix of an (n, k, k) stack."""
     a = np.asarray(a)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite complex 2-d array."""
+def as_complex_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """A finite complex 2-d array, or with ``stack`` an (n, k, m) stack of them, checked in one pass."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if m.ndim != 2 + stack:
+        raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {m.shape[stack:]}")
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
-def as_hermitian_matrix(a, name: str = "h") -> np.ndarray:
-    """Validate a finite square complex matrix as Hermitian; return it unchanged.
+def as_hermitian_matrix(a, name: str = "h", tol: float = 1e-8, stack: bool = False) -> np.ndarray:
+    """The Hermitian part (A + A')/2 of a finite square complex matrix, or of each
+    matrix of an (n, k, k) stack with ``stack``, checked in one pass: ``NonHermitian``
+    when some ||A - A'|| exceeds ``tol * max(1, ||A||)`` of its own matrix (Frobenius
+    norms), so rounding residue of a near-zero matrix passes."""
+    m = as_complex_matrix(a, name, stack)
+    if m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"{name} must be square, got shape {m.shape[stack:]}")
+    asym = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
+    bad = asym[asym > tol * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))]
+    if bad.size:
+        raise NonHermitian(f"anti-Hermitian part {bad[0]:.3e} exceeds {tol:.0e}*max(1, ||{name}||)")
+    return hermitian_part(m)
 
-    Raises ``NonHermitian`` when ||a - a'|| exceeds ``1e-8 * max(1, ||a||)``
-    (Frobenius norms), so rounding residue of a near-zero matrix passes.
-    ``DensityMatrix`` applies the same form with ``states.HERMITIAN_TOL`` = 1e-10.
-    """
-    m = as_complex_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-    asym = np.linalg.norm(m - m.conj().T)
-    if asym > 1e-8 * max(1.0, np.linalg.norm(m)):
-        raise NonHermitian(f"anti-Hermitian part {asym:.3e} exceeds 1e-8*max(1, ||{name}||)")
-    return m
+
+def as_tolerance(tol, name: str = "tol") -> float:
+    """A tolerance as a float: a finite positive number, else ``ValueError``."""
+    if not 0.0 < tol < np.inf:   # written so that NaN fails
+        raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
+    return float(tol)
 
 
 def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in ascending order and eigenvectors of a Hermitian matrix.
-
-    The input passes ``as_hermitian_matrix`` and is symmetrized internally.
-    """
-    return np.linalg.eigh(hermitian_part(as_hermitian_matrix(h)))
+    """Ascending eigenvalues and eigenvectors of ``as_hermitian_matrix(h)``, h's Hermitian part."""
+    return np.linalg.eigh(as_hermitian_matrix(h))
 
 
 def herm_sqrt(h: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .basis import FreeBasis
 from .errors import NoConvergence
+from .linalg import as_tolerance
 from .sdp import SdpSolution, solve_cover
 from .states import (
     DensityMatrix,
@@ -137,6 +138,7 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9)
     raises ``NoConvergence`` after ``_MAX_FW_ITER`` updates. A free rho starts at its
     free weights, the optimum; any other rho starts at the uniform mixture.
     """
+    tol = as_tolerance(tol)
     if is_free(rho, basis):
         q = np.clip(np.diag(free_expansion(rho, basis)).real, 0.0, None)
         q /= q.sum()
@@ -235,6 +237,7 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
     ``extra["method"]`` says which certified ("closed_form", "phase" or
     "sdp").
     """
+    gap_tol = as_tolerance(gap_tol, "gap_tol")
     coeffs = free_expansion(rho, basis)
     method, sol = _phase_cover(coeffs, gap_tol) or (
         "sdp", solve_cover(coeffs, [np.diag(e) for e in np.eye(basis.d)], gap_tol=gap_tol))

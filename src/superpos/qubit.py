@@ -17,7 +17,7 @@ import numpy as np
 from .basis import FreeBasis, new_free_basis, tensor_basis
 from .errors import DimensionMismatch, InvalidState, NotUnitary
 from .kraus import Channel, FreeKrausForm, free_channel
-from .linalg import as_complex_matrix, dagger, herm_eig
+from .linalg import as_complex_matrix, as_hermitian_matrix, dagger
 from .states import DensityMatrix, PureState, superposition_rank
 from .transform import max_conversion_prob
 
@@ -76,7 +76,9 @@ class BlochMap:
 
     def apply_operator(self, op: np.ndarray) -> np.ndarray:
         """Linear extension of the map to arbitrary 2x2 operators."""
-        op = np.asarray(op, dtype=complex)
+        op = as_complex_matrix(op, "operator")
+        if op.shape != (2, 2):
+            raise DimensionMismatch(f"need a 2 x 2 operator, got shape {op.shape}")
         u0 = np.trace(op)
         uvec = np.array([np.trace(op @ PAULI[k]) for k in (1, 2, 3)])
         out = self.translation * u0 + self.matrix @ uvec
@@ -116,13 +118,13 @@ def kraus_from_choi(choi_matrix: np.ndarray) -> np.ndarray:
     (lambda, v) with lambda above 1e-10.
 
     Raises ``DimensionMismatch`` for any other shape, ``NonHermitian`` (from
-    ``herm_eig``) for a non-Hermitian matrix and ``InvalidState`` for an
-    eigenvalue below -1e-8.
+    ``as_hermitian_matrix``) for a non-Hermitian matrix and ``InvalidState``
+    for an eigenvalue below -1e-8.
     """
-    choi_matrix = as_complex_matrix(choi_matrix, "Choi matrix")
+    choi_matrix = as_hermitian_matrix(choi_matrix, "Choi matrix")
     if choi_matrix.shape != (4, 4):
         raise DimensionMismatch(f"qubit Choi matrix must be 4 x 4, got {choi_matrix.shape}")
-    w, v = herm_eig(choi_matrix)
+    w, v = np.linalg.eigh(choi_matrix)
     if w[0] < -1e-8:
         raise InvalidState(f"Choi matrix has eigenvalue {w[0]:.3e}: not CP")
     keep = w > 1e-10

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadData, NoConvergence
-from .linalg import as_hermitian_matrix, hermitian_part
+from .errors import BadData, DimensionMismatch, NoConvergence
+from .linalg import as_hermitian_matrix, as_tolerance, hermitian_part
 
 DEFAULT_GAP_TOL = 1e-7
 _PSD_DATA_TOL = 1e-9
@@ -62,16 +62,19 @@ class LmiProblem:
 
 
 def _psd_data(mats, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack Hermitian matrices of one square shape, each PSD down to its rounding
+    """Stack Hermitian matrices of one square shape, checked by one
+    ``as_hermitian_matrix`` call on the stack, each PSD down to its rounding
     floor _PSD_DATA_TOL * max(1, |B|) (``BadData`` otherwise); returns the
     (n, k, k) stack, each matrix's largest eigenvalue and its floor."""
-    ops = [hermitian_part(as_hermitian_matrix(m, name)) for m in mats]
-    if not ops:
+    if not isinstance(mats, np.ndarray):
+        mats = list(mats)
+        if len({np.shape(m) for m in mats}) > 1:
+            for m in mats:   # a member that breaks the matrix rule says so, as it would alone
+                as_hermitian_matrix(m, name)
+            raise BadData("constraint matrices must share one square shape")
+    if len(mats) == 0:
         raise BadData("need at least one constraint matrix")
-    dim = ops[0].shape[0]
-    if any(m.shape != (dim, dim) for m in ops):
-        raise BadData("constraint matrices must share one square shape")
-    stacked = np.array(ops)
+    stacked = as_hermitian_matrix(mats, name, stack=True)
     w = np.linalg.eigvalsh(stacked)
     floor = _PSD_DATA_TOL * np.maximum(1.0, np.linalg.norm(stacked, axis=(1, 2)))
     negative = np.flatnonzero(w[:, 0] < -floor)
@@ -197,6 +200,7 @@ def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolut
     tr(A_n Y) - s_n = 1; p starts at 0.5 / (sum_n lam_max(A_n) + 1), and the
     iterate Y is the one candidate dual.
     """
+    gap_tol = as_tolerance(gap_tol, "gap_tol")
     n = len(problem.operators)
     p = np.full(n, 0.5 / (float(np.sum(problem._lambda_max)) + 1.0))
     return _path_following(np.eye(problem.dim, dtype=complex), problem.operators, np.ones(n), p,
@@ -208,9 +212,12 @@ def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:
 
     Feasible means lam >= -_DUAL_TOL and tr(lam A_n) >= 1 - _DUAL_TOL for
     every n; the trace of any feasible lam upper-bounds the primal optimum.
-    A lam that fails ``as_hermitian_matrix`` raises ``NonHermitian``.
+    A lam that fails ``as_hermitian_matrix`` raises ``NonHermitian``, and one
+    of another size than the operators ``DimensionMismatch``.
     """
-    lam = hermitian_part(as_hermitian_matrix(lam, "lam"))
+    lam = as_hermitian_matrix(lam, "lam")
+    if lam.shape != problem.operators.shape[1:]:
+        raise DimensionMismatch(f"lam is {lam.shape}, the operators are {problem.operators.shape[1:]}")
     bound = float(np.trace(lam).real)
     pairings = np.einsum("ij,nji->n", lam, problem.operators).real
     feasible = float(np.linalg.eigvalsh(lam)[0]) >= -_DUAL_TOL and pairings.min() >= 1.0 - _DUAL_TOL
@@ -230,7 +237,8 @@ def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:
     (diag(x) - rho) y = 0 in the free frame, so phase(rho y) = phase(y). B_i of
     another shape than rho, or not PSD, raise ``BadData``.
     """
-    rho = hermitian_part(as_hermitian_matrix(rho, "rho"))
+    gap_tol = as_tolerance(gap_tol, "gap_tol")
+    rho = as_hermitian_matrix(rho, "rho")
     ops, _, _ = _psd_data(mats, "B_i")
     if ops.shape[1:] != rho.shape:
         raise BadData(f"constraint matrices are {ops.shape[1:]}, rho is {rho.shape}")

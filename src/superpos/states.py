@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FreeBasis
-from .errors import DimensionMismatch, InvalidState, NotNormalized
-from .linalg import as_complex_matrix, dagger, herm_eig
+from .errors import DimensionMismatch, InvalidState, NonHermitian, NotNormalized
+from .linalg import as_hermitian_matrix, dagger, herm_eig
 
 PURE_NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -19,15 +19,16 @@ RANK_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """State vector in the computational frame; unit norm enforced."""
+    """State vector in the computational frame; unit norm enforced, ``amp`` read-only."""
 
     amp: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amp, dtype=complex).reshape(-1)
+        amp = np.array(self.amp, dtype=complex).reshape(-1)   # a copy, never the caller's array
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= PURE_NORM_TOL:   # written so that NaN fails
             raise NotNormalized(f"state norm {norm:.12g} != 1")
+        amp.flags.writeable = False
         object.__setattr__(self, "amp", amp)
 
     @property
@@ -48,24 +49,22 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace operator."""
+    """Hermitian, positive semidefinite, unit-trace operator; ``mat`` is read-only."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.mat, "density matrix")
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * scale:
-            raise InvalidState("density matrix is not Hermitian")
-        m = 0.5 * (m + m.conj().T)
+        try:
+            m = as_hermitian_matrix(self.mat, "density matrix", tol=HERMITIAN_TOL)
+        except NonHermitian:
+            raise InvalidState("density matrix is not Hermitian") from None
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidState(f"trace {tr:.12g} != 1")
         wmin = float(np.linalg.eigvalsh(m)[0])
         if wmin < -PSD_TOL:
             raise InvalidState(f"negative eigenvalue {wmin:.3e}")
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
     @property

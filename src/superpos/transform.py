@@ -21,6 +21,7 @@ import numpy as np
 from .basis import FreeBasis, symmetric_basis_d3
 from .errors import NoConvergence, RankMismatch, SupportTooLarge
 from .kraus import FreeKrausForm, complete_free
+from .linalg import as_tolerance
 from .sdp import LmiProblem, SdpSolution, solve_lmi
 from .states import PureState, free_support
 
@@ -30,7 +31,7 @@ MAX_SUPPORT = 5  # r! operators; 5! = 120 is the desk-scale cap
 @dataclass(frozen=True, eq=False)
 class TransformerSet:
     """The r! free operators sending `source` to `target` exactly and vanishing
-    off its support, stacked as one (r!, d, d) array ``operators``."""
+    off its support, stacked as one read-only (r!, d, d) array ``operators``."""
 
     source: PureState
     target: PureState
@@ -62,8 +63,10 @@ def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> 
     coeffs[:, rows] = dst[images] / src[rows]
     index_fn = np.tile(np.arange(basis.d), (len(images), 1))
     index_fn[:, rows] = images
+    operators = FreeKrausForm(coeffs, index_fn).matrix(basis)
+    operators.flags.writeable = False
     return TransformerSet(source=psi, target=phi, support_source=support_r, support_target=support_s,
-                          operators=FreeKrausForm(coeffs, index_fn).matrix(basis))
+                          operators=operators)
 
 
 def _qubit_optimum(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
@@ -147,6 +150,7 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     resolution a free completion of the optimal operators is attached, making
     the deterministic conversion channel explicit.
     """
+    gap_tol = as_tolerance(gap_tol, "gap_tol")
     ts = enumerate_transformers(psi, phi, basis)
     if len(ts.support_source) <= 2:
         sol = _closed_form(ts.operators, basis.reciprocal[:, list(ts.support_source)])

@@ -13,6 +13,17 @@ from superpos.linalg import herm_eig
 from superpos.sampling import make_rng, random_basis
 
 
+def test_basis_arrays_are_read_only():
+    # the reciprocal frame and the Gram matrix are computed from the vectors
+    # once, so none of the three may change after the check
+    b = symmetric_basis_d3()
+    for array in (b.vectors, b.gram, b.reciprocal):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:, 0] *= 3
+    assert np.allclose(b.reciprocal.conj().T @ b.vectors, np.eye(3), atol=1e-12)
+    b.state(0)[0] = 1.0  # state() returns a writable copy
+
+
 def triangular_qubit_basis(theta: float):
     """Columns (1, 0) and (sin, cos): overlap sin(theta)."""
     return new_free_basis([[1, 0], [np.sin(theta), np.cos(theta)]])

@@ -95,6 +95,14 @@ def test_linearly_dependent_labels_break_faithfulness():
     assert schmidt_rank(image, 2, 2) == 2  # not a product state: unfaithful on the extended set
 
 
+def test_conversion_rejects_wrong_size_state():
+    b = symmetric_basis_d3()
+    conv = faithful_conversion(b)
+    for check in (conv.convert, lambda psi: verify_faithful(conv, psi, b)):
+        with pytest.raises(DimensionMismatch, match="state dimension 2"):
+            check(PureState(np.array([1.0, 0.0])))
+
+
 def test_rejects_dependent_locals():
     b = orthonormal_basis(2)
     with pytest.raises(LinearlyDependent):

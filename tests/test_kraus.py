@@ -201,6 +201,15 @@ def test_channel_operators_are_read_only():
     ops[0] *= 2  # the stack is a copy: the caller's arrays stay writable
 
 
+def test_channel_defect_is_read_only():
+    # is_trace_preserving and complete_free read the defect and its eigh
+    ch = Channel([np.sqrt(0.5) * np.eye(2)] * 2)
+    for array in (ch.defect, *ch.defect_eig):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+    assert ch.is_trace_preserving
+
+
 def test_channel_rejects_mixed_shapes():
     with pytest.raises(DimensionMismatch, match="share one shape"):
         Channel((0.5 * np.eye(2), 0.5 * np.eye(3)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from superpos.errors import NonHermitian
+from superpos.errors import DimensionMismatch, NonHermitian
 from superpos.linalg import (
     dagger,
     fidelity,
@@ -69,6 +69,12 @@ def test_herm_eig_invariants_random():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitian):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_herm_eig_rejects_non_matrices():
+    for bad in (np.ones(3), np.ones((2, 3))):
+        with pytest.raises(DimensionMismatch):
+            herm_eig(bad)
 
 
 def test_herm_eig_accepts_rounding_residue_near_zero():

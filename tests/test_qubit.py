@@ -136,6 +136,16 @@ def test_kraus_from_choi_matches_eigenpair_loop():
         assert np.array_equal(kraus_from_choi(c), np.array(expected))
 
 
+def test_bloch_map_rejects_wrong_size_operator():
+    phi = build_phi(0.3, 1.0, 0.5)
+    with pytest.raises(DimensionMismatch, match="2 x 2"):
+        phi.apply_operator(np.eye(3))
+    with pytest.raises(DimensionMismatch, match="2 x 2"):
+        phi.apply_state(DensityMatrix(np.eye(3) / 3))
+    with pytest.raises(ValueError, match="non-finite"):
+        phi.apply_operator(np.diag([np.nan, 1.0]))
+
+
 def test_kraus_from_choi_rejects_wrong_shape():
     with pytest.raises(DimensionMismatch):
         kraus_from_choi(np.eye(9) / 3)

@@ -3,9 +3,9 @@ import pytest
 
 from superpos import sdp
 from superpos.basis import symmetric_basis_d3
-from superpos.errors import BadData, NoConvergence, NonHermitian
+from superpos.errors import BadData, DimensionMismatch, NoConvergence, NonHermitian
 from superpos.linalg import dagger, hermitian_part
-from superpos.measures import robustness
+from superpos.measures import rel_entropy_measure, robustness
 from superpos.kraus import free_channel, measure_selective
 from superpos.sampling import (
     haar_state,
@@ -177,6 +177,55 @@ def test_lmi_operators_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         problem.operators[0] *= 10
     mats[0] *= 2  # the stack is a copy: the caller's array stays writable
+
+
+def test_verify_dual_rejects_wrong_size():
+    with pytest.raises(DimensionMismatch, match="lam"):
+        verify_dual(np.eye(3), LmiProblem.from_matrices([np.eye(2)]))
+
+
+def test_certifying_tolerances_must_be_finite_and_positive():
+    # nan used to skip the Frank-Wolfe loop (fw_gap 0.357 reported as done),
+    # and 0 or a negative tolerance ran to an iteration cap or a failed
+    # factorisation
+    rng = make_rng(11)
+    b = random_basis(4, rng)
+    rho = random_density(4, rng)
+    problem = LmiProblem.from_matrices([np.eye(3)])
+    psi = haar_state(3, make_rng(5))
+    calls = [
+        lambda tol: rel_entropy_measure(rho, b, tol=tol),
+        lambda tol: robustness(rho, b, gap_tol=tol),
+        lambda tol: max_conversion_prob(psi, psi, symmetric_basis_d3(), gap_tol=tol),
+        lambda tol: solve_lmi(problem, gap_tol=tol),
+        lambda tol: solve_cover(rho.mat, [np.eye(4)], gap_tol=tol),
+    ]
+    for call in calls:
+        for tol in (np.nan, np.inf, -np.inf, 0.0, -1e-3):
+            with pytest.raises(ValueError, match="finite positive"):
+                call(tol)
+        call(1e-6)
+
+
+def test_lmi_data_rejects_empty_and_mixed_shapes():
+    with pytest.raises(BadData, match="at least one"):
+        LmiProblem.from_matrices([])
+    with pytest.raises(BadData, match="one square shape"):
+        LmiProblem.from_matrices([np.eye(2), np.eye(3)])
+
+
+def test_lmi_data_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            LmiProblem.from_matrices([np.eye(2), np.diag([1.0, bad])])
+
+
+def test_hermitian_rule_holds_per_matrix_of_a_stack():
+    # a large Hermitian member does not widen the tolerance of a small
+    # non-Hermitian one beside it
+    for skew in (np.array([[1.0, 5.0], [-5.0, 1.0]]), np.array([[1.0, 1e-7], [0.0, 1.0]])):
+        with pytest.raises(NonHermitian):
+            LmiProblem.from_matrices([100 * np.eye(2), skew])
 
 
 def test_rejects_zero_operator():
@@ -580,9 +629,13 @@ def test_lmi_certifies_support_five_conversions(seed, monkeypatch):
 
 
 def test_lmi_negative_tolerance_raises():
-    # a certified gap is never below zero by more than rounding
+    # a negative tolerance is refused up front; a positive one below what the
+    # iterates can reach still raises NoConvergence
+    problem = LmiProblem.from_matrices([np.eye(3)])
+    with pytest.raises(ValueError, match="finite positive"):
+        solve_lmi(problem, gap_tol=-1e-3)
     with pytest.raises(NoConvergence):
-        solve_lmi(LmiProblem.from_matrices([np.eye(3)]), gap_tol=-1e-3)
+        solve_lmi(problem, gap_tol=1e-300)
 
 
 

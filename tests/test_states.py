@@ -43,6 +43,28 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.3], [0.0, 0.5]]))  # not Hermitian
 
 
+def test_density_matrix_rejects_non_finite_and_non_square():
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.diag([np.nan, 1.0]))
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix(np.ones((2, 3)) / 2)
+
+
+def test_pure_state_amplitudes_are_read_only():
+    amp = np.array([0.6, 0.8j])
+    psi = PureState(amp)
+    with pytest.raises(ValueError, match="read-only"):
+        psi.amp[0] = 1.0
+    amp[0] = 1.0  # the state holds a copy: the caller's array stays writable
+    assert psi.amp[0] == 0.6
+
+
+def test_density_matrix_is_read_only():
+    rho = DensityMatrix(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="read-only"):
+        rho.mat[0, 1] = 0.5
+
+
 def test_free_expansion_basis_projector():
     b = symmetric_basis_d3()
     c1 = b.state(0)

@@ -21,6 +21,14 @@ from superpos.transform import (
 )
 
 
+def test_transformer_operators_are_read_only():
+    b = symmetric_basis_d3()
+    psi = haar_state(3, make_rng(7))
+    ts = enumerate_transformers(psi, psi, b)
+    with pytest.raises(ValueError, match="read-only"):
+        ts.operators[0] *= 2
+
+
 def test_rank_one_transformer():
     b = qubit_free_basis(0.3)
     psi = PureState(b.state(0))
@@ -199,11 +207,17 @@ def test_closed_form_branches(pair, alpha):
 
 
 def test_closed_form_keeps_the_gap_contract():
-    # a certified gap is never below zero by more than rounding, so a negative
-    # tolerance cannot be met: the closed form raises as solve_lmi does
+    # a closed-form gap above the tolerance raises as solve_lmi does; this
+    # pair's gap is rounding residue (5.6e-17 with numpy 2.4), and a negative
+    # tolerance is refused up front
     b = qubit_free_basis(0.5)
-    with pytest.raises(NoConvergence):
-        max_conversion_prob(qubit_state(np.pi / 2, 0.0), qubit_state(1.1, 2.0), b, gap_tol=-1e-3)
+    source, target = qubit_state(np.pi / 2, 0.0), qubit_state(0.2, 0.0)
+    gap = max_conversion_prob(source, target, b).gap
+    assert gap > 0
+    with pytest.raises(NoConvergence, match="duality gap"):
+        max_conversion_prob(source, target, b, gap_tol=gap / 2)
+    with pytest.raises(ValueError, match="finite positive"):
+        max_conversion_prob(source, target, b, gap_tol=-1e-3)
 
 
 def test_support_two_source_to_source_is_deterministic():
