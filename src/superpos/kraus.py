@@ -52,8 +52,9 @@ class FreeKrausForm:
 class Channel:
     """Kraus-operator collection, trace non-increasing by construction.
 
-    The operators are checked and kept as one (n, d, d) complex stack; ``defect``
-    = 1 - sum K'K is formed from one batched product, in operator order, and
+    The operators, a sequence of matrices or an (n, d, d) array taken whole, are
+    checked and kept as one complex stack, the channel's own copy; ``defect`` =
+    1 - sum K'K is formed from one batched product, in operator order, and
     ``defect_eig`` is ``eigh`` of its Hermitian part; all three are read-only.
     """
 
@@ -62,11 +63,15 @@ class Channel:
     defect_eig: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = [np.asarray(k, dtype=complex) for k in self.kraus]
-        if not ops:
+        ops = self.kraus
+        if isinstance(ops, np.ndarray):   # a copy, since the stack is made read-only
+            ops = ops.astype(complex)
+        else:
+            ops = [np.asarray(k, dtype=complex) for k in ops]
+            if any(k.shape != ops[0].shape for k in ops):
+                raise DimensionMismatch("Kraus operators must share one shape")
+        if len(ops) == 0:
             raise DimensionMismatch("channel needs at least one Kraus operator")
-        if any(k.shape != ops[0].shape for k in ops):
-            raise DimensionMismatch("Kraus operators must share one shape")
         stack = as_complex_matrix(ops, "Kraus operator", stack=True)
         defect = np.eye(stack.shape[2], dtype=complex)
         for kk in stack.conj().transpose(0, 2, 1) @ stack:

@@ -227,6 +227,31 @@ def test_channel_rejects_operators_that_are_not_matrices():
             Channel((0.5 * np.eye(2), bad))
 
 
+def test_channel_takes_a_stack_whole():
+    # an (n, d, d) array gives the same channel, bit for bit, as its list of
+    # operators, and stays the caller's own
+    rng = make_rng(419)
+    for d, n in ((2, 1), (3, 4), (5, 120)):
+        stack = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        stack /= np.sqrt(1.01 * np.linalg.eigvalsh((stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0))[-1])
+        kept = stack.copy()
+        ch, listed = Channel(stack), Channel(list(stack))
+        for got, want in ((ch.kraus, listed.kraus), (ch.defect, listed.defect),
+                          (ch.defect_eig[0], listed.defect_eig[0]), (ch.defect_eig[1], listed.defect_eig[1])):
+            assert got.tobytes() == want.tobytes()
+        assert stack.flags.writeable and np.array_equal(stack, kept)
+        stack[0] = 0.0   # the channel holds a copy
+        assert np.array_equal(ch.kraus, kept)
+    assert Channel(0.5 * np.eye(2)[None]).kraus.dtype == complex
+    with pytest.raises(DimensionMismatch, match="at least one Kraus operator"):
+        Channel(np.zeros((0, 2, 2)))
+    for bad in (np.eye(2), np.zeros((1, 2, 2, 2))):
+        with pytest.raises(DimensionMismatch, match="2-dimensional"):
+            Channel(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        Channel(np.full((2, 2, 2), np.nan))
+
+
 def test_freeness_closure_on_free_states():
     rng = make_rng(406)
     for _ in range(300):

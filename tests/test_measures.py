@@ -17,7 +17,9 @@ from superpos.measures import (
     _entropy_terms,
     _extrapolate,
     _free_sigma,
+    _newton_point,
     _phase_cover,
+    _rel_ent_hessian,
     _rel_ent_terms,
     l1_measure,
     rank_measure,
@@ -274,29 +276,74 @@ def test_rel_entropy_matches_plain_update():
             assert abs(rep.extra["weights"].sum() - 1.0) <= 1e-12
 
 
-def test_rel_entropy_tail_of_s2b_outcomes(monkeypatch):
+def test_rel_entropy_tail_of_s2b_outcomes():
     # outcomes of random free channels at d = 2..4, where weights decay to a
     # face of the simplex: draw 148 (d = 4) took 4,022 evaluations under the
-    # plain update
-    evaluations = []
-    terms = _rel_ent_terms
-
-    def counted(*args):
-        evaluations[-1] += 1
-        return terms(*args)
-
-    monkeypatch.setattr("superpos.measures._rel_ent_terms", counted)
+    # plain update and draw 166 took 116 under SQUAREM alone; with Newton steps
+    # on the face the largest count is 17
     rng = make_rng(2027)
+    evaluations = []
     for draw in range(300):
         d = int(rng.integers(2, 5))
         b = random_basis(d, rng)
         ch = free_channel(random_subnormalized_free_ops(b, rng, n_ops=2), b)
         rho = haar_state(d, rng).density() if draw % 2 == 0 else random_density(d, rng)
         outcomes = measure_selective(ch, rho)
-        evaluations.append(0)
         rep = rel_entropy_measure(outcomes[int(rng.integers(len(outcomes)))][1], b)
         assert rep.extra["fw_gap"] <= 1e-9
-    assert max(evaluations) <= 500, (int(np.argmax(evaluations)), max(evaluations))
+        evaluations.append(rep.extra["evaluations"])
+    assert max(evaluations) <= 40, (int(np.argmax(evaluations)), max(evaluations))
+
+
+def test_rel_entropy_reports_every_evaluation(monkeypatch):
+    # extra["evaluations"] counts the _rel_ent_terms calls, Newton trial points
+    # included, and extra["newton_steps"] the Newton steps tried
+    calls = []
+    terms = _rel_ent_terms
+
+    def counted(*args):
+        calls.append(1)
+        return terms(*args)
+
+    monkeypatch.setattr("superpos.measures._rel_ent_terms", counted)
+    rng = make_rng(2029)
+    newton_steps = 0
+    for d in (2, 3, 4, 8):
+        b = random_basis(d, rng)
+        for rho in (random_density(d, rng), haar_state(d, rng).density(), random_free_state(b, rng)):
+            calls.clear()
+            rep = rel_entropy_measure(rho, b)
+            assert rep.extra["evaluations"] == len(calls)
+            assert 0 <= rep.extra["newton_steps"] < len(calls)
+            newton_steps += rep.extra["newton_steps"]
+    assert newton_steps > 0
+
+
+def test_rel_entropy_hessian_matches_central_differences():
+    # the Daleckii-Krein Hessian against central differences (step 1e-6) of the
+    # gradient, on a full-rank sigma of a random basis
+    rng = make_rng(2031)
+    for d in (2, 4, 8):
+        b = random_basis(d, rng)
+        rho = random_density(d, rng)
+        q = rng.dirichlet(np.ones(d))
+        _, _, parts = _rel_ent_terms(rho.mat, b, q)
+        hess = _rel_ent_hessian(*parts)
+        step = 1e-6 * np.eye(d)
+        central = np.array([(_rel_ent_terms(rho.mat, b, q + e)[1] - _rel_ent_terms(rho.mat, b, q - e)[1])
+                            for e in step]) / 2e-6
+        assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
+        assert np.abs(hess - central).max() <= 1e-6 * np.abs(hess).max(), d
+        # -tr rho ln sigma(q) is convex in q
+        assert np.linalg.eigvalsh(hess)[0] >= -1e-9 * np.abs(hess).max()
+
+
+def test_rel_entropy_hessian_is_none_off_full_support():
+    # sigma of a weight vector with a zero weight is singular: no Newton step there
+    b = random_basis(3, make_rng(2033))
+    _, _, parts = _rel_ent_terms(np.eye(3) / 3, b, np.array([0.5, 0.5, 0.0]))
+    assert parts is None
+    assert _newton_point(np.array([0.5, 0.5, 0.0]), np.zeros(3), None, 1e-9) is None
 
 
 def test_extrapolate_keeps_weights_positive():
@@ -520,6 +567,18 @@ def test_robustness_certifies_near_dependent_bases(draw):
     assert np.abs(resid).max() <= 1e-8 * (1 + s), (b.sigma_min, s)
 
 
+def test_rel_entropy_certifies_near_dependent_bases():
+    # the 60 eps = 1e-2 draws: SQUAREM alone took up to 45 evaluations on them
+    evaluations = []
+    for b, rho in near_dependent_batch():
+        rep = rel_entropy_measure(rho, b, tol=1e-9)
+        assert 0.0 <= rep.extra["fw_gap"] <= 1e-9, b.sigma_min
+        assert rep.extra["weights"].min() > 0.0
+        assert abs(rep.value - plain_multiplicative_update(rho, b, tol=1e-9)) <= 1e-9 + 1e-12
+        evaluations.append(rep.extra["evaluations"])
+    assert max(evaluations) <= 15, (int(np.argmax(evaluations)), max(evaluations))
+
+
 def test_robustness_mixed_state_uses_phase():
     rng = make_rng(608)
     b = random_basis(3, rng)
@@ -684,4 +743,20 @@ def test_rel_entropy_update_cap_raises(monkeypatch):
     assert not is_free(rho, b)
     monkeypatch.setattr("superpos.measures._MAX_FW_ITER", 1)
     with pytest.raises(NoConvergence, match="after 1 updates"):
+        rel_entropy_measure(rho, b)
+
+
+def test_newton_steps_count_toward_the_update_cap(monkeypatch):
+    # this state takes one SQUAREM cycle (two updates, then at most one
+    # extrapolated point) and then only Newton steps: 2 + newton_steps updates
+    rng = make_rng(608)
+    b = random_basis(3, rng)
+    rho = random_density(3, rng)
+    rep = rel_entropy_measure(rho, b)
+    steps = rep.extra["newton_steps"]
+    assert steps >= 1 and rep.extra["evaluations"] - steps <= 4
+    monkeypatch.setattr("superpos.measures._MAX_FW_ITER", 2 + steps)
+    assert rel_entropy_measure(rho, b).value == rep.value
+    monkeypatch.setattr("superpos.measures._MAX_FW_ITER", 1 + steps)
+    with pytest.raises(NoConvergence, match=f"after {1 + steps} updates"):
         rel_entropy_measure(rho, b)
