@@ -73,9 +73,10 @@ class Channel:
         if len(ops) == 0:
             raise DimensionMismatch("channel needs at least one Kraus operator")
         stack = as_complex_matrix(ops, "Kraus operator", stack=True)
-        defect = np.eye(stack.shape[2], dtype=complex)
-        for kk in stack.conj().transpose(0, 2, 1) @ stack:
-            defect -= kk
+        terms = np.empty((len(stack) + 1, stack.shape[2], stack.shape[2]), dtype=complex)
+        terms[0] = np.eye(stack.shape[2])
+        np.matmul(stack.conj().transpose(0, 2, 1), stack, out=terms[1:])
+        defect = np.subtract.reduce(terms)   # I - K_1'K_1 - K_2'K_2 - ..., in operator order
         eig = np.linalg.eigh(hermitian_part(defect))
         for array in (stack, defect, *eig):
             array.flags.writeable = False

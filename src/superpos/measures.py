@@ -2,10 +2,10 @@
 
 All entropic quantities use the natural logarithm; every report carries the
 convention so downstream output is unambiguous. The relative entropy is
-minimised by an extrapolated multiplicative update and then projected-Newton
-steps on the free face, and certified by its Frank-Wolfe gap. Robustness is
-certified by one phase bracket, whose start is the closed form, then the
-interior-point cover of ``sdp``.
+minimised by multiplicative updates and projected-Newton steps on the free
+face, and certified by its Frank-Wolfe gap. Robustness is certified by one
+phase bracket, whose start is the closed form, then the interior-point cover
+of ``sdp``.
 """
 
 from __future__ import annotations
@@ -132,26 +132,6 @@ def _rel_ent_hessian(w: np.ndarray, loewner: np.ndarray, rho_eig: np.ndarray, a:
     return -2.0 * (p.reshape(d * d, d).T @ ((second * rho_eig.T) @ p.conj()).reshape(d * d, d)).real
 
 
-def _extrapolate(q0: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray | None:
-    """SQUAREM's point q0 - 2 alpha r + alpha^2 v from two updates q1 = F(q0), q2 = F(q1).
-
-    r = q1 - q0, v = q2 - 2 q1 + q0 and alpha = -max(|r|/|v|, 1) (Varadhan &
-    Roland, Scand. J. Stat. 35, 2008, scheme S3). While some weight of the
-    point is not positive, alpha moves halfway to -1, where the point is q2:
-    a weight set to 0 would stay 0 under every later update. None when no
-    alpha < -1 keeps every weight positive.
-    """
-    r, v = q1 - q0, q2 - 2.0 * q1 + q0
-    v_norm = np.linalg.norm(v)
-    alpha = -max(np.linalg.norm(r) / v_norm, 1.0) if v_norm > 0 else -1.0
-    while alpha < -1.0:
-        q = q0 - 2.0 * alpha * r + alpha * alpha * v
-        if (q > 0).all():
-            return q / q.sum()
-        alpha = 0.5 * (alpha - 1.0)
-    return None
-
-
 def _newton_point(q: np.ndarray, grad: np.ndarray, parts: tuple | None, tol: float) -> np.ndarray | None:
     """Projected-Newton point on the free face (Bertsekas, SIAM J. Control Optim. 20, 1982).
 
@@ -190,27 +170,25 @@ def _newton_point(q: np.ndarray, grad: np.ndarray, parts: tuple | None, tol: flo
 
 
 def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9) -> MeasureReport:
-    """Minimum relative entropy to the free set: an extrapolated multiplicative
-    update, then projected-Newton steps on the free face.
+    """Minimum relative entropy to the free set: two multiplicative updates,
+    then projected-Newton steps on the free face for as long as they are kept.
 
-    The update F sets q_i <- q_i * c_i'Tc_i, where -grad_i = c_i'Tc_i >= 0 (T the
+    The update sets q_i <- q_i * c_i'Tc_i, where -grad_i = c_i'Tc_i >= 0 (T the
     Schur product of ln's Loewner matrix with rho in sigma's eigenbasis, see
     ``_rel_ent_terms``) and sum_i q_i c_i'Tc_i = tr rho = 1, so q stays on the
-    simplex; it is the EM fixed point of Cover (IEEE Trans. IT 30, 1984). A
-    SQUAREM cycle takes two updates from q0 and extrapolates them
-    (``_extrapolate``); the extrapolated point is kept when its cross entropy is
-    at most that of the second update, which is kept otherwise. After a cycle
-    the loop tries a projected-Newton step (``_newton_point``, with the Hessian
-    of ``_rel_ent_hessian``): the step is kept when its cross entropy does not
-    rise or its point certifies, and is followed by another; a rejected or
-    failed step is followed by a SQUAREM cycle. Every evaluated point is
-    tested: the loop stops at the first whose Frank-Wolfe gap grad.q - min grad,
-    which bounds value - minimum and is reported as ``extra["fw_gap"]``, is at
-    most tol, and raises ``NoConvergence`` after ``_MAX_FW_ITER`` updates and
-    Newton steps together. ``extra["evaluations"]`` counts the evaluations (one
-    ``eigh`` each, trial points included) and ``extra["newton_steps"]`` the
-    Newton steps tried. A free rho starts at its free weights, the optimum; any
-    other rho starts at the uniform mixture.
+    simplex; it is the EM fixed point of Cover (IEEE Trans. IT 30, 1984). After
+    two updates the loop tries a projected-Newton step (``_newton_point``, with
+    the Hessian of ``_rel_ent_hessian``): the step is kept when its cross
+    entropy does not rise or its point certifies, and is followed by another;
+    a rejected step, or none, is followed by two updates again. Every evaluated
+    point is tested: the loop stops at the first whose Frank-Wolfe gap
+    grad.q - min grad, which bounds value - minimum and is reported as
+    ``extra["fw_gap"]``, is at most tol, and raises ``NoConvergence`` after
+    ``_MAX_FW_ITER`` updates and Newton steps together.
+    ``extra["evaluations"]`` counts the evaluations (one ``eigh`` each, trial
+    points included) and ``extra["newton_steps"]`` the Newton steps tried. A
+    free rho starts at its free weights, the optimum; any other rho starts at
+    the uniform mixture.
     """
     tol = as_tolerance(tol)
     if is_free(rho, basis):
@@ -219,29 +197,26 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9)
     else:
         q = np.full(basis.d, 1.0 / basis.d)
     cross, grad, parts = _rel_ent_terms(rho.mat, basis, q)
-    cycle, newton, updates, evaluations, newton_steps = [q], False, 0, 1, 0
+    updates, evaluations, newton_steps = 0, 1, 0   # updates: plain updates since the last failed Newton step
     while (fw_gap := float(grad @ q - grad.min())) > tol:
-        update = not newton and len(cycle) < 3
-        if update:
+        if newton := updates == 2:
+            trial = _newton_point(q, grad, parts, tol)
+            if trial is None:
+                updates = 0
+                continue
+        else:
             trial = q * -grad
             trial /= trial.sum()
+        if evaluations > _MAX_FW_ITER:   # each evaluation after the start is one update or Newton step
+            raise NoConvergence(f"Frank-Wolfe gap {fw_gap:.3e} above {tol:.1e} after {_MAX_FW_ITER} updates")
+        evaluations += 1
+        newton_steps += newton
+        cross_t, grad_t, parts_t = _rel_ent_terms(rho.mat, basis, trial)
+        if not newton or cross_t <= cross or grad_t @ trial - grad_t.min() <= tol:
+            q, cross, grad, parts = trial, cross_t, grad_t, parts_t
+            updates += not newton
         else:
-            trial = _newton_point(q, grad, parts, tol) if newton else _extrapolate(*cycle)
-        if trial is not None and (update or newton):
-            if updates == _MAX_FW_ITER:
-                raise NoConvergence(f"Frank-Wolfe gap {fw_gap:.3e} above {tol:.1e} after {_MAX_FW_ITER} updates")
-            updates += 1
-            newton_steps += newton
-        kept = False
-        if trial is not None:
-            evaluations += 1
-            cross_t, grad_t, parts_t = _rel_ent_terms(rho.mat, basis, trial)
-            if kept := bool(update or cross_t <= cross or grad_t @ trial - grad_t.min() <= tol):
-                q, cross, grad, parts = trial, cross_t, grad_t, parts_t
-        if update:
-            cycle.append(q)
-        else:   # a cycle is followed by a Newton step, and a kept Newton step by another
-            newton, cycle = kept or not newton, [q]
+            updates = 0
     sigma = _free_sigma(basis, q)
     return MeasureReport(value=max(_entropy_terms(rho.mat) + cross, 0.0),
                          certificate=DensityMatrix(sigma / np.trace(sigma).real),

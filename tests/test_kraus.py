@@ -229,13 +229,18 @@ def test_channel_rejects_operators_that_are_not_matrices():
 
 def test_channel_takes_a_stack_whole():
     # an (n, d, d) array gives the same channel, bit for bit, as its list of
-    # operators, and stays the caller's own
+    # operators, and stays the caller's own; the defect is, bit for bit, the
+    # identity minus each K'K in operator order
     rng = make_rng(419)
     for d, n in ((2, 1), (3, 4), (5, 120)):
         stack = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
         stack /= np.sqrt(1.01 * np.linalg.eigvalsh((stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0))[-1])
         kept = stack.copy()
         ch, listed = Channel(stack), Channel(list(stack))
+        defect = np.eye(d, dtype=complex)
+        for kk in stack.conj().transpose(0, 2, 1) @ stack:
+            defect -= kk
+        assert ch.defect.tobytes() == defect.tobytes()
         for got, want in ((ch.kraus, listed.kraus), (ch.defect, listed.defect),
                           (ch.defect_eig[0], listed.defect_eig[0]), (ch.defect_eig[1], listed.defect_eig[1])):
             assert got.tobytes() == want.tobytes()
