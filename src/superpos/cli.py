@@ -15,7 +15,7 @@ from . import entangle, game, kraus, measures, qubit, serialize, transform
 from .basis import filter_probability
 from .errors import NoConvergence, SchemaViolation, SuperposError
 from .linalg import as_tolerance
-from .serialize import _matrix_to_json, _vector_to_json
+from .serialize import _to_json
 from .states import (
     DensityMatrix,
     PureState,
@@ -85,7 +85,7 @@ def _basis_check(args) -> dict:
         "d": basis.d,
         "sigma_min": basis.sigma_min,
         "filter_probability": filter_probability(basis),
-        "gram": _matrix_to_json(basis.gram),
+        "gram": _to_json(basis.gram),
     }
 
 
@@ -94,7 +94,7 @@ def _kraus_check(args) -> dict:
     return {
         "free": [f is not None for f in forms],
         "forms": [None if f is None else {
-            "coeffs": _vector_to_json(f.coeffs),
+            "coeffs": _to_json(f.coeffs),
             "index_fn": [int(i) for i in f.index_fn],
         } for f in forms],
     }
@@ -104,7 +104,7 @@ def _report_out(report) -> dict:
     payload = {"value": report.value, "convention": report.convention,
                "upper_bound": report.upper_bound}
     if isinstance(report.certificate, DensityMatrix):
-        payload["certificate"] = {"mat": _matrix_to_json(report.certificate.mat)}
+        payload["certificate"] = {"mat": _to_json(report.certificate.mat)}
     elif isinstance(report.certificate, dict):
         payload["certificate"] = {"s": report.certificate["s"]}
     return payload
@@ -177,10 +177,10 @@ _COMMANDS = {
     ("state", "free"): ((_STATE, _BASIS), 1e-9, lambda a: {
         "is_free": is_free(_as_density(a.state), a.basis, a.tol)}),
     ("state", "expand"): ((_STATE, _BASIS), None, lambda a: {
-        "coeffs": _matrix_to_json(free_expansion(_as_density(a.state), a.basis))}),
+        "coeffs": _to_json(free_expansion(_as_density(a.state), a.basis))}),
     ("kraus", "check"): ((_OPS, _BASIS), 1e-9, _kraus_check),
     ("kraus", "complete"): ((_OPS, _BASIS), None, lambda a: {
-        "operators": [_matrix_to_json(k) for k in kraus.complete_free(_square_ops(a), a.basis)]}),
+        "operators": [_to_json(k) for k in kraus.complete_free(_square_ops(a), a.basis)]}),
     ("measure", "l1"): ((_STATE, _BASIS), None, lambda a: _report_out(
         measures.l1_measure(_as_density(a.state), a.basis))),
     ("measure", "relent"): ((_STATE, _BASIS), 1e-9, lambda a: _report_out(

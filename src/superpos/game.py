@@ -20,7 +20,6 @@ into outcomes, answers and wins.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +92,9 @@ def outcome_states(spec: GameSpec, state: PureState) -> list[tuple[float, PureSt
 
 
 def _cdf(weights) -> np.ndarray:
-    """Normalized cumulative tables along the last axis: ``bisect_right(row,
-    rng.random())`` draws the same index from the same stream as
-    ``rng.choice(len(p), p=p)``."""
+    """Normalized cumulative tables along the last axis: the number of a row's
+    entries <= ``rng.random()`` (``_count_bisect``) is the index that
+    ``rng.choice(len(p), p=p)`` draws from the same stream."""
     p = np.clip(weights, 0.0, None)
     p /= p.sum(axis=-1, keepdims=True)
     cdf = p.cumsum(axis=-1)
@@ -123,8 +122,8 @@ def discriminate(states: list[PureState], received: PureState,
     A conclusive result identifies the received state with zero error; None
     signals the inconclusive outcome. Deterministic for a given seed.
     """
-    cdf = _usd_cdfs(np.column_stack([s.amp for s in states]), received.amp[:, None])[0]
-    outcome = bisect_right(cdf, make_rng(rng_seed).random())
+    cdfs = _usd_cdfs(np.column_stack([s.amp for s in states]), received.amp[:, None])
+    outcome = int(_count_bisect(cdfs, make_rng(rng_seed).random(1))[0])
     return None if outcome == len(states) else outcome
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NotSubnormalized,
     NotTracePreserving,
 )
-from .linalg import as_complex_matrix, dagger, hermitian_part
+from .linalg import as_complex_matrix, as_tolerance, dagger, hermitian_part
 from .states import DensityMatrix, free_expansion, free_mixture, is_free
 
 TP_TOL = 1e-9
@@ -107,7 +107,7 @@ def is_free_kraus(k: np.ndarray, basis: FreeBasis, tol: float = FREE_TOL) -> Fre
     if k.shape != (basis.d, basis.d):
         raise DimensionMismatch(f"operator shape {k.shape} != ({basis.d}, {basis.d})")
     m = dagger(basis.reciprocal) @ k @ basis.vectors
-    live = np.abs(m) > tol
+    live = np.abs(m) > as_tolerance(tol)
     if np.any(live.sum(axis=0) > 1):
         return None
     labels, nonzero = np.arange(basis.d), live.any(axis=0)

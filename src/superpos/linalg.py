@@ -24,6 +24,12 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
+def psd_part(a: np.ndarray) -> np.ndarray:
+    """The Hermitian part of A with its negative eigenvalues clipped to 0."""
+    w, v = np.linalg.eigh(hermitian_part(a))
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
 def as_complex_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """A finite complex 2-d array, or with ``stack`` an (n, k, m) stack of them, checked in one pass."""
     m = np.asarray(a, dtype=complex)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import FreeBasis
 from .errors import NoConvergence
-from .linalg import as_tolerance
+from .linalg import as_tolerance, psd_part
 from .sdp import SdpSolution, solve_cover
 from .states import (
     DensityMatrix,
@@ -302,11 +302,7 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
     delta = DensityMatrix(mix / np.trace(mix).real)
     tau = None
     if s > 1e-10:
-        excess = (mix - rho.mat) / s
-        excess = 0.5 * (excess + excess.conj().T)
-        w, u = np.linalg.eigh(excess)
-        w = np.clip(w, 0.0, None)
-        excess = (u * w) @ u.conj().T
+        excess = psd_part((mix - rho.mat) / s)
         tau = DensityMatrix(excess / np.trace(excess).real)
     return MeasureReport(value=s, certificate={"s": s, "delta": delta, "tau": tau},
                          extra={"weights": sol.p.copy(), "gap": sol.gap, "method": method})

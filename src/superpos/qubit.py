@@ -184,7 +184,7 @@ def inject_unitary(u: np.ndarray, a: float) -> Channel:
     coefficients, the first operator (ancilla label j to system label j)
     takes c = R / m[:, None], the second (to 1 - j) d = R / m[::-1, None].
     """
-    u = np.asarray(u, dtype=complex)
+    u = as_complex_matrix(u, "u")
     if u.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 unitary, got shape {u.shape}")
     if np.linalg.norm(dagger(u) @ u - np.eye(2)) > 1e-10:

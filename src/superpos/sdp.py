@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadData, DimensionMismatch, NoConvergence
-from .linalg import as_hermitian_matrix, as_tolerance, hermitian_part
+from .linalg import as_hermitian_matrix, as_tolerance, hermitian_part, psd_part
 
 DEFAULT_GAP_TOL = 1e-7
 _PSD_DATA_TOL = 1e-9
@@ -102,8 +102,7 @@ def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | Non
     The dual constraint is tr(y B_i) <= 1 for sense +1 and tr(y B_i) >= 1 for
     sense -1; None when no positive rescale meets the latter.
     """
-    w, v = np.linalg.eigh(hermitian_part(y))
-    y = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    y = psd_part(y)
     # the binding pairing: the largest for sense +1, the smallest for sense -1
     m = sense * float(np.max(sense * np.einsum("ij,nji->n", y, ops).real))
     if sense < 0 and m <= 0:

@@ -55,16 +55,9 @@ def _parse_complex_matrix(node: Any, path: str) -> np.ndarray:
     return np.stack(rows)
 
 
-def _complex_to_json(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def _vector_to_json(v: np.ndarray) -> list:
-    return [_complex_to_json(complex(x)) for x in v]
-
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [_vector_to_json(row) for row in m]
+def _to_json(a: np.ndarray) -> list:
+    """A complex array as nested lists with [re, im] pairs of floats as its entries."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -73,8 +66,7 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def basis_to_json(basis: FreeBasis) -> dict:
-    return {"d": basis.d, "columns": [_vector_to_json(basis.vectors[:, i])
-                                      for i in range(basis.d)]}
+    return {"d": basis.d, "columns": _to_json(basis.vectors.T)}
 
 
 def basis_from_json(node: Any, path: str = "") -> FreeBasis:
@@ -98,31 +90,26 @@ def basis_from_json(node: Any, path: str = "") -> FreeBasis:
 
 
 def pure_state_to_json(psi: PureState) -> dict:
-    return {"amp": _vector_to_json(psi.amp)}
+    return {"amp": _to_json(psi.amp)}
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
-    return {"mat": _matrix_to_json(rho.mat)}
+    return {"mat": _to_json(rho.mat)}
 
 
 def state_from_json(node: Any, path: str = ""):
     """Parse either a pure state {"amp": ...} or a mixed state {"mat": ...}."""
     if not isinstance(node, dict):
         raise SchemaViolation(path or "/", "expected an object")
-    if "amp" in node:
-        _require_keys(node, {"amp"}, path or "/")
-        amp = _parse_complex_vector(node["amp"], f"{path}/amp")
-        try:
-            return PureState(amp)
-        except SuperposError as exc:
-            raise SchemaViolation(f"{path}/amp", str(exc)) from exc
-    if "mat" in node:
-        _require_keys(node, {"mat"}, path or "/")
-        mat = _parse_complex_matrix(node["mat"], f"{path}/mat")
-        try:
-            return DensityMatrix(mat)
-        except SuperposError as exc:
-            raise SchemaViolation(f"{path}/mat", str(exc)) from exc
+    for key, parse, kind in (("amp", _parse_complex_vector, PureState),
+                             ("mat", _parse_complex_matrix, DensityMatrix)):
+        if key in node:
+            _require_keys(node, {key}, path or "/")
+            data = parse(node[key], f"{path}/{key}")
+            try:
+                return kind(data)
+            except SuperposError as exc:
+                raise SchemaViolation(f"{path}/{key}", str(exc)) from exc
     raise SchemaViolation(path or "/", "state must carry either 'amp' or 'mat'")
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .basis import FreeBasis
 from .errors import DimensionMismatch, InvalidState, NonHermitian, NotNormalized
-from .linalg import as_hermitian_matrix, dagger, herm_eig
+from .linalg import as_hermitian_matrix, as_tolerance, dagger, herm_eig
 
 PURE_NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -83,7 +83,7 @@ def free_expansion(rho: DensityMatrix, basis: FreeBasis) -> np.ndarray:
 def free_support(coeffs: np.ndarray, tol: float = RANK_TOL) -> tuple:
     """Ascending labels of the free-frame coefficients above tol relative to the largest one."""
     mags = np.abs(coeffs)
-    return tuple(int(i) for i in np.where(mags > tol * mags.max())[0])
+    return tuple(int(i) for i in np.where(mags > as_tolerance(tol) * mags.max())[0])
 
 
 def superposition_rank(psi: PureState, basis: FreeBasis, tol: float = RANK_TOL) -> int:
@@ -93,6 +93,7 @@ def superposition_rank(psi: PureState, basis: FreeBasis, tol: float = RANK_TOL) 
 
 def is_free(rho: DensityMatrix, basis: FreeBasis, tol: float = RANK_TOL) -> bool:
     """True iff rho is a statistical mixture of the pure free states."""
+    tol = as_tolerance(tol)
     coeffs = free_expansion(rho, basis)
     off = coeffs - np.diag(np.diag(coeffs))
     if np.abs(off).max(initial=0.0) > tol:
@@ -116,7 +117,7 @@ def schmidt_rank(psi: PureState, dim_a: int, dim_b: int, tol: float = RANK_TOL) 
     if psi.dim != dim_a * dim_b:
         raise DimensionMismatch(f"state dimension {psi.dim} != {dim_a}*{dim_b}")
     s = np.linalg.svd(psi.amp.reshape(dim_a, dim_b), compute_uv=False)
-    return int(np.sum(s > tol))
+    return int(np.sum(s > as_tolerance(tol)))
 
 
 def eigen_decomposition(rho: DensityMatrix) -> list[tuple[float, PureState]]:

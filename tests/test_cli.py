@@ -16,6 +16,8 @@ from superpos.serialize import (
     basis_to_json,
     canonical_dumps,
     density_to_json,
+    kraus_set_from_json,
+    load_json,
     pure_state_to_json,
     state_from_json,
 )
@@ -105,6 +107,35 @@ def test_roundtrip_is_byte_identical(d3_files):
 def test_malformed_complex_rejected():
     with pytest.raises(SchemaViolation):
         state_from_json({"amp": [{"re": 1}]})
+
+
+@pytest.mark.parametrize("parse, node, pointer, message", [
+    (basis_from_json, [2], "/", "expected an object"),
+    (state_from_json, 3, "/", "expected an object"),
+    (basis_from_json, {"d": 2}, "/", "missing field 'columns'"),
+    (state_from_json, {"amp": []}, "/amp", "non-empty array of [re, im] pairs"),
+    (state_from_json, {"mat": []}, "/mat", "non-empty array of rows"),
+    (state_from_json, {"mat": [[[1, 0], [0, 0]], [[0, 0]]]}, "/mat", "inconsistent lengths"),
+    (basis_from_json, {"d": 2.0, "columns": []}, "/d", "must be an integer"),
+    (basis_from_json, {"d": 2, "columns": [[[1, 0], [0, 0]]]}, "/columns", "expected 2 columns"),
+    (state_from_json, {"amp": [[2, 0], [0, 0]]}, "/amp", "norm"),
+    (state_from_json, {"vec": [[1, 0]]}, "/", "either 'amp' or 'mat'"),
+    (kraus_set_from_json, {"operators": []}, "/operators", "non-empty array of matrices"),
+    (load_json, None, None, "cannot read file"),
+    (load_json, "{", None, "invalid JSON"),
+], ids=["non-object", "non-object-state", "missing-field", "empty-vector", "empty-matrix",
+        "ragged-rows", "non-integer-d", "column-count", "amp-rejected", "no-state-kind",
+        "no-operators", "unreadable-file", "invalid-json"])
+def test_schema_violations_name_their_node(parse, node, pointer, message, tmp_path):
+    if parse is load_json:   # node is the file's text (None: no file) and the pointer its path
+        path = tmp_path / "input.json"
+        if node is not None:
+            path.write_text(node, encoding="utf-8")
+        node = pointer = str(path)
+    with pytest.raises(SchemaViolation) as err:
+        parse(node)
+    assert err.value.pointer == pointer
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("argv", [["state", "rank"], ["entangle", "convert"]])

@@ -1,4 +1,3 @@
-from bisect import bisect_right
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +9,7 @@ from superpos.errors import DimensionMismatch, LinearlyDependent
 from superpos.game import (
     GameStats,
     _cdf,
+    _count_bisect,
     build_game,
     discriminate,
     outcome_states,
@@ -311,7 +311,7 @@ def test_simulate_counts_are_python_ints():
 
 
 def test_inverse_cdf_matches_generator_choice():
-    # discriminate replaces rng.choice(n, p=p) by bisect_right over _cdf; the
+    # discriminate replaces rng.choice(n, p=p) by _count_bisect over _cdf; the
     # two must consume the same draw and return the same index, or its
     # seeded verdicts change
     src = make_rng(905)
@@ -322,7 +322,7 @@ def test_inverse_cdf_matches_generator_choice():
         if trial % 5 == 0:
             weights[int(src.integers(n))] = 0.0
         p = weights / weights.sum()
-        assert int(twin_a.choice(n, p=p)) == bisect_right(_cdf(weights), twin_b.random())
+        assert int(twin_a.choice(n, p=p)) == _count_bisect(_cdf(weights)[None], twin_b.random(1))[0]
 
 
 def test_build_game_matches_outer_product_sum():

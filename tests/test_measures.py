@@ -276,20 +276,33 @@ def test_rel_entropy_matches_plain_update():
             assert abs(rep.extra["weights"].sum() - 1.0) <= 1e-12
 
 
-def test_rel_entropy_tail_of_s2b_outcomes():
-    # outcomes of random free channels at d = 2..4, where weights decay to a
-    # face of the simplex: draw 148 (d = 4) took 4,022 evaluations under the
-    # plain update alone; with Newton steps on the face after every two plain
-    # updates the largest count is 18
+def s2b_outcomes() -> list:
+    """300 (basis, outcome) draws at d = 2..4, in draw order (seed 2027).
+
+    Each outcome is one selective outcome, drawn at random, of a random free
+    channel (2 operators and their completion) on a Haar state (even draws)
+    or a Ginibre state (odd draws).
+    """
     rng = make_rng(2027)
-    evaluations = []
+    out = []
     for draw in range(300):
         d = int(rng.integers(2, 5))
         b = random_basis(d, rng)
         ch = free_channel(random_subnormalized_free_ops(b, rng, n_ops=2), b)
         rho = haar_state(d, rng).density() if draw % 2 == 0 else random_density(d, rng)
         outcomes = measure_selective(ch, rho)
-        rep = rel_entropy_measure(outcomes[int(rng.integers(len(outcomes)))][1], b)
+        out.append((b, outcomes[int(rng.integers(len(outcomes)))][1]))
+    return out
+
+
+def test_rel_entropy_tail_of_s2b_outcomes():
+    # outcomes of random free channels at d = 2..4, where weights decay to a
+    # face of the simplex: draw 148 (d = 4) took 4,022 evaluations under the
+    # plain update alone; with Newton steps on the face after every two plain
+    # updates the largest count is 18
+    evaluations = []
+    for b, rho in s2b_outcomes():
+        rep = rel_entropy_measure(rho, b)
         assert rep.extra["fw_gap"] <= 1e-9
         evaluations.append(rep.extra["evaluations"])
     assert max(evaluations) <= 40, (int(np.argmax(evaluations)), max(evaluations))
@@ -768,3 +781,23 @@ def test_newton_steps_count_toward_the_update_cap(monkeypatch):
     monkeypatch.setattr("superpos.measures._MAX_FW_ITER", 1 + steps)
     with pytest.raises(NoConvergence, match=f"after {1 + steps} updates"):
         rel_entropy_measure(rho, b)
+
+
+def test_newton_point_is_none_when_the_solve_fails():
+    # a zero Hessian leaves the bordered system singular
+    parts = (np.ones(2), np.ones((2, 2)), np.zeros((2, 2)), np.eye(2))
+    assert _newton_point(np.array([0.5, 0.5]), np.array([-1.0, -1.0]), parts, 1e-9) is None
+
+
+def test_rel_entropy_falls_back_to_plain_updates(monkeypatch):
+    # with no Newton point the loop goes back to two plain updates each time
+    # and still certifies, near the value that the Newton steps reach
+    rng = make_rng(608)
+    b = random_basis(3, rng)
+    rho = random_density(3, rng)
+    rep = rel_entropy_measure(rho, b)
+    monkeypatch.setattr("superpos.measures._newton_point", lambda *args: None)
+    plain = rel_entropy_measure(rho, b)
+    assert (plain.extra["evaluations"], plain.extra["newton_steps"]) == (10, 0)
+    assert plain.extra["fw_gap"] <= 1e-9
+    assert abs(plain.value - rep.value) <= 9e-16

@@ -315,6 +315,16 @@ def test_inject_unitary_fourth_eigenvalue():
     assert np.allclose(w[1:], 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inject_unitary_rejects_non_finite_u(bad):
+    # a NaN u passed the unitarity check and failed later, inside Channel,
+    # as a Kraus operator with non-finite entries
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = bad
+    with pytest.raises(ValueError, match="^u contains non-finite entries"):
+        inject_unitary(u, 0.5)
+
+
 def test_inject_unitary_action_identities():
     # the bit-flip-like unitary at a = 0.3 satisfies the two routing identities
     u = np.array([[0, 1], [-1, 0]], dtype=complex)

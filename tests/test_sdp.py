@@ -6,7 +6,7 @@ from superpos.basis import symmetric_basis_d3
 from superpos.errors import BadData, DimensionMismatch, NoConvergence, NonHermitian
 from superpos.linalg import dagger, hermitian_part
 from superpos.measures import rel_entropy_measure, robustness
-from superpos.kraus import free_channel, measure_selective
+from superpos.kraus import Channel, free_channel, is_free_kraus, is_mfo, measure_selective
 from superpos.sampling import (
     haar_state,
     make_rng,
@@ -23,7 +23,7 @@ from superpos.sdp import (
     solve_lmi,
     verify_dual,
 )
-from superpos.states import PureState, free_expansion
+from superpos.states import PureState, free_expansion, is_free, schmidt_rank, superposition_rank
 from superpos.transform import candidate_states_d3, enumerate_transformers, max_conversion_prob
 from test_measures import near_dependent_batch
 
@@ -184,10 +184,19 @@ def test_verify_dual_rejects_wrong_size():
         verify_dual(np.eye(3), LmiProblem.from_matrices([np.eye(2)]))
 
 
+def test_purify_dual_is_none_without_a_positive_pairing():
+    # under sense -1 a positive rescale must lift every tr(y B_i) to >= 1
+    ops = np.array([np.diag([0.0, 1.0])])
+    assert _purify_dual(np.diag([1.0, 0.0]), ops, -1) is None
+    assert _purify_dual(-np.eye(2), ops, -1) is None   # its PSD part is 0
+
+
 def test_certifying_tolerances_must_be_finite_and_positive():
     # nan used to skip the Frank-Wolfe loop (fw_gap 0.357 reported as done),
     # and 0 or a negative tolerance ran to an iteration cap or a failed
-    # factorisation
+    # factorisation; the rank and freeness predicates follow the same rule,
+    # where nan gave rank 0, called every operator free and a free channel
+    # not free, and -1 called the identity not free
     rng = make_rng(11)
     b = random_basis(4, rng)
     rho = random_density(4, rng)
@@ -199,6 +208,11 @@ def test_certifying_tolerances_must_be_finite_and_positive():
         lambda tol: max_conversion_prob(psi, psi, symmetric_basis_d3(), gap_tol=tol),
         lambda tol: solve_lmi(problem, gap_tol=tol),
         lambda tol: solve_cover(rho.mat, [np.eye(4)], gap_tol=tol),
+        lambda tol: superposition_rank(psi, symmetric_basis_d3(), tol=tol),
+        lambda tol: schmidt_rank(haar_state(4, make_rng(6)), 2, 2, tol=tol),
+        lambda tol: is_free(rho, b, tol=tol),
+        lambda tol: is_free_kraus(np.eye(4), b, tol=tol),
+        lambda tol: is_mfo(Channel([np.eye(4)]), b, tol=tol),
     ]
     for call in calls:
         for tol in (np.nan, np.inf, -np.inf, 0.0, -1e-3):
