@@ -122,6 +122,9 @@ def discriminate(states: list[PureState], received: PureState,
     A conclusive result identifies the received state with zero error; None
     signals the inconclusive outcome. Deterministic for a given seed.
     """
+    dims = sorted({s.dim for s in states})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"ensemble states differ in dimension: {dims}")
     cdfs = _usd_cdfs(np.column_stack([s.amp for s in states]), received.amp[:, None])
     outcome = int(_count_bisect(cdfs, make_rng(rng_seed).random(1))[0])
     return None if outcome == len(states) else outcome

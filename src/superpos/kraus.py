@@ -52,10 +52,11 @@ class FreeKrausForm:
 class Channel:
     """Kraus-operator collection, trace non-increasing by construction.
 
-    The operators, a sequence of matrices or an (n, d, d) array taken whole, are
-    checked and kept as one complex stack, the channel's own copy; ``defect`` =
-    1 - sum K'K is formed from one batched product, in operator order, and
-    ``defect_eig`` is ``eigh`` of its Hermitian part; all three are read-only.
+    The operators, square matrices of one shape given as a sequence or as an
+    (n, d, d) array, are checked and kept as one complex stack, the channel's
+    own copy; ``defect`` = 1 - sum K'K is formed from one batched product, in
+    operator order, and ``defect_eig`` is ``eigh`` of its Hermitian part; all
+    three are read-only.
     """
 
     kraus: np.ndarray
@@ -63,16 +64,15 @@ class Channel:
     defect_eig: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = self.kraus
-        if isinstance(ops, np.ndarray):   # a copy, since the stack is made read-only
-            ops = ops.astype(complex)
-        else:
-            ops = [np.asarray(k, dtype=complex) for k in ops]
-            if any(k.shape != ops[0].shape for k in ops):
-                raise DimensionMismatch("Kraus operators must share one shape")
+        try:
+            ops = np.array(self.kraus, dtype=complex)   # a copy, since the stack is made read-only
+        except ValueError as exc:   # a ragged sequence; numpy's reason is kept as the cause
+            raise DimensionMismatch("Kraus operators must share one shape") from exc
         if len(ops) == 0:
             raise DimensionMismatch("channel needs at least one Kraus operator")
         stack = as_complex_matrix(ops, "Kraus operator", stack=True)
+        if stack.shape[1] != stack.shape[2]:
+            raise DimensionMismatch(f"Kraus operators must be square, got shape {stack.shape[1:]}")
         terms = np.empty((len(stack) + 1, stack.shape[2], stack.shape[2]), dtype=complex)
         terms[0] = np.eye(stack.shape[2])
         np.matmul(stack.conj().transpose(0, 2, 1), stack, out=terms[1:])
@@ -189,7 +189,7 @@ def reduce_ancilla(l_op: np.ndarray, sigma_b: DensityMatrix, basis_a: FreeBasis,
     da, db = basis_a.d, basis_b.d
     l_op = as_complex_matrix(l_op, "l_op")
     if l_op.shape != (da * db, da * db):
-        raise DimensionMismatch(f"operator shape {l_op.shape} != ({da * db},)*2")
+        raise DimensionMismatch(f"operator shape {l_op.shape} != {(da * db,) * 2}")
     product = tensor_basis(basis_a, basis_b)
     form = is_free_kraus(l_op, product)
     if form is None:

@@ -1,5 +1,5 @@
 """Dense complex matrix helpers: the input rules for matrices and tolerances,
-Hermitian eigendecomposition, square roots, fidelity and partial traces.
+Hermitian eigendecomposition, fidelity and partial traces.
 
 All routines operate on plain ``numpy`` arrays and are pure functions; the
 dimensions encountered in this library are tiny (d <= 8), so robustness is
@@ -67,18 +67,13 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(as_hermitian_matrix(h))
 
 
-def herm_sqrt(h: np.ndarray) -> np.ndarray:
-    """Matrix square root of a PSD Hermitian matrix (eigenvalues clipped at 0)."""
-    w, v = herm_eig(h)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` of two states.
 
     Raises ``NonHermitian`` when ``rho`` or ``sigma`` fails ``as_hermitian_matrix``.
     """
-    r = herm_sqrt(rho)
+    w, v = herm_eig(rho)
+    r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T   # sqrt(rho), eigenvalues clipped at 0
     w = np.clip(herm_eig(r @ as_hermitian_matrix(sigma, "sigma") @ r)[0], 0.0, None)
     return float(np.sum(np.sqrt(w)) ** 2)
 
@@ -87,7 +82,7 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "a") -> np.
     """Partial trace of an operator on a ``dim_a * dim_b`` bipartite space."""
     m = as_complex_matrix(m, "m")
     if m.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise DimensionMismatch(f"operator shape {m.shape} != ({dim_a * dim_b},)*2")
+        raise DimensionMismatch(f"operator shape {m.shape} != {(dim_a * dim_b,) * 2}")
     t = m.reshape(dim_a, dim_b, dim_a, dim_b)
     if keep == "a":
         return np.trace(t, axis1=1, axis2=3)

@@ -69,24 +69,24 @@ def basis_to_json(basis: FreeBasis) -> dict:
     return {"d": basis.d, "columns": _to_json(basis.vectors.T)}
 
 
-def basis_from_json(node: Any, path: str = "") -> FreeBasis:
-    _require_keys(node, {"d", "columns"}, path or "/")
+def basis_from_json(node: Any) -> FreeBasis:
+    _require_keys(node, {"d", "columns"}, "/")
     d = node["d"]
     if not isinstance(d, int) or isinstance(d, bool):
-        raise SchemaViolation(f"{path}/d", "d must be an integer")
+        raise SchemaViolation("/d", "d must be an integer")
     if d < 2:
-        raise SchemaViolation(f"{path}/d", f"d must be at least 2, got {d}")
+        raise SchemaViolation("/d", f"d must be at least 2, got {d}")
     cols = node["columns"]
     if not isinstance(cols, list) or len(cols) != d:
-        raise SchemaViolation(f"{path}/columns", f"expected {d} columns")
-    columns = [_parse_complex_vector(c, f"{path}/columns/{i}") for i, c in enumerate(cols)]
+        raise SchemaViolation("/columns", f"expected {d} columns")
+    columns = [_parse_complex_vector(c, f"/columns/{i}") for i, c in enumerate(cols)]
     for i, c in enumerate(columns):
         if c.shape[0] != d:
-            raise SchemaViolation(f"{path}/columns/{i}", f"expected {d} entries, got {c.shape[0]}")
+            raise SchemaViolation(f"/columns/{i}", f"expected {d} entries, got {c.shape[0]}")
     try:
         return new_free_basis(columns)
     except SuperposError as exc:
-        raise SchemaViolation(f"{path}/columns", str(exc)) from exc
+        raise SchemaViolation("/columns", str(exc)) from exc
 
 
 def pure_state_to_json(psi: PureState) -> dict:
@@ -97,28 +97,28 @@ def density_to_json(rho: DensityMatrix) -> dict:
     return {"mat": _to_json(rho.mat)}
 
 
-def state_from_json(node: Any, path: str = ""):
+def state_from_json(node: Any):
     """Parse either a pure state {"amp": ...} or a mixed state {"mat": ...}."""
     if not isinstance(node, dict):
-        raise SchemaViolation(path or "/", "expected an object")
+        raise SchemaViolation("/", "expected an object")
     for key, parse, kind in (("amp", _parse_complex_vector, PureState),
                              ("mat", _parse_complex_matrix, DensityMatrix)):
         if key in node:
-            _require_keys(node, {key}, path or "/")
-            data = parse(node[key], f"{path}/{key}")
+            _require_keys(node, {key}, "/")
+            data = parse(node[key], f"/{key}")
             try:
                 return kind(data)
             except SuperposError as exc:
-                raise SchemaViolation(f"{path}/{key}", str(exc)) from exc
-    raise SchemaViolation(path or "/", "state must carry either 'amp' or 'mat'")
+                raise SchemaViolation(f"/{key}", str(exc)) from exc
+    raise SchemaViolation("/", "state must carry either 'amp' or 'mat'")
 
 
-def kraus_set_from_json(node: Any, path: str = "") -> list[np.ndarray]:
-    _require_keys(node, {"operators"}, path or "/")
+def kraus_set_from_json(node: Any) -> list[np.ndarray]:
+    _require_keys(node, {"operators"}, "/")
     ops = node["operators"]
     if not isinstance(ops, list) or not ops:
-        raise SchemaViolation(f"{path}/operators", "expected a non-empty array of matrices")
-    return [_parse_complex_matrix(k, f"{path}/operators/{i}") for i, k in enumerate(ops)]
+        raise SchemaViolation("/operators", "expected a non-empty array of matrices")
+    return [_parse_complex_matrix(k, f"/operators/{i}") for i, k in enumerate(ops)]
 
 
 def load_json(path: str) -> Any:

@@ -19,12 +19,14 @@ RANK_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """State vector in the computational frame; unit norm enforced, ``amp`` read-only."""
+    """State vector in the computational frame: 1-D amplitudes of unit norm, ``amp`` read-only."""
 
     amp: np.ndarray
 
     def __post_init__(self):
-        amp = np.array(self.amp, dtype=complex).reshape(-1)   # a copy, never the caller's array
+        amp = np.array(self.amp, dtype=complex)   # a copy, never the caller's array
+        if amp.ndim != 1:
+            raise DimensionMismatch(f"amplitudes must be 1-dimensional, got shape {amp.shape}")
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= PURE_NORM_TOL:   # written so that NaN fails
             raise NotNormalized(f"state norm {norm:.12g} != 1")
@@ -40,7 +42,7 @@ class PureState:
 
     @staticmethod
     def normalized(vec) -> "PureState":
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
+        vec = np.asarray(vec, dtype=complex)   # PureState rejects a shape other than 1-D
         norm = np.linalg.norm(vec)
         if norm == 0:
             raise NotNormalized("cannot normalize the zero vector")

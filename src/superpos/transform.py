@@ -30,11 +30,9 @@ MAX_SUPPORT = 5  # r! operators; 5! = 120 is the desk-scale cap
 
 @dataclass(frozen=True, eq=False)
 class TransformerSet:
-    """The r! free operators sending `source` to `target` exactly and vanishing
+    """The r! free operators sending the source state to the target exactly and vanishing
     off its support, stacked as one read-only (r!, d, d) array ``operators``."""
 
-    source: PureState
-    target: PureState
     support_source: tuple
     support_target: tuple
     operators: np.ndarray
@@ -65,8 +63,7 @@ def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> 
     index_fn[:, rows] = images
     operators = FreeKrausForm(coeffs, index_fn).matrix(basis)
     operators.flags.writeable = False
-    return TransformerSet(source=psi, target=phi, support_source=support_r, support_target=support_s,
-                          operators=operators)
+    return TransformerSet(support_source=support_r, support_target=support_s, operators=operators)
 
 
 def _qubit_optimum(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -131,6 +132,10 @@ def test_discriminate_rejects_dimension_mismatch():
     # two states in C^3 are not an ensemble of d states in C^d
     with pytest.raises(DimensionMismatch):
         discriminate(states[:2], states[0], rng_seed=0)
+    # states of different dimensions are named before they are stacked
+    mixed = [PureState(orthonormal_basis(2).state(0)), PureState(orthonormal_basis(3).state(1))]
+    with pytest.raises(DimensionMismatch, match=re.escape("ensemble states differ in dimension: [2, 3]")):
+        discriminate(mixed, mixed[0], rng_seed=0)
 
 
 def test_outcome_states_rejects_dimension_mismatch():

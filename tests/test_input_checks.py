@@ -1,0 +1,110 @@
+"""Each input check of the library raises its stated type with its stated message."""
+
+import re
+
+import numpy as np
+import pytest
+
+from superpos import measures
+from superpos.basis import orthonormal_basis, symmetric_basis_d3
+from superpos.cli import _load_pure
+from superpos.errors import DimensionMismatch, InvalidState, NotNormalized, SchemaViolation
+from superpos.kraus import Channel, apply_channel, complete_free, is_free_kraus, reduce_ancilla
+from superpos.linalg import partial_trace
+from superpos.qubit import (
+    bloch_vector,
+    build_phi,
+    conversion_heatmap,
+    free_qubit_kraus,
+    inject_unitary,
+    kraus_from_choi,
+    qubit_free_basis,
+    state_from_bloch,
+)
+from superpos.sampling import make_rng, random_basis, random_density
+from superpos.serialize import canonical_dumps, density_to_json
+from superpos.states import PureState, free_expansion, free_mixture
+
+B2, B3 = orthonormal_basis(2), symmetric_basis_d3()
+RHO2, RHO3 = free_mixture(B2, [0.5, 0.5]), free_mixture(B3, [0.2, 0.3, 0.5])
+
+
+def _load_mixed_as_pure(tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(canonical_dumps(density_to_json(RHO3)), encoding="utf-8")
+    return _load_pure(str(path))
+
+
+# (call, error type, start of the message); the call takes a scratch directory
+CHECKS = {
+    "basis.to_free_frame": (lambda tmp: B3.to_free_frame(np.ones(2)),
+                            DimensionMismatch, "amplitude shape (2,) != (3,)"),
+    "cli.state_rank_of_a_mixed_state": (_load_mixed_as_pure, SchemaViolation,
+                                        "/: this command needs a pure state ('amp' schema)"),
+    "kraus.is_free_kraus": (lambda tmp: is_free_kraus(np.eye(2), B3),
+                            DimensionMismatch, "operator shape (2, 2) != (3, 3)"),
+    "kraus.apply_channel": (lambda tmp: apply_channel(Channel([np.eye(2)]), RHO3),
+                            DimensionMismatch, "state dimension 3 != channel dimension 2"),
+    "kraus.complete_free": (lambda tmp: complete_free([0.5 * np.eye(2)], B3),
+                            DimensionMismatch, "operator shape (2, 2) != (3, 3)"),
+    "kraus.reduce_ancilla": (lambda tmp: reduce_ancilla(np.eye(3), RHO2, B2, B2),
+                             DimensionMismatch, "operator shape (3, 3) != "),
+    "linalg.partial_trace.shape": (lambda tmp: partial_trace(np.eye(3), 2, 2),
+                                   DimensionMismatch, "operator shape (3, 3) != "),
+    "linalg.partial_trace.keep": (lambda tmp: partial_trace(np.eye(4), 2, 2, keep="c"),
+                                  ValueError, "keep must be 'a' or 'b'"),
+    "qubit.qubit_free_basis": (lambda tmp: qubit_free_basis(1.0),
+                               ValueError, "overlap a must lie in [0, 1), got 1.0"),
+    "qubit.bloch_vector": (lambda tmp: bloch_vector(RHO3),
+                           DimensionMismatch, "need a qubit state, got dimension 3"),
+    "qubit.state_from_bloch.shape": (lambda tmp: state_from_bloch([0.0, 0.0]),
+                                     DimensionMismatch, "Bloch vector must have 3 components, got (2,)"),
+    "qubit.state_from_bloch.length": (lambda tmp: state_from_bloch([0.0, 0.0, 2.0]),
+                                      InvalidState, "Bloch vector length 2 > 1"),
+    "qubit.build_phi": (lambda tmp: build_phi(-0.1, 0.3, 0.2),
+                        ValueError, "overlap a must lie in [0, 1), got -0.1"),
+    "qubit.kraus_from_choi": (lambda tmp: kraus_from_choi(np.eye(3)),
+                              DimensionMismatch, "qubit Choi matrix must be 4 x 4, got (3, 3)"),
+    "qubit.free_qubit_kraus": (lambda tmp: free_qubit_kraus(5, (1.0, 1.0), 0.5),
+                               ValueError, "kind must be 1..4, got 5"),
+    "qubit.inject_unitary": (lambda tmp: inject_unitary(np.eye(3), 0.5),
+                             DimensionMismatch, "expected a 2x2 unitary, got shape (3, 3)"),
+    "qubit.conversion_heatmap": (lambda tmp: conversion_heatmap(0.5, (0.3, 0.2), 4),
+                                 ValueError, "grid_n must be at least 8, got 4"),
+    "states.PureState.normalized": (lambda tmp: PureState.normalized(np.zeros(3)),
+                                    NotNormalized, "cannot normalize the zero vector"),
+    "states.free_expansion": (lambda tmp: free_expansion(RHO2, B3),
+                              DimensionMismatch, "state dimension 2 != basis dimension 3"),
+    "states.free_mixture.shape": (lambda tmp: free_mixture(B3, [0.5, 0.5]),
+                                  DimensionMismatch, "need 3 weights, got shape (2,)"),
+    "states.free_mixture.weights": (lambda tmp: free_mixture(B3, [0.5, 0.6, -0.1]),
+                                    InvalidState, "weights must form a probability distribution"),
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_input_check_raises_its_type_and_message(name, tmp_path):
+    call, error, message = CHECKS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+def test_square_shape_messages_print_the_shape():
+    with pytest.raises(DimensionMismatch, match=re.escape("operator shape (3, 3) != (4, 4)")):
+        reduce_ancilla(np.eye(3), RHO2, B2, B2)
+    with pytest.raises(DimensionMismatch, match=re.escape("operator shape (3, 3) != (4, 4)")):
+        partial_trace(np.eye(3), 2, 2)
+
+
+def test_newton_point_is_none_on_a_non_finite_step(monkeypatch):
+    # np.linalg.solve returns NaNs for a NaN system without raising, so the
+    # finiteness check, not the LinAlgError branch, refuses the step
+    rng = make_rng(2031)
+    b, rho = random_basis(3, rng), random_density(3, rng)
+    q = rng.dirichlet(np.ones(3))
+    _, grad, parts = measures._rel_ent_terms(rho.mat, b, q)
+    assert measures._newton_point(q, grad, parts, 1e-9) is not None
+    monkeypatch.setattr(measures, "_rel_ent_hessian", lambda *args: np.full((3, 3), np.nan))
+    assert measures._newton_point(q, grad, parts, 1e-9) is None

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,14 @@ def test_channel_rejects_mixed_shapes():
         Channel((0.5 * np.eye(2), 0.5 * np.eye(3)))
     with pytest.raises(DimensionMismatch, match="share one shape"):
         Channel((0.5 * np.eye(2), np.zeros((3, 2))))
+
+
+def test_channel_rejects_non_square_operators():
+    # an isometry from C^2 to C^3 cannot be applied to a state of either space
+    with pytest.raises(DimensionMismatch, match=re.escape("must be square, got shape (3, 2)")):
+        Channel([[[1, 0], [0, 1], [0, 0]]])
+    with pytest.raises(DimensionMismatch, match=re.escape("must be square, got shape (2, 3)")):
+        Channel(np.zeros((2, 2, 3)))
 
 
 def test_channel_rejects_operators_that_are_not_matrices():

@@ -34,6 +34,17 @@ def test_pure_state_rejects_nan_amplitudes():
         PureState(np.array([np.nan, 0.0]))
 
 
+def test_pure_state_takes_one_dimensional_amplitudes_only():
+    # a matrix is not a vector of amplitudes, however its entries are laid out
+    for bad in (np.eye(2) / np.sqrt(2), np.array([[1.0, 0.0]]), np.array(1.0)):
+        with pytest.raises(DimensionMismatch, match=r"amplitudes must be 1-dimensional, got shape"):
+            PureState(bad)
+    for bad in (np.eye(2), np.ones((1, 3))):
+        with pytest.raises(DimensionMismatch, match=r"amplitudes must be 1-dimensional, got shape"):
+            PureState.normalized(bad)
+    assert np.allclose(PureState.normalized([3.0, 4.0j]).amp, [0.6, 0.8j], rtol=0, atol=1e-15)
+
+
 def test_density_matrix_validation():
     with pytest.raises(InvalidState):
         DensityMatrix(np.diag([0.45, 0.45]))  # trace 0.9
