@@ -66,7 +66,10 @@ class Channel:
     def __post_init__(self):
         try:
             ops = np.array(self.kraus, dtype=complex)   # a copy, since the stack is made read-only
-        except ValueError as exc:   # a ragged sequence; numpy's reason is kept as the cause
+        except ValueError as exc:   # numpy's reason is kept as the cause
+            shapes = {np.array(k, dtype=object).shape for k in self.kraus}
+            if len(shapes) == 1 and len(shapes.pop()) == 2:   # not ragged: an entry is not a number
+                raise
             raise DimensionMismatch("Kraus operators must share one shape") from exc
         if len(ops) == 0:
             raise DimensionMismatch("channel needs at least one Kraus operator")

@@ -14,6 +14,7 @@ certificate; support r >= 3 goes to the primal-dual interior-point
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,13 +67,22 @@ def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> 
     return TransformerSet(support_source=support_r, support_target=support_s, operators=operators)
 
 
-def _qubit_optimum(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Primal and dual optimum for two 2 x 2 constraints A_n = a_n 1 + b_n.sigma.
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v) -> list:
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _qubit_optimum(a, b) -> tuple[float, list, float]:
+    """Primal and dual optimum for two 2 x 2 constraints A_n = a_n 1 + b_n.sigma,
+    in Python floats: on 8 numbers numpy's call overhead outweighs the arithmetic.
 
     Returns the alpha in [0, 1] minimising the convex
-    lambda_max(alpha A_1 + (1 - alpha) A_2) = a(alpha) + |b(alpha)|, and the
-    unit Bloch vector r maximising min_n (a_n + b_n.r), whose projector is a
-    top eigenvector at alpha (also where that eigenvalue is double). With
+    lambda_max(alpha A_1 + (1 - alpha) A_2) = a(alpha) + |b(alpha)|, the
+    unit Bloch vector r maximising m = min_n (a_n + b_n.r), whose projector is a
+    top eigenvector at alpha (also where that eigenvalue is double), and m. With
     da = a_1 - a_2, db = b_1 - b_2, L = |db|, beta = db.b_2 / L^2 and
     h = |b_2 - beta db|: where |da| >= L the minimum sits at the end 0 if
     da > 0 and 1 if not; else at -beta - da h / (L sqrt(L^2 - da^2)), clipped.
@@ -81,23 +91,26 @@ def _qubit_optimum(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     and, when |da| < L, the point of the circle a_1 + b_1.r = a_2 + b_2.r
     farthest along b_2's part perpendicular to db.
     """
-    da, db = a[0] - a[1], b[0] - b[1]
-    ell = float(np.sqrt(db @ db))
-    dirs = [bn / np.sqrt(bn @ bn) for bn in b if bn.any()]
+    da, db = a[0] - a[1], [x - y for x, y in zip(*b)]
+    ell = math.sqrt(_dot(db, db))
+    dirs = [[x / norm for x in bn] for bn in b if (norm := math.sqrt(_dot(bn, bn)))]
     if abs(da) >= ell:
         alpha = 0.0 if da > 0 else 1.0
     else:
-        beta = float(db @ b[1]) / ell**2
-        normal = np.cross(b[1], db)   # |normal| = h L
-        h = float(np.sqrt(normal @ normal)) / ell
-        alpha = min(max(-beta - da * h / (ell * np.sqrt(ell**2 - da**2)), 0.0), 1.0)
+        beta = _dot(db, b[1]) / ell**2
+        normal = _cross(b[1], db)   # |normal| = h L
+        h = math.sqrt(_dot(normal, normal)) / ell
+        alpha = min(max(-beta - da * h / (ell * math.sqrt(ell**2 - da**2)), 0.0), 1.0)
         # b_2 - beta db by cross products: orthogonal to db however small h is
-        perp = np.cross(db, normal)
-        if not perp.any():
-            perp = np.cross(db, np.eye(3)[np.argmin(np.abs(db))])
-        dirs.append(-da * db / ell**2 + np.sqrt(1.0 - (da / ell)**2) * perp / np.sqrt(perp @ perp))
-    dirs = np.array(dirs or [np.eye(3)[2]])
-    return alpha, dirs[np.argmax((a + dirs @ b.T).min(axis=1))]
+        perp = _cross(db, normal)
+        if not any(perp):
+            perp = _cross(db, np.eye(3)[np.argmin(np.abs(db))])
+        s, norm = math.sqrt(1.0 - (da / ell)**2), math.sqrt(_dot(perp, perp))
+        dirs.append([-da * x / ell**2 + s * y / norm for x, y in zip(db, perp)])
+    dirs = dirs or [[0.0, 0.0, 1.0]]
+    pairings = [min(a[0] + _dot(b[0], r), a[1] + _dot(b[1], r)) for r in dirs]
+    best = pairings.index(max(pairings))
+    return alpha, dirs[best], pairings[best]
 
 
 def _closed_form(operators: np.ndarray, span: np.ndarray) -> SdpSolution:
@@ -119,16 +132,15 @@ def _closed_form(operators: np.ndarray, span: np.ndarray) -> SdpSolution:
         lam = float(blocks[0, 0, 0].real)
         p, proj = np.array([1.0 / lam]), np.eye(1) / lam
     else:
-        diag = blocks[:, [0, 1], [0, 1]].real
-        a = diag.mean(axis=1)
-        b = np.stack([blocks[:, 0, 1].real, -blocks[:, 0, 1].imag,
-                      (diag[:, 0] - diag[:, 1]) / 2], axis=1)
-        alpha, r = _qubit_optimum(a, b)
-        weights = np.array([alpha, 1.0 - alpha])
-        top = weights @ b
-        p = weights / (weights @ a + float(np.sqrt(top @ top)))
-        proj = 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1 - r[2]]])
-        proj /= float(np.min(a + b @ r))
+        rows = blocks.tolist()
+        a = [(m[0][0].real + m[1][1].real) / 2 for m in rows]
+        b = [[m[0][1].real, -m[0][1].imag, (m[0][0].real - m[1][1].real) / 2] for m in rows]
+        alpha, r, least = _qubit_optimum(a, b)
+        top = [alpha * x + (1.0 - alpha) * y for x, y in zip(*b)]
+        lam = alpha * a[0] + (1.0 - alpha) * a[1] + math.sqrt(_dot(top, top))
+        p = np.array([alpha, 1.0 - alpha]) / lam
+        proj = np.array([[1 + r[2], complex(r[0], -r[1])], [complex(r[0], r[1]), 1 - r[2]]])
+        proj = 0.5 * proj / least
     y = q @ proj @ q.conj().T
     primal, dual = float(np.sum(p)), float(np.trace(y).real)
     return SdpSolution(p=p, primal=primal, dual_matrix=y, dual=dual, gap=dual - primal)

@@ -348,11 +348,12 @@ def test_cli_output_is_pinned(argv, d3_files, capsys):
     assert capsys.readouterr().out == GOLDEN[argv]
 
 
-def test_heatmap_output_is_pinned(tmp_path):
+@pytest.mark.parametrize("a", ["0.2", "0.5", "0.8"])
+def test_heatmap_output_is_pinned(a, tmp_path):
     out_path = tmp_path / "map.csv"
-    assert dispatch(["qubit", "heatmap", "--a", "0.5", "--theta", "1.5707963", "--phi", "0",
+    assert dispatch(["qubit", "heatmap", "--a", a, "--theta", "1.5707963", "--phi", "0",
                      "--grid", "8", "--out", str(out_path)]) == 0
-    assert out_path.read_bytes() == (GOLDEN_DIR / "heatmap_a0.5_grid8.csv").read_bytes()
+    assert out_path.read_bytes() == (GOLDEN_DIR / f"heatmap_a{a}_grid8.csv").read_bytes()
 
 
 # Output of every leaf GOLDEN leaves out, as full argument lists on the

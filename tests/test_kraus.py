@@ -217,6 +217,18 @@ def test_channel_rejects_mixed_shapes():
         Channel((0.5 * np.eye(2), 0.5 * np.eye(3)))
     with pytest.raises(DimensionMismatch, match="share one shape"):
         Channel((0.5 * np.eye(2), np.zeros((3, 2))))
+    # one row count but two shapes, which numpy cannot stack even as objects,
+    # and ragged rows within one operator
+    for ragged in ((0.5 * np.eye(2), np.zeros((2, 3))), [[[0.5, 0.0], [0.0]]]):
+        with pytest.raises(DimensionMismatch, match="share one shape"):
+            Channel(ragged)
+
+
+def test_channel_rejects_entries_that_are_not_numbers():
+    # a ValueError from numpy, not a shape error: the operators share one shape
+    for bad in ([[["a"]]], [[[0.5, "x"], [0.0, 0.5]]], np.array([[["a", "b"], ["c", "d"]]])):
+        with pytest.raises(ValueError, match="malformed string"):
+            Channel(bad)
 
 
 def test_channel_rejects_non_square_operators():

@@ -178,7 +178,7 @@ def bloch_operator(a, b):
     return (v * np.sqrt(w)) @ dagger(v)
 
 
-@pytest.mark.parametrize("pair, alpha", [
+BRANCH_CASES = [
     # |da| < |db| with h > 0: the stationary point
     pytest.param(((1.0, (0.3, 0.0, 0.5)), (1.1, (0.3, 0.0, -0.4))), None, id="interior"),
     # |da| < |db| with the stationary point at -0.125, clipped to 0
@@ -193,11 +193,14 @@ def bloch_operator(a, b):
     # top eigenvalue is double and the dual is fixed by the pairings alone
     pytest.param(((1.1, (0.0, 0.0, 0.5)), (1.0, (0.0, 0.0, -0.5))), 0.5, id="h-zero"),
     pytest.param(((1.0, (0.0, 0.0, 0.5)), (1.0, (0.0, 0.0, -0.5))), 0.5, id="h-zero-da-zero"),
-])
+]
+
+
+@pytest.mark.parametrize("pair, alpha", BRANCH_CASES)
 def test_closed_form_branches(pair, alpha):
     ops = [bloch_operator(a, np.array(b)) for a, b in pair]
     a, b = np.array([pair[0][0], pair[1][0]]), np.array([pair[0][1], pair[1][1]])
-    got, _ = _qubit_optimum(a, b)
+    got = _qubit_optimum(a, b)[0]
     if alpha is None:
         assert 0.0 < got < 1.0
     else:
@@ -206,10 +209,110 @@ def test_closed_form_branches(pair, alpha):
     assert_certified_optimum(sol, LmiProblem.from_matrices([dagger(f) @ f for f in ops]))
 
 
+def numpy_qubit_optimum(a, b):
+    """The numpy form of _qubit_optimum that the Python-float one replaced, kept as an oracle."""
+    da, db = a[0] - a[1], b[0] - b[1]
+    ell = float(np.sqrt(db @ db))
+    dirs = [bn / np.sqrt(bn @ bn) for bn in b if bn.any()]
+    if abs(da) >= ell:
+        alpha = 0.0 if da > 0 else 1.0
+    else:
+        beta = float(db @ b[1]) / ell**2
+        normal = np.cross(b[1], db)
+        h = float(np.sqrt(normal @ normal)) / ell
+        alpha = min(max(-beta - da * h / (ell * np.sqrt(ell**2 - da**2)), 0.0), 1.0)
+        perp = np.cross(db, normal)
+        if not perp.any():
+            perp = np.cross(db, np.eye(3)[np.argmin(np.abs(db))])
+        dirs.append(-da * db / ell**2 + np.sqrt(1.0 - (da / ell)**2) * perp / np.sqrt(perp @ perp))
+    dirs = np.array(dirs or [np.eye(3)[2]])
+    return alpha, dirs[np.argmax((a + dirs @ b.T).min(axis=1))]
+
+
+def numpy_bloch_parts(operators, span):
+    """Q from the QR of span, and the numpy (a, b) of the blocks Q'F_n'F_nQ = a_n 1 + b_n.sigma."""
+    q, _ = np.linalg.qr(span)
+    g = operators @ q
+    blocks = g.conj().transpose(0, 2, 1) @ g
+    diag = blocks[:, [0, 1], [0, 1]].real
+    b = np.stack([blocks[:, 0, 1].real, -blocks[:, 0, 1].imag,
+                  (diag[:, 0] - diag[:, 1]) / 2], axis=1)
+    return q, diag.mean(axis=1), b
+
+
+def numpy_closed_form(operators, span):
+    """The numpy form of _closed_form at r = 2, kept as an oracle: (p, primal, dual, y)."""
+    q, a, b = numpy_bloch_parts(operators, span)
+    alpha, r = numpy_qubit_optimum(a, b)
+    weights = np.array([alpha, 1.0 - alpha])
+    top = weights @ b
+    p = weights / (weights @ a + float(np.sqrt(top @ top)))
+    proj = 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1 - r[2]]])
+    proj /= float(np.min(a + b @ r))
+    y = q @ proj @ q.conj().T
+    return p, float(np.sum(p)), float(np.trace(y).real), y
+
+
+def support_two_problems():
+    """2,068 seeded support-2 problems as (operators, span): 1,500 qubit
+    conversions between Haar states (300 at each overlap a = 0, 0.25, 0.5,
+    0.75, 0.9), 560 random Bloch pairs a_n 1 + b_n.sigma, of which 120 have
+    collinear, 120 equal and 120 zero-difference-perpendicular Bloch parts,
+    and the eight branch cases of test_closed_form_branches."""
+    rng = make_rng(709)
+    problems = []
+    for a in (0.0, 0.25, 0.5, 0.75, 0.9):
+        basis = qubit_free_basis(a)
+        for _ in range(300):
+            states = [haar_state(2, rng) for _ in range(2)]
+            while any(superposition_rank(state, basis) != 2 for state in states):
+                states = [haar_state(2, rng) for _ in range(2)]
+            problems.append((enumerate_transformers(*states, basis).operators, basis.reciprocal))
+    pairs = []
+    for kind in ("random",) * 200 + ("collinear", "equal", "perp-zero") * 120:
+        b1 = rng.normal(size=3)
+        if kind == "random":
+            b2 = rng.normal(size=3)
+        elif kind == "collinear":
+            b2 = rng.normal() * b1
+        elif kind == "equal":
+            b2 = b1.copy()
+        else:   # b_2 along db: the cross products vanish and perp falls back to an axis
+            b1 = np.array([0.0, 0.0, rng.normal()])
+            b2 = np.array([0.0, 0.0, rng.normal()])
+        a1, a2 = (np.linalg.norm(bn) + rng.uniform(0.1, 2.0) for bn in (b1, b2))
+        if rng.uniform() < 0.1:   # da = 0: the stationary point is then -beta
+            a1 = a2 = max(a1, a2)
+        pairs.append(((a1, tuple(b1)), (a2, tuple(b2))))
+    pairs += [case.values[0] for case in BRANCH_CASES]
+    for pair in pairs:
+        ops = np.array([bloch_operator(a, np.array(b)) for a, b in pair])
+        problems.append((ops, np.eye(2, dtype=complex)))
+    return problems
+
+
+def test_closed_form_matches_numpy_oracle():
+    # the Python-float closed form against the numpy one it replaced: the
+    # arithmetic is the same but for the order of BLAS dot-product sums
+    problems = support_two_problems()
+    assert len(problems) >= 2000
+    for operators, span in problems:
+        _, a, b = numpy_bloch_parts(operators, span)
+        alpha, r = numpy_qubit_optimum(a, b)
+        got_alpha, got_r, _ = _qubit_optimum(a.tolist(), b.tolist())
+        assert abs(got_alpha - alpha) <= 1e-14
+        assert np.abs(np.subtract(got_r, r)).max() <= 1e-14
+        p, primal, dual, y = numpy_closed_form(operators, span)
+        sol = _closed_form(operators, span)
+        assert np.abs(sol.p - p).max() <= 1e-14
+        assert abs(sol.primal - primal) <= 1e-14 and abs(sol.dual - dual) <= 1e-14
+        assert np.abs(sol.dual_matrix - y).max() <= 1e-14
+
+
 def test_closed_form_keeps_the_gap_contract():
     # a closed-form gap above the tolerance raises as solve_lmi does; this
-    # pair's gap is rounding residue (5.6e-17 with numpy 2.4), and a negative
-    # tolerance is refused up front
+    # pair's gap is rounding residue (5.6e-17 with numpy 2.4, the closed form
+    # in Python floats), and a negative tolerance is refused up front
     b = qubit_free_basis(0.5)
     source, target = qubit_state(np.pi / 2, 0.0), qubit_state(0.2, 0.0)
     gap = max_conversion_prob(source, target, b).gap
