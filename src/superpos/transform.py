@@ -5,10 +5,10 @@ target exactly and vanish off the source support (one per bijection between
 the support sets) are enumerated; the conversion probability is the optimum
 of the small LMI "maximize sum p_n s.t. sum p_n F_n'F_n <= 1" over them: the
 free optimum at full support r = d, a certified lower bound at r < d.
-Support r <= 2 (one or two operators, acting on the r-dimensional span of
-the source's reciprocal vectors) is solved in closed form with its dual
-certificate; support r >= 3 goes to the primal-dual interior-point
-``solve_lmi``, which certifies its optimum with the dual iterate.
+Support r <= 2 (one or two operators on the span of the source's reciprocal
+vectors) is solved in closed form with its dual certificate, on r x r blocks
+read off the Gram matrix without building the operators; support r >= 3 goes
+to the primal-dual ``solve_lmi``, which certifies its optimum with the dual.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .basis import FreeBasis, symmetric_basis_d3
 from .errors import NoConvergence, RankMismatch, SupportTooLarge
 from .kraus import FreeKrausForm, complete_free
 from .linalg import as_tolerance
-from .sdp import LmiProblem, SdpSolution, solve_lmi
+from .sdp import DEFAULT_GAP_TOL, LmiProblem, SdpSolution, solve_lmi
 from .states import PureState, free_support
 
 MAX_SUPPORT = 5  # r! operators; 5! = 120 is the desk-scale cap
@@ -113,28 +113,47 @@ def _qubit_optimum(a, b) -> tuple[float, list, float]:
     return alpha, dirs[best], pairings[best]
 
 
-def _closed_form(operators: np.ndarray, span: np.ndarray) -> SdpSolution:
-    """Optimum and dual of "maximize sum p_n s.t. sum p_n F_n'F_n <= 1" for one
-    or two operators that vanish off the column span of ``span`` (d x r).
+def _gram_blocks(basis: FreeBasis, src, dst, support_r, support_s) -> tuple[list, np.ndarray]:
+    """The r <= 2 transformers' blocks B_sigma = R H[sigma, sigma] R' (K'K = Q B Q'), in
+    Python floats, with H = diag(conj phi_T) G_TT diag(phi_T), G the Gram matrix, and
+    W_S diag(1/conj psi_S) = Q R by one Gram-Schmidt step. Returns the blocks, in
+    ``enumerate_transformers``' order, and Q (d x r)."""
+    psi, phi, gram = src.tolist(), dst.tolist(), basis.gram.tolist()
+    x = [[z / psi[k].conjugate() for z in basis.reciprocal[:, k].tolist()] for k in support_r]
+    h = [[phi[i].conjugate() * gram[i][j] * phi[j] for j in support_s] for i in support_s]
+    r00 = math.hypot(*map(abs, x[0]))
+    q = [[z / r00 for z in x[0]]]
+    if len(x) == 1:
+        return [[[r00 * r00 * h[0][0]]]], np.array(q).T
+    r01 = sum(u.conjugate() * z for u, z in zip(q[0], x[1]))
+    rest = [z - r01 * u for u, z in zip(q[0], x[1])]
+    r11 = math.hypot(*map(abs, rest))
+    q.append([z / r11 for z in rest])
+    blocks = []
+    # H[sigma, sigma] for the target support in order, then swapped
+    for m00, m01, m11 in ((h[0][0], h[0][1], h[1][1]), (h[1][1], h[1][0], h[0][0])):
+        b00 = r00 * r00 * m00 + 2 * r00 * (m01 * r01.conjugate()).real + abs(r01)**2 * m11
+        b01 = (r00 * m01 + r01 * m11) * r11
+        blocks.append([[b00, b01], [b01.conjugate(), r11 * r11 * m11]])
+    return blocks, np.array(q).T
 
-    With Q from one QR of ``span``, the constraint holds on the r-dimensional
-    block Q'F_n'F_nQ alone. For r = 1 that block is a number lam:
-    p = 1/lam with dual QQ'/lam. For r = 2 write the blocks as
-    a_n 1 + b_n.sigma, b = (Re m01, -Im m01, (m00 - m11)/2): with alpha and
-    the projector P from ``_qubit_optimum``, the optimum is
+
+def _closed_form(blocks: list, q: np.ndarray) -> SdpSolution:
+    """Optimum and dual of "maximize sum p_n s.t. sum p_n B_n <= 1" for one or two
+    r x r blocks B_n (nested lists) on the span of the orthonormal columns of q.
+
+    For r = 1 the block is a number lam: p = 1/lam with dual QQ'/lam. For r = 2
+    write the blocks as a_n 1 + b_n.sigma, b = (Re m01, -Im m01, (m00 - m11)/2):
+    with alpha and the projector P from ``_qubit_optimum``, the optimum is
     p = (alpha, 1 - alpha)/lam, lam the top eigenvalue at alpha, and the dual
-    is Q P Q' / min_n tr(P Q'F_n'F_nQ); their traces meet at the optimum.
+    is Q P Q' / min_n tr(P B_n); their traces meet at the optimum.
     """
-    q, _ = np.linalg.qr(span)
-    g = operators @ q
-    blocks = g.conj().transpose(0, 2, 1) @ g
-    if len(operators) == 1:
-        lam = float(blocks[0, 0, 0].real)
+    if len(blocks) == 1:
+        lam = blocks[0][0][0].real
         p, proj = np.array([1.0 / lam]), np.eye(1) / lam
     else:
-        rows = blocks.tolist()
-        a = [(m[0][0].real + m[1][1].real) / 2 for m in rows]
-        b = [[m[0][1].real, -m[0][1].imag, (m[0][0].real - m[1][1].real) / 2] for m in rows]
+        a = [(m[0][0].real + m[1][1].real) / 2 for m in blocks]
+        b = [[m[0][1].real, -m[0][1].imag, (m[0][0].real - m[1][1].real) / 2] for m in blocks]
         alpha, r, least = _qubit_optimum(a, b)
         top = [alpha * x + (1.0 - alpha) * y for x, y in zip(*b)]
         lam = alpha * a[0] + (1.0 - alpha) * a[1] + math.sqrt(_dot(top, top))
@@ -142,8 +161,24 @@ def _closed_form(operators: np.ndarray, span: np.ndarray) -> SdpSolution:
         proj = np.array([[1 + r[2], complex(r[0], -r[1])], [complex(r[0], r[1]), 1 - r[2]]])
         proj = 0.5 * proj / least
     y = q @ proj @ q.conj().T
-    primal, dual = float(np.sum(p)), float(np.trace(y).real)
+    primal, dual = float(p.sum()), float(y.trace().real)
     return SdpSolution(p=p, primal=primal, dual_matrix=y, dual=dual, gap=dual - primal)
+
+
+def _optimum(psi: PureState, phi: PureState, basis: FreeBasis,
+             gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
+    """``max_conversion_prob`` without the completion: the certified optimum, ``value`` clamped."""
+    src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)
+    support_r, support_s = free_support(src), free_support(dst)
+    if len(support_r) == len(support_s) <= 2:
+        sol = _closed_form(*_gram_blocks(basis, src, dst, support_r, support_s))
+        if sol.gap > gap_tol:
+            raise NoConvergence(f"duality gap {sol.gap:.3e} above {gap_tol:.1e}")
+    else:   # enumerate_transformers raises RankMismatch and SupportTooLarge
+        ops = enumerate_transformers(psi, phi, basis).operators
+        problem = LmiProblem.from_matrices(ops.conj().transpose(0, 2, 1) @ ops)
+        sol = solve_lmi(problem, gap_tol=gap_tol)
+    return replace(sol, value=float(min(max(sol.primal, 0.0), 1.0)))
 
 
 def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
@@ -151,29 +186,21 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     """Conversion probability over ``enumerate_transformers``: the free optimum
     at full support, a certified lower bound on it at support r < d.
 
-    Support r <= 2 is answered in closed form with its dual, support r >= 3
-    by the primal-dual ``solve_lmi`` (up to 120 operators at r = 5); either
-    way the certified gap is at most ``gap_tol``
-    (``NoConvergence`` otherwise). Returns the solution with
-    ``value`` clamped to [0, 1]; when the value reaches 1 within solver
-    resolution a free completion of the optimal operators is attached, making
-    the deterministic conversion channel explicit.
+    Support r <= 2 is answered in closed form on blocks read off the Gram
+    matrix, support r >= 3 by the primal-dual ``solve_lmi`` (up to 120
+    operators at r = 5); either way the certified gap is at most ``gap_tol``
+    (``NoConvergence`` otherwise). Returns the solution with ``value`` clamped
+    to [0, 1]. A value of at least 1 - ``gap_tol``, which every deterministic
+    pair's certified value is, gets the operators built and a free completion of
+    them attached, making the deterministic conversion channel explicit.
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
-    ts = enumerate_transformers(psi, phi, basis)
-    if len(ts.support_source) <= 2:
-        sol = _closed_form(ts.operators, basis.reciprocal[:, list(ts.support_source)])
-        if sol.gap > gap_tol:
-            raise NoConvergence(f"duality gap {sol.gap:.3e} above {gap_tol:.1e}")
-    else:
-        problem = LmiProblem.from_matrices(ts.operators.conj().transpose(0, 2, 1) @ ts.operators)
-        sol = solve_lmi(problem, gap_tol=gap_tol)
-    value = float(min(max(sol.primal, 0.0), 1.0))
-    completion = None
-    if value >= 1.0 - 10 * gap_tol:
-        scaled = np.sqrt(np.clip(sol.p, 0.0, None))[:, None, None] * ts.operators
-        completion = tuple(complete_free(scaled, basis))
-    return replace(sol, value=value, completion=completion)
+    sol = _optimum(psi, phi, basis, gap_tol)
+    if sol.value < 1.0 - gap_tol:
+        return sol
+    ops = enumerate_transformers(psi, phi, basis).operators
+    scaled = np.sqrt(np.clip(sol.p, 0.0, None))[:, None, None] * ops
+    return replace(sol, completion=tuple(complete_free(scaled, basis)))
 
 
 def candidate_states_d3() -> list[PureState]:

@@ -1,19 +1,23 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from superpos.basis import orthonormal_basis, symmetric_basis_d3
+from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3
 from superpos.errors import NoConvergence, RankMismatch
-from superpos.kraus import Channel, apply_channel, is_free_kraus
+from superpos.cli import dispatch
+from superpos.kraus import Channel, apply_channel, complete_free, is_free_kraus
 from superpos.linalg import dagger
 from superpos.qubit import PAULI, free_qubit_kraus, qubit_free_basis, qubit_state
 from superpos.sampling import haar_state, make_rng, random_basis
 from superpos.sdp import DEFAULT_GAP_TOL, LmiProblem, solve_lmi, verify_dual
-from superpos.states import DensityMatrix, PureState, superposition_rank
+from superpos.serialize import basis_to_json, canonical_dumps, pure_state_to_json
+from superpos.states import DensityMatrix, PureState, free_support, superposition_rank
 from superpos.transform import (
     _closed_form,
+    _gram_blocks,
     _qubit_optimum,
     candidate_states_d3,
     enumerate_transformers,
@@ -83,6 +87,8 @@ def test_rank_mismatch_refused_both_ways():
         enumerate_transformers(free, full, b)
     with pytest.raises(RankMismatch):
         max_conversion_prob(free, full, b)
+    with pytest.raises(RankMismatch):
+        max_conversion_prob(full, free, b)
 
 
 def test_self_conversion_probability_one():
@@ -205,7 +211,7 @@ def test_closed_form_branches(pair, alpha):
         assert 0.0 < got < 1.0
     else:
         assert abs(got - alpha) <= 1e-15
-    sol = _closed_form(ops, np.eye(2, dtype=complex))
+    sol = _closed_form([(dagger(f) @ f).tolist() for f in ops], np.eye(2, dtype=complex))
     assert_certified_optimum(sol, LmiProblem.from_matrices([dagger(f) @ f for f in ops]))
 
 
@@ -229,20 +235,20 @@ def numpy_qubit_optimum(a, b):
     return alpha, dirs[np.argmax((a + dirs @ b.T).min(axis=1))]
 
 
-def numpy_bloch_parts(operators, span):
-    """Q from the QR of span, and the numpy (a, b) of the blocks Q'F_n'F_nQ = a_n 1 + b_n.sigma."""
-    q, _ = np.linalg.qr(span)
+def numpy_bloch_parts(operators, q):
+    """The numpy (a, b) of the blocks Q'F_n'F_nQ = a_n 1 + b_n.sigma, q orthonormal columns."""
     g = operators @ q
     blocks = g.conj().transpose(0, 2, 1) @ g
     diag = blocks[:, [0, 1], [0, 1]].real
     b = np.stack([blocks[:, 0, 1].real, -blocks[:, 0, 1].imag,
                   (diag[:, 0] - diag[:, 1]) / 2], axis=1)
-    return q, diag.mean(axis=1), b
+    return diag.mean(axis=1), b
 
 
-def numpy_closed_form(operators, span):
-    """The numpy form of _closed_form at r = 2, kept as an oracle: (p, primal, dual, y)."""
-    q, a, b = numpy_bloch_parts(operators, span)
+def numpy_closed_form(operators, q):
+    """The numpy form of the r = 2 closed form on the operators' products, kept as an
+    oracle: (p, primal, dual, y) on the orthonormal columns q."""
+    a, b = numpy_bloch_parts(operators, q)
     alpha, r = numpy_qubit_optimum(a, b)
     weights = np.array([alpha, 1.0 - alpha])
     top = weights @ b
@@ -253,21 +259,12 @@ def numpy_closed_form(operators, span):
     return p, float(np.sum(p)), float(np.trace(y).real), y
 
 
-def support_two_problems():
-    """2,068 seeded support-2 problems as (operators, span): 1,500 qubit
-    conversions between Haar states (300 at each overlap a = 0, 0.25, 0.5,
-    0.75, 0.9), 560 random Bloch pairs a_n 1 + b_n.sigma, of which 120 have
-    collinear, 120 equal and 120 zero-difference-perpendicular Bloch parts,
-    and the eight branch cases of test_closed_form_branches."""
+def bloch_pair_operators():
+    """568 seeded operator pairs F_n with F_n'F_n = a_n 1 + b_n.sigma: 560 random
+    Bloch pairs, of which 120 have collinear, 120 equal and 120
+    zero-difference-perpendicular Bloch parts, and the eight branch cases of
+    test_closed_form_branches."""
     rng = make_rng(709)
-    problems = []
-    for a in (0.0, 0.25, 0.5, 0.75, 0.9):
-        basis = qubit_free_basis(a)
-        for _ in range(300):
-            states = [haar_state(2, rng) for _ in range(2)]
-            while any(superposition_rank(state, basis) != 2 for state in states):
-                states = [haar_state(2, rng) for _ in range(2)]
-            problems.append((enumerate_transformers(*states, basis).operators, basis.reciprocal))
     pairs = []
     for kind in ("random",) * 200 + ("collinear", "equal", "perp-zero") * 120:
         b1 = rng.normal(size=3)
@@ -285,28 +282,99 @@ def support_two_problems():
             a1 = a2 = max(a1, a2)
         pairs.append(((a1, tuple(b1)), (a2, tuple(b2))))
     pairs += [case.values[0] for case in BRANCH_CASES]
-    for pair in pairs:
-        ops = np.array([bloch_operator(a, np.array(b)) for a, b in pair])
-        problems.append((ops, np.eye(2, dtype=complex)))
-    return problems
+    return [np.array([bloch_operator(a, np.array(b)) for a, b in pair]) for pair in pairs]
 
 
 def test_closed_form_matches_numpy_oracle():
-    # the Python-float closed form against the numpy one it replaced: the
-    # arithmetic is the same but for the order of BLAS dot-product sums
-    problems = support_two_problems()
-    assert len(problems) >= 2000
-    for operators, span in problems:
-        _, a, b = numpy_bloch_parts(operators, span)
+    # the Python-float closed form on the blocks against the numpy one on the
+    # operators: the arithmetic is the same but for the order of BLAS sums
+    eye = np.eye(2, dtype=complex)
+    for operators in bloch_pair_operators():
+        a, b = numpy_bloch_parts(operators, eye)
         alpha, r = numpy_qubit_optimum(a, b)
         got_alpha, got_r, _ = _qubit_optimum(a.tolist(), b.tolist())
         assert abs(got_alpha - alpha) <= 1e-14
         assert np.abs(np.subtract(got_r, r)).max() <= 1e-14
-        p, primal, dual, y = numpy_closed_form(operators, span)
-        sol = _closed_form(operators, span)
+        p, primal, dual, y = numpy_closed_form(operators, eye)
+        sol = _closed_form([(dagger(f) @ f).tolist() for f in operators], eye)
         assert np.abs(sol.p - p).max() <= 1e-14
         assert abs(sol.primal - primal) <= 1e-14 and abs(sol.dual - dual) <= 1e-14
         assert np.abs(sol.dual_matrix - y).max() <= 1e-14
+
+
+def support_two_state(rng, basis, support=(0, 1)):
+    """A state whose free-frame coefficients are complex Gaussian on ``support``, 0 off it."""
+    coeffs = np.zeros(basis.d, dtype=complex)
+    coeffs[list(support)] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return PureState.normalized(basis.vectors @ coeffs)
+
+
+def gram_path_conversions():
+    """1,900 seeded support-2 conversions as (psi, phi, basis, eps): 1,500 between
+    Haar qubit states (300 at each overlap a = 0, 0.25, 0.5, 0.75, 0.9) and 120 at
+    partial support on random bases (20 at each d = 3..8, each state on two labels
+    of its own), with eps None; and 280 on near-dependent bases, column 0 of a
+    random basis replaced by column 1 plus eps times a complex Gaussian (10 at
+    each d = 2..8 for each eps = 1e-2, 1e-3, 1e-4, 1e-5)."""
+    rng = make_rng(709)
+    out = []
+    for a in (0.0, 0.25, 0.5, 0.75, 0.9):
+        basis = qubit_free_basis(a)
+        for _ in range(300):
+            states = [haar_state(2, rng) for _ in range(2)]
+            while any(superposition_rank(state, basis) != 2 for state in states):
+                states = [haar_state(2, rng) for _ in range(2)]
+            out.append((*states, basis, None))
+    for d in range(3, 9):
+        for _ in range(20):
+            basis = random_basis(d, rng)
+            states = [support_two_state(rng, basis, rng.choice(d, 2, replace=False))
+                      for _ in range(2)]
+            out.append((*states, basis, None))
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+        for d in range(2, 9):
+            for _ in range(10):
+                v = random_basis(d, rng).vectors.copy()
+                v[:, 0] = v[:, 1] + eps * (rng.normal(size=d) + 1j * rng.normal(size=d))
+                v[:, 0] /= np.linalg.norm(v[:, 0])
+                basis = new_free_basis(list(v.T))
+                states = [support_two_state(rng, basis) for _ in range(2)]
+                out.append((*states, basis, eps))
+    return out
+
+
+def test_gram_blocks_match_numpy_oracle():
+    # the blocks read off the Gram matrix against Q'F'FQ from the enumerated
+    # operators, and max_conversion_prob against the numpy closed form on the
+    # same Q, within 1e-14 of the largest entry compared. One Gram-Schmidt step
+    # keeps Q orthonormal, and spanning the source's reciprocal vectors, to
+    # ~4e-16/eps on the near-dependent bases (3.6e-11 at eps = 1e-5); the
+    # dual still pairs every K'K to 1 within 1e-13
+    conversions = gram_path_conversions()
+    assert len(conversions) == 1900
+    for psi, phi, basis, eps in conversions:
+        src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)
+        support_r, support_s = free_support(src), free_support(dst)
+        assert len(support_r) == len(support_s) == 2
+        blocks, q = _gram_blocks(basis, src, dst, support_r, support_s)
+        tol = 1e-13 if eps is None else 1e-14 / eps
+        span = basis.reciprocal[:, list(support_r)]
+        assert np.abs(dagger(q) @ q - np.eye(2)).max() <= tol
+        assert np.abs(q @ (dagger(q) @ span) - span).max() <= tol * np.abs(span).max()
+        operators = enumerate_transformers(psi, phi, basis).operators
+        g = operators @ q
+        products = g.conj().transpose(0, 2, 1) @ g
+        assert np.abs(np.array(blocks) - products).max() <= tol * np.abs(products).max()
+        p, primal, dual, y = numpy_closed_form(operators, q)
+        sol = max_conversion_prob(psi, phi, basis)
+        scale = max(1.0, np.abs(y).max(), primal)
+        assert np.abs(sol.p - p).max() <= 1e-14 * scale
+        assert abs(sol.primal - primal) <= 1e-14 * scale
+        assert abs(sol.dual - dual) <= 1e-14 * scale
+        assert np.abs(sol.dual_matrix - y).max() <= 1e-14 * scale
+        pairings = np.einsum("nij,ji->n", operators.conj().transpose(0, 2, 1) @ operators,
+                             sol.dual_matrix).real
+        assert pairings.min() >= 1.0 - 1e-13
 
 
 def test_closed_form_keeps_the_gap_contract():
@@ -337,6 +405,76 @@ def test_support_two_source_to_source_is_deterministic():
     assert all(is_free_kraus(k, basis) is not None for k in sol.completion)
     pure = np.outer(psi.amp, psi.amp.conj())
     assert np.abs(apply_channel(channel, DensityMatrix(pure)).mat - pure).max() <= 1e-10
+
+
+def test_deterministic_needs_a_value_within_gap_tol_of_one(tmp_path, capsys):
+    # a certified primal lies within gap_tol of the optimum, so a value below
+    # 1 - gap_tol is no deterministic pair: at gap_tol 0.1 and 0.5 this
+    # value-0.17 pair gets no completion, and `convert prob --tol 0.1` says so;
+    # every full-support self-conversion (optimum 1) still gets one at the
+    # default tolerance, at r = 1 on orthonormal bases and at r = d = 2..5
+    basis = qubit_free_basis(0.5)
+    source, target = qubit_state(np.pi / 2, 0.3), qubit_state(1.1, 2.0)
+    for gap_tol in (0.1, 0.5):
+        sol = max_conversion_prob(source, target, basis, gap_tol=gap_tol)
+        assert sol.value < 0.2 and sol.completion is None
+    paths = [tmp_path / name for name in ("from.json", "to.json", "basis.json")]
+    for path, payload in zip(paths, (pure_state_to_json(source), pure_state_to_json(target),
+                                     basis_to_json(basis))):
+        path.write_text(canonical_dumps(payload), encoding="utf-8")
+    assert dispatch(["convert", "prob", "--from", str(paths[0]), "--to", str(paths[1]),
+                     "--basis", str(paths[2]), "--tol", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["deterministic"] is False
+    rng = make_rng(710)
+    for d in range(2, 6):
+        ortho, rand = orthonormal_basis(d), random_basis(d, rng)
+        for psi, b in ((PureState(ortho.state(d - 1)), ortho), (haar_state(d, rng), rand)):
+            assert max_conversion_prob(psi, psi, b).completion is not None
+
+
+def operator_form_p(operators, span):
+    """p of the operator-product closed form: Q from one QR of span, blocks Q'F'FQ."""
+    q, _ = np.linalg.qr(span)
+    if len(operators) == 1:
+        g = operators[0] @ q
+        return np.array([1.0 / float((dagger(g) @ g)[0, 0].real)])
+    return numpy_closed_form(operators, q)[0]
+
+
+def test_self_conversion_completion_matches_the_operator_form():
+    # self-conversions at r = 1, 2 on the five qubit overlaps and on random and
+    # orthonormal d = 3..5 bases: the completion is present exactly where the
+    # operator-product closed form reaches 1 - gap_tol, and then equals the
+    # completion of its weighted operators within 1e-15, is free, and makes
+    # them trace preserving
+    rng = make_rng(711)
+    cases = []
+    for a in (0.0, 0.25, 0.5, 0.75, 0.9):
+        basis = qubit_free_basis(a)
+        cases += [(PureState(basis.state(0)), basis)]
+        cases += [(support_two_state(rng, basis), basis) for _ in range(4)]
+    for d in range(3, 6):
+        # on the orthonormal basis the r < d self-conversions leave a defect to complete
+        for basis in [random_basis(d, rng) for _ in range(3)] + [orthonormal_basis(d)] * 2:
+            cases.append((PureState(basis.state(int(rng.integers(d)))), basis))
+            cases.append((support_two_state(rng, basis, rng.choice(d, 2, replace=False)), basis))
+    present = 0
+    for psi, basis in cases:
+        sol = max_conversion_prob(psi, psi, basis)
+        ts = enumerate_transformers(psi, psi, basis)
+        p = operator_form_p(ts.operators, basis.reciprocal[:, list(ts.support_source)])
+        scaled = np.sqrt(np.clip(p, 0.0, None))[:, None, None] * ts.operators
+        if float(np.sum(p)) < 1.0 - 1e-7:
+            assert sol.completion is None
+            continue
+        present += 1
+        expected = complete_free(scaled, basis)
+        assert len(sol.completion) == len(expected)
+        for got, want in zip(sol.completion, expected):
+            assert np.abs(got - want).max() <= 1e-15
+            assert is_free_kraus(got, basis) is not None
+        assert Channel(tuple(scaled) + sol.completion).is_trace_preserving
+    assert present >= 30
 
 
 @pytest.mark.xfail(strict=True, reason="at support r < d max_conversion_prob optimizes only "
