@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, InvalidState, NotUnitary
 from .kraus import Channel, FreeKrausForm, free_channel
 from .linalg import as_complex_matrix, as_hermitian_matrix, dagger
 from .states import DensityMatrix, PureState, superposition_rank
-from .transform import _optimum
+from .transform import max_conversion_prob
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -239,9 +239,9 @@ def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
                  target_angles: tuple[float, float]) -> float:
     """Conversion probability for one heatmap target.
 
-    Equal-rank targets take the support-2 closed form, with no solver run and
-    no completion built even at value 1; its dual certifies the value within
-    the default gap tolerance (``NoConvergence`` otherwise).
+    Equal-rank targets take ``max_conversion_prob``'s closed form for support
+    2, no solver run; its dual certifies the value within the default gap
+    tolerance (``NoConvergence`` otherwise).
     """
     target = qubit_state(*target_angles)
     target_rank = superposition_rank(target, basis)
@@ -249,4 +249,4 @@ def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
         return 0.0
     if target_rank == 1:
         return 1.0
-    return _optimum(source, target, basis).value
+    return float(max_conversion_prob(source, target, basis).value)

@@ -23,7 +23,7 @@ from .basis import FreeBasis, symmetric_basis_d3
 from .errors import NoConvergence, RankMismatch, SupportTooLarge
 from .kraus import FreeKrausForm, complete_free
 from .linalg import as_tolerance
-from .sdp import DEFAULT_GAP_TOL, LmiProblem, SdpSolution, solve_lmi
+from .sdp import LmiProblem, SdpSolution, solve_lmi
 from .states import PureState, free_support
 
 MAX_SUPPORT = 5  # r! operators; 5! = 120 is the desk-scale cap
@@ -47,10 +47,8 @@ def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> 
     ``FreeKrausForm.matrix`` call builds them all.
     Raises ``RankMismatch`` when the superposition ranks differ.
     """
-    src = basis.to_free_frame(psi.amp)
-    dst = basis.to_free_frame(phi.amp)
-    support_r = free_support(src)
-    support_s = free_support(dst)
+    src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)
+    support_r, support_s = free_support(src), free_support(dst)
     if len(support_r) != len(support_s):
         raise RankMismatch(f"superposition ranks differ: {len(support_r)} vs {len(support_s)}")
     if len(support_r) > MAX_SUPPORT:
@@ -114,10 +112,10 @@ def _qubit_optimum(a, b) -> tuple[float, list, float]:
 
 
 def _gram_blocks(basis: FreeBasis, src, dst, support_r, support_s) -> tuple[list, np.ndarray]:
-    """The r <= 2 transformers' blocks B_sigma = R H[sigma, sigma] R' (K'K = Q B Q'), in
-    Python floats, with H = diag(conj phi_T) G_TT diag(phi_T), G the Gram matrix, and
-    W_S diag(1/conj psi_S) = Q R by one Gram-Schmidt step. Returns the blocks, in
-    ``enumerate_transformers``' order, and Q (d x r)."""
+    """The r <= 2 transformers' blocks B_sigma = R H[sigma, sigma] R' (K'K = Q B Q') in Python
+    floats, H = diag(conj phi_T) G_TT diag(phi_T) from the Gram matrix G, and W_S diag(1/conj
+    psi_S) = Q R by Gram-Schmidt run twice (Q orthonormal to rounding on near-dependent
+    columns). Returns the blocks, in ``enumerate_transformers``' order, and Q (d x r)."""
     psi, phi, gram = src.tolist(), dst.tolist(), basis.gram.tolist()
     x = [[z / psi[k].conjugate() for z in basis.reciprocal[:, k].tolist()] for k in support_r]
     h = [[phi[i].conjugate() * gram[i][j] * phi[j] for j in support_s] for i in support_s]
@@ -125,8 +123,10 @@ def _gram_blocks(basis: FreeBasis, src, dst, support_r, support_s) -> tuple[list
     q = [[z / r00 for z in x[0]]]
     if len(x) == 1:
         return [[[r00 * r00 * h[0][0]]]], np.array(q).T
-    r01 = sum(u.conjugate() * z for u, z in zip(q[0], x[1]))
-    rest = [z - r01 * u for u, z in zip(q[0], x[1])]
+    rest, r01 = x[1], 0.0
+    for _ in range(2):
+        c = sum(u.conjugate() * z for u, z in zip(q[0], rest))
+        rest, r01 = [z - c * u for u, z in zip(q[0], rest)], r01 + c
     r11 = math.hypot(*map(abs, rest))
     q.append([z / r11 for z in rest])
     blocks = []
@@ -146,8 +146,7 @@ def _closed_form(blocks: list, q: np.ndarray) -> SdpSolution:
     write the blocks as a_n 1 + b_n.sigma, b = (Re m01, -Im m01, (m00 - m11)/2):
     with alpha and the projector P from ``_qubit_optimum``, the optimum is
     p = (alpha, 1 - alpha)/lam, lam the top eigenvalue at alpha, and the dual
-    is Q P Q' / min_n tr(P B_n); their traces meet at the optimum.
-    """
+    is Q P Q' / min_n tr(P B_n); their traces meet at the optimum."""
     if len(blocks) == 1:
         lam = blocks[0][0][0].real
         p, proj = np.array([1.0 / lam]), np.eye(1) / lam
@@ -165,22 +164,6 @@ def _closed_form(blocks: list, q: np.ndarray) -> SdpSolution:
     return SdpSolution(p=p, primal=primal, dual_matrix=y, dual=dual, gap=dual - primal)
 
 
-def _optimum(psi: PureState, phi: PureState, basis: FreeBasis,
-             gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
-    """``max_conversion_prob`` without the completion: the certified optimum, ``value`` clamped."""
-    src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)
-    support_r, support_s = free_support(src), free_support(dst)
-    if len(support_r) == len(support_s) <= 2:
-        sol = _closed_form(*_gram_blocks(basis, src, dst, support_r, support_s))
-        if sol.gap > gap_tol:
-            raise NoConvergence(f"duality gap {sol.gap:.3e} above {gap_tol:.1e}")
-    else:   # enumerate_transformers raises RankMismatch and SupportTooLarge
-        ops = enumerate_transformers(psi, phi, basis).operators
-        problem = LmiProblem.from_matrices(ops.conj().transpose(0, 2, 1) @ ops)
-        sol = solve_lmi(problem, gap_tol=gap_tol)
-    return replace(sol, value=float(min(max(sol.primal, 0.0), 1.0)))
-
-
 def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
                         gap_tol: float = 1e-7) -> SdpSolution:
     """Conversion probability over ``enumerate_transformers``: the free optimum
@@ -190,36 +173,35 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     matrix, support r >= 3 by the primal-dual ``solve_lmi`` (up to 120
     operators at r = 5); either way the certified gap is at most ``gap_tol``
     (``NoConvergence`` otherwise). Returns the solution with ``value`` clamped
-    to [0, 1]. A value of at least 1 - ``gap_tol``, which every deterministic
-    pair's certified value is, gets the operators built and a free completion of
-    them attached, making the deterministic conversion channel explicit.
+    to [0, 1]. A value of at least 1 - ``gap_tol``, as every deterministic
+    pair's certified value is, gets a free completion of the optimal operators
+    (built for it at r <= 2): the deterministic conversion channel made explicit.
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
-    sol = _optimum(psi, phi, basis, gap_tol)
-    if sol.value < 1.0 - gap_tol:
-        return sol
-    ops = enumerate_transformers(psi, phi, basis).operators
+    src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)
+    support_r, support_s = free_support(src), free_support(dst)
+    if len(support_r) == len(support_s) <= 2:
+        sol, ops = _closed_form(*_gram_blocks(basis, src, dst, support_r, support_s)), None
+        if sol.gap > gap_tol:
+            raise NoConvergence(f"duality gap {sol.gap:.3e} above {gap_tol:.1e}")
+    else:   # enumerate_transformers raises RankMismatch and SupportTooLarge
+        ops = enumerate_transformers(psi, phi, basis).operators
+        sol = solve_lmi(LmiProblem.from_matrices(ops.conj().transpose(0, 2, 1) @ ops), gap_tol)
+    value = float(min(max(sol.primal, 0.0), 1.0))
+    if value < 1.0 - gap_tol:
+        return replace(sol, value=value)
+    ops = enumerate_transformers(psi, phi, basis).operators if ops is None else ops
     scaled = np.sqrt(np.clip(sol.p, 0.0, None))[:, None, None] * ops
-    return replace(sol, completion=tuple(complete_free(scaled, basis)))
+    return replace(sol, value=value, completion=tuple(complete_free(scaled, basis)))
 
 
 def candidate_states_d3() -> list[PureState]:
-    """The four d=3 states maximizing the l1 measure on the symmetric basis.
-
-    All have equal coefficient modulus sqrt(2/3) and phase pairs
-    (4pi/3, 2pi/3), (2pi/3, 4pi/3), (2pi/3, -2pi/3), (-2pi/3, 2pi/3) on the
-    first two free states, with l1 measure 4 and full superposition rank.
-    """
+    """The four d=3 states maximizing the l1 measure on the symmetric basis: coefficient
+    modulus sqrt(2/3) and the phase pairs below on the first two free states, with l1
+    measure 4 and full superposition rank."""
     basis = symmetric_basis_d3()
     amplitude = np.sqrt(2.0 / 3.0)
-    phase_pairs = [
-        (4 * np.pi / 3, 2 * np.pi / 3),
-        (2 * np.pi / 3, 4 * np.pi / 3),
-        (2 * np.pi / 3, -2 * np.pi / 3),
-        (-2 * np.pi / 3, 2 * np.pi / 3),
-    ]
-    states = []
-    for p1, p2 in phase_pairs:
-        coeffs = amplitude * np.array([np.exp(1j * p1), np.exp(1j * p2), 1.0])
-        states.append(PureState.normalized(basis.vectors @ coeffs))
-    return states
+    phase_pairs = [(4 * np.pi / 3, 2 * np.pi / 3), (2 * np.pi / 3, 4 * np.pi / 3),
+                   (2 * np.pi / 3, -2 * np.pi / 3), (-2 * np.pi / 3, 2 * np.pi / 3)]
+    coeffs = amplitude * np.array([[np.exp(1j * p1), np.exp(1j * p2), 1.0] for p1, p2 in phase_pairs])
+    return [PureState.normalized(basis.vectors @ c) for c in coeffs]

@@ -436,7 +436,7 @@ def test_heatmap_cell_propagates_solver_errors(monkeypatch, error):
     def failing(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr("superpos.qubit._optimum", failing)
+    monkeypatch.setattr("superpos.qubit.max_conversion_prob", failing)
     basis = qubit_free_basis(0.5)
     source = qubit_state(np.pi / 2, 0.0)
     rank = superposition_rank(source, basis)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3
-from superpos.errors import NoConvergence, RankMismatch
+from superpos.errors import LinearlyDependent, NoConvergence, RankMismatch
 from superpos.cli import dispatch
 from superpos.kraus import Channel, apply_channel, complete_free, is_free_kraus
 from superpos.linalg import dagger
@@ -310,12 +310,13 @@ def support_two_state(rng, basis, support=(0, 1)):
 
 
 def gram_path_conversions():
-    """1,900 seeded support-2 conversions as (psi, phi, basis, eps): 1,500 between
+    """2,110 seeded support-2 conversions as (psi, phi, basis): 1,500 between
     Haar qubit states (300 at each overlap a = 0, 0.25, 0.5, 0.75, 0.9) and 120 at
     partial support on random bases (20 at each d = 3..8, each state on two labels
-    of its own), with eps None; and 280 on near-dependent bases, column 0 of a
+    of its own); and 490 on near-dependent bases, column 0 of a
     random basis replaced by column 1 plus eps times a complex Gaussian (10 at
-    each d = 2..8 for each eps = 1e-2, 1e-3, 1e-4, 1e-5)."""
+    each d = 2..8 for each eps = 1e-2, 1e-3, ..., 1e-7 and 3e-8, the last close
+    to the independence threshold: a basis new_free_basis refuses is redrawn)."""
     rng = make_rng(709)
     out = []
     for a in (0.0, 0.25, 0.5, 0.75, 0.9):
@@ -324,47 +325,51 @@ def gram_path_conversions():
             states = [haar_state(2, rng) for _ in range(2)]
             while any(superposition_rank(state, basis) != 2 for state in states):
                 states = [haar_state(2, rng) for _ in range(2)]
-            out.append((*states, basis, None))
+            out.append((*states, basis))
     for d in range(3, 9):
         for _ in range(20):
             basis = random_basis(d, rng)
             states = [support_two_state(rng, basis, rng.choice(d, 2, replace=False))
                       for _ in range(2)]
-            out.append((*states, basis, None))
-    for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+            out.append((*states, basis))
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 3e-8):
         for d in range(2, 9):
             for _ in range(10):
-                v = random_basis(d, rng).vectors.copy()
-                v[:, 0] = v[:, 1] + eps * (rng.normal(size=d) + 1j * rng.normal(size=d))
-                v[:, 0] /= np.linalg.norm(v[:, 0])
-                basis = new_free_basis(list(v.T))
+                basis = None
+                while basis is None:
+                    v = random_basis(d, rng).vectors.copy()
+                    v[:, 0] = v[:, 1] + eps * (rng.normal(size=d) + 1j * rng.normal(size=d))
+                    v[:, 0] /= np.linalg.norm(v[:, 0])
+                    try:
+                        basis = new_free_basis(list(v.T))
+                    except LinearlyDependent:
+                        pass
                 states = [support_two_state(rng, basis) for _ in range(2)]
-                out.append((*states, basis, eps))
+                out.append((*states, basis))
     return out
 
 
 def test_gram_blocks_match_numpy_oracle():
     # the blocks read off the Gram matrix against Q'F'FQ from the enumerated
     # operators, and max_conversion_prob against the numpy closed form on the
-    # same Q, within 1e-14 of the largest entry compared. One Gram-Schmidt step
-    # keeps Q orthonormal, and spanning the source's reciprocal vectors, to
-    # ~4e-16/eps on the near-dependent bases (3.6e-11 at eps = 1e-5); the
-    # dual still pairs every K'K to 1 within 1e-13
+    # same Q, within 1e-14 of the largest entry compared. Gram-Schmidt run
+    # twice keeps Q orthonormal to rounding also on the near-dependent bases,
+    # where one pass left it off by ~4e-16/eps (1.4e-8 at eps = 3e-8). The
+    # returned dual passes verify_dual and pairs every K'K to 1 within 1e-13
     conversions = gram_path_conversions()
-    assert len(conversions) == 1900
-    for psi, phi, basis, eps in conversions:
+    assert len(conversions) == 2110
+    for psi, phi, basis in conversions:
         src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)
         support_r, support_s = free_support(src), free_support(dst)
         assert len(support_r) == len(support_s) == 2
         blocks, q = _gram_blocks(basis, src, dst, support_r, support_s)
-        tol = 1e-13 if eps is None else 1e-14 / eps
         span = basis.reciprocal[:, list(support_r)]
-        assert np.abs(dagger(q) @ q - np.eye(2)).max() <= tol
-        assert np.abs(q @ (dagger(q) @ span) - span).max() <= tol * np.abs(span).max()
+        assert np.abs(dagger(q) @ q - np.eye(2)).max() <= 1e-15
+        assert np.abs(q @ (dagger(q) @ span) - span).max() <= 1e-14 * np.abs(span).max()
         operators = enumerate_transformers(psi, phi, basis).operators
         g = operators @ q
         products = g.conj().transpose(0, 2, 1) @ g
-        assert np.abs(np.array(blocks) - products).max() <= tol * np.abs(products).max()
+        assert np.abs(np.array(blocks) - products).max() <= 1e-14 * np.abs(products).max()
         p, primal, dual, y = numpy_closed_form(operators, q)
         sol = max_conversion_prob(psi, phi, basis)
         scale = max(1.0, np.abs(y).max(), primal)
@@ -372,8 +377,9 @@ def test_gram_blocks_match_numpy_oracle():
         assert abs(sol.primal - primal) <= 1e-14 * scale
         assert abs(sol.dual - dual) <= 1e-14 * scale
         assert np.abs(sol.dual_matrix - y).max() <= 1e-14 * scale
-        pairings = np.einsum("nij,ji->n", operators.conj().transpose(0, 2, 1) @ operators,
-                             sol.dual_matrix).real
+        problem = LmiProblem.from_matrices(operators.conj().transpose(0, 2, 1) @ operators)
+        assert verify_dual(sol.dual_matrix, problem)[0]
+        pairings = np.einsum("nij,ji->n", problem.operators, sol.dual_matrix).real
         assert pairings.min() >= 1.0 - 1e-13
 
 
