@@ -47,8 +47,10 @@ def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> 
     ``FreeKrausForm.matrix`` call builds them all.
     Raises ``RankMismatch`` when the superposition ranks differ.
     """
-    src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)
-    support_r, support_s = free_support(src), free_support(dst)
+    src = basis.to_free_frame(psi.amp)
+    dst = basis.to_free_frame(phi.amp)
+    support_r = free_support(src)
+    support_s = free_support(dst)
     if len(support_r) != len(support_s):
         raise RankMismatch(f"superposition ranks differ: {len(support_r)} vs {len(support_s)}")
     if len(support_r) > MAX_SUPPORT:
@@ -196,12 +198,22 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
 
 
 def candidate_states_d3() -> list[PureState]:
-    """The four d=3 states maximizing the l1 measure on the symmetric basis: coefficient
-    modulus sqrt(2/3) and the phase pairs below on the first two free states, with l1
-    measure 4 and full superposition rank."""
+    """The four d=3 states maximizing the l1 measure on the symmetric basis.
+
+    All have equal coefficient modulus sqrt(2/3) and phase pairs
+    (4pi/3, 2pi/3), (2pi/3, 4pi/3), (2pi/3, -2pi/3), (-2pi/3, 2pi/3) on the
+    first two free states, with l1 measure 4 and full superposition rank.
+    """
     basis = symmetric_basis_d3()
     amplitude = np.sqrt(2.0 / 3.0)
-    phase_pairs = [(4 * np.pi / 3, 2 * np.pi / 3), (2 * np.pi / 3, 4 * np.pi / 3),
-                   (2 * np.pi / 3, -2 * np.pi / 3), (-2 * np.pi / 3, 2 * np.pi / 3)]
-    coeffs = amplitude * np.array([[np.exp(1j * p1), np.exp(1j * p2), 1.0] for p1, p2 in phase_pairs])
-    return [PureState.normalized(basis.vectors @ c) for c in coeffs]
+    phase_pairs = [
+        (4 * np.pi / 3, 2 * np.pi / 3),
+        (2 * np.pi / 3, 4 * np.pi / 3),
+        (2 * np.pi / 3, -2 * np.pi / 3),
+        (-2 * np.pi / 3, 2 * np.pi / 3),
+    ]
+    states = []
+    for p1, p2 in phase_pairs:
+        coeffs = amplitude * np.array([np.exp(1j * p1), np.exp(1j * p2), 1.0])
+        states.append(PureState.normalized(basis.vectors @ coeffs))
+    return states
