@@ -70,11 +70,15 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` of two states.
 
-    Raises ``NonHermitian`` when ``rho`` or ``sigma`` fails ``as_hermitian_matrix``.
+    Raises ``NonHermitian`` when ``rho`` or ``sigma`` fails ``as_hermitian_matrix``,
+    and ``DimensionMismatch`` when their shapes differ.
     """
-    w, v = herm_eig(rho)
+    rho, sigma = as_hermitian_matrix(rho, "rho"), as_hermitian_matrix(sigma, "sigma")
+    if rho.shape != sigma.shape:
+        raise DimensionMismatch(f"state shape {rho.shape} != {sigma.shape}")
+    w, v = np.linalg.eigh(rho)
     r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T   # sqrt(rho), eigenvalues clipped at 0
-    w = np.clip(herm_eig(r @ as_hermitian_matrix(sigma, "sigma") @ r)[0], 0.0, None)
+    w = np.clip(herm_eig(r @ sigma @ r)[0], 0.0, None)
     return float(np.sum(np.sqrt(w)) ** 2)
 
 

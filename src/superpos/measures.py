@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import FreeBasis
 from .errors import NoConvergence
-from .linalg import as_tolerance, psd_part
+from .linalg import as_tolerance, hermitian_part, psd_part
 from .sdp import SdpSolution, solve_cover
 from .states import (
     DensityMatrix,
@@ -248,7 +248,8 @@ def _phase_cover(coeffs: np.ndarray, gap_tol: float) -> tuple[str, SdpSolution] 
     Y = y y' (diag Y = 1) worth y'Cy. The start pairs the closed form
     x_i = sum_j |C_ij| (diag(x) - C is diagonally dominant) with the phases of
     C's top eigenvector; they meet when C is 2 x 2, rank one (Napoli et al.,
-    PRL 116, 150502) or diagonal (every free rho). Each step prices y, then
+    PRL 116, 150502) or diagonal (a free rho, up to C's rounding, of order
+    u / sigma_min^2 off the diagonal). Each step prices y, then
     sets y <- phase(Cy). While the best x misses gap_tol and sum|Cy| - y'Cy,
     a lower bound on the gap, is within it, y offers x = |Cy| + t 1, with
     t = max(0, -lam_min(diag|Cy| - C)) plus a rounding margin d eps max|Cy|,
@@ -286,17 +287,16 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
     diag(x) >= C", i.e. sum x_i |c_i><c_i| >= rho with x_i = (1+s) q_i; the
     certificate holds the optimal (s, closest free state delta, witness tau).
     Every rho tries one phase bracket, ``_phase_cover``, whose start is the
-    closed form R + 1 = sum_ij |C_ij| (certified on every rank-one, every
-    d = 2 and every free rho), then the SDP: a rho where the bracket stalls
-    goes to ``solve_cover`` over C and the unit projectors, from the
-    closed-form start 2 lam_max(C) * 1, whose ``NoConvergence`` propagates.
-    ``extra["method"]`` says which certified ("closed_form", "phase" or
-    "sdp").
+    closed form R + 1 = sum_ij |C_ij| (certified on every rank-one and every
+    d = 2 rho, and on a free rho unless the basis is nearly dependent), then
+    the SDP: a rho where the bracket stalls goes to ``solve_cover`` on C's
+    Hermitian part, whose ``NoConvergence`` propagates. ``extra["method"]``
+    says which certified ("closed_form", "phase" or "sdp").
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
     coeffs = free_expansion(rho, basis)
     method, sol = _phase_cover(coeffs, gap_tol) or (
-        "sdp", solve_cover(coeffs, [np.diag(e) for e in np.eye(basis.d)], gap_tol=gap_tol))
+        "sdp", solve_cover(hermitian_part(coeffs), gap_tol=gap_tol))
     s = max(float(sol.primal - 1.0), 0.0)
     mix = _free_sigma(basis, sol.p)
     delta = DensityMatrix(mix / np.trace(mix).real)

@@ -15,10 +15,10 @@ returned with that dual matrix. A solve that cannot certify one raises
 
 ``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1 (F0 = 1, cost = 1; dual:
 minimize tr Y s.t. tr(Y A_n) >= 1). ``solve_cover`` minimizes sum x_i s.t.
-sum x_i B_i >= rho for the robustness measure (F0 = -rho, A_i = -B_i,
-cost = -1; dual: maximize tr(rho Y) s.t. tr(Y B_i) <= 1). Variable counts stay
-at a few dozen (120 at support 5) and matrices at 8x8, so no sparsity or
-scaling tricks are needed.
+diag(x) >= C, the robustness cover in the free frame (F0 = -C, A_i = -e_i e_i',
+cost = -1; dual: maximize tr(C Y) s.t. Y_ii <= 1). Variable counts stay at a
+few dozen (120 at support 5) and matrices at 8x8, so no sparsity or scaling
+tricks are needed.
 """
 
 from __future__ import annotations
@@ -52,35 +52,28 @@ class LmiProblem:
 
     @staticmethod
     def from_matrices(mats) -> "LmiProblem":
-        ops, top, floor = _psd_data(mats, "A_n")
+        """One ``as_hermitian_matrix`` pass over the stack; ``BadData`` unless the A_n share one
+        square shape and each is PSD and nonzero beyond its floor _PSD_DATA_TOL * max(1, |A_n|)."""
+        if not isinstance(mats, np.ndarray):
+            mats = list(mats)
+            if len({np.shape(m) for m in mats}) > 1:
+                for m in mats:   # a member that breaks the matrix rule says so, as it would alone
+                    as_hermitian_matrix(m, "A_n")
+                raise BadData("constraint matrices must share one square shape")
+        if len(mats) == 0:
+            raise BadData("need at least one constraint matrix")
+        ops = as_hermitian_matrix(mats, "A_n", stack=True)
+        w = np.linalg.eigvalsh(ops)
+        floor = _PSD_DATA_TOL * np.maximum(1.0, np.linalg.norm(ops, axis=(1, 2)))
+        negative = np.flatnonzero(w[:, 0] < -floor)
+        if negative.size:
+            raise BadData(f"constraint matrix has negative eigenvalue {w[negative[0], 0]:.3e}")
         # a zero operator leaves its p_n unbounded: sum p_n has no maximum
-        zero = np.flatnonzero(top <= floor)
+        zero = np.flatnonzero(w[:, -1] <= floor)
         if zero.size:
-            raise BadData(f"constraint matrix {zero[0]} is zero (largest eigenvalue {top[zero[0]]:.3e})")
+            raise BadData(f"constraint matrix {zero[0]} is zero (largest eigenvalue {w[zero[0], -1]:.3e})")
         ops.flags.writeable = False
-        return LmiProblem(operators=ops, dim=ops.shape[1], _lambda_max=top)
-
-
-def _psd_data(mats, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack Hermitian matrices of one square shape, checked by one
-    ``as_hermitian_matrix`` call on the stack, each PSD down to its rounding
-    floor _PSD_DATA_TOL * max(1, |B|) (``BadData`` otherwise); returns the
-    (n, k, k) stack, each matrix's largest eigenvalue and its floor."""
-    if not isinstance(mats, np.ndarray):
-        mats = list(mats)
-        if len({np.shape(m) for m in mats}) > 1:
-            for m in mats:   # a member that breaks the matrix rule says so, as it would alone
-                as_hermitian_matrix(m, name)
-            raise BadData("constraint matrices must share one square shape")
-    if len(mats) == 0:
-        raise BadData("need at least one constraint matrix")
-    stacked = as_hermitian_matrix(mats, name, stack=True)
-    w = np.linalg.eigvalsh(stacked)
-    floor = _PSD_DATA_TOL * np.maximum(1.0, np.linalg.norm(stacked, axis=(1, 2)))
-    negative = np.flatnonzero(w[:, 0] < -floor)
-    if negative.size:
-        raise BadData(f"constraint matrix has negative eigenvalue {w[negative[0], 0]:.3e}")
-    return stacked, w[:, -1], floor
+        return LmiProblem(operators=ops, dim=ops.shape[1], _lambda_max=w[:, -1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,34 +216,27 @@ def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:
     return bool(feasible), bound
 
 
-def solve_cover(rho: np.ndarray, mats, gap_tol: float = 1e-8) -> SdpSolution:
-    """Minimize sum x_i subject to sum x_i B_i >= rho, x >= 0 (PSD data B_i).
+def solve_cover(coeffs: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
+    """Minimize sum x_i subject to diag(x) >= C, the robustness cover in the free frame.
 
-    The solution's ``p`` holds x. Path following with F0 = -rho, A_i = -B_i and
-    cost -1, from x = t * 1 with t = 2 lam_max(L^-1 rho L^-H) (t = 1 if that
-    is <= 0), strictly feasible for L a Cholesky factor of sum B_i. The
-    candidate duals of "maximize tr(rho Y) s.t. tr(B_i Y) <= 1, Y >= 0" are the
-    iterate Y and y y' with y = phase(rho phase(v)) for v the top eigenvector of
-    Y: the phase vector of the closed-form cover (Napoli et al., PRL 116,
-    150502) refined by one fixed-point step; at a rank-one optimum,
-    (diag(x) - rho) y = 0 in the free frame, so phase(rho y) = phase(y). B_i of
-    another shape than rho, or not PSD, raise ``BadData``.
+    The solution's ``p`` holds x; a C = ``coeffs`` that fails ``as_hermitian_matrix``
+    raises ``NonHermitian``. Path following over the unit projectors (F0 = -C,
+    A_i = -e_i e_i', cost -1) from x = t * 1, t = 2 lam_max(C) (t = 1 if that is
+    <= 0). The candidate duals of "maximize tr(C Y) s.t. Y_ii <= 1, Y >= 0" are
+    the iterate Y and y y' with y = phase(C phase(v)) for v the top eigenvector
+    of Y: the closed-form cover's phase vector (Napoli et al., PRL 116, 150502)
+    refined by one fixed-point step; at a rank-one optimum (diag(x) - C) y = 0,
+    so phase(C y) = phase(y).
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
-    rho = as_hermitian_matrix(rho, "rho")
-    ops, _, _ = _psd_data(mats, "B_i")
-    if ops.shape[1:] != rho.shape:
-        raise BadData(f"constraint matrices are {ops.shape[1:]}, rho is {rho.shape}")
-    try:
-        linv = np.linalg.inv(np.linalg.cholesky(np.sum(ops, axis=0)))
-    except np.linalg.LinAlgError:
-        raise BadData("constraint matrices do not span a positive definite sum") from None
-    top = float(np.linalg.eigvalsh(linv @ rho @ linv.conj().T)[-1])
+    coeffs = as_hermitian_matrix(coeffs, "coeffs")
+    top = float(np.linalg.eigvalsh(coeffs)[-1])
 
     def candidates(y):
         v = np.linalg.eigh(y)[1][:, -1]
-        phases = np.exp(1j * np.angle(rho @ np.exp(1j * np.angle(v))))
+        phases = np.exp(1j * np.angle(coeffs @ np.exp(1j * np.angle(v))))
         return y, np.outer(phases, phases.conj())
 
-    ones = np.ones(len(ops))
-    return _path_following(-rho, -ops, -ones, (2.0 * top if top > 0 else 1.0) * ones, candidates, gap_tol)
+    units, ones = np.eye(len(coeffs), dtype=complex), np.ones(len(coeffs))
+    return _path_following(-coeffs, -(units[:, :, None] * units[:, None, :]), -ones,
+                           (2.0 * top if top > 0 else 1.0) * ones, candidates, gap_tol)

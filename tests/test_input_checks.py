@@ -10,7 +10,7 @@ from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.cli import _load_pure
 from superpos.errors import DimensionMismatch, InvalidState, NotNormalized, SchemaViolation
 from superpos.kraus import Channel, apply_channel, complete_free, is_free_kraus, reduce_ancilla
-from superpos.linalg import partial_trace
+from superpos.linalg import fidelity, partial_trace
 from superpos.qubit import (
     bloch_vector,
     build_phi,
@@ -49,6 +49,8 @@ CHECKS = {
                             DimensionMismatch, "operator shape (2, 2) != (3, 3)"),
     "kraus.reduce_ancilla": (lambda tmp: reduce_ancilla(np.eye(3), RHO2, B2, B2),
                              DimensionMismatch, "operator shape (3, 3) != "),
+    "linalg.fidelity": (lambda tmp: fidelity(RHO2.mat, RHO3.mat),
+                        DimensionMismatch, "state shape (2, 2) != (3, 3)"),
     "linalg.partial_trace.shape": (lambda tmp: partial_trace(np.eye(3), 2, 2),
                                    DimensionMismatch, "operator shape (3, 3) != "),
     "linalg.partial_trace.keep": (lambda tmp: partial_trace(np.eye(4), 2, 2, keep="c"),

@@ -382,7 +382,7 @@ def test_import_leaves_scipy_optimize_out():
         "print(repr(max_conversion_prob(candidate_states_d3()[0], target, b).primal))",
         "rho = random_density(3, make_rng(606))",
         "rep = robustness(rho, b)",
-        "cover = solve_cover(free_expansion(rho, b), [np.diag(e) for e in np.eye(3)])",
+        "cover = solve_cover(free_expansion(rho, b))",
         "print(rep.extra['method'], repr(rep.value + 1.0 - cover.primal))",
     ])
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -516,14 +516,12 @@ def test_robustness_closed_form_matches_sdp():
                     rep = robustness(rho, b)
                     assert rep.extra["method"] == "closed_form"
                     assert 0.0 <= rep.extra["gap"] <= 1e-8
-                    mats = [np.outer(b.vectors[:, i], b.vectors[:, i].conj()) for i in range(d)]
-                    sol = solve_cover(rho.mat, mats)
+                    coeffs = free_expansion(rho, b)
+                    sol = solve_cover(coeffs)
                     # the SDP brackets the optimum between its dual and primal values
                     assert sol.dual - 1e-12 <= rep.value + 1.0 <= sol.primal + 1e-12
                     assert abs(rep.value - (sol.primal - 1.0)) <= 1e-8
                     # the closed-form dual passes the checks every solve_cover dual passes
-                    # (in the free frame: tr(B_i Y) is Y_ii and tr(rho Y) is tr(C Y))
-                    coeffs = free_expansion(rho, b)
                     _, cover = _phase_cover(coeffs, 1e-8)
                     # the certified primal is sum_j |C_ij| itself, bit for bit
                     assert np.array_equal(cover.p, np.abs(coeffs).sum(axis=1))
@@ -541,12 +539,13 @@ def test_robustness_closed_form_matches_sdp():
 
 
 @functools.cache
-def near_dependent_batch(eps: float = 1e-2) -> list:
+def near_dependent_batch(eps: float = 1e-2, free: bool = False) -> list:
     """60 (basis, Ginibre state) draws, 10 at each d = 3..8, in draw order (seed 77).
 
     Column 0 of a ``random_basis`` is replaced by column 1 plus eps times a
     complex Gaussian and normalised, so sigma_min falls to ~eps (median 8e-3
-    at eps = 1e-2) and R + 1 grows like 1/sigma_min^2.
+    at eps = 1e-2) and R + 1 grows like 1/sigma_min^2. With ``free`` each
+    state is a free mixture with Dirichlet(1) weights instead.
     """
     rng = make_rng(77)
     out = []
@@ -555,7 +554,8 @@ def near_dependent_batch(eps: float = 1e-2) -> list:
             v = random_basis(d, rng).vectors.copy()
             v[:, 0] = v[:, 1] + eps * (rng.normal(size=d) + 1j * rng.normal(size=d))
             v[:, 0] /= np.linalg.norm(v[:, 0])
-            out.append((new_free_basis(list(v.T)), random_density(d, rng)))
+            b = new_free_basis(list(v.T))
+            out.append((b, free_mixture(b, rng.dirichlet(np.ones(d))) if free else random_density(d, rng)))
     return out
 
 
@@ -570,6 +570,20 @@ def test_robustness_certifies_near_dependent_bases(draw):
     s, tau = cert["s"], cert["tau"]
     resid = rho.mat + s * (0.0 if tau is None else tau.mat) - (1 + s) * cert["delta"].mat
     assert np.abs(resid).max() <= 1e-8 * (1 + s), (b.sigma_min, s)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
+def test_robustness_certifies_free_mixtures_on_near_dependent_bases(eps):
+    # C = W' rho W of a free mixture is diagonal up to rounding of order
+    # u / sigma_min^2, and its anti-Hermitian part grows with it: 3, 43 and 47
+    # of these 60 draws used to raise NonHermitian from solve_cover's input
+    # check on C; the cover takes C's Hermitian part and certifies them
+    methods = []
+    for b, rho in near_dependent_batch(eps, free=True):
+        rep = robustness(rho, b)
+        assert 0.0 <= rep.extra["gap"] <= 1e-8, (b.d, b.sigma_min, rep.extra["gap"])
+        methods.append(rep.extra["method"])
+    assert "sdp" in methods
 
 
 def test_rel_entropy_certifies_near_dependent_bases():
@@ -651,7 +665,7 @@ def test_phase_cover_certificates_check_independently():
                 assert sol.primal == float(x.sum())
                 np.linalg.cholesky(np.diag(x) - coeffs)
                 assert 0.0 <= sol.primal - sol.dual <= gap_tol and sol.gap <= gap_tol
-                ref = solve_cover(coeffs, [np.diag(e) for e in np.eye(d)], gap_tol=gap_tol)
+                ref = solve_cover(coeffs, gap_tol=gap_tol)
                 assert abs(sol.primal - ref.primal) <= gap_tol
     assert certified >= 60, certified
 
