@@ -29,9 +29,12 @@ class FreeBasis:
     reciprocal: np.ndarray   # (vectors')^{-1}, column i biorthogonal to column j
     sigma_min: float         # smallest singular value of `vectors`
     d: int = field(init=False)
+    _reciprocal_dagger: np.ndarray = field(init=False, repr=False)   # read-only W'
 
     def __post_init__(self):
         object.__setattr__(self, "d", self.vectors.shape[0])
+        object.__setattr__(self, "_reciprocal_dagger", w_dagger := dagger(self.reciprocal))
+        w_dagger.flags.writeable = False
 
     def state(self, i: int) -> np.ndarray:
         """The i-th pure free state (computational-frame amplitudes)."""
@@ -42,7 +45,7 @@ class FreeBasis:
         amp = np.asarray(amp, dtype=complex)
         if amp.shape != (self.d,):
             raise DimensionMismatch(f"amplitude shape {amp.shape} != ({self.d},)")
-        return dagger(self.reciprocal) @ amp
+        return self._reciprocal_dagger @ amp
 
 
 def _sigma_min(v: np.ndarray) -> float:

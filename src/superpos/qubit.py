@@ -10,6 +10,7 @@ state for a > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,12 @@ def max_superposition_state() -> PureState:
 
 
 def qubit_state(theta: float, phi: float) -> PureState:
-    """Pure state at polar angles (theta, phi) on the Bloch sphere."""
-    return PureState(np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]))
+    """Pure state at polar angles (theta, phi) on the Bloch sphere; finite angles only."""
+    for name, angle in (("theta", theta), ("phi", phi)):
+        if not math.isfinite(angle):
+            raise ValueError(f"{name} must be a finite angle, got {angle}")
+    return PureState(np.array([math.cos(theta / 2),
+                               complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)]))
 
 
 def bloch_vector(rho: DensityMatrix) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ class PureState:
         amp = np.array(self.amp, dtype=complex)   # a copy, never the caller's array
         if amp.ndim != 1:
             raise DimensionMismatch(f"amplitudes must be 1-dimensional, got shape {amp.shape}")
-        norm = np.linalg.norm(amp)
+        norm = math.sqrt(amp.real.dot(amp.real) + amp.imag.dot(amp.imag))   # as in np.linalg.norm
         if not abs(norm - 1.0) <= PURE_NORM_TOL:   # written so that NaN fails
             raise NotNormalized(f"state norm {norm:.12g} != 1")
         amp.flags.writeable = False
@@ -84,8 +85,9 @@ def free_expansion(rho: DensityMatrix, basis: FreeBasis) -> np.ndarray:
 
 def free_support(coeffs: np.ndarray, tol: float = RANK_TOL) -> tuple:
     """Ascending labels of the free-frame coefficients above tol relative to the largest one."""
-    mags = np.abs(coeffs)
-    return tuple(int(i) for i in np.where(mags > as_tolerance(tol) * mags.max())[0])
+    mags = np.abs(coeffs).tolist()
+    cut = as_tolerance(tol) * (math.nan if math.isnan(sum(mags)) else max(mags))   # as numpy's max
+    return tuple([i for i, m in enumerate(mags) if m > cut])
 
 
 def superposition_rank(psi: PureState, basis: FreeBasis, tol: float = RANK_TOL) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,14 +117,14 @@ def _gram_blocks(basis: FreeBasis, src, dst, support_r, support_s) -> tuple[list
     """The r <= 2 transformers' blocks B_sigma = R H[sigma, sigma] R' (K'K = Q B Q') in Python
     floats, H = diag(conj phi_T) G_TT diag(phi_T) from the Gram matrix G, and W_S diag(1/conj
     psi_S) = Q R by Gram-Schmidt run twice (Q orthonormal to rounding on near-dependent
-    columns). Returns the blocks, in ``enumerate_transformers``' order, and Q (d x r)."""
+    columns). Returns the blocks, in ``enumerate_transformers``' order, and the d rows of Q."""
     psi, phi, gram = src.tolist(), dst.tolist(), basis.gram.tolist()
     x = [[z / psi[k].conjugate() for z in basis.reciprocal[:, k].tolist()] for k in support_r]
     h = [[phi[i].conjugate() * gram[i][j] * phi[j] for j in support_s] for i in support_s]
     r00 = math.hypot(*map(abs, x[0]))
     q = [[z / r00 for z in x[0]]]
     if len(x) == 1:
-        return [[[r00 * r00 * h[0][0]]]], np.array(q).T
+        return [[[r00 * r00 * h[0][0]]]], list(zip(*q))
     rest, r01 = x[1], 0.0
     for _ in range(2):
         c = sum(u.conjugate() * z for u, z in zip(q[0], rest))
@@ -137,12 +137,12 @@ def _gram_blocks(basis: FreeBasis, src, dst, support_r, support_s) -> tuple[list
         b00 = r00 * r00 * m00 + 2 * r00 * (m01 * r01.conjugate()).real + abs(r01)**2 * m11
         b01 = (r00 * m01 + r01 * m11) * r11
         blocks.append([[b00, b01], [b01.conjugate(), r11 * r11 * m11]])
-    return blocks, np.array(q).T
+    return blocks, list(zip(*q))
 
 
-def _closed_form(blocks: list, q: np.ndarray) -> SdpSolution:
+def _closed_form(blocks: list, q: list) -> SdpSolution:
     """Optimum and dual of "maximize sum p_n s.t. sum p_n B_n <= 1" for one or two
-    r x r blocks B_n (nested lists) on the span of the orthonormal columns of q.
+    r x r blocks B_n (nested lists) on the span of the orthonormal Q (d rows), in Python floats.
 
     For r = 1 the block is a number lam: p = 1/lam with dual QQ'/lam. For r = 2
     write the blocks as a_n 1 + b_n.sigma, b = (Re m01, -Im m01, (m00 - m11)/2):
@@ -151,19 +151,20 @@ def _closed_form(blocks: list, q: np.ndarray) -> SdpSolution:
     is Q P Q' / min_n tr(P B_n); their traces meet at the optimum."""
     if len(blocks) == 1:
         lam = blocks[0][0][0].real
-        p, proj = np.array([1.0 / lam]), np.eye(1) / lam
+        p, y = [1.0 / lam], [[u * (1.0 / lam) * v.conjugate() for v, in q] for u, in q]
     else:
         a = [(m[0][0].real + m[1][1].real) / 2 for m in blocks]
         b = [[m[0][1].real, -m[0][1].imag, (m[0][0].real - m[1][1].real) / 2] for m in blocks]
         alpha, r, least = _qubit_optimum(a, b)
         top = [alpha * x + (1.0 - alpha) * y for x, y in zip(*b)]
         lam = alpha * a[0] + (1.0 - alpha) * a[1] + math.sqrt(_dot(top, top))
-        p = np.array([alpha, 1.0 - alpha]) / lam
-        proj = np.array([[1 + r[2], complex(r[0], -r[1])], [complex(r[0], r[1]), 1 - r[2]]])
-        proj = 0.5 * proj / least
-    y = q @ proj @ q.conj().T
-    primal, dual = float(p.sum()), float(y.trace().real)
-    return SdpSolution(p=p, primal=primal, dual_matrix=y, dual=dual, gap=dual - primal)
+        p, s = [alpha / lam, (1.0 - alpha) / lam], 0.5 / least   # P = s (1 + r.sigma)
+        p00, p01, p11 = (1 + r[2]) * s, complex(r[0], -r[1]) * s, (1 - r[2]) * s
+        qp = [(u * p00 + v * p01.conjugate(), u * p01 + v * p11) for u, v in q]
+        qh = [(u.conjugate(), v.conjugate()) for u, v in q]
+        y = [[t0 * u + t1 * v for u, v in qh] for t0, t1 in qp]
+    primal, dual = sum(p), sum(row[i].real for i, row in enumerate(y))
+    return SdpSolution(np.array(p), primal, np.array(y), dual, dual - primal)
 
 
 def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
@@ -189,12 +190,11 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     else:   # enumerate_transformers raises RankMismatch and SupportTooLarge
         ops = enumerate_transformers(psi, phi, basis).operators
         sol = solve_lmi(LmiProblem.from_matrices(ops.conj().transpose(0, 2, 1) @ ops), gap_tol)
-    value = float(min(max(sol.primal, 0.0), 1.0))
-    if value < 1.0 - gap_tol:
-        return replace(sol, value=value)
-    ops = enumerate_transformers(psi, phi, basis).operators if ops is None else ops
-    scaled = np.sqrt(np.clip(sol.p, 0.0, None))[:, None, None] * ops
-    return replace(sol, value=value, completion=tuple(complete_free(scaled, basis)))
+    value, completion = float(min(max(sol.primal, 0.0), 1.0)), None
+    if value >= 1.0 - gap_tol:
+        ops = enumerate_transformers(psi, phi, basis).operators if ops is None else ops
+        completion = tuple(complete_free(np.sqrt(np.clip(sol.p, 0.0, None))[:, None, None] * ops, basis))
+    return SdpSolution(sol.p, sol.primal, sol.dual_matrix, sol.dual, sol.gap, value, completion)
 
 
 def candidate_states_d3() -> list[PureState]:

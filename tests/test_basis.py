@@ -9,7 +9,7 @@ from superpos.basis import (
     tensor_basis,
 )
 from superpos.errors import DimensionMismatch, LinearlyDependent, NotNormalized
-from superpos.linalg import herm_eig
+from superpos.linalg import dagger, herm_eig
 from superpos.sampling import make_rng, random_basis
 
 
@@ -17,11 +17,20 @@ def test_basis_arrays_are_read_only():
     # the reciprocal frame and the Gram matrix are computed from the vectors
     # once, so none of the three may change after the check
     b = symmetric_basis_d3()
-    for array in (b.vectors, b.gram, b.reciprocal):
+    for array in (b.vectors, b.gram, b.reciprocal, b._reciprocal_dagger):
         with pytest.raises(ValueError, match="read-only"):
             array[:, 0] *= 3
     assert np.allclose(b.reciprocal.conj().T @ b.vectors, np.eye(3), atol=1e-12)
     b.state(0)[0] = 1.0  # state() returns a writable copy
+
+
+def test_to_free_frame_is_the_reciprocal_dagger_product():
+    # the stored W' gives the bits of W' computed on each call, also for real input
+    rng = make_rng(3803)
+    for d in range(2, 9):
+        b = random_basis(d, rng)
+        for amp in (rng.normal(size=d) + 1j * rng.normal(size=d), rng.normal(size=d)):
+            assert np.array_equal(b.to_free_frame(amp), dagger(b.reciprocal) @ amp)
 
 
 def triangular_qubit_basis(theta: float):

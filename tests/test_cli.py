@@ -247,6 +247,16 @@ def test_heatmap_csv_format(tmp_path, capsys):
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
+@pytest.mark.parametrize("flag, value", [("--theta", "nan"), ("--phi", "inf")])
+def test_heatmap_refuses_an_angle_that_is_not_finite(flag, value, capsys):
+    # refused by name before any cell is computed, as a parse error would be
+    argv = {"--a": "0.5", "--theta": "1.5707963", "--phi": "0", "--grid": "8", flag: value}
+    assert dispatch(["qubit", "heatmap", *(x for item in argv.items() for x in item)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag[2:]} must be a finite angle, got {value}\n"
+
+
 def test_state_rank_cli(d3_files, capsys):
     code, payload = run_json(["state", "rank", "--state", d3_files["candidate"],
                               "--basis", d3_files["basis"]], capsys)

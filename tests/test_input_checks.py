@@ -19,6 +19,7 @@ from superpos.qubit import (
     inject_unitary,
     kraus_from_choi,
     qubit_free_basis,
+    qubit_state,
     state_from_bloch,
 )
 from superpos.sampling import make_rng, random_basis, random_density
@@ -73,6 +74,10 @@ CHECKS = {
                              DimensionMismatch, "expected a 2x2 unitary, got shape (3, 3)"),
     "qubit.conversion_heatmap": (lambda tmp: conversion_heatmap(0.5, (0.3, 0.2), 4),
                                  ValueError, "grid_n must be at least 8, got 4"),
+    "qubit.qubit_state.theta": (lambda tmp: qubit_state(np.nan, 0.3),
+                                ValueError, "theta must be a finite angle, got nan"),
+    "qubit.qubit_state.phi": (lambda tmp: qubit_state(0.3, np.inf),
+                              ValueError, "phi must be a finite angle, got inf"),
     "states.PureState.normalized": (lambda tmp: PureState.normalized(np.zeros(3)),
                                     NotNormalized, "cannot normalize the zero vector"),
     "states.free_expansion": (lambda tmp: free_expansion(RHO2, B3),

@@ -36,6 +36,18 @@ def phi_choi_eigenvalues(a: float, theta: float, phi: float) -> np.ndarray:
     return np.sort(np.concatenate(([0.0, 1.0], pair)))
 
 
+def test_qubit_state_matches_the_numpy_formula_on_the_grid():
+    # math and cmath give numpy's bits on the grid-32 angles, as numpy
+    # floats (conversion_heatmap's) and as Python floats (the CLI's source)
+    thetas = np.linspace(0.0, np.pi, 32)
+    phis = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    for theta in thetas:
+        for phi in phis:
+            want = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+            assert np.array_equal(qubit_state(theta, phi).amp, want)
+            assert np.array_equal(qubit_state(float(theta), float(phi)).amp, want)
+
+
 def test_bloch_roundtrip_examples():
     assert np.allclose(bloch_vector(DensityMatrix(0.5 * np.eye(2))), [0, 0, 0], atol=1e-12)
     for a in (0.0, 0.3, 0.8):

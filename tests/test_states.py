@@ -13,10 +13,13 @@ from superpos.qubit import build_phi, qubit_free_basis
 from superpos.sdp import LmiProblem, solve_lmi
 from superpos.sampling import haar_state, make_rng, random_basis, random_free_operator
 from superpos.states import (
+    PURE_NORM_TOL,
+    RANK_TOL,
     DensityMatrix,
     PureState,
     free_expansion,
     free_mixture,
+    free_support,
     is_free,
     schmidt_rank,
     superposition_rank,
@@ -43,6 +46,73 @@ def test_pure_state_takes_one_dimensional_amplitudes_only():
         with pytest.raises(DimensionMismatch, match=r"amplitudes must be 1-dimensional, got shape"):
             PureState.normalized(bad)
     assert np.allclose(PureState.normalized([3.0, 4.0j]).amp, [0.6, 0.8j], rtol=0, atol=1e-15)
+
+
+def test_pure_state_norm_check_is_numpy_norm():
+    # amplitudes whose np.linalg.norm sits a few ulps either side of 1 -+ 1e-10
+    # pass exactly when numpy's norm does, and a refusal prints numpy's norm
+    rng = make_rng(3802)
+    for d in range(1, 9):
+        u = rng.normal(size=d) + 1j * rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        for edge in (1.0 - PURE_NORM_TOL, 1.0 + PURE_NORM_TOL):
+            outcomes = set()
+            for k in range(-8, 9):
+                v = u * (edge + k * 2.0**-52)
+                norm = np.linalg.norm(v)
+                try:
+                    PureState(v)
+                    outcomes.add(True)
+                    assert abs(norm - 1.0) <= PURE_NORM_TOL
+                except NotNormalized as exc:
+                    outcomes.add(False)
+                    assert not abs(norm - 1.0) <= PURE_NORM_TOL
+                    assert str(exc) == f"state norm {norm:.12g} != 1"
+            assert outcomes == {True, False}
+        for scale in (1.0 - 0.9e-10, 1.0 + 0.9e-10):
+            PureState(u * scale)
+        for scale in (1.0 - 1.1e-10, 1.0 + 1.1e-10):
+            with pytest.raises(NotNormalized):
+                PureState(u * scale)
+
+
+def numpy_free_support(coeffs, tol=RANK_TOL):
+    """The numpy form of free_support that the Python-float one replaced, kept as an oracle."""
+    mags = np.abs(coeffs)
+    return tuple(int(i) for i in np.where(mags > tol * mags.max())[0])
+
+
+def test_free_support_matches_numpy_oracle():
+    # seeded d = 2..8 coefficients with zeros, one entry exactly at the cut
+    # tol * max|c| (not above it, so left out) and one an ulp either side
+    rng = make_rng(3801)
+    for tol in (1e-12, RANK_TOL, 1e-3, 0.5):
+        for d in range(2, 9):
+            for _ in range(30):
+                c = (rng.normal(size=d) + 1j * rng.normal(size=d)) * 10.0**rng.uniform(-5, 5)
+                c[rng.uniform(size=d) < 0.3] = 0.0
+                top = int(np.argmax(np.abs(c)))
+                others = [i for i in range(d) if i != top]
+                cut = tol * np.abs(c).max()
+                c[rng.choice(others)] = cut
+                if d > 2:
+                    c[rng.choice(others)] = np.nextafter(cut, rng.choice([0.0, np.inf]))
+                got = free_support(c, tol)
+                assert got == numpy_free_support(c, tol)
+                assert all(abs(c[i]) > cut for i in got)
+
+
+def test_free_support_of_non_finite_and_empty_coefficients():
+    # a NaN anywhere gives no support, as numpy's NaN maximum does; so does an
+    # infinite entry (the cut is then infinite); no coefficients raise ValueError
+    for d in range(1, 9):
+        for i in range(d):
+            for bad in (np.nan, complex(0.0, np.nan), np.inf):
+                c = np.ones(d, dtype=complex)
+                c[i] = bad
+                assert free_support(c) == () == numpy_free_support(c)
+    with pytest.raises(ValueError):
+        free_support(np.zeros(0, dtype=complex))
 
 
 def test_density_matrix_validation():

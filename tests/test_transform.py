@@ -211,7 +211,7 @@ def test_closed_form_branches(pair, alpha):
         assert 0.0 < got < 1.0
     else:
         assert abs(got - alpha) <= 1e-15
-    sol = _closed_form([(dagger(f) @ f).tolist() for f in ops], np.eye(2, dtype=complex))
+    sol = _closed_form([(dagger(f) @ f).tolist() for f in ops], [[1.0, 0.0], [0.0, 1.0]])
     assert_certified_optimum(sol, LmiProblem.from_matrices([dagger(f) @ f for f in ops]))
 
 
@@ -296,7 +296,7 @@ def test_closed_form_matches_numpy_oracle():
         assert abs(got_alpha - alpha) <= 1e-14
         assert np.abs(np.subtract(got_r, r)).max() <= 1e-14
         p, primal, dual, y = numpy_closed_form(operators, eye)
-        sol = _closed_form([(dagger(f) @ f).tolist() for f in operators], eye)
+        sol = _closed_form([(dagger(f) @ f).tolist() for f in operators], eye.tolist())
         assert np.abs(sol.p - p).max() <= 1e-14
         assert abs(sol.primal - primal) <= 1e-14 and abs(sol.dual - dual) <= 1e-14
         assert np.abs(sol.dual_matrix - y).max() <= 1e-14
@@ -363,6 +363,7 @@ def test_gram_blocks_match_numpy_oracle():
         support_r, support_s = free_support(src), free_support(dst)
         assert len(support_r) == len(support_s) == 2
         blocks, q = _gram_blocks(basis, src, dst, support_r, support_s)
+        q = np.array(q)   # the d rows of Q, as Python numbers
         span = basis.reciprocal[:, list(support_r)]
         assert np.abs(dagger(q) @ q - np.eye(2)).max() <= 1e-15
         assert np.abs(q @ (dagger(q) @ span) - span).max() <= 1e-14 * np.abs(span).max()
