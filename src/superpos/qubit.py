@@ -45,11 +45,16 @@ def max_superposition_state() -> PureState:
     return PureState(np.array([1.0, -1.0]) / np.sqrt(2))
 
 
-def qubit_state(theta: float, phi: float) -> PureState:
-    """Pure state at polar angles (theta, phi) on the Bloch sphere; finite angles only."""
+def _finite_angles(theta: float, phi: float) -> None:
+    """ValueError naming theta or phi unless both polar angles are finite."""
     for name, angle in (("theta", theta), ("phi", phi)):
         if not math.isfinite(angle):
             raise ValueError(f"{name} must be a finite angle, got {angle}")
+
+
+def qubit_state(theta: float, phi: float) -> PureState:
+    """Pure state at polar angles (theta, phi) on the Bloch sphere; finite angles only."""
+    _finite_angles(theta, phi)
     return PureState(np.array([math.cos(theta / 2),
                                complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)]))
 
@@ -98,10 +103,11 @@ def build_phi(a: float, theta: float, phi: float) -> BlochMap:
 
     Only the x component of the input Bloch vector survives; the map sends
     every free state to the same free state and the maximal-superposition
-    vector (-1, 0, 0) to the polar-angle target (theta, phi).
+    vector (-1, 0, 0) to the polar-angle target (theta, phi), finite angles only.
     """
     if not 0.0 <= a < 1.0:
         raise ValueError(f"overlap a must lie in [0, 1), got {a}")
+    _finite_angles(theta, phi)
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
     w = np.array([a - cp * st, -sp * st, -0.5 * ct * (1 + a)]) / (1 + a)
@@ -148,12 +154,14 @@ def free_qubit_kraus(kind: int, params, a: float) -> np.ndarray:
     coefficient params[k], where the index function f of kind 1 is (0, 0),
     of kind 2 (0, 1), of kind 3 (1, 1) and of kind 4 (1, 0). In the free frame
     kind 1 fills row 1, kind 2 the diagonal, kind 3 row 2, kind 4 the
-    antidiagonal.
+    antidiagonal. The two params must be finite.
     """
     index_fns = {1: (0, 0), 2: (0, 1), 3: (1, 1), 4: (1, 0)}
     if kind not in index_fns:
         raise ValueError(f"kind must be 1..4, got {kind}")
     coeffs = np.array([complex(params[0]), complex(params[1])])
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"params must be finite, got {tuple(coeffs.tolist())}")
     return FreeKrausForm(coeffs, np.array(index_fns[kind])).matrix(qubit_free_basis(a))
 
 
@@ -246,7 +254,9 @@ def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,
 
     Equal-rank targets take ``max_conversion_prob``'s closed form for support
     2, no solver run; its dual certifies the value within the default gap
-    tolerance (``NoConvergence`` otherwise).
+    tolerance (``NoConvergence`` otherwise). Only the value is read, so a
+    deterministic cell builds no completion: that is built on first read of
+    ``completion``.
     """
     target = qubit_state(*target_angles)
     target_rank = superposition_rank(target, basis)

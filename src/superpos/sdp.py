@@ -23,7 +23,9 @@ tricks are needed.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,7 +80,13 @@ class LmiProblem:
 
 @dataclass(frozen=True, eq=False)
 class SdpSolution:
-    """Primal point p, dual certificate and duality gap of a solve of either shape."""
+    """Primal point p, dual certificate and duality gap of a solve of either shape.
+
+    ``completion`` is the free completion when a deterministic map exists, else
+    None. It is built on first read, by the ``_complete`` that
+    ``max_conversion_prob`` passes, and kept; so a completion's error
+    (``NotSubnormalized`` from ``Channel``, say) is raised by that read.
+    """
 
     p: np.ndarray
     primal: float
@@ -86,7 +94,11 @@ class SdpSolution:
     dual: float
     gap: float
     value: float | None = None        # primal clamped to [0, 1] where meaningful
-    completion: tuple | None = None   # free completion when a deterministic map exists
+    _complete: Callable[[], tuple] | None = field(default=None, repr=False)
+
+    @cached_property
+    def completion(self) -> tuple | None:
+        return None if self._complete is None else self._complete()
 
 
 def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | None:

@@ -9,6 +9,8 @@ Support r <= 2 (one or two operators on the span of the source's reciprocal
 vectors) is solved in closed form with its dual certificate, on r x r blocks
 read off the Gram matrix without building the operators; support r >= 3 goes
 to the primal-dual ``solve_lmi``, which certifies its optimum with the dual.
+A deterministic pair's free completion is built on first read of the
+solution's ``completion``, so a caller that keeps only the value never pays for it.
 """
 
 from __future__ import annotations
@@ -178,7 +180,9 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     (``NoConvergence`` otherwise). Returns the solution with ``value`` clamped
     to [0, 1]. A value of at least 1 - ``gap_tol``, as every deterministic
     pair's certified value is, gets a free completion of the optimal operators
-    (built for it at r <= 2): the deterministic conversion channel made explicit.
+    (enumerated for it at r <= 2): the deterministic conversion channel made
+    explicit. It is built on first read of ``completion``, which raises any
+    error of the completion; other pairs read None.
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
     src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)
@@ -190,11 +194,12 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     else:   # enumerate_transformers raises RankMismatch and SupportTooLarge
         ops = enumerate_transformers(psi, phi, basis).operators
         sol = solve_lmi(LmiProblem.from_matrices(ops.conj().transpose(0, 2, 1) @ ops), gap_tol)
-    value, completion = float(min(max(sol.primal, 0.0), 1.0)), None
+    value, complete = float(min(max(sol.primal, 0.0), 1.0)), None
     if value >= 1.0 - gap_tol:
-        ops = enumerate_transformers(psi, phi, basis).operators if ops is None else ops
-        completion = tuple(complete_free(np.sqrt(np.clip(sol.p, 0.0, None))[:, None, None] * ops, basis))
-    return SdpSolution(sol.p, sol.primal, sol.dual_matrix, sol.dual, sol.gap, value, completion)
+        def complete() -> tuple:
+            stack = enumerate_transformers(psi, phi, basis).operators if ops is None else ops
+            return tuple(complete_free(np.sqrt(np.clip(sol.p, 0.0, None))[:, None, None] * stack, basis))
+    return SdpSolution(sol.p, sol.primal, sol.dual_matrix, sol.dual, sol.gap, value, complete)
 
 
 def candidate_states_d3() -> list[PureState]:

@@ -66,10 +66,14 @@ CHECKS = {
                                       InvalidState, "Bloch vector length 2 > 1"),
     "qubit.build_phi": (lambda tmp: build_phi(-0.1, 0.3, 0.2),
                         ValueError, "overlap a must lie in [0, 1), got -0.1"),
+    "qubit.build_phi.theta": (lambda tmp: build_phi(0.5, np.nan, 0.2),
+                              ValueError, "theta must be a finite angle, got nan"),
     "qubit.kraus_from_choi": (lambda tmp: kraus_from_choi(np.eye(3)),
                               DimensionMismatch, "qubit Choi matrix must be 4 x 4, got (3, 3)"),
     "qubit.free_qubit_kraus": (lambda tmp: free_qubit_kraus(5, (1.0, 1.0), 0.5),
                                ValueError, "kind must be 1..4, got 5"),
+    "qubit.free_qubit_kraus.params": (lambda tmp: free_qubit_kraus(1, (np.nan, 1.0), 0.5),
+                                      ValueError, "params must be finite, got ((nan+0j), (1+0j))"),
     "qubit.inject_unitary": (lambda tmp: inject_unitary(np.eye(3), 0.5),
                              DimensionMismatch, "expected a 2x2 unitary, got shape (3, 3)"),
     "qubit.conversion_heatmap": (lambda tmp: conversion_heatmap(0.5, (0.3, 0.2), 4),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from superpos import transform
 from superpos.errors import DimensionMismatch, NoConvergence, NonHermitian, NotUnitary
 from superpos.basis import tensor_basis
 from superpos.kraus import FreeKrausForm, apply_channel, complete_free, is_free_kraus, is_mfo
@@ -427,6 +428,19 @@ def test_heatmap_cells():
         ts = enumerate_transformers(source, qubit_state(x, z), basis)
         traces = [np.trace(dagger(f) @ f).real for f in ts.operators]
         assert np.allclose(traces, 6 - 4 * np.cos(z) * np.sin(x), atol=1e-9)
+
+
+def test_deterministic_heatmap_cell_builds_no_completion(monkeypatch):
+    # the self-conversion cell reaches 1, but heatmap_cell keeps only the value:
+    # neither the transformers nor their completion are built for it
+    calls = []
+    for name in ("enumerate_transformers", "complete_free"):
+        real = getattr(transform, name)
+        monkeypatch.setattr(transform, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    basis = qubit_free_basis(0.5)
+    source = qubit_state(np.pi / 2, 0.0)
+    assert abs(heatmap_cell(basis, source, 2, (np.pi / 2, 0.0)) - 1.0) < 1e-7
+    assert calls == []
 
 
 def test_heatmap_free_source_reaches_every_free_target():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from superpos import transform
 from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3
 from superpos.errors import LinearlyDependent, NoConvergence, RankMismatch
 from superpos.cli import dispatch
@@ -448,40 +449,52 @@ def operator_form_p(operators, span):
     return numpy_closed_form(operators, q)[0]
 
 
-def test_self_conversion_completion_matches_the_operator_form():
-    # self-conversions at r = 1, 2 on the five qubit overlaps and on random and
-    # orthonormal d = 3..5 bases: the completion is present exactly where the
-    # operator-product closed form reaches 1 - gap_tol, and then equals the
-    # completion of its weighted operators within 1e-15, is free, and makes
-    # them trace preserving
+def test_self_conversion_completion_matches_the_operator_form(monkeypatch):
+    # self-conversions at r = 1, 2 on the five qubit overlaps (the heatmap
+    # source (pi/2, 0) among them) and on random and orthonormal d = 3..5
+    # bases: the completion is present exactly where the operator-product
+    # closed form reaches 1 - gap_tol, and then equals the completion of its
+    # weighted operators within 1e-15, is free, and makes them trace
+    # preserving. It is built on first read by one complete_free call, bit for
+    # bit that of the solution's own weights, and kept; None reads call nothing
+    calls = []
+    monkeypatch.setattr(transform, "complete_free", lambda *args: calls.append(args) or complete_free(*args))
     rng = make_rng(711)
     cases = []
     for a in (0.0, 0.25, 0.5, 0.75, 0.9):
         basis = qubit_free_basis(a)
-        cases += [(PureState(basis.state(0)), basis)]
+        cases += [(PureState(basis.state(0)), basis), (qubit_state(np.pi / 2, 0.0), basis)]
         cases += [(support_two_state(rng, basis), basis) for _ in range(4)]
     for d in range(3, 6):
         # on the orthonormal basis the r < d self-conversions leave a defect to complete
         for basis in [random_basis(d, rng) for _ in range(3)] + [orthonormal_basis(d)] * 2:
             cases.append((PureState(basis.state(int(rng.integers(d)))), basis))
             cases.append((support_two_state(rng, basis, rng.choice(d, 2, replace=False)), basis))
-    present = 0
+    present = absent = 0
     for psi, basis in cases:
         sol = max_conversion_prob(psi, psi, basis)
+        assert not calls
         ts = enumerate_transformers(psi, psi, basis)
         p = operator_form_p(ts.operators, basis.reciprocal[:, list(ts.support_source)])
         scaled = np.sqrt(np.clip(p, 0.0, None))[:, None, None] * ts.operators
         if float(np.sum(p)) < 1.0 - 1e-7:
-            assert sol.completion is None
+            absent += 1
+            assert sol.completion is None and not calls
             continue
         present += 1
+        completion = sol.completion
+        assert sol.completion is completion and len(calls) == 1
+        calls.clear()
+        eager = complete_free(np.sqrt(np.clip(sol.p, 0.0, None))[:, None, None] * ts.operators, basis)
+        assert len(completion) == len(eager)
+        assert all(np.array_equal(got, want) for got, want in zip(completion, eager))
         expected = complete_free(scaled, basis)
-        assert len(sol.completion) == len(expected)
-        for got, want in zip(sol.completion, expected):
+        assert len(completion) == len(expected)
+        for got, want in zip(completion, expected):
             assert np.abs(got - want).max() <= 1e-15
             assert is_free_kraus(got, basis) is not None
-        assert Channel(tuple(scaled) + sol.completion).is_trace_preserving
-    assert present >= 30
+        assert Channel(tuple(scaled) + completion).is_trace_preserving
+    assert present >= 30 and absent >= 1
 
 
 @pytest.mark.xfail(strict=True, reason="at support r < d max_conversion_prob optimizes only "
