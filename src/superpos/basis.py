@@ -73,6 +73,8 @@ def new_free_basis(columns) -> FreeBasis:
     bad = np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
     if bad.size:
         raise NotNormalized(f"column {bad[0]} has norm {norms[bad[0]]:.12g}")
+    # stored at unit norm for the tighter checks downstream; dividing by 1.0 keeps a column's bits
+    v = v / np.where(np.abs(norms - 1.0) > 1e-12, norms, 1.0)
     smin = _sigma_min(v)
     gram = dagger(v) @ v
     reciprocal = np.linalg.inv(dagger(v))

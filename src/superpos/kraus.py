@@ -64,16 +64,7 @@ class Channel:
     defect_eig: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            ops = np.array(self.kraus, dtype=complex)   # a copy, since the stack is made read-only
-        except ValueError as exc:   # numpy's reason is kept as the cause
-            shapes = {np.array(k, dtype=object).shape for k in self.kraus}
-            if len(shapes) == 1 and len(shapes.pop()) == 2:   # not ragged: an entry is not a number
-                raise
-            raise DimensionMismatch("Kraus operators must share one shape") from exc
-        if len(ops) == 0:
-            raise DimensionMismatch("channel needs at least one Kraus operator")
-        stack = as_complex_matrix(ops, "Kraus operator", stack=True)
+        stack = as_complex_matrix(self.kraus, "Kraus operator", stack=True).copy()   # made read-only below
         if stack.shape[1] != stack.shape[2]:
             raise DimensionMismatch(f"Kraus operators must be square, got shape {stack.shape[1:]}")
         terms = np.empty((len(stack) + 1, stack.shape[2], stack.shape[2]), dtype=complex)
@@ -106,9 +97,7 @@ def is_free_kraus(k: np.ndarray, basis: FreeBasis, tol: float = FREE_TOL) -> Fre
     freeness means each column has at most one entry above tol. Zero columns
     get coefficient 0 with output label j.
     """
-    k = as_complex_matrix(k, "k")
-    if k.shape != (basis.d, basis.d):
-        raise DimensionMismatch(f"operator shape {k.shape} != ({basis.d}, {basis.d})")
+    k = as_complex_matrix(k, "operator", shape=(basis.d, basis.d))
     m = dagger(basis.reciprocal) @ k @ basis.vectors
     live = np.abs(m) > as_tolerance(tol)
     if np.any(live.sum(axis=0) > 1):
@@ -153,9 +142,7 @@ def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:
     are dropped.
     """
     channel = Channel(partial)
-    d = basis.d
-    if channel.kraus.shape[1:] != (d, d):
-        raise DimensionMismatch(f"operator shape {channel.kraus.shape[1:]} != ({d}, {d})")
+    as_complex_matrix(channel.kraus, "operator", stack=True, shape=(basis.d, basis.d))
     w, v = channel.defect_eig
     keep = w > 1e-12
     outers = basis.vectors[:, 0, None] * v[:, keep].conj().T[:, None, :]
@@ -190,9 +177,7 @@ def reduce_ancilla(l_op: np.ndarray, sigma_b: DensityMatrix, basis_a: FreeBasis,
     and, within each, over an orthonormal-basis index of B.
     """
     da, db = basis_a.d, basis_b.d
-    l_op = as_complex_matrix(l_op, "l_op")
-    if l_op.shape != (da * db, da * db):
-        raise DimensionMismatch(f"operator shape {l_op.shape} != {(da * db,) * 2}")
+    l_op = as_complex_matrix(l_op, "operator", shape=(da * db,) * 2)
     product = tensor_basis(basis_a, basis_b)
     form = is_free_kraus(l_op, product)
     if form is None:

@@ -30,22 +30,36 @@ def psd_part(a: np.ndarray) -> np.ndarray:
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def as_complex_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """A finite complex 2-d array, or with ``stack`` an (n, k, m) stack of them, checked in one pass."""
-    m = np.asarray(a, dtype=complex)
+def as_complex_matrix(a, name: str = "matrix", stack: bool = False, shape: tuple | None = None) -> np.ndarray:
+    """A finite complex 2-d array, or with ``stack`` an (n, k, m) stack of them given
+    as one array or a sequence of matrices, checked in one pass. ``DimensionMismatch``
+    for an empty or ragged stack, another number of axes, or matrices not of ``shape``
+    when it is given; an entry that is not a number keeps numpy's ``ValueError``."""
+    try:
+        m = np.asarray(a, dtype=complex)
+    except ValueError as exc:   # numpy's reason is kept as the cause
+        if not stack or [len(s) for s in {np.array(k, dtype=object).shape for k in a}] == [2]:
+            raise   # not a ragged stack: an entry is not a number
+        raise DimensionMismatch(f"{name} stack members must share one shape") from exc
+    if stack and m.shape[:1] == (0,):
+        raise DimensionMismatch(f"need at least one {name}")
     if m.ndim != 2 + stack:
         raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {m.shape[stack:]}")
+    if shape is not None and m.shape[stack:] != shape:
+        raise DimensionMismatch(f"{name} shape {m.shape[stack:]} != {shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
-def as_hermitian_matrix(a, name: str = "h", tol: float = 1e-8, stack: bool = False) -> np.ndarray:
+def as_hermitian_matrix(a, name: str = "h", tol: float = 1e-8, stack: bool = False,
+                        shape: tuple | None = None) -> np.ndarray:
     """The Hermitian part (A + A')/2 of a finite square complex matrix, or of each
-    matrix of an (n, k, k) stack with ``stack``, checked in one pass: ``NonHermitian``
-    when some ||A - A'|| exceeds ``tol * max(1, ||A||)`` of its own matrix (Frobenius
-    norms), so rounding residue of a near-zero matrix passes."""
-    m = as_complex_matrix(a, name, stack)
+    matrix of an (n, k, k) stack with ``stack``, checked in one pass: the shape rules
+    of ``as_complex_matrix`` first, then ``NonHermitian`` when some ||A - A'|| exceeds
+    ``tol * max(1, ||A||)`` of its own matrix (Frobenius norms), so rounding residue
+    of a near-zero matrix passes."""
+    m = as_complex_matrix(a, name, stack, shape)
     if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape[stack:]}")
     asym = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
@@ -56,8 +70,9 @@ def as_hermitian_matrix(a, name: str = "h", tol: float = 1e-8, stack: bool = Fal
 
 
 def as_tolerance(tol, name: str = "tol") -> float:
-    """A tolerance as a float: a finite positive number, else ``ValueError``."""
-    if not 0.0 < tol < np.inf:   # written so that NaN fails
+    """A tolerance as a float: a finite positive real number, else ``ValueError``."""
+    # written so that NaN fails, and a value that is not a real number before the comparison
+    if not (isinstance(tol, (float, int, np.floating, np.integer)) and 0.0 < tol < np.inf):
         raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
     return float(tol)
 
@@ -73,9 +88,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     Raises ``NonHermitian`` when ``rho`` or ``sigma`` fails ``as_hermitian_matrix``,
     and ``DimensionMismatch`` when their shapes differ.
     """
-    rho, sigma = as_hermitian_matrix(rho, "rho"), as_hermitian_matrix(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"state shape {rho.shape} != {sigma.shape}")
+    sigma = as_hermitian_matrix(sigma, "sigma")
+    rho = as_hermitian_matrix(rho, "state", shape=sigma.shape)
     w, v = np.linalg.eigh(rho)
     r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T   # sqrt(rho), eigenvalues clipped at 0
     w = np.clip(herm_eig(r @ sigma @ r)[0], 0.0, None)
@@ -84,9 +98,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "a") -> np.ndarray:
     """Partial trace of an operator on a ``dim_a * dim_b`` bipartite space."""
-    m = as_complex_matrix(m, "m")
-    if m.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise DimensionMismatch(f"operator shape {m.shape} != {(dim_a * dim_b,) * 2}")
+    m = as_complex_matrix(m, "operator", shape=(dim_a * dim_b,) * 2)
     t = m.reshape(dim_a, dim_b, dim_a, dim_b)
     if keep == "a":
         return np.trace(t, axis1=1, axis2=3)

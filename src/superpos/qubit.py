@@ -86,9 +86,7 @@ class BlochMap:
 
     def apply_operator(self, op: np.ndarray) -> np.ndarray:
         """Linear extension of the map to arbitrary 2x2 operators."""
-        op = as_complex_matrix(op, "operator")
-        if op.shape != (2, 2):
-            raise DimensionMismatch(f"need a 2 x 2 operator, got shape {op.shape}")
+        op = as_complex_matrix(op, "operator", shape=(2, 2))
         u0 = np.trace(op)
         uvec = np.array([np.trace(op @ PAULI[k]) for k in (1, 2, 3)])
         out = self.translation * u0 + self.matrix @ uvec
@@ -132,9 +130,7 @@ def kraus_from_choi(choi_matrix: np.ndarray) -> np.ndarray:
     ``as_hermitian_matrix``) for a non-Hermitian matrix and ``InvalidState``
     for an eigenvalue below -1e-8.
     """
-    choi_matrix = as_hermitian_matrix(choi_matrix, "Choi matrix")
-    if choi_matrix.shape != (4, 4):
-        raise DimensionMismatch(f"qubit Choi matrix must be 4 x 4, got {choi_matrix.shape}")
+    choi_matrix = as_hermitian_matrix(choi_matrix, "Choi matrix", shape=(4, 4))
     w, v = np.linalg.eigh(choi_matrix)
     if w[0] < -1e-8:
         raise InvalidState(f"Choi matrix has eigenvalue {w[0]:.3e}: not CP")
@@ -154,11 +150,13 @@ def free_qubit_kraus(kind: int, params, a: float) -> np.ndarray:
     coefficient params[k], where the index function f of kind 1 is (0, 0),
     of kind 2 (0, 1), of kind 3 (1, 1) and of kind 4 (1, 0). In the free frame
     kind 1 fills row 1, kind 2 the diagonal, kind 3 row 2, kind 4 the
-    antidiagonal. The two params must be finite.
+    antidiagonal. There must be two params, both finite.
     """
     index_fns = {1: (0, 0), 2: (0, 1), 3: (1, 1), 4: (1, 0)}
     if kind not in index_fns:
         raise ValueError(f"kind must be 1..4, got {kind}")
+    if len(params) != 2:
+        raise ValueError(f"params must be two coefficients, got {len(params)}")
     coeffs = np.array([complex(params[0]), complex(params[1])])
     if not np.isfinite(coeffs).all():
         raise ValueError(f"params must be finite, got {tuple(coeffs.tolist())}")
@@ -197,9 +195,7 @@ def inject_unitary(u: np.ndarray, a: float) -> Channel:
     coefficients, the first operator (ancilla label j to system label j)
     takes c = R / m[:, None], the second (to 1 - j) d = R / m[::-1, None].
     """
-    u = as_complex_matrix(u, "u")
-    if u.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 unitary, got shape {u.shape}")
+    u = as_complex_matrix(u, "u", shape=(2, 2))
     if np.linalg.norm(dagger(u) @ u - np.eye(2)) > 1e-10:
         raise NotUnitary("u is not unitary to 1e-10")
     single = qubit_free_basis(a)

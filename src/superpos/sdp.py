@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadData, DimensionMismatch, NoConvergence
+from .errors import BadData, NoConvergence
 from .linalg import as_hermitian_matrix, as_tolerance, hermitian_part, psd_part
 
 DEFAULT_GAP_TOL = 1e-7
@@ -54,16 +54,9 @@ class LmiProblem:
 
     @staticmethod
     def from_matrices(mats) -> "LmiProblem":
-        """One ``as_hermitian_matrix`` pass over the stack; ``BadData`` unless the A_n share one
-        square shape and each is PSD and nonzero beyond its floor _PSD_DATA_TOL * max(1, |A_n|)."""
-        if not isinstance(mats, np.ndarray):
-            mats = list(mats)
-            if len({np.shape(m) for m in mats}) > 1:
-                for m in mats:   # a member that breaks the matrix rule says so, as it would alone
-                    as_hermitian_matrix(m, "A_n")
-                raise BadData("constraint matrices must share one square shape")
-        if len(mats) == 0:
-            raise BadData("need at least one constraint matrix")
+        """One ``as_hermitian_matrix`` pass over the stack, which raises ``DimensionMismatch``
+        unless the A_n are at least one and share one square shape; ``BadData`` unless each
+        is PSD and nonzero beyond its floor _PSD_DATA_TOL * max(1, |A_n|)."""
         ops = as_hermitian_matrix(mats, "A_n", stack=True)
         w = np.linalg.eigvalsh(ops)
         floor = _PSD_DATA_TOL * np.maximum(1.0, np.linalg.norm(ops, axis=(1, 2)))
@@ -219,9 +212,7 @@ def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:
     A lam that fails ``as_hermitian_matrix`` raises ``NonHermitian``, and one
     of another size than the operators ``DimensionMismatch``.
     """
-    lam = as_hermitian_matrix(lam, "lam")
-    if lam.shape != problem.operators.shape[1:]:
-        raise DimensionMismatch(f"lam is {lam.shape}, the operators are {problem.operators.shape[1:]}")
+    lam = as_hermitian_matrix(lam, "lam", shape=problem.operators.shape[1:])
     bound = float(np.trace(lam).real)
     pairings = np.einsum("ij,nji->n", lam, problem.operators).real
     feasible = float(np.linalg.eigvalsh(lam)[0]) >= -_DUAL_TOL and pairings.min() >= 1.0 - _DUAL_TOL

@@ -9,8 +9,11 @@ from superpos.basis import (
     tensor_basis,
 )
 from superpos.errors import DimensionMismatch, LinearlyDependent, NotNormalized
+from superpos.game import build_game, simulate
+from superpos.kraus import Channel, is_mfo
 from superpos.linalg import dagger, herm_eig
-from superpos.sampling import make_rng, random_basis
+from superpos.sampling import make_rng, random_basis, random_free_state
+from superpos.states import PureState, free_mixture
 
 
 def test_basis_arrays_are_read_only():
@@ -106,6 +109,27 @@ def test_filter_probability_saturates_bound():
 def test_rejects_unnormalized_columns():
     with pytest.raises(NotNormalized):
         new_free_basis([[1, 0], [1, 1]])
+
+
+def test_columns_near_unit_norm_are_stored_at_unit_norm():
+    # a column accepted within UNIT_NORM_TOL of norm 1 used to be stored as given,
+    # and the tighter trace and norm checks downstream then refused the basis's
+    # own free states; columns already within 1e-12 of norm 1 keep their bits
+    rng = make_rng(4007)
+    v = np.array([[1, 0.3], [0, 1]], dtype=complex)
+    drafts = [v / np.linalg.norm(v, axis=0) * (1 + 5e-9)]
+    for d in (2, 3, 4):
+        w = random_basis(d, rng).vectors
+        assert new_free_basis(list(w.T)).vectors.tobytes() == w.tobytes()
+        drafts.append(w * (1 + rng.uniform(-9e-9, 9e-9, size=d)))
+    for draft in drafts:
+        b = new_free_basis(list(draft.T))
+        assert np.abs(np.linalg.norm(b.vectors, axis=0) - 1.0).max() <= 1e-15
+        free_mixture(b, np.full(b.d, 1 / b.d))
+        random_free_state(b, rng)
+        assert is_mfo(Channel([np.eye(b.d)]), b)
+        PureState(b.state(0))
+        simulate(build_game(b), "superposed", 10, 0)
 
 
 def test_rejects_dependent_columns():

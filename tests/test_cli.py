@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -449,3 +452,21 @@ def test_solver_failure_exits_three_with_nothing_on_stdout(d3_files, capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_main_exits_with_the_code_of_dispatch(d3_files, capsys):
+    # the console script's entry point, run as its own process: the exit status
+    # is dispatch's return value, and a success writes dispatch's bytes
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    ok = ["measure", "l1", "--state", d3_files["free_state"], "--basis", d3_files["basis"]]
+    solver = ["convert", "prob", "--from", d3_files["candidate"], "--to", d3_files["target"],
+              "--basis", d3_files["basis"], "--tol", "1e-12"]
+    assert dispatch(ok) == 0
+    expected = capsys.readouterr().out.encode()
+    for argv, code in ((ok, 0), (["frobnicate"], 2), (solver, 3)):
+        proc = subprocess.run([sys.executable, "-c", "from superpos.cli import main; main()", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == code, proc.stderr.decode()[-2000:]
+        assert proc.stdout == (expected if code == 0 else b"")

@@ -10,7 +10,7 @@ from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.cli import _load_pure
 from superpos.errors import DimensionMismatch, InvalidState, NotNormalized, SchemaViolation
 from superpos.kraus import Channel, apply_channel, complete_free, is_free_kraus, reduce_ancilla
-from superpos.linalg import fidelity, partial_trace
+from superpos.linalg import as_tolerance, fidelity, partial_trace
 from superpos.qubit import (
     bloch_vector,
     build_phi,
@@ -23,6 +23,7 @@ from superpos.qubit import (
     state_from_bloch,
 )
 from superpos.sampling import make_rng, random_basis, random_density
+from superpos.sdp import LmiProblem, verify_dual
 from superpos.serialize import canonical_dumps, density_to_json
 from superpos.states import PureState, free_expansion, free_mixture
 
@@ -42,6 +43,10 @@ CHECKS = {
                             DimensionMismatch, "amplitude shape (2,) != (3,)"),
     "cli.state_rank_of_a_mixed_state": (_load_mixed_as_pure, SchemaViolation,
                                         "/: this command needs a pure state ('amp' schema)"),
+    "kraus.Channel.empty": (lambda tmp: Channel([]),
+                            DimensionMismatch, "need at least one Kraus operator"),
+    "kraus.Channel.mixed_shapes": (lambda tmp: Channel((0.5 * np.eye(2), 0.5 * np.eye(3))),
+                                   DimensionMismatch, "Kraus operator stack members must share one shape"),
     "kraus.is_free_kraus": (lambda tmp: is_free_kraus(np.eye(2), B3),
                             DimensionMismatch, "operator shape (2, 2) != (3, 3)"),
     "kraus.apply_channel": (lambda tmp: apply_channel(Channel([np.eye(2)]), RHO3),
@@ -52,6 +57,8 @@ CHECKS = {
                              DimensionMismatch, "operator shape (3, 3) != "),
     "linalg.fidelity": (lambda tmp: fidelity(RHO2.mat, RHO3.mat),
                         DimensionMismatch, "state shape (2, 2) != (3, 3)"),
+    "linalg.as_tolerance": (lambda tmp: as_tolerance("x"),
+                            ValueError, "tol must be a finite positive number, got 'x'"),
     "linalg.partial_trace.shape": (lambda tmp: partial_trace(np.eye(3), 2, 2),
                                    DimensionMismatch, "operator shape (3, 3) != "),
     "linalg.partial_trace.keep": (lambda tmp: partial_trace(np.eye(4), 2, 2, keep="c"),
@@ -64,24 +71,36 @@ CHECKS = {
                                      DimensionMismatch, "Bloch vector must have 3 components, got (2,)"),
     "qubit.state_from_bloch.length": (lambda tmp: state_from_bloch([0.0, 0.0, 2.0]),
                                       InvalidState, "Bloch vector length 2 > 1"),
+    "qubit.BlochMap.apply_operator": (lambda tmp: build_phi(0.3, 1.0, 0.5).apply_operator(np.eye(3)),
+                                      DimensionMismatch, "operator shape (3, 3) != (2, 2)"),
     "qubit.build_phi": (lambda tmp: build_phi(-0.1, 0.3, 0.2),
                         ValueError, "overlap a must lie in [0, 1), got -0.1"),
     "qubit.build_phi.theta": (lambda tmp: build_phi(0.5, np.nan, 0.2),
                               ValueError, "theta must be a finite angle, got nan"),
     "qubit.kraus_from_choi": (lambda tmp: kraus_from_choi(np.eye(3)),
-                              DimensionMismatch, "qubit Choi matrix must be 4 x 4, got (3, 3)"),
+                              DimensionMismatch, "Choi matrix shape (3, 3) != (4, 4)"),
     "qubit.free_qubit_kraus": (lambda tmp: free_qubit_kraus(5, (1.0, 1.0), 0.5),
                                ValueError, "kind must be 1..4, got 5"),
     "qubit.free_qubit_kraus.params": (lambda tmp: free_qubit_kraus(1, (np.nan, 1.0), 0.5),
                                       ValueError, "params must be finite, got ((nan+0j), (1+0j))"),
+    "qubit.free_qubit_kraus.params_count": (lambda tmp: free_qubit_kraus(1, (1.0,), 0.5),
+                                            ValueError, "params must be two coefficients, got 1"),
     "qubit.inject_unitary": (lambda tmp: inject_unitary(np.eye(3), 0.5),
-                             DimensionMismatch, "expected a 2x2 unitary, got shape (3, 3)"),
+                             DimensionMismatch, "u shape (3, 3) != (2, 2)"),
     "qubit.conversion_heatmap": (lambda tmp: conversion_heatmap(0.5, (0.3, 0.2), 4),
                                  ValueError, "grid_n must be at least 8, got 4"),
     "qubit.qubit_state.theta": (lambda tmp: qubit_state(np.nan, 0.3),
                                 ValueError, "theta must be a finite angle, got nan"),
     "qubit.qubit_state.phi": (lambda tmp: qubit_state(0.3, np.inf),
                               ValueError, "phi must be a finite angle, got inf"),
+    "sampling.random_density": (lambda tmp: random_density(3, make_rng(1), rank=0),
+                                ValueError, "rank must be at least 1, got 0"),
+    "sdp.LmiProblem.from_matrices.empty": (lambda tmp: LmiProblem.from_matrices([]),
+                                           DimensionMismatch, "need at least one A_n"),
+    "sdp.LmiProblem.from_matrices.mixed_shapes": (lambda tmp: LmiProblem.from_matrices([np.eye(2), np.eye(3)]),
+                                                  DimensionMismatch, "A_n stack members must share one shape"),
+    "sdp.verify_dual": (lambda tmp: verify_dual(np.eye(3), LmiProblem.from_matrices([np.eye(2)])),
+                        DimensionMismatch, "lam shape (3, 3) != (2, 2)"),
     "states.PureState.normalized": (lambda tmp: PureState.normalized(np.zeros(3)),
                                     NotNormalized, "cannot normalize the zero vector"),
     "states.free_expansion": (lambda tmp: free_expansion(RHO2, B3),

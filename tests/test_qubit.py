@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,9 +153,9 @@ def test_kraus_from_choi_matches_eigenpair_loop():
 
 def test_bloch_map_rejects_wrong_size_operator():
     phi = build_phi(0.3, 1.0, 0.5)
-    with pytest.raises(DimensionMismatch, match="2 x 2"):
+    with pytest.raises(DimensionMismatch, match=re.escape("operator shape (3, 3) != (2, 2)")):
         phi.apply_operator(np.eye(3))
-    with pytest.raises(DimensionMismatch, match="2 x 2"):
+    with pytest.raises(DimensionMismatch, match=re.escape("operator shape (3, 3) != (2, 2)")):
         phi.apply_state(DensityMatrix(np.eye(3) / 3))
     with pytest.raises(ValueError, match="non-finite"):
         phi.apply_operator(np.diag([np.nan, 1.0]))

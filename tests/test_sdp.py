@@ -195,7 +195,8 @@ def test_certifying_tolerances_must_be_finite_and_positive():
     # and 0 or a negative tolerance ran to an iteration cap or a failed
     # factorisation; the rank and freeness predicates follow the same rule,
     # where nan gave rank 0, called every operator free and a free channel
-    # not free, and -1 called the identity not free
+    # not free, and -1 called the identity not free; a tolerance that is not a
+    # real number raised TypeError from the comparison
     rng = make_rng(11)
     b = random_basis(4, rng)
     rho = random_density(4, rng)
@@ -214,16 +215,16 @@ def test_certifying_tolerances_must_be_finite_and_positive():
         lambda tol: is_mfo(Channel([np.eye(4)]), b, tol=tol),
     ]
     for call in calls:
-        for tol in (np.nan, np.inf, -np.inf, 0.0, -1e-3):
+        for tol in (np.nan, np.inf, -np.inf, 0.0, -1e-3, "x", None, [1e-6], 1e-6j):
             with pytest.raises(ValueError, match="finite positive"):
                 call(tol)
         call(1e-6)
 
 
 def test_lmi_data_rejects_empty_and_mixed_shapes():
-    with pytest.raises(BadData, match="at least one"):
+    with pytest.raises(DimensionMismatch, match="at least one"):
         LmiProblem.from_matrices([])
-    with pytest.raises(BadData, match="one square shape"):
+    with pytest.raises(DimensionMismatch, match="share one shape"):
         LmiProblem.from_matrices([np.eye(2), np.eye(3)])
 
 
