@@ -70,9 +70,11 @@ def as_hermitian_matrix(a, name: str = "h", tol: float = 1e-8, stack: bool = Fal
 
 
 def as_tolerance(tol, name: str = "tol") -> float:
-    """A tolerance as a float: a finite positive real number, else ``ValueError``."""
-    # written so that NaN fails, and a value that is not a real number before the comparison
-    if not (isinstance(tol, (float, int, np.floating, np.integer)) and 0.0 < tol < np.inf):
+    """A tolerance as a float: a finite positive real number, not a bool, else ``ValueError``."""
+    # written so that NaN fails, and a value that is not a real number before the comparison;
+    # a bool is an int, but a flag passed in a tolerance's place
+    real = isinstance(tol, (float, int, np.floating, np.integer)) and not isinstance(tol, bool)
+    if not (real and 0.0 < tol < np.inf):
         raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
     return float(tol)
 

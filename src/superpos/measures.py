@@ -24,6 +24,7 @@ from .states import (
     PureState,
     eigen_decomposition,
     free_expansion,
+    free_mixture,
     is_free,
     superposition_rank,
 )
@@ -65,9 +66,9 @@ def _cross_entropy_eig(w: np.ndarray, rho_eig: np.ndarray) -> float:
 
     +inf when rho has weight outside the support of sigma (eigenvalues <= 1e-15).
     """
-    pops = np.diag(rho_eig).real
+    pops = rho_eig.diagonal().real
     inside = w > 1e-15
-    if np.any(pops[~inside] > 1e-12):
+    if (pops[~inside] > 1e-12).any():
         return np.inf
     return float(-pops[inside] @ np.log(w[inside]))
 
@@ -90,17 +91,14 @@ def _rel_ent_terms(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> tupl
     w, u = np.linalg.eigh(_free_sigma(basis, q))
     uh = u.conj().T
     rho_eig = uh @ rho_mat @ u
+    value = _cross_entropy_eig(w, rho_eig)
     full = w[0] > 1e-15   # eigh sorts w ascending: sigma has full support
-    if full:
-        logs = np.log(w)
-        value = float(-np.diag(rho_eig).real @ logs)
-    else:
-        value = _cross_entropy_eig(w, rho_eig)
+    if not full:
         outside = w <= 1e-15
         rho_eig[outside, :] = 0.0
         rho_eig[:, outside] = 0.0
         w = np.clip(w, 1e-300, None)
-        logs = np.log(w)
+    logs = np.log(w)
     diff = w[:, None] - w[None, :]
     loewner = np.repeat(1.0 / w[:, None], len(w), axis=1)
     np.divide(logs[:, None] - logs[None, :], diff, out=loewner, where=np.abs(diff) > 1e-14)
@@ -217,9 +215,8 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9)
             updates += not newton
         else:
             updates = 0
-    sigma = _free_sigma(basis, q)
     return MeasureReport(value=max(_entropy_terms(rho.mat) + cross, 0.0),
-                         certificate=DensityMatrix(sigma / np.trace(sigma).real),
+                         certificate=DensityMatrix(_free_sigma(basis, q)),
                          extra={"weights": q, "fw_gap": max(fw_gap, 0.0), "evaluations": evaluations,
                                 "newton_steps": newton_steps})
 
@@ -298,11 +295,9 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
     method, sol = _phase_cover(coeffs, gap_tol) or (
         "sdp", solve_cover(hermitian_part(coeffs), gap_tol=gap_tol))
     s = max(float(sol.primal - 1.0), 0.0)
-    mix = _free_sigma(basis, sol.p)
-    delta = DensityMatrix(mix / np.trace(mix).real)
-    tau = None
+    delta, tau = free_mixture(basis, sol.p / sol.p.sum()), None
     if s > 1e-10:
-        excess = psd_part((mix - rho.mat) / s)
+        excess = psd_part((1.0 + s) * delta.mat - rho.mat)
         tau = DensityMatrix(excess / np.trace(excess).real)
     return MeasureReport(value=s, certificate={"s": s, "delta": delta, "tau": tau},
                          extra={"weights": sol.p.copy(), "gap": sol.gap, "method": method})

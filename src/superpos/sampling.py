@@ -34,10 +34,10 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Ginibre-induced random mixed state of the given rank (default d), at least 1."""
+    """Ginibre-induced random mixed state of the given rank (default d), from 1 to d."""
     k = d if rank is None else rank
-    if k < 1:
-        raise ValueError(f"rank must be at least 1, got {k}")
+    if not 1 <= k <= d:
+        raise ValueError(f"rank must be at least 1, got {k}" if k < 1 else f"rank must be at most {d}, got {k}")
     g = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)

@@ -1,8 +1,8 @@
 """Embedded interior-point solver for the two small LMI shapes the theory needs.
 
 Both shapes run one infeasible-start primal-dual path-following loop: maximize
-cost.p s.t. Z = F0 - sum p_n A_n >= 0, p >= 0, whose dual is minimize tr(F0 Y)
-s.t. tr(A_n Y) - s_n = cost_n, Y >= 0, s >= 0. HKM directions (Helmberg, Rendl,
+sign sum p s.t. Z = F0 - sum p_n A_n >= 0, p >= 0, whose dual is minimize tr(F0 Y)
+s.t. tr(A_n Y) - s_n = sign, Y >= 0, s >= 0. HKM directions (Helmberg, Rendl,
 Vanderbei and Wolkowicz 1996) from one factored Schur matrix per iteration,
 combined with Mehrotra's predictor-corrector, keep p strictly feasible while Y
 and its surplus s reach their equality constraints. The loop certifies its own
@@ -13,10 +13,10 @@ optimum, and the first iterate whose bound is within ``gap_tol`` of sum p is
 returned with that dual matrix. A solve that cannot certify one raises
 ``NoConvergence``, and non-Hermitian data raises ``NonHermitian``.
 
-``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1 (F0 = 1, cost = 1; dual:
+``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1 (F0 = 1, sign +1; dual:
 minimize tr Y s.t. tr(Y A_n) >= 1). ``solve_cover`` minimizes sum x_i s.t.
 diag(x) >= C, the robustness cover in the free frame (F0 = -C, A_i = -e_i e_i',
-cost = -1; dual: maximize tr(C Y) s.t. Y_ii <= 1). Variable counts stay at a
+sign -1; dual: maximize tr(C Y) s.t. Y_ii <= 1). Variable counts stay at a
 few dozen (120 at support 5) and matrices at 8x8, so no sparsity or scaling
 tricks are needed.
 """
@@ -120,18 +120,18 @@ def _step_lengths(yz_linv: np.ndarray, dy, dz, s, ds, p, dp) -> tuple[float, flo
     return tuple(_STEP / max(rate, _STEP) for rate in rates)
 
 
-def _path_following(f0: np.ndarray, ops: np.ndarray, cost: np.ndarray, p: np.ndarray,
+def _path_following(f0: np.ndarray, ops: np.ndarray, sign: float, p: np.ndarray,
                     candidates, gap_tol: float) -> SdpSolution:
-    """Maximize cost.p subject to Z = f0 - sum p_n A_n >= 0, p >= 0, for costs of one sign.
+    """Maximize sign sum p subject to Z = f0 - sum p_n A_n >= 0, p >= 0, for sign +1 or -1.
 
-    The pair is (p, Z) and (Y >= 0, s >= 0) with tr(A_n Y) - s_n = cost_n. p
+    The pair is (p, Z) and (Y >= 0, s >= 0) with tr(A_n Y) - s_n = sign. p
     starts strictly feasible and stays so; Y = 1 and s = 1 start off their
     equality constraints and reach them as the steps near 1. Each iteration
     factors the HKM Schur matrix tr(A_i Y A_j Z^-1) + delta_ij s_i/p_i once
     and takes Mehrotra's predictor and corrector, with centering
     sigma = (mu_aff / mu)^3. Once the complementarity is within
     ``gap_tol`` max(1, sum p), each raw dual of ``candidates(Y)`` goes through
-    ``_purify_dual`` against sign A_n (sign = cost_0); the purified one with
+    ``_purify_dual`` against sign A_n; the purified one with
     the smallest tr(f0 Y) gives the dual sign tr(f0 Y) and the gap
     sign (dual - sum p), and the first solution whose gap is within ``gap_tol``
     is returned. ``NoConvergence`` names the smallest certified gap and the
@@ -141,7 +141,6 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, cost: np.ndarray, p: np.nda
     n, k = ops.shape[:2]
     flat = ops.reshape(n, k * k)
     eye = np.eye(k, dtype=complex)
-    sign = float(cost[0])
     signed_ops = sign * ops
     y, s = eye, np.ones(n)
     best, complementarity, done = np.inf, np.inf, 0
@@ -167,7 +166,7 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, cost: np.ndarray, p: np.nda
 
             def direction(target: np.ndarray, lp_target: np.ndarray):
                 """HKM step for Y Z -> R and s * p -> lp_target, given target = R Z^-1."""
-                rhs = cost - (flat @ target.T.reshape(-1)).real + lp_target / p
+                rhs = sign - (flat @ target.T.reshape(-1)).real + lp_target / p
                 dp = schur_linv.T @ (schur_linv @ rhs)
                 dz = -(dp @ flat).reshape(k, k)
                 dy = hermitian_part(target - y - y @ dz @ zinv)
@@ -193,14 +192,14 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, cost: np.ndarray, p: np.nda
 def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     """Maximize sum p_n subject to sum p_n A_n <= 1, p >= 0.
 
-    Path following with F0 = 1 and unit costs, so Y >= 0 and s >= 0 reach
+    Path following with F0 = 1 and sign +1, so Y >= 0 and s >= 0 reach
     tr(A_n Y) - s_n = 1; p starts at 0.5 / (sum_n lam_max(A_n) + 1), and the
     iterate Y is the one candidate dual.
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
     n = len(problem.operators)
     p = np.full(n, 0.5 / (float(np.sum(problem._lambda_max)) + 1.0))
-    return _path_following(np.eye(problem.dim, dtype=complex), problem.operators, np.ones(n), p,
+    return _path_following(np.eye(problem.dim, dtype=complex), problem.operators, 1.0, p,
                            lambda y: (y,), gap_tol)
 
 
@@ -224,7 +223,7 @@ def solve_cover(coeffs: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
 
     The solution's ``p`` holds x; a C = ``coeffs`` that fails ``as_hermitian_matrix``
     raises ``NonHermitian``. Path following over the unit projectors (F0 = -C,
-    A_i = -e_i e_i', cost -1) from x = t * 1, t = 2 lam_max(C) (t = 1 if that is
+    A_i = -e_i e_i', sign -1) from x = t * 1, t = 2 lam_max(C) (t = 1 if that is
     <= 0). The candidate duals of "maximize tr(C Y) s.t. Y_ii <= 1, Y >= 0" are
     the iterate Y and y y' with y = phase(C phase(v)) for v the top eigenvector
     of Y: the closed-form cover's phase vector (Napoli et al., PRL 116, 150502)
@@ -240,6 +239,6 @@ def solve_cover(coeffs: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
         phases = np.exp(1j * np.angle(coeffs @ np.exp(1j * np.angle(v))))
         return y, np.outer(phases, phases.conj())
 
-    units, ones = np.eye(len(coeffs), dtype=complex), np.ones(len(coeffs))
-    return _path_following(-coeffs, -(units[:, :, None] * units[:, None, :]), -ones,
-                           (2.0 * top if top > 0 else 1.0) * ones, candidates, gap_tol)
+    units = np.eye(len(coeffs), dtype=complex)
+    return _path_following(-coeffs, -(units[:, :, None] * units[:, None, :]), -1.0,
+                           np.full(len(coeffs), 2.0 * top if top > 0 else 1.0), candidates, gap_tol)

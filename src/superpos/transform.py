@@ -15,6 +15,7 @@ solution's ``completion``, so a caller that keeps only the value never pays for 
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,6 +170,12 @@ def _closed_form(blocks: list, q: list) -> SdpSolution:
     return SdpSolution(np.array(p), primal, np.array(y), dual, dual - primal)
 
 
+def _completion(psi: PureState, phi: PureState, basis: FreeBasis, p: np.ndarray) -> tuple:
+    """The free completion of the optimal operators sqrt(p_n) F_n over ``enumerate_transformers``."""
+    ops = enumerate_transformers(psi, phi, basis).operators
+    return tuple(complete_free(np.sqrt(np.clip(p, 0.0, None))[:, None, None] * ops, basis))
+
+
 def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
                         gap_tol: float = 1e-7) -> SdpSolution:
     """Conversion probability over ``enumerate_transformers``: the free optimum
@@ -180,7 +187,7 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     (``NoConvergence`` otherwise). Returns the solution with ``value`` clamped
     to [0, 1]. A value of at least 1 - ``gap_tol``, as every deterministic
     pair's certified value is, gets a free completion of the optimal operators
-    (enumerated for it at r <= 2): the deterministic conversion channel made
+    (enumerated again for it): the deterministic conversion channel made
     explicit. It is built on first read of ``completion``, which raises any
     error of the completion; other pairs read None.
     """
@@ -188,17 +195,14 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)
     support_r, support_s = free_support(src), free_support(dst)
     if len(support_r) == len(support_s) <= 2:
-        sol, ops = _closed_form(*_gram_blocks(basis, src, dst, support_r, support_s)), None
+        sol = _closed_form(*_gram_blocks(basis, src, dst, support_r, support_s))
         if sol.gap > gap_tol:
             raise NoConvergence(f"duality gap {sol.gap:.3e} above {gap_tol:.1e}")
     else:   # enumerate_transformers raises RankMismatch and SupportTooLarge
         ops = enumerate_transformers(psi, phi, basis).operators
         sol = solve_lmi(LmiProblem.from_matrices(ops.conj().transpose(0, 2, 1) @ ops), gap_tol)
-    value, complete = float(min(max(sol.primal, 0.0), 1.0)), None
-    if value >= 1.0 - gap_tol:
-        def complete() -> tuple:
-            stack = enumerate_transformers(psi, phi, basis).operators if ops is None else ops
-            return tuple(complete_free(np.sqrt(np.clip(sol.p, 0.0, None))[:, None, None] * stack, basis))
+    value = float(min(max(sol.primal, 0.0), 1.0))
+    complete = functools.partial(_completion, psi, phi, basis, sol.p) if value >= 1.0 - gap_tol else None
     return SdpSolution(sol.p, sol.primal, sol.dual_matrix, sol.dual, sol.gap, value, complete)
 
 

@@ -95,6 +95,8 @@ CHECKS = {
                               ValueError, "phi must be a finite angle, got inf"),
     "sampling.random_density": (lambda tmp: random_density(3, make_rng(1), rank=0),
                                 ValueError, "rank must be at least 1, got 0"),
+    "sampling.random_density.rank_above_d": (lambda tmp: random_density(3, make_rng(1), rank=4),
+                                             ValueError, "rank must be at most 3, got 4"),
     "sdp.LmiProblem.from_matrices.empty": (lambda tmp: LmiProblem.from_matrices([]),
                                            DimensionMismatch, "need at least one A_n"),
     "sdp.LmiProblem.from_matrices.mixed_shapes": (lambda tmp: LmiProblem.from_matrices([np.eye(2), np.eye(3)]),

@@ -196,7 +196,8 @@ def test_certifying_tolerances_must_be_finite_and_positive():
     # factorisation; the rank and freeness predicates follow the same rule,
     # where nan gave rank 0, called every operator free and a free channel
     # not free, and -1 called the identity not free; a tolerance that is not a
-    # real number raised TypeError from the comparison
+    # real number raised TypeError from the comparison, and True, an int, was
+    # taken as a tolerance of 1
     rng = make_rng(11)
     b = random_basis(4, rng)
     rho = random_density(4, rng)
@@ -215,7 +216,7 @@ def test_certifying_tolerances_must_be_finite_and_positive():
         lambda tol: is_mfo(Channel([np.eye(4)]), b, tol=tol),
     ]
     for call in calls:
-        for tol in (np.nan, np.inf, -np.inf, 0.0, -1e-3, "x", None, [1e-6], 1e-6j):
+        for tol in (np.nan, np.inf, -np.inf, 0.0, -1e-3, "x", None, [1e-6], 1e-6j, True):
             with pytest.raises(ValueError, match="finite positive"):
                 call(tol)
         call(1e-6)
@@ -255,6 +256,22 @@ def test_solve_cover_diagonal_case():
     assert abs(sol.primal - 1.0) < 1e-7
     assert np.allclose(sol.p, [0.7, 0.3], atol=1e-5)
     assert sol.gap <= 1e-8
+
+
+@pytest.mark.parametrize("coeffs, optimum", [
+    (-np.eye(3), 0.0),
+    (np.diag([1.0, -2.0, -3.0]), 1.0),
+    (np.array([[0.0, 1.0], [1.0, -5.0]]), 0.2),
+], ids=["negative", "diagonal_indefinite", "indefinite"])
+def test_solve_cover_certifies_from_its_unit_start(coeffs, optimum):
+    # C <= 0 takes the start x = 1, since x = 2 lam_max(C) <= 0 is not strictly
+    # feasible, and its optimum x = 0 lies on the boundary x >= 0; an indefinite C starts at
+    # 2 lam_max(C) and ends with weights at 0 as well. Optima: 0; 1, at
+    # x = (1, 0, 0); and 0.2, at x = (0.2, 0), where x_1 (x_2 + 5) >= 1 binds
+    sol = solve_cover(coeffs.astype(complex), gap_tol=1e-8)
+    assert abs(sol.primal - optimum) <= 1e-8
+    assert sol.gap <= 1e-8
+    assert np.linalg.eigvalsh(np.diag(sol.p) - coeffs)[0] >= -1e-12
 
 
 def _cover_cases(rng):

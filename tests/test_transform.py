@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -495,6 +496,34 @@ def test_self_conversion_completion_matches_the_operator_form(monkeypatch):
             assert is_free_kraus(got, basis) is not None
         assert Channel(tuple(scaled) + completion).is_trace_preserving
     assert present >= 30 and absent >= 1
+
+
+def test_conversion_solutions_pickle_with_the_completion_unread_and_read():
+    # a deterministic solution keeps its completion builder as a partial of a
+    # module-level function, so it pickles before and after the first read, and
+    # the copy builds, or keeps, the completion the original read: none at the
+    # qubit self-conversion, one operator at support 2 of 3 and three at the
+    # support-3 candidate; a pair below 1 - gap_tol pickles and reads None
+    qubit = qubit_free_basis(0.5)
+    source = qubit_state(np.pi / 2, 0.0)
+    plane = orthonormal_basis(3)
+    two = PureState.normalized(plane.state(0) + plane.state(1))
+    candidate = candidate_states_d3()[0]
+    sizes = []
+    for psi, basis in ((source, qubit), (two, plane), (candidate, symmetric_basis_d3())):
+        sol = max_conversion_prob(psi, psi, basis)
+        unread = pickle.loads(pickle.dumps(sol))
+        completion = sol.completion
+        read = pickle.loads(pickle.dumps(sol))
+        sizes.append(len(completion))
+        for copy in (unread, read):
+            assert np.array_equal(copy.p, sol.p) and (copy.value, copy.gap) == (sol.value, sol.gap)
+            assert len(copy.completion) == len(completion)
+            assert all(np.array_equal(got, want) for got, want in zip(copy.completion, completion))
+    assert sizes == [0, 1, 3]
+    sol = max_conversion_prob(source, qubit_state(1.1, 2.0), qubit)
+    copy = pickle.loads(pickle.dumps(sol))
+    assert sol.value < 1.0 - 1e-7 and copy.value == sol.value and copy.completion is None
 
 
 @pytest.mark.xfail(strict=True, reason="at support r < d max_conversion_prob optimizes only "
