@@ -1,9 +1,9 @@
 """Free bases: normalized, linearly independent (generally non-orthogonal) sets.
 
-A ``FreeBasis`` holds the column matrix ``vectors`` of the pure free states,
-their Gram matrix, and the reciprocal frame ``reciprocal`` whose columns are
-the unique vectors biorthogonal to the free states
-(``reciprocal.conj().T @ vectors == identity``).
+A ``FreeBasis`` is built from the column matrix ``vectors`` of the pure free
+states, which it checks, and derives their Gram matrix and the reciprocal frame
+``reciprocal`` whose columns are the unique vectors biorthogonal to the free
+states (``reciprocal.conj().T @ vectors == identity``).
 """
 
 from __future__ import annotations
@@ -13,28 +13,38 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, LinearlyDependent, NotNormalized
-from .linalg import as_complex_matrix, dagger
+from .linalg import _Record, as_complex_matrix, dagger
 
 INDEPENDENCE_THRESHOLD = 1e-8
 UNIT_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class FreeBasis:
-    """The d pure free states, their Gram matrix, and the reciprocal frame;
-    ``new_free_basis`` builds all three read-only."""
+class FreeBasis(_Record):
+    """The d pure free states, the columns of ``vectors``, kept at unit norm in the basis's
+    own array, and the Gram matrix, reciprocal frame and sigma_min derived from them; all
+    read-only. ``NotNormalized``, ``DimensionMismatch`` or ``LinearlyDependent`` (checked
+    in that order) unless the columns are a normalized independent set of d >= 2 in C^d."""
 
-    vectors: np.ndarray      # (d, d), column i is the i-th free state
-    gram: np.ndarray         # vectors' @ vectors
-    reciprocal: np.ndarray   # (vectors')^{-1}, column i biorthogonal to column j
-    sigma_min: float         # smallest singular value of `vectors`
+    vectors: np.ndarray                          # (d, d), column i is the i-th free state
+    gram: np.ndarray = field(init=False)         # vectors' @ vectors
+    reciprocal: np.ndarray = field(init=False)   # (vectors')^{-1}, column i biorthogonal to column j
+    sigma_min: float = field(init=False)         # smallest singular value of `vectors`
     d: int = field(init=False)
-    _reciprocal_dagger: np.ndarray = field(init=False, repr=False)   # read-only W'
+    _reciprocal_dagger: np.ndarray = field(init=False, repr=False)   # W'
 
     def __post_init__(self):
-        object.__setattr__(self, "d", self.vectors.shape[0])
-        object.__setattr__(self, "_reciprocal_dagger", w_dagger := dagger(self.reciprocal))
-        w_dagger.flags.writeable = False
+        v = as_complex_matrix(self.vectors, "basis columns")
+        norms = np.linalg.norm(v, axis=0)
+        bad = np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
+        if bad.size:
+            raise NotNormalized(f"column {bad[0]} has norm {norms[bad[0]]:.12g}")
+        # stored at unit norm for the tighter checks downstream; dividing by 1.0 keeps a column's bits
+        v = v / np.where(np.abs(norms - 1.0) > 1e-12, norms, 1.0)
+        smin = _sigma_min(v)
+        reciprocal = np.linalg.inv(dagger(v))
+        self._store(vectors=v, gram=dagger(v) @ v, reciprocal=reciprocal, sigma_min=smin,
+                    d=v.shape[0], _reciprocal_dagger=dagger(reciprocal))
 
     def state(self, i: int) -> np.ndarray:
         """The i-th pure free state (computational-frame amplitudes)."""
@@ -61,26 +71,8 @@ def _sigma_min(v: np.ndarray) -> float:
 
 
 def new_free_basis(columns) -> FreeBasis:
-    """Build and validate a free basis from a sequence of column vectors.
-
-    Raises ``NotNormalized``, ``DimensionMismatch`` or ``LinearlyDependent``
-    (checked in that order) when the columns do not form a normalized linearly
-    independent set of d >= 2 vectors in dimension d.
-    """
-    v = as_complex_matrix(np.column_stack([np.asarray(c, dtype=complex) for c in columns]),
-                          "basis columns")
-    norms = np.linalg.norm(v, axis=0)
-    bad = np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
-    if bad.size:
-        raise NotNormalized(f"column {bad[0]} has norm {norms[bad[0]]:.12g}")
-    # stored at unit norm for the tighter checks downstream; dividing by 1.0 keeps a column's bits
-    v = v / np.where(np.abs(norms - 1.0) > 1e-12, norms, 1.0)
-    smin = _sigma_min(v)
-    gram = dagger(v) @ v
-    reciprocal = np.linalg.inv(dagger(v))
-    for array in (v, gram, reciprocal):
-        array.flags.writeable = False
-    return FreeBasis(vectors=v, gram=gram, reciprocal=reciprocal, sigma_min=smin)
+    """``FreeBasis`` of a sequence of column vectors."""
+    return FreeBasis(np.column_stack([np.asarray(c, dtype=complex) for c in columns]))
 
 
 def filter_probability(basis: FreeBasis) -> float:
@@ -97,16 +89,14 @@ def tensor_basis(basis_a: FreeBasis, basis_b: FreeBasis) -> FreeBasis:
 
     Column ordering is row-major in (i, j): index k = i * d_b + j.
     """
-    v = np.kron(basis_a.vectors, basis_b.vectors)
-    return new_free_basis([v[:, k] for k in range(v.shape[1])])
+    return FreeBasis(np.kron(basis_a.vectors, basis_b.vectors))
 
 
 def orthonormal_basis(d: int) -> FreeBasis:
     """The computational basis (the coherence-theory limit)."""
-    return new_free_basis(list(np.eye(d, dtype=complex).T))
+    return FreeBasis(np.eye(d, dtype=complex))
 
 
 def symmetric_basis_d3() -> FreeBasis:
     """The d=3 basis of pairwise overlap 1/2: columns (0,1,1), (1,0,1), (1,1,0) over sqrt(2)."""
-    cols = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex).T / np.sqrt(2)
-    return new_free_basis([cols[:, i] for i in range(3)])
+    return FreeBasis(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex) / np.sqrt(2))

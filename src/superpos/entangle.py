@@ -25,7 +25,11 @@ class ConversionMap:
     splitter: np.ndarray       # (d*d, d): |c_i> -> |s_i> (x) |s_i>
     local_filter: np.ndarray   # sqrt(p) V_s^{-1}, applied on each side
     probability: float         # per-side filter success probability p
-    success_probability: float # both sides: p**2
+
+    @property
+    def success_probability(self) -> float:
+        """Both sides: p**2."""
+        return self.probability ** 2
 
     def convert(self, psi: PureState) -> np.ndarray:
         """Unnormalized filtered output of the full conversion."""
@@ -49,8 +53,7 @@ def faithful_conversion(basis: FreeBasis, locals_=None) -> ConversionMap:
     splitter = np.einsum("ai,bi->abi", local.vectors, local.vectors).reshape(d * d, d) \
         @ dagger(basis.reciprocal)
     local_filter = np.sqrt(p) * dagger(local.reciprocal)
-    return ConversionMap(splitter=splitter, local_filter=local_filter,
-                         probability=p, success_probability=p ** 2)
+    return ConversionMap(splitter=splitter, local_filter=local_filter, probability=p)
 
 
 def verify_faithful(conv: ConversionMap, psi: PureState, basis: FreeBasis) -> bool:

@@ -22,7 +22,7 @@ from .errors import (
     NotSubnormalized,
     NotTracePreserving,
 )
-from .linalg import as_complex_matrix, as_tolerance, dagger, hermitian_part
+from .linalg import _Record, as_complex_matrix, as_tolerance, dagger, hermitian_part
 from .states import DensityMatrix, free_expansion, free_mixture, is_free
 
 TP_TOL = 1e-9
@@ -49,7 +49,7 @@ class FreeKrausForm:
 
 
 @dataclass(frozen=True, eq=False)
-class Channel:
+class Channel(_Record):
     """Kraus-operator collection, trace non-increasing by construction.
 
     The operators, square matrices of one shape given as a sequence or as an
@@ -72,11 +72,7 @@ class Channel:
         np.matmul(stack.conj().transpose(0, 2, 1), stack, out=terms[1:])
         defect = np.subtract.reduce(terms)   # I - K_1'K_1 - K_2'K_2 - ..., in operator order
         eig = np.linalg.eigh(hermitian_part(defect))
-        for array in (stack, defect, *eig):
-            array.flags.writeable = False
-        object.__setattr__(self, "kraus", stack)
-        object.__setattr__(self, "defect", defect)
-        object.__setattr__(self, "defect_eig", eig)
+        self._store(kraus=stack, defect=defect, defect_eig=eig)
         wmin = float(eig[0][0])
         if wmin < -TP_TOL:
             raise NotSubnormalized(f"sum K'K exceeds identity by {-wmin:.3e}")

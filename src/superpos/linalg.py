@@ -1,5 +1,6 @@
 """Dense complex matrix helpers: the input rules for matrices and tolerances,
-Hermitian eigendecomposition, fidelity and partial traces.
+Hermitian eigendecomposition, fidelity and partial traces, and the base of the
+records that check their own fields.
 
 All routines operate on plain ``numpy`` arrays and are pure functions; the
 dimensions encountered in this library are tiny (d <= 8), so robustness is
@@ -8,9 +9,27 @@ preferred over asymptotic speed everywhere.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .errors import DimensionMismatch, NonHermitian
+
+
+class _Record:
+    """Base of the frozen records that check their init fields and derive the rest in
+    ``__post_init__``: a pickle or a copy rebuilds one through its constructor."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def _store(self, **values) -> None:
+        """Set fields of the frozen record, each array (or tuple of arrays) made read-only."""
+        for name, value in values.items():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ of ``sdp``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class MeasureReport:
     """A nonnegative measure value plus an optional certificate payload."""
 
     value: float
-    convention: str = LOG_CONVENTION
+    convention: ClassVar[str] = LOG_CONVENTION
     certificate: Any = None
     upper_bound: bool = False
     extra: dict = field(default_factory=dict)

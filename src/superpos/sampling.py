@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import FreeBasis, new_free_basis
+from .basis import FreeBasis
 from .kraus import FreeKrausForm
 from .states import DensityMatrix, PureState, free_mixture
 
@@ -47,13 +47,16 @@ def random_basis(d: int, rng: np.random.Generator, min_sigma: float = 0.1) -> Fr
     """Random normalized basis, resampled until sigma_min >= min_sigma.
 
     The floor keeps the reciprocal frame well conditioned so that
-    biorthogonality holds to ~1e-12 in double precision.
+    biorthogonality holds to ~1e-12 in double precision. Unit-norm columns have
+    sigma_min <= 1, so ``ValueError`` unless 0 <= min_sigma < 1.
     """
+    if not 0.0 <= min_sigma < 1.0:   # written so that NaN fails
+        raise ValueError(f"min_sigma must lie in [0, 1), got {min_sigma}")
     while True:
         v = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         v /= np.linalg.norm(v, axis=0)
         if np.linalg.svd(v, compute_uv=False)[-1] >= min_sigma:
-            return new_free_basis([v[:, i] for i in range(d)])
+            return FreeBasis(v)
 
 
 def random_free_state(basis: FreeBasis, rng: np.random.Generator) -> DensityMatrix:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadData, NoConvergence
-from .linalg import as_hermitian_matrix, as_tolerance, hermitian_part, psd_part
+from .linalg import _Record, as_hermitian_matrix, as_tolerance, hermitian_part, psd_part
 
 DEFAULT_GAP_TOL = 1e-7
 _PSD_DATA_TOL = 1e-9
@@ -40,24 +40,19 @@ _STEP = 0.95
 
 
 @dataclass(frozen=True, eq=False)
-class LmiProblem:
-    """Data of "maximize sum p_n s.t. sum p_n A_n <= 1": the PSD matrices A_n,
-    stacked as one read-only (n, k, k) array ``operators``.
-
-    ``from_matrices`` builds it and keeps each operator's largest eigenvalue,
-    from which ``solve_lmi`` takes its strictly feasible start.
-    """
+class LmiProblem(_Record):
+    """Data of "maximize sum p_n s.t. sum p_n A_n <= 1": the PSD matrices A_n, stacked as
+    one read-only (n, k, k) array ``operators``, and each one's largest eigenvalue, from
+    which ``solve_lmi`` takes its strictly feasible start. One ``as_hermitian_matrix`` pass
+    raises ``DimensionMismatch`` unless the A_n are at least one and share one square
+    shape; ``BadData`` unless each is PSD and nonzero beyond _PSD_DATA_TOL * max(1, |A_n|)."""
 
     operators: np.ndarray
-    dim: int
-    _lambda_max: np.ndarray = field(repr=False)
+    dim: int = field(init=False)
+    _lambda_max: np.ndarray = field(init=False, repr=False)
 
-    @staticmethod
-    def from_matrices(mats) -> "LmiProblem":
-        """One ``as_hermitian_matrix`` pass over the stack, which raises ``DimensionMismatch``
-        unless the A_n are at least one and share one square shape; ``BadData`` unless each
-        is PSD and nonzero beyond its floor _PSD_DATA_TOL * max(1, |A_n|)."""
-        ops = as_hermitian_matrix(mats, "A_n", stack=True)
+    def __post_init__(self):
+        ops = as_hermitian_matrix(self.operators, "A_n", stack=True)
         w = np.linalg.eigvalsh(ops)
         floor = _PSD_DATA_TOL * np.maximum(1.0, np.linalg.norm(ops, axis=(1, 2)))
         negative = np.flatnonzero(w[:, 0] < -floor)
@@ -67,8 +62,12 @@ class LmiProblem:
         zero = np.flatnonzero(w[:, -1] <= floor)
         if zero.size:
             raise BadData(f"constraint matrix {zero[0]} is zero (largest eigenvalue {w[zero[0], -1]:.3e})")
-        ops.flags.writeable = False
-        return LmiProblem(operators=ops, dim=ops.shape[1], _lambda_max=w[:, -1])
+        self._store(operators=ops, dim=ops.shape[1], _lambda_max=w[:, -1])
+
+    @staticmethod
+    def from_matrices(mats) -> "LmiProblem":
+        """``LmiProblem`` of the A_n, a sequence of matrices or an (n, k, k) array."""
+        return LmiProblem(mats)
 
 
 @dataclass(frozen=True, eq=False)

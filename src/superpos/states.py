@@ -9,7 +9,7 @@ import numpy as np
 
 from .basis import FreeBasis
 from .errors import DimensionMismatch, InvalidState, NonHermitian, NotNormalized
-from .linalg import as_hermitian_matrix, as_tolerance, dagger, herm_eig
+from .linalg import _Record, as_hermitian_matrix, as_tolerance, dagger, herm_eig
 
 PURE_NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -19,7 +19,7 @@ RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Record):
     """State vector in the computational frame: 1-D amplitudes of unit norm, ``amp`` read-only."""
 
     amp: np.ndarray
@@ -51,7 +51,7 @@ class PureState:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """Hermitian, positive semidefinite, unit-trace operator; ``mat`` is read-only."""
 
     mat: np.ndarray
@@ -67,8 +67,7 @@ class DensityMatrix:
         wmin = float(np.linalg.eigvalsh(m)[0])
         if wmin < -PSD_TOL:
             raise InvalidState(f"negative eigenvalue {wmin:.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
+        self._store(mat=m)
 
     @property
     def dim(self) -> int:
@@ -110,7 +109,7 @@ def free_mixture(basis: FreeBasis, weights) -> DensityMatrix:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (basis.d,):
         raise DimensionMismatch(f"need {basis.d} weights, got shape {weights.shape}")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > TRACE_TOL:
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= TRACE_TOL):   # so that NaN fails
         raise InvalidState("weights must form a probability distribution")
     v = basis.vectors
     return DensityMatrix((v * weights) @ dagger(v))

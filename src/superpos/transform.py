@@ -25,7 +25,7 @@ import numpy as np
 from .basis import FreeBasis, symmetric_basis_d3
 from .errors import NoConvergence, RankMismatch, SupportTooLarge
 from .kraus import FreeKrausForm, complete_free
-from .linalg import as_tolerance
+from .linalg import _Record, as_tolerance
 from .sdp import LmiProblem, SdpSolution, solve_lmi
 from .states import PureState, free_support
 
@@ -33,13 +33,16 @@ MAX_SUPPORT = 5  # r! operators; 5! = 120 is the desk-scale cap
 
 
 @dataclass(frozen=True, eq=False)
-class TransformerSet:
+class TransformerSet(_Record):
     """The r! free operators sending the source state to the target exactly and vanishing
-    off its support, stacked as one read-only (r!, d, d) array ``operators``."""
+    off its support, stacked as one read-only (r!, d, d) array ``operators``, the set's own copy."""
 
     support_source: tuple
     support_target: tuple
     operators: np.ndarray
+
+    def __post_init__(self):
+        self._store(operators=np.array(self.operators, dtype=complex))
 
 
 def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> TransformerSet:
@@ -65,9 +68,7 @@ def enumerate_transformers(psi: PureState, phi: PureState, basis: FreeBasis) -> 
     coeffs[:, rows] = dst[images] / src[rows]
     index_fn = np.tile(np.arange(basis.d), (len(images), 1))
     index_fn[:, rows] = images
-    operators = FreeKrausForm(coeffs, index_fn).matrix(basis)
-    operators.flags.writeable = False
-    return TransformerSet(support_source=support_r, support_target=support_s, operators=operators)
+    return TransformerSet(support_r, support_s, FreeKrausForm(coeffs, index_fn).matrix(basis))
 
 
 def _dot(u, v) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from superpos.basis import (
+    FreeBasis,
     filter_probability,
     new_free_basis,
     orthonormal_basis,
@@ -25,6 +26,16 @@ def test_basis_arrays_are_read_only():
             array[:, 0] *= 3
     assert np.allclose(b.reciprocal.conj().T @ b.vectors, np.eye(3), atol=1e-12)
     b.state(0)[0] = 1.0  # state() returns a writable copy
+
+
+def test_free_basis_keeps_its_own_copy_of_the_callers_array():
+    # the basis checks and rescales the columns it is given into its own array,
+    # so the caller's array stays writable and a later write does not reach it
+    v = np.array([[1, 0.6], [0, 0.8]], dtype=complex)
+    b = FreeBasis(v)
+    assert v.flags.writeable and not b.vectors.flags.writeable
+    v[:, 1] = [0, 1]
+    assert np.array_equal(b.vectors, [[1, 0.6], [0, 0.8]]) and abs(b.gram[0, 1] - 0.6) < 1e-15
 
 
 def test_to_free_frame_is_the_reciprocal_dagger_product():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from superpos import measures
-from superpos.basis import orthonormal_basis, symmetric_basis_d3
+from superpos.basis import FreeBasis, orthonormal_basis, symmetric_basis_d3
 from superpos.cli import _load_pure
-from superpos.errors import DimensionMismatch, InvalidState, NotNormalized, SchemaViolation
+from superpos.errors import BadData, DimensionMismatch, InvalidState, NotNormalized, SchemaViolation
 from superpos.kraus import Channel, apply_channel, complete_free, is_free_kraus, reduce_ancilla
 from superpos.linalg import as_tolerance, fidelity, partial_trace
 from superpos.qubit import (
@@ -39,6 +39,10 @@ def _load_mixed_as_pure(tmp_path):
 
 # (call, error type, start of the message); the call takes a scratch directory
 CHECKS = {
+    "basis.FreeBasis.norm": (lambda tmp: FreeBasis(2 * np.eye(2)),
+                             NotNormalized, "column 0 has norm 2"),
+    "basis.FreeBasis.derived_field": (lambda tmp: FreeBasis(vectors=np.eye(2), gram=np.eye(2)),
+                                      TypeError, "FreeBasis.__init__() got an unexpected keyword argument 'gram'"),
     "basis.to_free_frame": (lambda tmp: B3.to_free_frame(np.ones(2)),
                             DimensionMismatch, "amplitude shape (2,) != (3,)"),
     "cli.state_rank_of_a_mixed_state": (_load_mixed_as_pure, SchemaViolation,
@@ -97,6 +101,12 @@ CHECKS = {
                                 ValueError, "rank must be at least 1, got 0"),
     "sampling.random_density.rank_above_d": (lambda tmp: random_density(3, make_rng(1), rank=4),
                                              ValueError, "rank must be at most 3, got 4"),
+    "sampling.random_basis.min_sigma": (lambda tmp: random_basis(3, make_rng(1), min_sigma=1.5),
+                                        ValueError, "min_sigma must lie in [0, 1), got 1.5"),
+    "sampling.random_basis.min_sigma_nan": (lambda tmp: random_basis(3, make_rng(1), min_sigma=np.nan),
+                                            ValueError, "min_sigma must lie in [0, 1), got nan"),
+    "sdp.LmiProblem.negative": (lambda tmp: LmiProblem(np.array([-np.eye(2)])),
+                                BadData, "constraint matrix has negative eigenvalue -1.000e+00"),
     "sdp.LmiProblem.from_matrices.empty": (lambda tmp: LmiProblem.from_matrices([]),
                                            DimensionMismatch, "need at least one A_n"),
     "sdp.LmiProblem.from_matrices.mixed_shapes": (lambda tmp: LmiProblem.from_matrices([np.eye(2), np.eye(3)]),
@@ -111,6 +121,8 @@ CHECKS = {
                                   DimensionMismatch, "need 3 weights, got shape (2,)"),
     "states.free_mixture.weights": (lambda tmp: free_mixture(B3, [0.5, 0.6, -0.1]),
                                     InvalidState, "weights must form a probability distribution"),
+    "states.free_mixture.nan_weights": (lambda tmp: free_mixture(B2, [np.nan, 1.0]),
+                                        InvalidState, "weights must form a probability distribution"),
 }
 
 

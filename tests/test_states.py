@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from superpos.errors import DimensionMismatch, InvalidState, NotNormalized
 from superpos.game import build_game
 from superpos.kraus import Channel, FreeKrausForm, is_free_kraus
 from superpos.measures import l1_measure, robustness
-from superpos.qubit import build_phi, qubit_free_basis
+from superpos.qubit import build_phi, qubit_free_basis, qubit_state
 from superpos.sdp import LmiProblem, solve_lmi
 from superpos.sampling import haar_state, make_rng, random_basis, random_free_operator
 from superpos.states import (
@@ -274,3 +275,31 @@ def test_array_holding_dataclasses_compare_by_identity():
         assert (record == record) is True and (record == twin) is False
         assert (record != twin) is True
         assert record in records and twin not in records
+
+
+def test_records_unpickle_through_their_constructors():
+    # a pickle rebuilds each record through its constructor: every array comes back
+    # read-only and bit-equal, and so do the values the record derives when built
+    b = qubit_free_basis(0.5)
+    psi, phi = qubit_state(np.pi / 2, 0.0), qubit_state(1.1, 2.0)
+    transformers = enumerate_transformers(psi, phi, b)
+    cases = [
+        (b, ("vectors", "gram", "reciprocal", "sigma_min", "_reciprocal_dagger", "d")),
+        (psi, ("amp",)),
+        (free_mixture(b, [0.3, 0.7]), ("mat",)),
+        (Channel((np.sqrt(0.5) * np.eye(2), 0.5 * np.eye(2))), ("kraus", "defect", "defect_eig")),
+        (LmiProblem.from_matrices(transformers.operators.conj().transpose(0, 2, 1) @ transformers.operators),
+         ("operators", "dim", "_lambda_max")),
+        (transformers, ("support_source", "support_target", "operators")),
+    ]
+    for record, names in cases:
+        twin = pickle.loads(pickle.dumps(record))
+        assert type(twin) is type(record)
+        for name in names:
+            got, want = getattr(twin, name), getattr(record, name)
+            for g, w in zip(got, want, strict=True) if isinstance(want, tuple) else [(got, want)]:
+                if isinstance(w, np.ndarray):
+                    assert not g.flags.writeable, (type(record).__name__, name)
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                else:
+                    assert type(g) is type(w) and g == w
