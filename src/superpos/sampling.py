@@ -48,7 +48,8 @@ def random_basis(d: int, rng: np.random.Generator, min_sigma: float = 0.1) -> Fr
 
     The floor keeps the reciprocal frame well conditioned so that
     biorthogonality holds to ~1e-12 in double precision. Unit-norm columns have
-    sigma_min <= 1, so ``ValueError`` unless 0 <= min_sigma < 1.
+    sigma_min <= 1, so ``ValueError`` unless 0 <= min_sigma < 1; the expected
+    number of draws grows without bound as min_sigma nears 1.
     """
     if not 0.0 <= min_sigma < 1.0:   # written so that NaN fails
         raise ValueError(f"min_sigma must lie in [0, 1), got {min_sigma}")

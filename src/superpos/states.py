@@ -31,8 +31,7 @@ class PureState(_Record):
         norm = math.sqrt(amp.real.dot(amp.real) + amp.imag.dot(amp.imag))   # as in np.linalg.norm
         if not abs(norm - 1.0) <= PURE_NORM_TOL:   # written so that NaN fails
             raise NotNormalized(f"state norm {norm:.12g} != 1")
-        amp.flags.writeable = False
-        object.__setattr__(self, "amp", amp)
+        self._store(amp=amp)
 
     @property
     def dim(self) -> int:
