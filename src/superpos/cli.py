@@ -9,6 +9,7 @@ digits. Exit codes: 0 success, 2 parse/validation error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import entangle, game, kraus, measures, qubit, serialize, transform
@@ -132,14 +133,7 @@ def _qubit_heatmap(args) -> str:
 def _game_simulate(args) -> dict:
     spec = game.build_game(args.basis)
     stats = game.simulate(spec, args.input_kind, args.turns, args.seed)
-    return {
-        "turns": stats.turns,
-        "conclusive_turns": stats.conclusive_turns,
-        "wins": stats.wins,
-        "losses": stats.losses,
-        "win_rate": stats.win_rate,
-        "p": spec.p,
-    }
+    return {**dataclasses.asdict(stats), "win_rate": stats.win_rate, "p": spec.p}
 
 
 def _entangle_convert(args) -> dict:

@@ -20,13 +20,14 @@ into outcomes, answers and wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import FreeBasis, _sigma_min, filter_probability
 from .errors import DimensionMismatch
 from .kraus import Channel, complete_free
+from .linalg import _Record
 from .sampling import make_rng
 from .states import PureState
 
@@ -35,13 +36,23 @@ _BLOCK_TURNS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
-class GameSpec:
-    """Alice's operation: d informative free operators plus their completion."""
+class GameSpec(_Record):
+    """Alice's operation on ``basis``, derived from it and read-only (``build_game`` is its
+    call form): d informative free operators at p = the basis's filter probability, which
+    saturates ``sum_n K_n'K_n = p sum_j |c_j^perp><c_j^perp| <= 1``, plus their completion."""
 
     basis: FreeBasis
-    p: float
-    informative: tuple   # Kraus operators for outcomes 1..d
-    restart: tuple       # free completion, outcome 0
+    p: float = field(init=False)
+    informative: tuple = field(init=False)   # Kraus operators for outcomes 1..d
+    restart: tuple = field(init=False)       # free completion, outcome 0
+
+    def __post_init__(self):
+        basis, d = self.basis, self.basis.d
+        p = filter_probability(basis)
+        j = np.arange(1, d + 1)
+        phase = np.exp(2j * np.pi * j * j[:, None] / d)[:, None, :]  # [n - 1, :, j - 1]
+        ops = tuple((np.sqrt(p / d) * (basis.vectors * phase)) @ basis.reciprocal.conj().T)
+        self._store(p=p, informative=ops, restart=tuple(complete_free(ops, basis)))
 
     @property
     def channel(self) -> Channel:
@@ -64,17 +75,8 @@ class GameStats:
 
 
 def build_game(basis: FreeBasis) -> GameSpec:
-    """Assemble the selective operation at the maximum feasible p.
-
-    p is the filter probability of the basis, which saturates
-    ``sum_n K_n'K_n = p sum_j |c_j^perp><c_j^perp| <= 1``.
-    """
-    d = basis.d
-    p = filter_probability(basis)
-    j = np.arange(1, d + 1)
-    phase = np.exp(2j * np.pi * j * j[:, None] / d)[:, None, :]  # [n - 1, :, j - 1]
-    ops = tuple((np.sqrt(p / d) * (basis.vectors * phase)) @ basis.reciprocal.conj().T)
-    return GameSpec(basis=basis, p=p, informative=ops, restart=tuple(complete_free(ops, basis)))
+    """``GameSpec(basis)``: the selective operation at the maximum feasible p."""
+    return GameSpec(basis)
 
 
 def uniform_superposition(basis: FreeBasis) -> PureState:
@@ -122,6 +124,8 @@ def discriminate(states: list[PureState], received: PureState,
     A conclusive result identifies the received state with zero error; None
     signals the inconclusive outcome. Deterministic for a given seed.
     """
+    if len(states) == 0:
+        raise DimensionMismatch("need at least one state to discriminate among")
     dims = sorted({s.dim for s in states})
     if len(dims) > 1:
         raise DimensionMismatch(f"ensemble states differ in dimension: {dims}")

@@ -42,9 +42,13 @@ class FreeKrausForm:
     index_fn: np.ndarray  # (..., d) int, output label per input label
 
     def matrix(self, basis: FreeBasis) -> np.ndarray:
-        """The operator(s) on ``basis``, (..., d, d), each summed term by term in label order."""
-        v, w = basis.vectors, basis.reciprocal
-        outers = v.T[self.index_fn][..., None] * w.conj().T[:, None, :]
+        """The operator(s) on ``basis``, (..., d, d), each summed term by term in label order;
+        ``ValueError`` naming the first label that is not an integer in [0, d)."""
+        v, w, labels = basis.vectors, basis.reciprocal, np.asarray(self.index_fn)
+        bad = labels[(labels < 0) | (labels >= basis.d)] if labels.dtype.kind in "iu" else labels.ravel()
+        if bad.size:
+            raise ValueError(f"index_fn label {bad[0]} is not an integer in [0, {basis.d})")
+        outers = v.T[labels][..., None] * w.conj().T[:, None, :]
         return (np.asarray(self.coeffs)[..., None, None] * outers).sum(axis=-3)
 
 

@@ -8,8 +8,10 @@ import pytest
 from superpos import measures
 from superpos.basis import FreeBasis, orthonormal_basis, symmetric_basis_d3
 from superpos.cli import _load_pure
+from superpos.entangle import ConversionMap
 from superpos.errors import BadData, DimensionMismatch, InvalidState, NotNormalized, SchemaViolation
-from superpos.kraus import Channel, apply_channel, complete_free, is_free_kraus, reduce_ancilla
+from superpos.game import GameSpec, discriminate
+from superpos.kraus import Channel, FreeKrausForm, apply_channel, complete_free, is_free_kraus, reduce_ancilla
 from superpos.linalg import as_tolerance, fidelity, partial_trace
 from superpos.qubit import (
     bloch_vector,
@@ -47,10 +49,20 @@ CHECKS = {
                             DimensionMismatch, "amplitude shape (2,) != (3,)"),
     "cli.state_rank_of_a_mixed_state": (_load_mixed_as_pure, SchemaViolation,
                                         "/: this command needs a pure state ('amp' schema)"),
+    "entangle.ConversionMap.derived_field": (lambda tmp: ConversionMap(B3, B3, probability=7.0), TypeError,
+                                             "ConversionMap.__init__() got an unexpected keyword argument 'probability'"),
+    "game.GameSpec.derived_field": (lambda tmp: GameSpec(B2, p=0.5),
+                                    TypeError, "GameSpec.__init__() got an unexpected keyword argument 'p'"),
+    "game.discriminate.empty": (lambda tmp: discriminate([], PureState(np.array([1, 0])), 0),
+                                DimensionMismatch, "need at least one state"),
     "kraus.Channel.empty": (lambda tmp: Channel([]),
                             DimensionMismatch, "need at least one Kraus operator"),
     "kraus.Channel.mixed_shapes": (lambda tmp: Channel((0.5 * np.eye(2), 0.5 * np.eye(3))),
                                    DimensionMismatch, "Kraus operator stack members must share one shape"),
+    "kraus.FreeKrausForm.negative_label": (lambda tmp: FreeKrausForm(np.ones(3), np.array([-1, 0, 1])).matrix(B3),
+                                           ValueError, "index_fn label -1 is not an integer in [0, 3)"),
+    "kraus.FreeKrausForm.label_above_d": (lambda tmp: FreeKrausForm(np.ones(3), np.array([0, 5, 1])).matrix(B3),
+                                          ValueError, "index_fn label 5 is not an integer in [0, 3)"),
     "kraus.is_free_kraus": (lambda tmp: is_free_kraus(np.eye(2), B3),
                             DimensionMismatch, "operator shape (2, 2) != (3, 3)"),
     "kraus.apply_channel": (lambda tmp: apply_channel(Channel([np.eye(2)]), RHO3),
@@ -83,6 +95,8 @@ CHECKS = {
                               ValueError, "theta must be a finite angle, got nan"),
     "qubit.kraus_from_choi": (lambda tmp: kraus_from_choi(np.eye(3)),
                               DimensionMismatch, "Choi matrix shape (3, 3) != (4, 4)"),
+    "qubit.kraus_from_choi.not_cp": (lambda tmp: kraus_from_choi(np.diag([1.0, 0.0, 0.0, -0.1])),
+                                     InvalidState, "Choi matrix has eigenvalue -1.000e-01: not CP"),
     "qubit.free_qubit_kraus": (lambda tmp: free_qubit_kraus(5, (1.0, 1.0), 0.5),
                                ValueError, "kind must be 1..4, got 5"),
     "qubit.free_qubit_kraus.params": (lambda tmp: free_qubit_kraus(1, (np.nan, 1.0), 0.5),

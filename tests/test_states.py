@@ -291,6 +291,8 @@ def test_records_unpickle_through_their_constructors():
         (LmiProblem.from_matrices(transformers.operators.conj().transpose(0, 2, 1) @ transformers.operators),
          ("operators", "dim", "_lambda_max")),
         (transformers, ("support_source", "support_target", "operators")),
+        (build_game(b), ("p", "informative", "restart")),
+        (faithful_conversion(symmetric_basis_d3()), ("splitter", "local_filter", "probability")),
     ]
     for record, names in cases:
         twin = pickle.loads(pickle.dumps(record))
