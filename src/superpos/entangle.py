@@ -58,9 +58,8 @@ def faithful_conversion(basis: FreeBasis, locals_=None) -> ConversionMap:
     return ConversionMap(basis, orthonormal_basis(basis.d) if locals_ is None else new_free_basis(locals_))
 
 
-def verify_faithful(conv: ConversionMap, psi: PureState, basis: FreeBasis) -> bool:
+def verify_faithful(conv: ConversionMap, psi: PureState) -> bool:
     """True iff the filtered output's Schmidt rank, counting singular values
-    above 1e-8, equals the superposition rank."""
-    out = conv.convert(psi)
-    return schmidt_rank(PureState.normalized(out), basis.d, basis.d, 1e-8) \
-        == superposition_rank(psi, basis)
+    above 1e-8, equals the superposition rank in the conversion's basis."""
+    d = conv.basis.d
+    return schmidt_rank(PureState.normalized(conv.convert(psi)), d, d, 1e-8) == superposition_rank(psi, conv.basis)

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadData, NoConvergence
-from .linalg import _Record, as_hermitian_matrix, as_tolerance, hermitian_part, psd_part
+from .linalg import _Record, as_hermitian_matrix, as_tolerance, psd_part
 
 DEFAULT_GAP_TOL = 1e-7
 _PSD_DATA_TOL = 1e-9
@@ -107,15 +107,15 @@ def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | Non
     return y / m if sense * m > sense else y
 
 
-def _step_lengths(yz_linv: np.ndarray, dy, dz, s, ds, p, dp) -> tuple[float, float]:
+def _step_lengths(linv: np.ndarray, linv_h: np.ndarray, dy, dz, s, ds, p, dp) -> tuple[float, float]:
     """Steps for (Y, s) and for (p, Z): ``_STEP`` of the way to the boundary, at most 1.
 
-    ``yz_linv`` stacks the inverse Cholesky factors of Y and Z. With L the factor
-    of Y, Y + a dY >= 0 for every a up to -1/lam_min(L^-1 dY L^-H), and the
-    same for Z; the vectors take the usual ratio test.
+    ``linv`` stacks the inverse Cholesky factors of Y and Z, and ``linv_h`` their
+    conjugate transposes. With L the factor of Y, Y + a dY >= 0 for every a up to
+    -1/lam_min(L^-1 dY L^-H), and the same for Z; the vectors take the usual ratio test.
     """
-    w = np.linalg.eigvalsh(yz_linv @ np.array([dy, dz]) @ yz_linv.conj().transpose(0, 2, 1))[:, 0]
-    rates = (max(-w[0], float(np.max(-ds / s))), max(-w[1], float(np.max(-dp / p))))
+    w = np.linalg.eigvalsh(linv @ np.array([dy, dz]) @ linv_h)[:, 0]
+    rates = (max(-w[0], -float((ds / s).min())), max(-w[1], -float((dp / p).min())))
     return tuple(_STEP / max(rate, _STEP) for rate in rates)
 
 
@@ -138,19 +138,20 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, sign: float, p: np.ndarray,
     factorisation fails.
     """
     n, k = ops.shape[:2]
-    flat = ops.reshape(n, k * k)
+    flat, rows = ops.reshape(n, k * k), ops.reshape(n * k, k)
     eye = np.eye(k, dtype=complex)
     signed_ops = sign * ops
-    y, s = eye, np.ones(n)
+    y, s, predictor_rhs = eye, np.ones(n), np.full(n, sign)
     best, complementarity, done = np.inf, np.inf, 0
     try:
         for done in range(_MAX_PD_ITER):
             z = f0 - (p @ flat).reshape(k, k)
-            yz_linv = np.linalg.inv(np.linalg.cholesky(np.array([y, z])))
-            zinv = yz_linv[1].conj().T @ yz_linv[1]
-            complementarity = float(np.trace(y @ z).real) + float(s @ p)
+            linv = np.linalg.inv(np.linalg.cholesky(np.array([y, z])))
+            linv_h = linv.conj().transpose(0, 2, 1)
+            zinv = linv_h[1] @ linv[1]
+            complementarity = float((y @ z).trace().real) + float(s @ p)
             if complementarity <= gap_tol * max(1.0, primal := float(p.sum())):
-                duals = [(float(np.trace(f0 @ cert).real), cert) for raw in candidates(y)
+                duals = [(float((f0 @ cert).trace().real), cert) for raw in candidates(y)
                          if (cert := _purify_dual(raw, signed_ops, -sign)) is not None]
                 if duals:
                     bound, cert = min(duals, key=lambda pair: pair[0])
@@ -159,25 +160,27 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, sign: float, p: np.ndarray,
                         return SdpSolution(p=p, primal=primal, dual_matrix=cert, dual=dual, gap=gap)
                     best = min(best, gap)
             mu = complementarity / (k + n)
-            ay, az = ops @ y, ops @ zinv
-            schur = (ay.reshape(n, -1) @ az.transpose(0, 2, 1).reshape(n, -1).T).real
-            schur_linv = np.linalg.inv(np.linalg.cholesky(schur + np.diag(s / p)))
-
-            def direction(target: np.ndarray, lp_target: np.ndarray):
-                """HKM step for Y Z -> R and s * p -> lp_target, given target = R Z^-1."""
-                rhs = sign - (flat @ target.T.reshape(-1)).real + lp_target / p
-                dp = schur_linv.T @ (schur_linv @ rhs)
-                dz = -(dp @ flat).reshape(k, k)
-                dy = hermitian_part(target - y - y @ dz @ zinv)
-                return dp, dz, dy, lp_target / p - s - s * dp / p
-
-            dp, dz, dy, ds = direction(np.zeros((k, k)), np.zeros(n))
-            a_primal, a_dual = _step_lengths(yz_linv, dy, dz, s, ds, p, dp)
-            mu_aff = (float(np.trace((y + a_primal * dy) @ (z + a_dual * dz)).real)
+            # A_n Y and A_n Z^-1 for all n as one product each on the (n k, k) rows of the stack
+            az = (rows @ zinv).reshape(n, k, k).transpose(0, 2, 1).reshape(n, -1)
+            schur = ((rows @ y).reshape(n, -1) @ az.T).real
+            schur.flat[::n + 1] += s / p
+            schur_linv = np.linalg.inv(np.linalg.cholesky(schur))
+            # HKM steps: the predictor for Y Z -> 0 and s p -> 0, whose right-hand side is sign
+            dp = schur_linv.T @ (schur_linv @ predictor_rhs)
+            dz = -(dp @ flat).reshape(k, k)
+            dy = 0.0 - y - y @ dz @ zinv     # 0 - Y, not -Y: R Z^-1 - Y at R = 0, signed zeros too
+            dy, ds = 0.5 * (dy + dy.conj().T), -s - s * dp / p
+            a_primal, a_dual = _step_lengths(linv, linv_h, dy, dz, s, ds, p, dp)
+            mu_aff = (float(((y + a_primal * dy) @ (z + a_dual * dz)).trace().real)
                       + float((s + a_primal * ds) @ (p + a_dual * dp))) / (k + n)
             sigma_mu = (mu_aff / mu) ** 3 * mu
-            dp, dz, dy, ds = direction((sigma_mu * eye - dy @ dz) @ zinv, sigma_mu - ds * dp)
-            a_primal, a_dual = _step_lengths(yz_linv, dy, dz, s, ds, p, dp)
+            # and the corrector for Y Z -> R = sigma mu - dY dZ and s p -> sigma mu - ds dp
+            target, lp = (sigma_mu * eye - dy @ dz) @ zinv, (sigma_mu - ds * dp) / p
+            dp = schur_linv.T @ (schur_linv @ (sign - (flat @ target.T.reshape(-1)).real + lp))
+            dz = -(dp @ flat).reshape(k, k)
+            dy = target - y - y @ dz @ zinv
+            dy, ds = 0.5 * (dy + dy.conj().T), lp - s - s * dp / p
+            a_primal, a_dual = _step_lengths(linv, linv_h, dy, dz, s, ds, p, dp)
             y, s = y + a_primal * dy, s + a_primal * ds
             p = p + a_dual * dp
         done, why = _MAX_PD_ITER, "no certified gap"

@@ -46,7 +46,7 @@ def test_full_rank_state_converts_to_rank_three():
     b = symmetric_basis_d3()
     target = PureState(np.array([1, 0, 0], dtype=complex))
     conv = faithful_conversion(b)
-    assert verify_faithful(conv, target, b)
+    assert verify_faithful(conv, target)
     out = PureState.normalized(conv.convert(target))
     assert schmidt_rank(out, 3, 3) == 3
 
@@ -55,8 +55,22 @@ def test_single_free_state_stays_product():
     b = symmetric_basis_d3()
     conv = faithful_conversion(b)
     psi = PureState(b.state(0))
-    assert verify_faithful(conv, psi, b)
+    assert verify_faithful(conv, psi)
     assert schmidt_rank(PureState.normalized(conv.convert(psi)), 3, 3) == 1
+
+
+def test_verify_faithful_counts_rank_in_the_conversions_basis():
+    # a free state of the symmetric basis has superposition rank 1 there, but
+    # rank 2 in the orthonormal basis; verify_faithful once took a basis of its
+    # own beside conv.basis and, given the orthonormal one, called this
+    # faithful conversion unfaithful
+    b = symmetric_basis_d3()
+    for locals_ in (None, [b.state(i) for i in range(3)]):
+        conv = faithful_conversion(b, locals_)
+        for i in range(3):
+            psi = PureState(b.state(i))
+            assert superposition_rank(psi, orthonormal_basis(3)) == 2
+            assert verify_faithful(conv, psi)
 
 
 def test_random_conversions_preserve_rank():
@@ -66,7 +80,7 @@ def test_random_conversions_preserve_rank():
         b = random_basis(d, rng)
         conv = faithful_conversion(b)
         psi = haar_state(d, rng)
-        assert verify_faithful(conv, psi, b)
+        assert verify_faithful(conv, psi)
         out = PureState.normalized(conv.convert(psi))
         assert schmidt_rank(out, d, d, 1e-8) == superposition_rank(psi, b)
 
@@ -98,7 +112,7 @@ def test_linearly_dependent_labels_break_faithfulness():
 def test_conversion_rejects_wrong_size_state():
     b = symmetric_basis_d3()
     conv = faithful_conversion(b)
-    for check in (conv.convert, lambda psi: verify_faithful(conv, psi, b)):
+    for check in (conv.convert, lambda psi: verify_faithful(conv, psi)):
         with pytest.raises(DimensionMismatch, match="state dimension 2"):
             check(PureState(np.array([1.0, 0.0])))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superpos import sdp
-from superpos.basis import symmetric_basis_d3
+from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.errors import BadData, DimensionMismatch, NoConvergence, NonHermitian
 from superpos.linalg import dagger, hermitian_part
 from superpos.measures import rel_entropy_measure, robustness
@@ -632,7 +632,162 @@ def test_lmi_certifies_support_five_conversions(seed, monkeypatch):
         problem = conversion_problem(5, rng)
         steps.clear()
         assert_lmi_certified(solve_lmi(problem), problem)
-        assert len(steps) <= 2 * 20, len(steps) // 2
+        assert 0 < len(steps) <= 2 * 20 and len(steps) % 2 == 0, len(steps)
+
+
+def test_support_three_solve_calls_numpy_linalg_at_call_time(monkeypatch):
+    # the CI step that counts np.linalg calls and perfbench's kernel spans both
+    # patch numpy.linalg from outside: a factorisation bound to a name when sdp
+    # is imported would run unseen by either
+    calls = dict.fromkeys(("cholesky", "inv", "eigvalsh"), 0)
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    steps = []
+    step_lengths = sdp._step_lengths
+    monkeypatch.setattr(sdp, "_step_lengths", lambda *args: steps.append(1) or step_lengths(*args))
+    problem = conversion_problem(3, make_rng(523))
+    calls.update(cholesky=0, inv=0, eigvalsh=0)   # LmiProblem's own check called eigvalsh
+    assert_lmi_certified(solve_lmi(problem), problem)
+    # each iteration factors the stacked (Y, Z) and the Schur matrix, and each
+    # of its two steps takes the smallest eigenvalues of the scaled directions
+    iterations = len(steps) // 2
+    assert iterations > 0 and len(steps) == 2 * iterations
+    assert calls["cholesky"] >= 2 * iterations and calls["inv"] >= 2 * iterations, calls
+    assert calls["eigvalsh"] >= 2 * iterations, calls
+
+
+# The primal-dual loop as first written, one numpy call per formula of the HKM
+# step, kept as a bit-for-bit oracle: ``_path_following`` issues the same
+# arithmetic in fewer, larger calls, so every iterate, and so every solution and
+# every NoConvergence message, must match it byte for byte.
+
+def _reference_step_lengths(yz_linv, dy, dz, s, ds, p, dp):
+    w = np.linalg.eigvalsh(yz_linv @ np.array([dy, dz]) @ yz_linv.conj().transpose(0, 2, 1))[:, 0]
+    rates = (max(-w[0], float(np.max(-ds / s))), max(-w[1], float(np.max(-dp / p))))
+    return tuple(sdp._STEP / max(rate, sdp._STEP) for rate in rates)
+
+
+def _reference_path_following(f0, ops, sign, p, candidates, gap_tol):
+    n, k = ops.shape[:2]
+    flat = ops.reshape(n, k * k)
+    eye = np.eye(k, dtype=complex)
+    signed_ops = sign * ops
+    y, s = eye, np.ones(n)
+    best, complementarity, done = np.inf, np.inf, 0
+    try:
+        for done in range(sdp._MAX_PD_ITER):
+            z = f0 - (p @ flat).reshape(k, k)
+            yz_linv = np.linalg.inv(np.linalg.cholesky(np.array([y, z])))
+            zinv = yz_linv[1].conj().T @ yz_linv[1]
+            complementarity = float(np.trace(y @ z).real) + float(s @ p)
+            if complementarity <= gap_tol * max(1.0, primal := float(p.sum())):
+                duals = [(float(np.trace(f0 @ cert).real), cert) for raw in candidates(y)
+                         if (cert := _purify_dual(raw, signed_ops, -sign)) is not None]
+                if duals:
+                    bound, cert = min(duals, key=lambda pair: pair[0])
+                    dual = sign * bound
+                    if (gap := sign * (dual - primal)) <= gap_tol:
+                        return sdp.SdpSolution(p=p, primal=primal, dual_matrix=cert, dual=dual, gap=gap)
+                    best = min(best, gap)
+            mu = complementarity / (k + n)
+            ay, az = ops @ y, ops @ zinv
+            schur = (ay.reshape(n, -1) @ az.transpose(0, 2, 1).reshape(n, -1).T).real
+            schur_linv = np.linalg.inv(np.linalg.cholesky(schur + np.diag(s / p)))
+
+            def direction(target, lp_target):
+                rhs = sign - (flat @ target.T.reshape(-1)).real + lp_target / p
+                dp = schur_linv.T @ (schur_linv @ rhs)
+                dz = -(dp @ flat).reshape(k, k)
+                dy = hermitian_part(target - y - y @ dz @ zinv)
+                return dp, dz, dy, lp_target / p - s - s * dp / p
+
+            dp, dz, dy, ds = direction(np.zeros((k, k)), np.zeros(n))
+            a_primal, a_dual = _reference_step_lengths(yz_linv, dy, dz, s, ds, p, dp)
+            mu_aff = (float(np.trace((y + a_primal * dy) @ (z + a_dual * dz)).real)
+                      + float((s + a_primal * ds) @ (p + a_dual * dp))) / (k + n)
+            sigma_mu = (mu_aff / mu) ** 3 * mu
+            dp, dz, dy, ds = direction((sigma_mu * eye - dy @ dz) @ zinv, sigma_mu - ds * dp)
+            a_primal, a_dual = _reference_step_lengths(yz_linv, dy, dz, s, ds, p, dp)
+            y, s = y + a_primal * dy, s + a_primal * ds
+            p = p + a_dual * dp
+        done, why = sdp._MAX_PD_ITER, "no certified gap"
+    except np.linalg.LinAlgError as err:
+        why = f"factorisation failed ({err})"
+    seen = f"smallest certified gap {best:.3e}" if np.isfinite(best) else "no dual certified"
+    raise NoConvergence(f"{why} after {done} iterations: {seen} against gap_tol {gap_tol:.1e}, "
+                        f"complementarity {complementarity:.3e}")
+
+
+def _cover_corpus():
+    rng = make_rng(540)
+    for d in range(3, 9):
+        for _ in range(4):
+            b = random_basis(d, rng)
+            for rho in (random_density(d, rng), haar_state(d, rng).density(), random_free_state(b, rng)):
+                yield lambda b=b, rho=rho: solve_cover(free_expansion(rho, b), gap_tol=1e-8)
+    # the seed-806 orthonormal d = 8 state, where the phase bracket stalls
+    rho = random_density(8, make_rng(806))
+    yield lambda: solve_cover(free_expansion(rho, orthonormal_basis(8)), gap_tol=1e-8)
+    for coeffs in (np.diag([1.0, -2.0, -3.0]), np.array([[0.0, 1.0], [1.0, -5.0]])):
+        yield lambda coeffs=coeffs: solve_cover(coeffs.astype(complex), gap_tol=1e-8)
+
+
+def _conversion_corpus():
+    for support, draws in ((3, 6), (4, 4), (5, 2)):
+        rng = make_rng(540 + support)
+        for _ in range(draws):
+            problem = conversion_problem(support, rng)
+            yield lambda problem=problem: solve_lmi(problem)
+
+
+def _criterion_06_corpus():
+    b, target = symmetric_basis_d3(), PureState(np.array([1, 0, 0], dtype=complex))
+    for cand in candidate_states_d3():
+        yield lambda cand=cand: max_conversion_prob(cand, target, b)
+    # a tolerance below what the iterates reach: the Z factorisation fails
+    yield lambda: max_conversion_prob(candidate_states_d3()[0], target, b, gap_tol=1e-9)
+    yield lambda: solve_lmi(LmiProblem.from_matrices([np.eye(3)]), gap_tol=1e-300)
+
+
+@pytest.mark.parametrize("corpus, solves", [
+    (_cover_corpus, 6 * 4 * 3 + 3),
+    (_conversion_corpus, 12),
+    (_criterion_06_corpus, 6),
+], ids=["covers", "conversions", "criterion_06_and_tolerances"])
+def test_path_following_matches_reference_bit_for_bit(corpus, solves, monkeypatch):
+    def outcome(solve):
+        try:
+            sol = solve()
+        except NoConvergence as err:
+            return str(err)
+        return (sol.p.dtype, sol.p.tobytes(), np.array([sol.primal, sol.dual, sol.gap]).tobytes(),
+                sol.dual_matrix.dtype, sol.dual_matrix.shape, sol.dual_matrix.tobytes())
+
+    calls, failures = [], []
+
+    def reference(*args):
+        calls.append(1)
+        return _reference_path_following(*args)
+
+    for solve in corpus():
+        got = outcome(solve)
+        with monkeypatch.context() as patched:
+            patched.setattr(sdp, "_path_following", reference)
+            expected = outcome(solve)
+        assert got == expected, len(calls)
+        failures += [got] if isinstance(got, str) else []
+    assert len(calls) == solves
+    if corpus is _criterion_06_corpus:
+        assert [f.split(":")[0] for f in failures] == [
+            "factorisation failed (Matrix is not positive definite) after 7 iterations",
+            "factorisation failed (Matrix is not positive definite) after 14 iterations"]
 
 
 def test_lmi_negative_tolerance_raises():
