@@ -59,7 +59,7 @@ def faithful_conversion(basis: FreeBasis, locals_=None) -> ConversionMap:
 
 
 def verify_faithful(conv: ConversionMap, psi: PureState) -> bool:
-    """True iff the filtered output's Schmidt rank, counting singular values
-    above 1e-8, equals the superposition rank in the conversion's basis."""
+    """True iff the filtered output's Schmidt rank equals the superposition rank in the
+    conversion's basis, both counted by ``free_support`` at its default tolerance."""
     d = conv.basis.d
-    return schmidt_rank(PureState.normalized(conv.convert(psi)), d, d, 1e-8) == superposition_rank(psi, conv.basis)
+    return schmidt_rank(PureState.normalized(conv.convert(psi)), d, d) == superposition_rank(psi, conv.basis)

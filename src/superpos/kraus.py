@@ -5,8 +5,9 @@ state onto a multiple of a single pure free state, i.e. when the matrix
 ``M = W' K V`` (free-frame representation) has at most one nonzero entry per
 column. ``FreeKrausForm`` stores that sparse data: one coefficient and one
 output label per input label, and ``FreeKrausForm.matrix`` is the one
-constructor that turns it into an operator; every free-operator builder in
-the library goes through it.
+constructor that turns it into an operator, for ``enumerate_transformers``,
+``reduce_ancilla``, ``free_qubit_kraus``, ``inject_unitary`` and
+``random_free_operator``; ``complete_free`` and ``GameSpec`` build theirs directly.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from .sdp import SdpSolution, solve_cover
 from .states import (
     DensityMatrix,
     PureState,
+    _mixture,
     eigen_decomposition,
     free_expansion,
     free_mixture,
@@ -73,10 +74,6 @@ def _cross_entropy_eig(w: np.ndarray, rho_eig: np.ndarray) -> float:
     return float(-pops[inside] @ np.log(w[inside]))
 
 
-def _free_sigma(basis: FreeBasis, q: np.ndarray) -> np.ndarray:
-    return (basis.vectors * q) @ basis.vectors.conj().T
-
-
 def _rel_ent_terms(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> tuple[float, np.ndarray, tuple | None]:
     """-tr[rho ln sigma(q)], its gradient in q and the parts of its Hessian, from one eigh of sigma(q).
 
@@ -88,7 +85,7 @@ def _rel_ent_terms(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> tupl
     which leaves the one-sided derivative on a face of the simplex. The parts
     (w, L, rho~, a) that ``_rel_ent_hessian`` takes are None off full support.
     """
-    w, u = np.linalg.eigh(_free_sigma(basis, q))
+    w, u = np.linalg.eigh(_mixture(basis, q))
     uh = u.conj().T
     rho_eig = uh @ rho_mat @ u
     value = _cross_entropy_eig(w, rho_eig)
@@ -216,7 +213,7 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9)
         else:
             updates = 0
     return MeasureReport(value=max(_entropy_terms(rho.mat) + cross, 0.0),
-                         certificate=DensityMatrix(_free_sigma(basis, q)),
+                         certificate=free_mixture(basis, q),
                          extra={"weights": q, "fw_gap": max(fw_gap, 0.0), "evaluations": evaluations,
                                 "newton_steps": newton_steps})
 

@@ -22,12 +22,7 @@ from .linalg import as_complex_matrix, as_hermitian_matrix, dagger
 from .states import DensityMatrix, PureState, superposition_rank
 from .transform import max_conversion_prob
 
-PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])   # 1, x, y, z
 
 
 def qubit_free_basis(a: float) -> FreeBasis:
@@ -59,11 +54,21 @@ def qubit_state(theta: float, phi: float) -> PureState:
                                complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)]))
 
 
+def _pauli_coeffs(op: np.ndarray) -> np.ndarray:
+    """The Pauli expansion u_k = tr(op sigma_k), k = 0..3, of a 2 x 2 operator."""
+    return np.trace(op @ PAULI, axis1=1, axis2=2)
+
+
+def _from_pauli(u) -> np.ndarray:
+    """The 2 x 2 operator with Pauli expansion u: (1/2) sum_k u_k sigma_k."""
+    return 0.5 * np.tensordot(u, PAULI, 1)
+
+
 def bloch_vector(rho: DensityMatrix) -> np.ndarray:
     """Bloch vector of a qubit state."""
     if rho.dim != 2:
         raise DimensionMismatch(f"need a qubit state, got dimension {rho.dim}")
-    return np.array([np.trace(rho.mat @ PAULI[k]).real for k in (1, 2, 3)])
+    return _pauli_coeffs(rho.mat)[1:].real
 
 
 def state_from_bloch(r) -> DensityMatrix:
@@ -73,8 +78,7 @@ def state_from_bloch(r) -> DensityMatrix:
         raise DimensionMismatch(f"Bloch vector must have 3 components, got {r.shape}")
     if np.linalg.norm(r) > 1.0 + 1e-10:
         raise InvalidState(f"Bloch vector length {np.linalg.norm(r):.12g} > 1")
-    m = 0.5 * (PAULI[0] + r[0] * PAULI[1] + r[1] * PAULI[2] + r[2] * PAULI[3])
-    return DensityMatrix(m)
+    return DensityMatrix(_from_pauli(np.append(1.0, r)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +90,8 @@ class BlochMap:
 
     def apply_operator(self, op: np.ndarray) -> np.ndarray:
         """Linear extension of the map to arbitrary 2x2 operators."""
-        op = as_complex_matrix(op, "operator", shape=(2, 2))
-        u0 = np.trace(op)
-        uvec = np.array([np.trace(op @ PAULI[k]) for k in (1, 2, 3)])
-        out = self.translation * u0 + self.matrix @ uvec
-        return 0.5 * (u0 * PAULI[0] + out[0] * PAULI[1] + out[1] * PAULI[2] + out[2] * PAULI[3])
+        u = _pauli_coeffs(as_complex_matrix(op, "operator", shape=(2, 2)))
+        return _from_pauli(np.append(u[0], self.translation * u[0] + self.matrix @ u[1:]))
 
     def apply_state(self, rho: DensityMatrix) -> DensityMatrix:
         return DensityMatrix(self.apply_operator(rho.mat))
@@ -237,11 +238,8 @@ def conversion_heatmap(a: float, initial: tuple[float, float], grid_n: int) -> n
     source_rank = superposition_rank(source, basis)
     thetas = np.linspace(0.0, np.pi, grid_n)
     phis = np.linspace(0.0, 2 * np.pi, 2 * grid_n, endpoint=False)
-    rows = []
-    for theta in thetas:
-        for phi in phis:
-            rows.append((theta, phi, heatmap_cell(basis, source, source_rank, (theta, phi))))
-    return np.array(rows)
+    return np.array([(theta, phi, heatmap_cell(basis, source, source_rank, (theta, phi)))
+                     for theta in thetas for phi in phis])
 
 
 def heatmap_cell(basis: FreeBasis, source: PureState, source_rank: int,

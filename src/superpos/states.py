@@ -110,16 +110,19 @@ def free_mixture(basis: FreeBasis, weights) -> DensityMatrix:
         raise DimensionMismatch(f"need {basis.d} weights, got shape {weights.shape}")
     if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= TRACE_TOL):   # so that NaN fails
         raise InvalidState("weights must form a probability distribution")
-    v = basis.vectors
-    return DensityMatrix((v * weights) @ dagger(v))
+    return DensityMatrix(_mixture(basis, weights))
+
+
+def _mixture(basis: FreeBasis, weights: np.ndarray) -> np.ndarray:
+    """sum_i weights_i |c_i><c_i|, unchecked: the matrix of ``free_mixture``."""
+    return (basis.vectors * weights) @ dagger(basis.vectors)
 
 
 def schmidt_rank(psi: PureState, dim_a: int, dim_b: int, tol: float = RANK_TOL) -> int:
-    """Number of singular values of the dim_a x dim_b reshaping exceeding tol."""
+    """Number of singular values of the dim_a x dim_b reshaping in ``free_support``."""
     if psi.dim != dim_a * dim_b:
         raise DimensionMismatch(f"state dimension {psi.dim} != {dim_a}*{dim_b}")
-    s = np.linalg.svd(psi.amp.reshape(dim_a, dim_b), compute_uv=False)
-    return int(np.sum(s > as_tolerance(tol)))
+    return len(free_support(np.linalg.svd(psi.amp.reshape(dim_a, dim_b), compute_uv=False), tol))
 
 
 def eigen_decomposition(rho: DensityMatrix) -> list[tuple[float, PureState]]:

@@ -203,7 +203,7 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
         ops = enumerate_transformers(psi, phi, basis).operators
         sol = solve_lmi(LmiProblem.from_matrices(ops.conj().transpose(0, 2, 1) @ ops), gap_tol)
     value = float(min(max(sol.primal, 0.0), 1.0))
-    complete = functools.partial(_completion, psi, phi, basis, sol.p) if value >= 1.0 - gap_tol else None
+    complete = functools.partial(_completion, psi, phi, basis, sol.p.copy()) if value >= 1.0 - gap_tol else None
     return SdpSolution(sol.p, sol.primal, sol.dual_matrix, sol.dual, sol.gap, value, complete)
 
 

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from superpos.basis import symmetric_basis_d3
+from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.cli import _build_parser, dispatch
+from superpos.entangle import faithful_conversion, verify_faithful
 from superpos.errors import SchemaViolation
 from superpos.measures import l1_measure
 from superpos.qubit import qubit_free_basis
@@ -63,8 +64,6 @@ def test_measure_l1_free_state(d3_files, tmp_path, capsys):
     assert code == 0
     assert payload["value"] <= 1e-9
     # orthonormal frame: the expansion is exact and the output is a clean zero
-    from superpos.basis import orthonormal_basis
-
     b0 = orthonormal_basis(2)
     bpath = write(tmp_path, "b0.json", basis_to_json(b0))
     spath = write(tmp_path, "s0.json", density_to_json(free_mixture(b0, [0.25, 0.75])))
@@ -274,6 +273,17 @@ def test_entangle_cli(d3_files, capsys):
     assert payload["schmidt_rank"] == 3
     assert payload["classical_rank"] == 3
     assert payload["probability"] == 1.0
+
+
+@pytest.mark.parametrize("basis, coeffs", [(orthonormal_basis(2), [1.0, 5e-9]),
+                                           (symmetric_basis_d3(), [1.0, 1.0, 4e-9])])
+def test_entangle_cli_prints_the_ranks_verify_faithful_compares(basis, coeffs, tmp_path, capsys):
+    psi = PureState.normalized(basis.vectors @ np.array(coeffs))
+    code, payload = run_json(["entangle", "convert", "--basis", write(tmp_path, "b.json", basis_to_json(basis)),
+                              "--state", write(tmp_path, "s.json", pure_state_to_json(psi))], capsys)
+    assert code == 0
+    assert payload["schmidt_rank"] == payload["classical_rank"] == len(coeffs)
+    assert verify_faithful(faithful_conversion(basis), psi)
 
 
 def test_kraus_check_cli(tmp_path, capsys):

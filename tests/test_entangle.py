@@ -82,7 +82,28 @@ def test_random_conversions_preserve_rank():
         psi = haar_state(d, rng)
         assert verify_faithful(conv, psi)
         out = PureState.normalized(conv.convert(psi))
-        assert schmidt_rank(out, d, d, 1e-8) == superposition_rank(psi, b)
+        assert schmidt_rank(out, d, d) == superposition_rank(psi, b)
+
+
+def test_verify_faithful_on_haar_states_up_to_d8():
+    rng = make_rng(1004)
+    for _ in range(350):
+        d = int(rng.integers(2, 9))
+        b = random_basis(d, rng)
+        assert verify_faithful(faithful_conversion(b), haar_state(d, rng))
+
+
+@pytest.mark.parametrize("basis, coeffs", [(orthonormal_basis(2), [1.0, 5e-9]),
+                                           (symmetric_basis_d3(), [1.0, 1.0, 4e-9])])
+def test_verify_faithful_counts_both_ranks_relative_to_the_largest(basis, coeffs):
+    # free_support keeps a coefficient above 1e-9 of the largest; the Schmidt rank
+    # once cut its singular values at an absolute 1e-8 and so called these
+    # faithful conversions unfaithful
+    psi = PureState.normalized(basis.vectors @ np.array(coeffs))
+    conv = faithful_conversion(basis)
+    assert superposition_rank(psi, basis) == len(coeffs)
+    assert schmidt_rank(PureState.normalized(conv.convert(psi)), basis.d, basis.d) == len(coeffs)
+    assert verify_faithful(conv, psi)
 
 
 def test_filters_never_increase_schmidt_rank():

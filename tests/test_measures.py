@@ -15,7 +15,6 @@ from superpos.linalg import hermitian_part
 from superpos.measures import (
     _cross_entropy_eig,
     _entropy_terms,
-    _free_sigma,
     _newton_point,
     _phase_cover,
     _rel_ent_hessian,
@@ -39,6 +38,7 @@ from superpos.states import (
     RANK_TOL,
     DensityMatrix,
     PureState,
+    _mixture,
     eigen_decomposition,
     free_expansion,
     free_mixture,
@@ -136,7 +136,7 @@ def brent_frank_wolfe(rho, basis, tol=1e-9, max_iter=10_000) -> float:
     q = np.full(basis.d, 1.0 / basis.d)
 
     def objective(qv):
-        return rho_entropy + _cross_entropy(rho.mat, _free_sigma(basis, qv))
+        return rho_entropy + _cross_entropy(rho.mat, _mixture(basis, qv))
 
     value = objective(q)
     for _ in range(max_iter):
@@ -215,7 +215,7 @@ def test_rel_entropy_certifies_at_tol():
 
 def plain_rel_ent_terms(rho_mat, basis, q):
     """The earlier kernel: the gradient through T = U(L o rho~)U' and a three-operand einsum."""
-    w, u = np.linalg.eigh(_free_sigma(basis, q))
+    w, u = np.linalg.eigh(_mixture(basis, q))
     rho_eig = u.conj().T @ rho_mat @ u
     value = _cross_entropy_eig(w, rho_eig)
     outside = w <= 1e-15

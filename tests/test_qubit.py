@@ -9,6 +9,7 @@ from superpos.basis import tensor_basis
 from superpos.kraus import FreeKrausForm, apply_channel, complete_free, is_free_kraus, is_mfo
 from superpos.linalg import dagger, fidelity, herm_eig, partial_trace
 from superpos.qubit import (
+    PAULI,
     BlochMap,
     bloch_vector,
     build_phi,
@@ -68,6 +69,33 @@ def test_bloch_roundtrip_bijective():
         r = bloch_vector(rho)
         back = state_from_bloch(r)
         assert np.abs(back.mat - rho.mat).max() < 1e-12
+
+
+def test_pauli_expansion_matches_the_per_matrix_loop():
+    # the expansion over the (4, 2, 2) PAULI stack against one trace, and one
+    # weighted sum, per Pauli matrix: each entry of either sums two exact
+    # products, so the bits agree, signed zeros included
+    def coeffs(op):
+        return np.array([np.trace(op @ p) for p in PAULI])
+
+    def operator(u):
+        return 0.5 * (u[0] * PAULI[0] + u[1] * PAULI[1] + u[2] * PAULI[2] + u[3] * PAULI[3])
+
+    def same(got, want):
+        return got.tobytes() == np.asarray(want, dtype=got.dtype).tobytes()
+
+    rng = make_rng(802)
+    for _ in range(200):
+        rho = random_density(2, rng)
+        r = bloch_vector(rho)
+        assert same(r, coeffs(rho.mat)[1:].real)
+        r = rng.uniform(-0.5, 0.5, size=3)
+        assert same(state_from_bloch(r).mat, operator(np.append(1.0, r)))
+        bmap = build_phi(rng.uniform(0.0, 0.9), *rng.uniform(-4.0, 4.0, size=2))
+        op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        u = coeffs(op)
+        assert same(bmap.apply_operator(op),
+                    operator(np.append(u[0], bmap.translation * u[0] + bmap.matrix @ u[1:])))
 
 
 def test_phi_action_on_free_states():

@@ -243,6 +243,22 @@ def test_schmidt_rank_examples():
         schmidt_rank(bell, 2, 3)
 
 
+def test_schmidt_rank_cut_is_relative_to_the_largest_singular_value():
+    # the rule of superposition_rank: free_support over the singular values
+    maximal = PureState(np.eye(4).ravel() / 2)   # four singular values of 1/2
+    assert schmidt_rank(maximal, 4, 4, tol=0.6) == 4   # an absolute 0.6 would keep none
+    tiny = PureState.normalized([1.0, 0.0, 0.0, 3e-9])   # singular values 1 and 3e-9
+    assert schmidt_rank(tiny, 2, 2) == 2
+    assert schmidt_rank(tiny, 2, 2, tol=2.9e-9) == 2 and schmidt_rank(tiny, 2, 2, tol=3.1e-9) == 1
+    rng = make_rng(303)
+    for _ in range(50):
+        d = int(rng.integers(2, 5))
+        psi = haar_state(d * d, rng)
+        s = np.linalg.svd(psi.amp.reshape(d, d), compute_uv=False)
+        tol = float(s[-1] / s[0]) * 1.001   # just above the smallest ratio
+        assert schmidt_rank(psi, d, d, tol) == len(free_support(s, tol)) == d - 1
+
+
 def test_rank_never_increases_under_free_kraus():
     rng = make_rng(303)
     for _ in range(1000):

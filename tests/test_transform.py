@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from superpos import transform
-from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3
+from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3, tensor_basis
 from superpos.errors import LinearlyDependent, NoConvergence, RankMismatch
 from superpos.cli import dispatch
 from superpos.kraus import Channel, apply_channel, complete_free, is_free_kraus
@@ -524,6 +524,63 @@ def test_conversion_solutions_pickle_with_the_completion_unread_and_read():
     sol = max_conversion_prob(source, qubit_state(1.1, 2.0), qubit)
     copy = pickle.loads(pickle.dumps(sol))
     assert sol.value < 1.0 - 1e-7 and copy.value == sol.value and copy.completion is None
+
+
+def test_writing_into_p_leaves_the_unread_completion_alone():
+    # the completion is built on first read from the optimal weights; it once read
+    # the returned p itself, so zeroing p first gave the qubit self-conversion two
+    # completion operators where a fresh solve has none
+    plane = orthonormal_basis(3)
+    cases = ((qubit_state(np.pi / 2, 0.0), qubit_free_basis(0.5)),
+             (PureState.normalized(plane.state(0) + plane.state(1)), plane),
+             (candidate_states_d3()[0], symmetric_basis_d3()))
+    for psi, basis in cases:
+        sol = max_conversion_prob(psi, psi, basis)
+        sol.p[:] = 0.0
+        fresh = max_conversion_prob(psi, psi, basis).completion
+        assert len(sol.completion) == len(fresh)
+        assert all(np.array_equal(got, want) for got, want in zip(sol.completion, fresh))
+
+
+def _product_pair(basis, product, x, y):
+    """x (x) y, and whether its support on the product basis is the product of the supports."""
+    sx, sy = (free_support(basis.to_free_frame(s.amp)) for s in (x, y))
+    xy = PureState(np.kron(x.amp, y.amp))
+    return xy, free_support(product.to_free_frame(xy.amp)) == tuple(2 * i + j for i in sx for j in sy)
+
+
+def test_two_copy_and_catalytic_conversions_bound_the_single_copy():
+    # on tensor_basis(b, b) the product of two enumerated transformers is one of
+    # the product pair's, and the identity is one of chi -> chi's, so wherever the
+    # product supports are the products of the supports:
+    #   p(psi psi -> phi phi) >= p(psi -> phi)^2 and p(psi chi -> phi chi) >= p(psi -> phi),
+    # with the product solve's certified gap as the only slack. A support-4 solve
+    # whose Schur factorisation fails at the default gap_tol (a = 0.3 pairs 58 and
+    # 68, a = 0.6 pairs 49 and 83 for two copies; a = 0 pair 34, p = 1, for the
+    # catalyst) is counted, then solved again at gap_tol 1e-6
+    failures, checked = [], 0
+    for a, seed in ((0.0, 11), (0.3, 311), (0.6, 611)):
+        basis = qubit_free_basis(a)
+        product = tensor_basis(basis, basis)
+        rng = make_rng(seed)
+        for n in range(120):
+            psi, phi, chi = (haar_state(2, rng) for _ in range(3))
+            p1 = max_conversion_prob(psi, phi, basis).value
+            for kind, x, y, bound in (("two copies", psi, phi, p1 ** 2), ("catalyst", chi, chi, p1)):
+                (src, src_ok), (dst, dst_ok) = (_product_pair(basis, product, psi, x),
+                                                _product_pair(basis, product, phi, y))
+                if not (src_ok and dst_ok):
+                    continue
+                try:
+                    sol = max_conversion_prob(src, dst, product)
+                except NoConvergence as exc:
+                    assert "factorisation failed" in str(exc), (a, n, kind, str(exc))
+                    failures.append((a, n, kind))
+                    sol = max_conversion_prob(src, dst, product, gap_tol=1e-6)
+                checked += 1
+                assert sol.value >= bound - sol.gap, (a, n, kind, sol.value, bound, sol.gap)
+    assert checked == 720
+    assert len(failures) <= 5, failures
 
 
 @pytest.mark.xfail(strict=True, reason="at support r < d max_conversion_prob optimizes only "
