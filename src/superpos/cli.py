@@ -252,3 +252,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     raise SystemExit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

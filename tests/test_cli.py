@@ -464,12 +464,18 @@ def test_solver_failure_exits_three_with_nothing_on_stdout(d3_files, capsys):
     assert captured.err.startswith("error: ")
 
 
-def test_main_exits_with_the_code_of_dispatch(d3_files, capsys):
-    # the console script's entry point, run as its own process: the exit status
-    # is dispatch's return value, and a success writes dispatch's bytes
+def _src_env() -> dict:
+    """This environment with the checkout's src/ first on PYTHONPATH, for a child process."""
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_main_exits_with_the_code_of_dispatch(d3_files, capsys):
+    # the console script's entry point, run as its own process: the exit status
+    # is dispatch's return value, and a success writes dispatch's bytes
+    env = _src_env()
     ok = ["measure", "l1", "--state", d3_files["free_state"], "--basis", d3_files["basis"]]
     solver = ["convert", "prob", "--from", d3_files["candidate"], "--to", d3_files["target"],
               "--basis", d3_files["basis"], "--tol", "1e-12"]
@@ -480,3 +486,19 @@ def test_main_exits_with_the_code_of_dispatch(d3_files, capsys):
                               env=env, capture_output=True, timeout=120)
         assert proc.returncode == code, proc.stderr.decode()[-2000:]
         assert proc.stdout == (expected if code == 0 else b"")
+
+
+def test_module_form_runs_the_cli(d3_files, capsys):
+    # `python -m superpos.cli` runs main, as the console script does
+    env = _src_env()
+    usage = subprocess.run([sys.executable, "-m", "superpos.cli", "state", "rank", "--help"],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert usage.returncode == 0, usage.stderr[-2000:]
+    assert usage.stdout.startswith("usage: superpos state rank ")
+    # a leaf whose bytes PINNED holds
+    argv = [d3_files.get(a, a) for a in ("state", "rank", "--state", "candidate", "--basis", "basis")]
+    assert dispatch(argv) == 0
+    proc = subprocess.run([sys.executable, "-m", "superpos.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    assert proc.stdout == capsys.readouterr().out.encode()

@@ -636,7 +636,7 @@ def test_lmi_certifies_support_five_conversions(seed, monkeypatch):
 
 
 def test_support_three_solve_calls_numpy_linalg_at_call_time(monkeypatch):
-    # the CI step that counts np.linalg calls and perfbench's kernel spans both
+    # the np.linalg report of tests/ci_report.py and perfbench's kernel spans both
     # patch numpy.linalg from outside: a factorisation bound to a name when sdp
     # is imported would run unseen by either
     calls = dict.fromkeys(("cholesky", "inv", "eigvalsh"), 0)
