@@ -598,9 +598,11 @@ def test_orthonormal_conversions_follow_vidals_formula():
     # E_l(phi), so at least 1, and its trace is the formula. Checked on the
     # identity and on a Haar-rotated basis at d = 2..8 and equal supports
     # r = 2..5, 8 pairs each, with the certified gap as the only slack beyond
-    # rounding (1.2e-15 seen). Three solves lose the Schur factor at the default
-    # gap_tol (d = 7, r = 3 pair 7 rotated; d = 7, r = 5 pair 3 on the identity;
-    # d = 8, r = 5 pair 4 rotated); they are counted, then solved at gap_tol 1e-6
+    # rounding (1.2e-15 seen). Two solves lose the Schur factor at the default
+    # gap_tol on 1 to 8 OpenBLAS threads (d = 7, r = 3 pair 7 rotated; d = 7,
+    # r = 5 pair 3 on the identity), and a third (d = 8, r = 5 pair 4 rotated)
+    # only on one thread, whose summation order differs; they are counted, then
+    # solved at gap_tol 1e-6
     rounding = 1e-14
     rng = make_rng(123)
     failures, checked = [], 0
@@ -635,7 +637,9 @@ def test_orthonormal_conversions_follow_vidals_formula():
                     assert formula - sol.gap - rounding <= sol.value <= formula + rounding, \
                         (label, sol.value, formula, sol.gap)
     assert checked == 352
-    assert len(failures) == 3, failures
+    single_thread_only = (8, 5, "rotated", 4)
+    assert [label for label in failures if label != single_thread_only] == \
+        [(7, 3, "rotated", 7), (7, 5, "identity", 3)], failures
 
 
 @pytest.mark.xfail(strict=True, reason="at support r < d max_conversion_prob optimizes only "
