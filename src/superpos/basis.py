@@ -3,7 +3,7 @@
 A ``FreeBasis`` is built from the column matrix ``vectors`` of the pure free
 states, which it checks, and derives their Gram matrix and the reciprocal frame
 ``reciprocal`` whose columns are the unique vectors biorthogonal to the free
-states (``reciprocal.conj().T @ vectors == identity``).
+states (``dagger(reciprocal) @ vectors == identity``).
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ import argparse
 import dataclasses
 import sys
 
-from . import entangle, game, kraus, measures, qubit, serialize, transform
+from . import entangle, game, kraus, measures, qubit, sdp, serialize, transform
 from .basis import filter_probability
 from .errors import NoConvergence, SchemaViolation, SuperposError
 from .linalg import as_tolerance
 from .serialize import _to_json
 from .states import (
+    RANK_TOL,
     DensityMatrix,
     PureState,
     free_expansion,
@@ -166,18 +167,18 @@ _LEAF_HELP = {("basis", "check"): "validate a basis file and report its frame da
 _COMMANDS = {
     ("basis", "check"): ((_flag("--in", serialize.load_basis, dest="path", required=True),),
                          None, _basis_check),
-    ("state", "rank"): ((_PURE, _BASIS), 1e-9, lambda a: {
+    ("state", "rank"): ((_PURE, _BASIS), RANK_TOL, lambda a: {
         "superposition_rank": superposition_rank(a.state, a.basis, a.tol)}),
-    ("state", "free"): ((_STATE, _BASIS), 1e-9, lambda a: {
+    ("state", "free"): ((_STATE, _BASIS), RANK_TOL, lambda a: {
         "is_free": is_free(_as_density(a.state), a.basis, a.tol)}),
     ("state", "expand"): ((_STATE, _BASIS), None, lambda a: {
         "coeffs": _to_json(free_expansion(_as_density(a.state), a.basis))}),
-    ("kraus", "check"): ((_OPS, _BASIS), 1e-9, _kraus_check),
+    ("kraus", "check"): ((_OPS, _BASIS), kraus.FREE_TOL, _kraus_check),
     ("kraus", "complete"): ((_OPS, _BASIS), None, lambda a: {
         "operators": [_to_json(k) for k in kraus.complete_free(_square_ops(a), a.basis)]}),
     ("measure", "l1"): ((_STATE, _BASIS), None, lambda a: _report_out(
         measures.l1_measure(_as_density(a.state), a.basis))),
-    ("measure", "relent"): ((_STATE, _BASIS), 1e-9, lambda a: _report_out(
+    ("measure", "relent"): ((_STATE, _BASIS), measures.REL_ENT_TOL, lambda a: _report_out(
         measures.rel_entropy_measure(_as_density(a.state), a.basis, tol=a.tol))),
     ("measure", "rank"): ((_STATE, _BASIS), None, lambda a: _report_out(
         measures.rank_measure(a.state, a.basis))),
@@ -185,7 +186,7 @@ _COMMANDS = {
         measures.robustness(_as_density(a.state), a.basis))),
     ("convert", "prob"): ((_flag("--from", _load_pure, dest="source", required=True),
                            _flag("--to", _load_pure, dest="target", required=True), _BASIS),
-                          1e-7, _convert_prob),
+                          sdp.DEFAULT_GAP_TOL, _convert_prob),
     ("qubit", "heatmap"): ((_flag("--a", type=float, required=True),
                             _flag("--theta", type=float, required=True),
                             _flag("--phi", type=float, required=True),

@@ -27,7 +27,7 @@ import numpy as np
 from .basis import FreeBasis, _sigma_min, filter_probability
 from .errors import DimensionMismatch
 from .kraus import Channel, complete_free
-from .linalg import _Record
+from .linalg import _Record, dagger
 from .sampling import make_rng
 from .states import PureState
 
@@ -51,7 +51,7 @@ class GameSpec(_Record):
         p = filter_probability(basis)
         j = np.arange(1, d + 1)
         phase = np.exp(2j * np.pi * j * j[:, None] / d)[:, None, :]  # [n - 1, :, j - 1]
-        ops = tuple((np.sqrt(p / d) * (basis.vectors * phase)) @ basis.reciprocal.conj().T)
+        ops = tuple((np.sqrt(p / d) * (basis.vectors * phase)) @ dagger(basis.reciprocal))
         self._store(p=p, informative=ops, restart=tuple(complete_free(ops, basis)))
 
     @property
@@ -169,12 +169,13 @@ def simulate(spec: GameSpec, input_kind: str, turns: int, rng_seed: int) -> Game
     number of turns. A block of n turns draws ``rng.integers(k, size=n)``
     inputs (k = d free states, or k = 1 superposed input, which draws no
     bits), then ``rng.random(2 * n)``: n outcome uniforms followed by n
-    answer uniforms. Raises ``LinearlyDependent`` before the first
-    turn when the superposed input's post-measurement states are linearly
-    dependent.
+    answer uniforms. Raises ``ValueError`` unless turns is an integer >= 1
+    (a Python or numpy one, not a bool), and ``LinearlyDependent`` before the
+    first turn when the superposed input's post-measurement states are
+    linearly dependent.
     """
-    if turns < 1:
-        raise ValueError(f"turns must be >= 1, got {turns}")
+    if isinstance(turns, bool) or not isinstance(turns, (int, np.integer)) or turns < 1:
+        raise ValueError(f"turns must be an integer >= 1, got {turns!r}")
     if input_kind not in ("free", "superposed"):
         raise ValueError(f"input_kind must be 'free' or 'superposed', got {input_kind!r}")
     d = spec.basis.d

@@ -49,7 +49,7 @@ class FreeKrausForm:
         bad = labels[(labels < 0) | (labels >= basis.d)] if labels.dtype.kind in "iu" else labels.ravel()
         if bad.size:
             raise ValueError(f"index_fn label {bad[0]} is not an integer in [0, {basis.d})")
-        outers = v.T[labels][..., None] * w.conj().T[:, None, :]
+        outers = v.T[labels][..., None] * dagger(w)[:, None, :]
         return (np.asarray(self.coeffs)[..., None, None] * outers).sum(axis=-3)
 
 
@@ -74,7 +74,7 @@ class Channel(_Record):
             raise DimensionMismatch(f"Kraus operators must be square, got shape {stack.shape[1:]}")
         terms = np.empty((len(stack) + 1, stack.shape[2], stack.shape[2]), dtype=complex)
         terms[0] = np.eye(stack.shape[2])
-        np.matmul(stack.conj().transpose(0, 2, 1), stack, out=terms[1:])
+        np.matmul(dagger(stack), stack, out=terms[1:])
         defect = np.subtract.reduce(terms)   # I - K_1'K_1 - K_2'K_2 - ..., in operator order
         eig = np.linalg.eigh(hermitian_part(defect))
         self._store(kraus=stack, defect=defect, defect_eig=eig)
@@ -113,7 +113,7 @@ def _sandwich(ch: Channel, rho: DensityMatrix) -> np.ndarray:
     """Every K rho K' of the channel, (n, d, d), from one batched product."""
     if rho.dim != ch.dim:
         raise DimensionMismatch(f"state dimension {rho.dim} != channel dimension {ch.dim}")
-    return ch.kraus @ rho.mat @ ch.kraus.conj().transpose(0, 2, 1)
+    return ch.kraus @ rho.mat @ dagger(ch.kraus)
 
 
 def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
@@ -146,7 +146,7 @@ def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:
     as_complex_matrix(channel.kraus, "operator", stack=True, shape=(basis.d, basis.d))
     w, v = channel.defect_eig
     keep = w > 1e-12
-    outers = basis.vectors[:, 0, None] * v[:, keep].conj().T[:, None, :]
+    outers = basis.vectors[:, 0, None] * dagger(v[:, keep])[:, None, :]
     return list(np.sqrt(w[keep])[:, None, None] * outers)
 
 

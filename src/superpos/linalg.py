@@ -33,20 +33,19 @@ class _Record:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of one matrix or of each matrix of an (n, k, m) stack."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A') / 2, of one matrix or of each matrix of an (n, k, k) stack."""
-    a = np.asarray(a)
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    return 0.5 * (a + dagger(a))
 
 
 def psd_part(a: np.ndarray) -> np.ndarray:
-    """The Hermitian part of A with its negative eigenvalues clipped to 0."""
+    """The Hermitian part of A, or of each matrix of a stack, with negative eigenvalues clipped to 0."""
     w, v = np.linalg.eigh(hermitian_part(a))
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return (v * np.clip(w, 0.0, None)[..., None, :]) @ dagger(v)
 
 
 def as_complex_matrix(a, name: str = "matrix", stack: bool = False, shape: tuple | None = None) -> np.ndarray:
@@ -81,7 +80,7 @@ def as_hermitian_matrix(a, name: str = "h", tol: float = 1e-8, stack: bool = Fal
     m = as_complex_matrix(a, name, stack, shape)
     if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape[stack:]}")
-    asym = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
+    asym = np.linalg.norm(m - dagger(m), axis=(-2, -1))
     bad = asym[asym > tol * np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))]
     if bad.size:
         raise NonHermitian(f"anti-Hermitian part {bad[0]:.3e} exceeds {tol:.0e}*max(1, ||{name}||)")
@@ -112,7 +111,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma = as_hermitian_matrix(sigma, "sigma")
     rho = as_hermitian_matrix(rho, "state", shape=sigma.shape)
     w, v = np.linalg.eigh(rho)
-    r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T   # sqrt(rho), eigenvalues clipped at 0
+    r = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)   # sqrt(rho), eigenvalues clipped at 0
     w = np.clip(herm_eig(r @ sigma @ r)[0], 0.0, None)
     return float(np.sum(np.sqrt(w)) ** 2)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .basis import FreeBasis
 from .errors import NoConvergence
-from .linalg import as_tolerance, hermitian_part, psd_part
-from .sdp import SdpSolution, solve_cover
+from .linalg import as_tolerance, dagger, psd_part
+from .sdp import COVER_GAP_TOL, SdpSolution, solve_cover
 from .states import (
     DensityMatrix,
     PureState,
@@ -31,6 +31,7 @@ from .states import (
 )
 
 LOG_CONVENTION = "nat"
+REL_ENT_TOL = 1e-9
 _MAX_FW_ITER = 10_000
 _MAX_PHASE_STEPS = 200
 _FACE_WEIGHT = 1e-3
@@ -86,7 +87,7 @@ def _rel_ent_terms(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> tupl
     (w, L, rho~, a) that ``_rel_ent_hessian`` takes are None off full support.
     """
     w, u = np.linalg.eigh(_mixture(basis, q))
-    uh = u.conj().T
+    uh = dagger(u)
     rho_eig = uh @ rho_mat @ u
     value = _cross_entropy_eig(w, rho_eig)
     full = w[0] > 1e-15   # eigh sorts w ascending: sigma has full support
@@ -164,7 +165,7 @@ def _newton_point(q: np.ndarray, grad: np.ndarray, parts: tuple | None, tol: flo
     return point / point.sum()
 
 
-def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = 1e-9) -> MeasureReport:
+def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = REL_ENT_TOL) -> MeasureReport:
     """Minimum relative entropy to the free set: two multiplicative updates,
     then projected-Newton steps on the free face for as long as they are kept.
 
@@ -274,7 +275,7 @@ def _phase_cover(coeffs: np.ndarray, gap_tol: float) -> tuple[str, SdpSolution] 
     return None
 
 
-def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> MeasureReport:
+def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = COVER_GAP_TOL) -> MeasureReport:
     """Minimal s >= 0 such that (rho + s tau)/(1+s) is free for some state tau.
 
     Solved in the free frame C = W' rho W as "minimize sum x_i - 1 subject to
@@ -283,14 +284,13 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = 1e-8) -> M
     Every rho tries one phase bracket, ``_phase_cover``, whose start is the
     closed form R + 1 = sum_ij |C_ij| (certified on every rank-one and every
     d = 2 rho, and on a free rho unless the basis is nearly dependent), then
-    the SDP: a rho where the bracket stalls goes to ``solve_cover`` on C's
-    Hermitian part, whose ``NoConvergence`` propagates. ``extra["method"]``
+    the SDP: a rho where the bracket stalls goes to ``solve_cover`` on the same
+    C, whose ``NoConvergence`` propagates. ``extra["method"]``
     says which certified ("closed_form", "phase" or "sdp").
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
     coeffs = free_expansion(rho, basis)
-    method, sol = _phase_cover(coeffs, gap_tol) or (
-        "sdp", solve_cover(hermitian_part(coeffs), gap_tol=gap_tol))
+    method, sol = _phase_cover(coeffs, gap_tol) or ("sdp", solve_cover(coeffs, gap_tol=gap_tol))
     s = max(float(sol.primal - 1.0), 0.0)
     delta, tau = free_mixture(basis, sol.p / sol.p.sum()), None
     if s > 1e-10:

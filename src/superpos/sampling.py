@@ -11,13 +11,15 @@ import numpy as np
 
 from .basis import FreeBasis
 from .kraus import FreeKrausForm
+from .linalg import dagger
 from .states import DensityMatrix, PureState, free_mixture
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based 64-bit generator (Philox) for bit-reproducible sampling."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    """Counter-based 64-bit generator (Philox) for bit-reproducible sampling; ``ValueError``
+    unless seed is a non-negative integer, a Python or numpy one but not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -39,7 +41,7 @@ def random_density(d: int, rng: np.random.Generator, rank: int | None = None) ->
     if not 1 <= k <= d:
         raise ValueError(f"rank must be at least 1, got {k}" if k < 1 else f"rank must be at most {d}, got {k}")
     g = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
-    m = g @ g.conj().T
+    m = g @ dagger(g)
     return DensityMatrix(m / np.trace(m).real)
 
 
@@ -76,7 +78,7 @@ def random_subnormalized_free_ops(basis: FreeBasis, rng: np.random.Generator, n_
                                   slack: float = 0.9) -> list[np.ndarray]:
     """Random free operators jointly scaled so sum K'K <= slack * identity."""
     ops = [random_free_operator(basis, rng) for _ in range(n_ops)]
-    total = np.sum([k.conj().T @ k for k in ops], axis=0)
+    total = np.sum([dagger(k) @ k for k in ops], axis=0)
     scale = np.sqrt(slack / max(float(np.linalg.eigvalsh(total)[-1]), 1e-300))
     return [scale * k for k in ops]
 

@@ -30,9 +30,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadData, NoConvergence
-from .linalg import _Record, as_hermitian_matrix, as_tolerance, psd_part
+from .linalg import _Record, as_hermitian_matrix, as_tolerance, dagger, hermitian_part, psd_part
 
 DEFAULT_GAP_TOL = 1e-7
+COVER_GAP_TOL = 1e-8
 _PSD_DATA_TOL = 1e-9
 _DUAL_TOL = 1e-9
 _MAX_PD_ITER = 50
@@ -147,7 +148,7 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, sign: float, p: np.ndarray,
         for done in range(_MAX_PD_ITER):
             z = f0 - (p @ flat).reshape(k, k)
             linv = np.linalg.inv(np.linalg.cholesky(np.array([y, z])))
-            linv_h = linv.conj().transpose(0, 2, 1)
+            linv_h = dagger(linv)
             zinv = linv_h[1] @ linv[1]
             complementarity = float((y @ z).trace().real) + float(s @ p)
             if complementarity <= gap_tol * max(1.0, primal := float(p.sum())):
@@ -169,7 +170,7 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, sign: float, p: np.ndarray,
             dp = schur_linv.T @ (schur_linv @ predictor_rhs)
             dz = -(dp @ flat).reshape(k, k)
             dy = 0.0 - y - y @ dz @ zinv     # 0 - Y, not -Y: R Z^-1 - Y at R = 0, signed zeros too
-            dy, ds = 0.5 * (dy + dy.conj().T), -s - s * dp / p
+            dy, ds = hermitian_part(dy), -s - s * dp / p
             a_primal, a_dual = _step_lengths(linv, linv_h, dy, dz, s, ds, p, dp)
             mu_aff = (float(((y + a_primal * dy) @ (z + a_dual * dz)).trace().real)
                       + float((s + a_primal * ds) @ (p + a_dual * dp))) / (k + n)
@@ -179,7 +180,7 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, sign: float, p: np.ndarray,
             dp = schur_linv.T @ (schur_linv @ (sign - (flat @ target.T.reshape(-1)).real + lp))
             dz = -(dp @ flat).reshape(k, k)
             dy = target - y - y @ dz @ zinv
-            dy, ds = 0.5 * (dy + dy.conj().T), lp - s - s * dp / p
+            dy, ds = hermitian_part(dy), lp - s - s * dp / p
             a_primal, a_dual = _step_lengths(linv, linv_h, dy, dz, s, ds, p, dp)
             y, s = y + a_primal * dy, s + a_primal * ds
             p = p + a_dual * dp
@@ -220,7 +221,7 @@ def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:
     return bool(feasible), bound
 
 
-def solve_cover(coeffs: np.ndarray, gap_tol: float = 1e-8) -> SdpSolution:
+def solve_cover(coeffs: np.ndarray, gap_tol: float = COVER_GAP_TOL) -> SdpSolution:
     """Minimize sum x_i subject to diag(x) >= C, the robustness cover in the free frame.
 
     The solution's ``p`` holds x; a C = ``coeffs`` that fails ``as_hermitian_matrix``

@@ -9,7 +9,7 @@ import numpy as np
 
 from .basis import FreeBasis
 from .errors import DimensionMismatch, InvalidState, NonHermitian, NotNormalized
-from .linalg import _Record, as_hermitian_matrix, as_tolerance, dagger, herm_eig
+from .linalg import _Record, as_hermitian_matrix, as_tolerance, dagger, hermitian_part
 
 PURE_NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -74,11 +74,11 @@ class DensityMatrix(_Record):
 
 
 def free_expansion(rho: DensityMatrix, basis: FreeBasis) -> np.ndarray:
-    """Coefficients W' rho W of rho over |c_i><c_j|, W the reciprocal frame."""
+    """Coefficients W' rho W of rho over |c_i><c_j|, W the reciprocal frame, made exactly Hermitian."""
     if rho.dim != basis.d:
         raise DimensionMismatch(f"state dimension {rho.dim} != basis dimension {basis.d}")
     w = basis.reciprocal
-    return dagger(w) @ rho.mat @ w
+    return hermitian_part(dagger(w) @ rho.mat @ w)
 
 
 def free_support(coeffs: np.ndarray, tol: float = RANK_TOL) -> tuple:
@@ -127,7 +127,7 @@ def schmidt_rank(psi: PureState, dim_a: int, dim_b: int, tol: float = RANK_TOL) 
 
 def eigen_decomposition(rho: DensityMatrix) -> list[tuple[float, PureState]]:
     """Spectral decomposition as (weight, pure state) pairs, zero weights dropped."""
-    w, v = herm_eig(rho.mat)
+    w, v = np.linalg.eigh(rho.mat)
     out = []
     for lam, vec in zip(w, v.T):
         if lam > 1e-12:

@@ -25,8 +25,8 @@ import numpy as np
 from .basis import FreeBasis, symmetric_basis_d3
 from .errors import NoConvergence, RankMismatch, SupportTooLarge
 from .kraus import FreeKrausForm, complete_free
-from .linalg import _Record, as_tolerance
-from .sdp import LmiProblem, SdpSolution, solve_lmi
+from .linalg import _Record, as_tolerance, dagger
+from .sdp import DEFAULT_GAP_TOL, LmiProblem, SdpSolution, solve_lmi
 from .states import PureState, free_support
 
 MAX_SUPPORT = 5  # r! operators; 5! = 120 is the desk-scale cap
@@ -178,7 +178,7 @@ def _completion(psi: PureState, phi: PureState, basis: FreeBasis, p: np.ndarray)
 
 
 def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
-                        gap_tol: float = 1e-7) -> SdpSolution:
+                        gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     """Conversion probability over ``enumerate_transformers``: the free optimum
     at full support, a certified lower bound on it at support r < d.
 
@@ -201,7 +201,7 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
             raise NoConvergence(f"duality gap {sol.gap:.3e} above {gap_tol:.1e}")
     else:   # enumerate_transformers raises RankMismatch and SupportTooLarge
         ops = enumerate_transformers(psi, phi, basis).operators
-        sol = solve_lmi(LmiProblem.from_matrices(ops.conj().transpose(0, 2, 1) @ ops), gap_tol)
+        sol = solve_lmi(LmiProblem.from_matrices(dagger(ops) @ ops), gap_tol)
     value = float(min(max(sol.primal, 0.0), 1.0))
     complete = functools.partial(_completion, psi, phi, basis, sol.p.copy()) if value >= 1.0 - gap_tol else None
     return SdpSolution(sol.p, sol.primal, sol.dual_matrix, sol.dual, sol.gap, value, complete)

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import pathlib
@@ -12,7 +13,8 @@ from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.cli import _build_parser, dispatch
 from superpos.entangle import faithful_conversion, verify_faithful
 from superpos.errors import SchemaViolation
-from superpos.measures import l1_measure
+from superpos.kraus import is_free_kraus
+from superpos.measures import l1_measure, rel_entropy_measure
 from superpos.qubit import qubit_free_basis
 from superpos.sampling import make_rng
 from superpos.serialize import (
@@ -25,7 +27,7 @@ from superpos.serialize import (
     pure_state_to_json,
     state_from_json,
 )
-from superpos.states import PureState, free_mixture
+from superpos.states import PureState, free_mixture, is_free, superposition_rank
 from superpos.transform import candidate_states_d3, max_conversion_prob
 
 
@@ -390,10 +392,11 @@ PINNED = {
         '{"superposition_rank": 3}\n',
     ("state", "free", "--state", "free_state", "--basis", "basis"):
         '{"is_free": true}\n',
+    # free_expansion returns the Hermitian part of W' rho W: the rounding noise is symmetric
     ("state", "expand", "--state", "free_state", "--basis", "basis"):
-        '{"coeffs": [[[0.2, 0.0], [2.80256155e-17, 0.0], [-1.41478277e-17, 0.0]], '
-        '[[5.01678432e-17, 0.0], [0.3, 0.0], [5.34330808e-18, 0.0]], [[3.0561517e-18, 0.0], '
-        '[1.32026881e-17, 0.0], [0.5, 0.0]]]}\n',
+        '{"coeffs": [[[0.2, 0.0], [3.90967293e-17, 0.0], [-5.545838e-18, 0.0]], '
+        '[[3.90967293e-17, 0.0], [0.3, 0.0], [9.27299807e-18, 0.0]], [[-5.545838e-18, 0.0], '
+        '[9.27299807e-18, 0.0], [0.5, 0.0]]]}\n',
     ("kraus", "check", "--in", "operators", "--basis", "basis"):
         '{"forms": [{"coeffs": [[0.6, 0.0], [0.6, 0.0], [0.6, 0.0]], "index_fn": [0, 1, 2]}], '
         '"free": [true]}\n',
@@ -435,6 +438,32 @@ def test_cli_leaf_output_is_pinned(argv, d3_files, capsys):
     resolved = list(argv[:2]) + [d3_files.get(a, a) for a in argv[2:]]
     assert dispatch(resolved) == 0
     assert capsys.readouterr().out == PINNED[argv]
+
+
+# the library parameter that each leaf's --tol feeds
+TOL_FEEDS = {
+    ("state", "rank"): (superposition_rank, "tol"),
+    ("state", "free"): (is_free, "tol"),
+    ("kraus", "check"): (is_free_kraus, "tol"),
+    ("measure", "relent"): (rel_entropy_measure, "tol"),
+    ("convert", "prob"): (max_conversion_prob, "gap_tol"),
+}
+
+
+def test_tol_default_is_the_library_default():
+    parser = _build_parser()
+    defaults = {}
+    for group, leaf in _leaves(parser):
+        leaf_parser = _subparser(_subparser(parser, group), leaf)
+        if (default := leaf_parser.get_default("tol")) is not None:
+            defaults[group, leaf] = default
+    assert defaults.keys() == TOL_FEEDS.keys()
+    for leaf, (func, name) in TOL_FEEDS.items():
+        assert defaults[leaf] == inspect.signature(func).parameters[name].default, leaf
+
+
+def _subparser(parser, name):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
 
 
 def _leaves(parser, path=()):

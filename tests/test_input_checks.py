@@ -10,7 +10,7 @@ from superpos.basis import FreeBasis, orthonormal_basis, symmetric_basis_d3
 from superpos.cli import _load_pure
 from superpos.entangle import ConversionMap
 from superpos.errors import BadData, DimensionMismatch, InvalidState, NotNormalized, SchemaViolation
-from superpos.game import GameSpec, discriminate
+from superpos.game import GameSpec, build_game, discriminate, simulate
 from superpos.kraus import Channel, FreeKrausForm, apply_channel, complete_free, is_free_kraus, reduce_ancilla
 from superpos.linalg import as_tolerance, fidelity, partial_trace
 from superpos.qubit import (
@@ -111,6 +111,16 @@ CHECKS = {
                                 ValueError, "theta must be a finite angle, got nan"),
     "qubit.qubit_state.phi": (lambda tmp: qubit_state(0.3, np.inf),
                               ValueError, "phi must be a finite angle, got inf"),
+    "game.simulate.bool_turns": (lambda tmp: simulate(build_game(B2), "free", True, 0),
+                                 ValueError, "turns must be an integer >= 1, got True"),
+    "game.simulate.float_turns": (lambda tmp: simulate(build_game(B2), "free", 10.0, 0),
+                                  ValueError, "turns must be an integer >= 1, got 10.0"),
+    "sampling.make_rng.bool": (lambda tmp: make_rng(True),
+                               ValueError, "seed must be a non-negative integer, got True"),
+    "sampling.make_rng.float": (lambda tmp: make_rng(1.5),
+                                ValueError, "seed must be a non-negative integer, got 1.5"),
+    "sampling.make_rng.negative": (lambda tmp: make_rng(-1),
+                                   ValueError, "seed must be a non-negative integer, got -1"),
     "sampling.random_density": (lambda tmp: random_density(3, make_rng(1), rank=0),
                                 ValueError, "rank must be at least 1, got 0"),
     "sampling.random_density.rank_above_d": (lambda tmp: random_density(3, make_rng(1), rank=4),
@@ -147,6 +157,12 @@ def test_input_check_raises_its_type_and_message(name, tmp_path):
         call(tmp_path)
     assert type(info.value) is error
     assert str(info.value).startswith(message)
+
+
+def test_numpy_integers_pass_as_seeds_and_turns():
+    stats = simulate(build_game(B2), "free", np.int64(10), np.uint32(3))
+    assert stats == simulate(build_game(B2), "free", 10, 3)
+    assert make_rng(np.int64(7)).random() == make_rng(7).random()
 
 
 def test_square_shape_messages_print_the_shape():

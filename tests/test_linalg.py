@@ -8,6 +8,7 @@ from superpos.linalg import (
     herm_eig,
     hermitian_part,
     partial_trace,
+    psd_part,
 )
 from superpos.sampling import make_rng
 
@@ -21,6 +22,19 @@ def characteristic_roots(h: np.ndarray) -> np.ndarray:
         m = h @ m + coeffs[-1] * np.eye(n)
         coeffs.append(-np.trace(h @ m).real / k)
     return np.sort(np.roots(coeffs).real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_matrix_rules_hold_on_stacks(n):
+    # an (n, 3, 3) stack gets each matrix's own result: a transpose of the whole
+    # stack, or one matrix's clipping weights broadcast over another, does not
+    rng = make_rng(110 + n)
+    stack = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    for rule in (dagger, hermitian_part, psd_part):
+        out = rule(stack)
+        assert out.shape == (n, 3, 3), rule.__name__
+        for a, b in zip(out, stack):
+            assert np.array_equal(a, rule(b)), rule.__name__
 
 
 def test_herm_eig_identity():

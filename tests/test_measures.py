@@ -577,7 +577,7 @@ def test_robustness_certifies_free_mixtures_on_near_dependent_bases(eps):
     # C = W' rho W of a free mixture is diagonal up to rounding of order
     # u / sigma_min^2, and its anti-Hermitian part grows with it: 3, 43 and 47
     # of these 60 draws used to raise NonHermitian from solve_cover's input
-    # check on C; the cover takes C's Hermitian part and certifies them
+    # check on C; free_expansion returns C's Hermitian part, which certifies
     methods = []
     for b, rho in near_dependent_batch(eps, free=True):
         rep = robustness(rho, b)
@@ -632,6 +632,35 @@ def test_robustness_mixed_state_uses_sdp():
     rep = robustness(rho, b)
     assert rep.extra["method"] == "sdp"
     assert rep.extra["gap"] <= 1e-8
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_free_expansion_is_exactly_hermitian_on_near_dependent_bases(free):
+    # W' rho W carries a rounding asymmetry, up to 2.5e-7 ||C|| on these free
+    # mixtures and 3e-16 ||C|| on the Ginibre states, above solve_cover's
+    # Hermitian check on 7 of the former; the free frame drops it where it is formed
+    for b, rho in near_dependent_batch(1e-4, free):
+        c = free_expansion(rho, b)
+        assert np.array_equal(c, c.conj().T)
+
+
+@pytest.mark.parametrize("case", ["orthonormal d = 8", "eps = 1e-4 draw 30"])
+def test_robustness_covers_the_free_expansion_itself(case, monkeypatch):
+    # both reach the SDP, the second after the bracket stalls on a nearly
+    # dependent basis: the bracket and the cover read one and the same C
+    if case == "orthonormal d = 8":
+        b, rho = orthonormal_basis(8), random_density(8, make_rng(806))
+    else:
+        b, rho = near_dependent_batch(1e-4)[30]
+    seen = []
+
+    def recording_cover(coeffs, gap_tol):
+        seen.append(coeffs)
+        return solve_cover(coeffs, gap_tol=gap_tol)
+
+    monkeypatch.setattr("superpos.measures.solve_cover", recording_cover)
+    assert robustness(rho, b).extra["method"] == "sdp"
+    assert len(seen) == 1 and np.array_equal(seen[0], free_expansion(rho, b))
 
 
 def test_phase_cover_certificates_check_independently():
