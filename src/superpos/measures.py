@@ -10,7 +10,9 @@ of ``sdp``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Any, ClassVar
 
 import numpy as np
@@ -40,13 +42,18 @@ _NEWTON_CUT = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class MeasureReport:
-    """A nonnegative measure value plus an optional certificate payload."""
+    """A nonnegative measure value plus an optional certificate payload, built on first
+    read by the ``_certify`` the measure passes and kept: a build error is raised by that read."""
 
     value: float
     convention: ClassVar[str] = LOG_CONVENTION
-    certificate: Any = None
     upper_bound: bool = False
     extra: dict = field(default_factory=dict)
+    _certify: Callable[[], Any] | None = field(default=None, repr=False)
+
+    @cached_property
+    def certificate(self) -> Any:
+        return None if self._certify is None else self._certify()
 
 
 def l1_measure(rho: DensityMatrix, basis: FreeBasis) -> MeasureReport:
@@ -214,7 +221,7 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = REL_E
         else:
             updates = 0
     return MeasureReport(value=max(_entropy_terms(rho.mat) + cross, 0.0),
-                         certificate=free_mixture(basis, q),
+                         _certify=partial(free_mixture, basis, q.copy()),
                          extra={"weights": q, "fw_gap": max(fw_gap, 0.0), "evaluations": evaluations,
                                 "newton_steps": newton_steps})
 
@@ -282,19 +289,22 @@ def robustness(rho: DensityMatrix, basis: FreeBasis, gap_tol: float = COVER_GAP_
     diag(x) >= C", i.e. sum x_i |c_i><c_i| >= rho with x_i = (1+s) q_i; the
     certificate holds the optimal (s, closest free state delta, witness tau).
     Every rho tries one phase bracket, ``_phase_cover``, whose start is the
-    closed form R + 1 = sum_ij |C_ij| (certified on every rank-one and every
-    d = 2 rho, and on a free rho unless the basis is nearly dependent), then
-    the SDP: a rho where the bracket stalls goes to ``solve_cover`` on the same
-    C, whose ``NoConvergence`` propagates. ``extra["method"]``
-    says which certified ("closed_form", "phase" or "sdp").
+    closed form R + 1 = sum_ij |C_ij| (certified on every d = 2 rho, and on a
+    rank-one or free rho unless the basis is nearly dependent), then the SDP
+    (``solve_cover`` on the same C, whose ``NoConvergence`` propagates) where
+    the bracket stalls. ``extra["method"]`` is "closed_form", "phase" or "sdp".
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
     coeffs = free_expansion(rho, basis)
     method, sol = _phase_cover(coeffs, gap_tol) or ("sdp", solve_cover(coeffs, gap_tol=gap_tol))
     s = max(float(sol.primal - 1.0), 0.0)
-    delta, tau = free_mixture(basis, sol.p / sol.p.sum()), None
+    return MeasureReport(value=s, _certify=partial(_robustness_certificate, rho, basis, s, sol.p),
+                         extra={"weights": sol.p.copy(), "gap": sol.gap, "method": method})
+
+
+def _robustness_certificate(rho: DensityMatrix, basis: FreeBasis, s: float, x: np.ndarray) -> dict:
+    delta, tau = free_mixture(basis, x / x.sum()), None
     if s > 1e-10:
         excess = psd_part((1.0 + s) * delta.mat - rho.mat)
         tau = DensityMatrix(excess / np.trace(excess).real)
-    return MeasureReport(value=s, certificate={"s": s, "delta": delta, "tau": tau},
-                         extra={"weights": sol.p.copy(), "gap": sol.gap, "method": method})
+    return {"s": s, "delta": delta, "tau": tau}

@@ -4,18 +4,20 @@ Run from anywhere in a checkout whose parent commit is fetched::
 
     PYTHONPATH=src python tests/ci_report.py
 
-Five reports, each under a ``## title`` line:
+Six reports, each under a ``## title`` line:
 - the size of each module of ``src/superpos`` and of the library, and the net
   change in lines against the parent commit (HEAD^1);
 - the number of public names ``import superpos`` binds, submodules excluded;
 - the np.linalg calls and primal-dual iterations of one solve of each kind;
 - the wall time of the criterion-07 qubit landscape and of its single cells;
-- the relative-entropy loop's evaluations and Newton steps on the tests' draws.
+- the relative-entropy loop's evaluations and Newton steps on the tests' draws;
+- the median time of a robustness and a relative-entropy call on the tests'
+  draws, reading the value only and reading the certificate too.
 
 Each report restores whatever it patched before the next one runs. A report
 that raises prints its traceback, the others still run, and the script then
 exits 1. pytest does not collect this file; it sits beside the
-``test_measures`` helpers whose draws the last report reads.
+``test_measures`` helpers whose draws the last two reports read.
 """
 import collections
 import contextlib
@@ -172,12 +174,32 @@ def rel_entropy_evaluations():
     report("60 eps = 1e-3 draws", near_dependent_batch(1e-3))
 
 
+def certificate_timings():
+    """Median over the 300 S2b outcomes (the draws of the previous report) of the
+    best-of-3 time of one ``robustness`` and one ``rel_entropy_measure`` call that
+    reads only the value, and of one that also reads the certificate (built on
+    first read), with a count of NoConvergence."""
+    draws = s2b_outcomes()
+    for name, measure in (("robustness", sp.robustness), ("rel_entropy_measure", rel_entropy_measure)):
+        for label, read in (("value only", lambda rep: rep.value),
+                            ("certificate read", lambda rep: rep.certificate)):
+            times, failures = [], 0
+            for b, rho in draws:
+                try:
+                    times.append(min(timeit.repeat(lambda: read(measure(rho, b)), number=1, repeat=3)))
+                except NoConvergence:
+                    failures += 1
+            print(f"{name}, {label}: median {np.median(times) * 1e6:.1f} us over {len(times)} draws; "
+                  f"NoConvergence {failures}")
+
+
 REPORTS = {
     "Python lines in src/superpos": line_counts,
     "Public names exported by superpos": exported_names,
     "np.linalg calls in one solve of each kind": linalg_calls,
     "Qubit landscape timings": landscape_timings,
     "Relative-entropy evaluations on S2b outcomes": rel_entropy_evaluations,
+    "Measure times with and without the certificate": certificate_timings,
 }
 
 

@@ -7,10 +7,12 @@ sigma_min falls to about eps. On each basis it draws a Haar pure state, a
 Ginibre state of rank 2 (d > 2) or of full rank, or a free mixture with
 Dirichlet(1) weights, three draws of each, and calls ``l1_measure``,
 ``rel_entropy_measure`` and ``robustness`` on the state, ``rank_measure`` on a
-pure one and ``is_free`` on a free one. ``max_conversion_prob`` runs on three
-pairs of support-2 and of support-3 states at d = 3 and 5, each on a fresh
-basis. An outcome is "ok", "misjudged" (``is_free`` calls a free mixture not
-free) or the class of the error raised.
+pure one and ``is_free`` on a free one, and reads each report's certificate
+(built on first read, so a certificate that fails counts against its
+function). ``max_conversion_prob`` runs on three pairs of support-2 and of
+support-3 states at d = 3 and 5, each on a fresh basis. An outcome is "ok",
+"misjudged" (``is_free`` calls a free mixture not free) or the class of the
+error raised.
 
 ``CENSUS`` pins the counts per (function, eps, kind): a change that moves any
 count, or brings a new outcome, fails the test and re-pins the row on purpose.
@@ -23,7 +25,7 @@ import collections
 import numpy as np
 
 from superpos.basis import new_free_basis
-from superpos.measures import l1_measure, rank_measure, rel_entropy_measure, robustness
+from superpos.measures import MeasureReport, l1_measure, rank_measure, rel_entropy_measure, robustness
 from superpos.sampling import haar_state, make_rng, random_basis, random_density, random_free_state
 from superpos.states import PureState, is_free
 from superpos.transform import max_conversion_prob
@@ -97,6 +99,8 @@ def _calls(rng):
 def _outcome(call) -> str:
     try:
         result = call()
+        if isinstance(result, MeasureReport):
+            result.certificate
     except Exception as exc:   # the census counts every failure by its class
         return type(exc).__name__
     return "misjudged" if result is False else "ok"

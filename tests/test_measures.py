@@ -1,5 +1,7 @@
+import copy
 import functools
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from scipy.optimize import minimize_scalar
 from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3
 from superpos.errors import NoConvergence
 from superpos.kraus import free_channel, measure_selective
-from superpos.linalg import hermitian_part
+from superpos.linalg import hermitian_part, psd_part
 from superpos.measures import (
     _cross_entropy_eig,
     _entropy_terms,
@@ -797,6 +799,98 @@ def test_reports_carry_convention():
     plus = PureState(np.array([1, 1]) / np.sqrt(2))
     assert rel_entropy_measure(plus.density(), b).convention == "nat"
     assert rank_measure(plus, b).convention == "nat"
+
+
+@functools.cache
+def certificate_corpus() -> list:
+    """(basis, state) draws: at each d = 2..8 three Haar pure states, three Ginibre
+    states and three free mixtures on random bases (seed 4801), then the 300
+    ``s2b_outcomes``."""
+    rng = make_rng(4801)
+    out = []
+    for d in range(2, 9):
+        for _ in range(3):
+            b = random_basis(d, rng)
+            out += [(b, haar_state(d, rng).density()), (b, random_density(d, rng)),
+                    (b, random_free_state(b, rng))]
+    return out + s2b_outcomes()
+
+
+def eager_certificates(rho, b, rob, rel):
+    """The certificates as the measures built them eagerly, from the reports' own weights."""
+    sigma = free_mixture(b, rel.extra["weights"])
+    s, x = rob.value, rob.extra["weights"]
+    delta, tau = free_mixture(b, x / x.sum()), None
+    if s > 1e-10:
+        excess = psd_part((1.0 + s) * delta.mat - rho.mat)
+        tau = DensityMatrix(excess / np.trace(excess).real)
+    return sigma, {"s": s, "delta": delta, "tau": tau}
+
+
+def assert_same_certificates(rob_cert, sigma, expected):
+    """Bit equality of a robustness certificate and sigma with the eager ones."""
+    assert sigma.mat.tobytes() == expected[0].mat.tobytes()
+    assert rob_cert["s"] == expected[1]["s"]
+    assert rob_cert["delta"].mat.tobytes() == expected[1]["delta"].mat.tobytes()
+    assert (rob_cert["tau"] is None) == (expected[1]["tau"] is None)
+    if rob_cert["tau"] is not None:
+        assert rob_cert["tau"].mat.tobytes() == expected[1]["tau"].mat.tobytes()
+
+
+def test_value_only_measures_build_no_density_matrix(monkeypatch):
+    # a report builds its certificate on the first read of .certificate and
+    # keeps it: a caller that reads only .value builds no DensityMatrix
+    built = []
+    post_init = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: built.append(1) or post_init(self))
+    witnessed = 0
+    for b, rho in certificate_corpus()[:63]:
+        built.clear()
+        rob, rel = robustness(rho, b), rel_entropy_measure(rho, b)
+        assert built == []
+        cert, sigma = rob.certificate, rel.certificate
+        assert len(built) == 2 + (cert["tau"] is not None)
+        assert rob.certificate is cert and rel.certificate is sigma
+        assert len(built) == 2 + (cert["tau"] is not None)
+        witnessed += cert["tau"] is not None
+    assert witnessed >= 40
+
+
+def test_read_certificates_match_the_eager_ones():
+    # every read sigma, delta, tau and s is bit-identical to the expressions
+    # the measures evaluated before the certificate was built on first read
+    checked = 0
+    for b, rho in certificate_corpus():
+        try:
+            rob = robustness(rho, b)
+        except NoConvergence:
+            continue
+        rel = rel_entropy_measure(rho, b)
+        assert_same_certificates(rob.certificate, rel.certificate, eager_certificates(rho, b, rob, rel))
+        checked += 1
+    assert checked >= 350, checked
+
+
+def test_writing_into_the_weights_leaves_an_unread_certificate_unchanged():
+    # extra["weights"] is the caller's to change: the builder keeps its own copy
+    for b, rho in certificate_corpus()[:63]:
+        rob, rel = robustness(rho, b), rel_entropy_measure(rho, b)
+        expected = eager_certificates(rho, b, rob, rel)
+        for rep in (rob, rel):
+            rep.extra["weights"][:] = rep.extra["weights"][::-1] * 2.0
+        assert_same_certificates(rob.certificate, rel.certificate, expected)
+
+
+@pytest.mark.parametrize("clone", [lambda rep: pickle.loads(pickle.dumps(rep)), copy.copy],
+                         ids=["pickle", "copy"])
+def test_an_unread_certificate_survives_pickle_and_copy(clone):
+    # the builder is a partial of module-level functions, so a report pickles
+    # before its certificate is read; the clone builds the original's certificate
+    for b, rho in certificate_corpus()[:63:4]:
+        rob, rel = robustness(rho, b), rel_entropy_measure(rho, b)
+        rob_clone, rel_clone = clone(rob), clone(rel)
+        assert (rob_clone.value, rel_clone.value) == (rob.value, rel.value)
+        assert_same_certificates(rob_clone.certificate, rel_clone.certificate, (rel.certificate, rob.certificate))
 
 
 def test_rel_entropy_update_cap_raises(monkeypatch):
