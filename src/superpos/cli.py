@@ -102,13 +102,12 @@ def _kraus_check(args) -> dict:
     }
 
 
-def _report_out(report) -> dict:
+def _report_out(report, certificate=None) -> dict:
+    """A measure report's payload; ``certificate(report)``, when given, is the certificate part printed."""
     payload = {"value": report.value, "convention": report.convention,
                "upper_bound": report.upper_bound}
-    if isinstance(report.certificate, DensityMatrix):
-        payload["certificate"] = {"mat": _to_json(report.certificate.mat)}
-    elif isinstance(report.certificate, dict):
-        payload["certificate"] = {"s": report.certificate["s"]}
+    if certificate is not None:
+        payload["certificate"] = certificate(report)
     return payload
 
 
@@ -179,11 +178,12 @@ _COMMANDS = {
     ("measure", "l1"): ((_STATE, _BASIS), None, lambda a: _report_out(
         measures.l1_measure(_as_density(a.state), a.basis))),
     ("measure", "relent"): ((_STATE, _BASIS), measures.REL_ENT_TOL, lambda a: _report_out(
-        measures.rel_entropy_measure(_as_density(a.state), a.basis, tol=a.tol))),
+        measures.rel_entropy_measure(_as_density(a.state), a.basis, tol=a.tol),
+        lambda report: {"mat": _to_json(report.certificate.mat)})),
     ("measure", "rank"): ((_STATE, _BASIS), None, lambda a: _report_out(
         measures.rank_measure(a.state, a.basis))),
     ("measure", "robustness"): ((_STATE, _BASIS), None, lambda a: _report_out(
-        measures.robustness(_as_density(a.state), a.basis))),
+        measures.robustness(_as_density(a.state), a.basis), lambda report: {"s": report.value})),
     ("convert", "prob"): ((_flag("--from", _load_pure, dest="source", required=True),
                            _flag("--to", _load_pure, dest="target", required=True), _BASIS),
                           sdp.DEFAULT_GAP_TOL, _convert_prob),

@@ -124,14 +124,16 @@ def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def measure_selective(ch: Channel, rho: DensityMatrix) -> list[tuple[float, DensityMatrix]]:
-    """Selective measurement outcomes (p_n, rho_n); outcomes below 1e-12 dropped."""
+    """Selective measurement outcomes (p_n, rho_n); outcomes below 1e-12 dropped. The rule of
+    ``DensityMatrix`` runs once for the stack of outcome states, not once per state."""
     m = _sandwich(ch, rho)
     p = np.trace(m, axis1=1, axis2=2).real
     total = float(p.sum())
     if total > 1.0 + TP_TOL:
         raise NotSubnormalized(f"outcome probabilities sum to {total:.12g}")
     keep = p >= 1e-12
-    return [(float(pn), DensityMatrix(mn)) for pn, mn in zip(p[keep], m[keep] / p[keep, None, None])]
+    states = DensityMatrix._stack(m[keep] / p[keep, None, None]) if keep.any() else []
+    return list(zip(p[keep].tolist(), states))
 
 
 def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:
@@ -143,7 +145,8 @@ def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:
     are dropped.
     """
     channel = Channel(partial)
-    as_complex_matrix(channel.kraus, "operator", stack=True, shape=(basis.d, basis.d))
+    if channel.kraus.shape[1:] != (basis.d, basis.d):
+        raise DimensionMismatch(f"operator shape {channel.kraus.shape[1:]} != {(basis.d, basis.d)}")
     w, v = channel.defect_eig
     keep = w > 1e-12
     outers = basis.vectors[:, 0, None] * dagger(v[:, keep])[:, None, :]

@@ -23,13 +23,14 @@ class _Record:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
-    def _store(self, **values) -> None:
-        """Set fields of the frozen record, each array (or tuple of arrays) made read-only."""
+    def _store(self, **values):
+        """Set fields of the frozen record, each array (or tuple of arrays) made read-only; returns the record."""
         for name, value in values.items():
             for array in value if isinstance(value, tuple) else (value,):
                 if isinstance(array, np.ndarray):
                     array.flags.writeable = False
             object.__setattr__(self, name, value)
+        return self
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .sdp import COVER_GAP_TOL, SdpSolution, solve_cover
 from .states import (
     DensityMatrix,
     PureState,
+    _is_free_coeffs,
     _mixture,
     eigen_decomposition,
     free_expansion,
@@ -96,14 +97,16 @@ def _rel_ent_terms(rho_mat: np.ndarray, basis: FreeBasis, q: np.ndarray) -> tupl
     w, u = np.linalg.eigh(_mixture(basis, q))
     uh = dagger(u)
     rho_eig = uh @ rho_mat @ u
-    value = _cross_entropy_eig(w, rho_eig)
-    full = w[0] > 1e-15   # eigh sorts w ascending: sigma has full support
-    if not full:
+    if full := w[0] > 1e-15:   # eigh sorts w ascending: sigma has full support
+        logs = np.log(w)
+        value = float(-rho_eig.diagonal().real @ logs)   # _cross_entropy_eig's value, ln w taken once
+    else:
+        value = _cross_entropy_eig(w, rho_eig)
         outside = w <= 1e-15
         rho_eig[outside, :] = 0.0
         rho_eig[:, outside] = 0.0
         w = np.clip(w, 1e-300, None)
-    logs = np.log(w)
+        logs = np.log(w)
     diff = w[:, None] - w[None, :]
     loewner = np.repeat(1.0 / w[:, None], len(w), axis=1)
     np.divide(logs[:, None] - logs[None, :], diff, out=loewner, where=np.abs(diff) > 1e-14)
@@ -194,8 +197,8 @@ def rel_entropy_measure(rho: DensityMatrix, basis: FreeBasis, tol: float = REL_E
     the uniform mixture.
     """
     tol = as_tolerance(tol)
-    if is_free(rho, basis):
-        q = np.clip(np.diag(free_expansion(rho, basis)).real, 0.0, None)
+    if _is_free_coeffs(coeffs := free_expansion(rho, basis)):
+        q = np.clip(np.diag(coeffs).real, 0.0, None)
         q /= q.sum()
     else:
         q = np.full(basis.d, 1.0 / basis.d)

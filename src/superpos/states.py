@@ -51,26 +51,43 @@ class PureState(_Record):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(_Record):
-    """Hermitian, positive semidefinite, unit-trace operator; ``mat`` is read-only."""
+    """Hermitian, positive semidefinite, unit-trace operator; ``mat`` is read-only. Its rule,
+    ``_density_rule``, runs once per record, and once per stack of records in ``_stack``."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        try:
-            m = as_hermitian_matrix(self.mat, "density matrix", tol=HERMITIAN_TOL)
-        except NonHermitian:
-            raise InvalidState("density matrix is not Hermitian") from None
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidState(f"trace {tr:.12g} != 1")
-        wmin = float(np.linalg.eigvalsh(m)[0])
-        if wmin < -PSD_TOL:
-            raise InvalidState(f"negative eigenvalue {wmin:.3e}")
-        self._store(mat=m)
+        self._store(mat=_density_rule(self.mat))
+
+    @classmethod
+    def _stack(cls, mats: np.ndarray) -> list["DensityMatrix"]:
+        """A record per matrix of an (n, d, d) stack, each holding its own copy, from one run of the rule."""
+        return [cls.__new__(cls)._store(mat=mat.copy()) for mat in _density_rule(mats, stack=True)]
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _density_rule(mat, stack: bool = False) -> np.ndarray:
+    """The Hermitian part of a density matrix, or of each of an (n, d, d) ``stack``, checked by one Hermitian
+    check, trace test and ``eigvalsh``; a stack raises what building its states one by one raises."""
+    try:
+        m = as_hermitian_matrix(mat, "density matrix", tol=HERMITIAN_TOL, stack=stack)
+    except (NonHermitian, ValueError) as exc:   # ValueError: an entry that is not a finite number
+        if not stack:
+            not_hermitian = InvalidState("density matrix is not Hermitian")
+            raise (not_hermitian if isinstance(exc, NonHermitian) else exc) from None
+        m = None
+    if m is None:   # some matrix of the stack fails: check the matrices in order, one by one
+        return np.array([_density_rule(one) for one in mat])
+    mats = m.reshape(-1, *m.shape[-2:])   # one matrix as a stack of one
+    for tr, wmin in zip(mats.trace(axis1=1, axis2=2).real.tolist(), np.linalg.eigvalsh(mats)[:, 0].tolist()):
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise InvalidState(f"trace {tr:.12g} != 1")
+        if wmin < -PSD_TOL:
+            raise InvalidState(f"negative eigenvalue {wmin:.3e}")
+    return m
 
 
 def free_expansion(rho: DensityMatrix, basis: FreeBasis) -> np.ndarray:
@@ -96,7 +113,11 @@ def superposition_rank(psi: PureState, basis: FreeBasis, tol: float = RANK_TOL) 
 def is_free(rho: DensityMatrix, basis: FreeBasis, tol: float = RANK_TOL) -> bool:
     """True iff rho is a statistical mixture of the pure free states."""
     tol = as_tolerance(tol)
-    coeffs = free_expansion(rho, basis)
+    return _is_free_coeffs(free_expansion(rho, basis), tol)
+
+
+def _is_free_coeffs(coeffs: np.ndarray, tol: float = RANK_TOL) -> bool:
+    """``is_free`` from rho's free expansion: off-diagonal moduli and negative diagonal within tol."""
     off = coeffs - np.diag(np.diag(coeffs))
     if np.abs(off).max(initial=0.0) > tol:
         return False

@@ -12,7 +12,8 @@ Six reports, each under a ``## title`` line:
 - the wall time of the criterion-07 qubit landscape and of its single cells;
 - the relative-entropy loop's evaluations and Newton steps on the tests' draws;
 - the median time of a robustness and a relative-entropy call on the tests'
-  draws, reading the value only and reading the certificate too.
+  draws, reading the value only and reading the certificate too, and of one
+  ``free_channel`` and one ``measure_selective`` call on the same draws' channels.
 
 Each report restores whatever it patched before the next one runs. A report
 that raises prints its traceback, the others still run, and the script then
@@ -39,7 +40,7 @@ from superpos.cli import dispatch
 from superpos.errors import NoConvergence
 from superpos.measures import rel_entropy_measure
 from superpos.sampling import haar_state, make_rng, random_basis, random_density
-from test_measures import near_dependent_batch, s2b_outcomes
+from test_measures import near_dependent_batch, s2b_draws, s2b_outcomes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -174,23 +175,30 @@ def rel_entropy_evaluations():
     report("60 eps = 1e-3 draws", near_dependent_batch(1e-3))
 
 
-def certificate_timings():
-    """Median over the 300 S2b outcomes (the draws of the previous report) of the
-    best-of-3 time of one ``robustness`` and one ``rel_entropy_measure`` call that
-    reads only the value, and of one that also reads the certificate (built on
-    first read), with a count of NoConvergence."""
-    draws = s2b_outcomes()
+def measure_timings():
+    """Median over the 300 S2b draws (those of the previous report) of the
+    best-of-3 time of one ``robustness`` and one ``rel_entropy_measure`` call on
+    the outcome that reads only the value, and of one that also reads the
+    certificate (built on first read), with a count of NoConvergence; then of
+    one ``free_channel`` call (the draw's 2 free operators and their completion)
+    and one ``measure_selective`` of that channel on the draw's state."""
+    draws = s2b_draws()
     for name, measure in (("robustness", sp.robustness), ("rel_entropy_measure", rel_entropy_measure)):
         for label, read in (("value only", lambda rep: rep.value),
                             ("certificate read", lambda rep: rep.certificate)):
             times, failures = [], 0
-            for b, rho in draws:
+            for b, _, _, rho in draws:
                 try:
                     times.append(min(timeit.repeat(lambda: read(measure(rho, b)), number=1, repeat=3)))
                 except NoConvergence:
                     failures += 1
             print(f"{name}, {label}: median {np.median(times) * 1e6:.1f} us over {len(times)} draws; "
                   f"NoConvergence {failures}")
+    channels = [(b, ops, sp.free_channel(ops, b), rho) for b, ops, rho, _ in draws]
+    for name, call in (("free_channel", lambda b, ops, ch, rho: sp.free_channel(ops, b)),
+                       ("measure_selective", lambda b, ops, ch, rho: sp.measure_selective(ch, rho))):
+        times = [min(timeit.repeat(lambda: call(*draw), number=1, repeat=3)) for draw in channels]
+        print(f"{name} on the S2b channels: median {np.median(times) * 1e6:.1f} us over {len(times)} draws")
 
 
 REPORTS = {
@@ -199,7 +207,7 @@ REPORTS = {
     "np.linalg calls in one solve of each kind": linalg_calls,
     "Qubit landscape timings": landscape_timings,
     "Relative-entropy evaluations on S2b outcomes": rel_entropy_evaluations,
-    "Measure times with and without the certificate": certificate_timings,
+    "Measure times with and without the certificate, and S2b channel times": measure_timings,
 }
 
 

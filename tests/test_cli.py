@@ -27,7 +27,7 @@ from superpos.serialize import (
     pure_state_to_json,
     state_from_json,
 )
-from superpos.states import PureState, free_mixture, is_free, superposition_rank
+from superpos.states import DensityMatrix, PureState, free_mixture, is_free, superposition_rank
 from superpos.transform import candidate_states_d3, max_conversion_prob
 
 
@@ -371,6 +371,18 @@ def test_cli_output_is_pinned(argv, d3_files, capsys):
     resolved = [d3_files.get(a, a) for a in argv] + ["--basis", d3_files["basis"]]
     assert dispatch(resolved) == 0
     assert capsys.readouterr().out == GOLDEN[argv]
+
+
+def test_measure_robustness_builds_no_certificate(d3_files, capsys, monkeypatch):
+    # the printed s is the report's value, so the leaf builds only the loaded
+    # state's record, not the closest free state delta or the witness tau
+    records = []
+    post_init = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: records.append(1) or post_init(self))
+    argv = ["measure", "robustness", "--state", d3_files["candidate"], "--basis", d3_files["basis"]]
+    assert dispatch(argv) == 0
+    assert len(records) == 1
+    assert capsys.readouterr().out == GOLDEN["measure", "robustness", "--state", "candidate"]
 
 
 @pytest.mark.parametrize("a", ["0.2", "0.5", "0.8"])

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -532,3 +534,54 @@ def test_reduce_ancilla_matches_per_label_loop():
                  else random_free_state(bb, rng))
         fam = reduce_ancilla(l_op, sigma, ba, bb)
         assert np.array_equal(fam, loop_reduce_ancilla(l_op, sigma, ba, bb))
+
+
+def test_measure_selective_checks_its_outcomes_as_one_stack(monkeypatch):
+    # one eigvalsh for the whole stack of outcome states, and no record
+    # rebuilt through DensityMatrix.__post_init__ one outcome at a time
+    rng = make_rng(415)
+    b = random_basis(4, rng)
+    ch = free_channel(random_subnormalized_free_ops(b, rng, n_ops=2), b)
+    rho = random_density(4, rng)
+    want = measure_selective(ch, rho)
+    calls = {"eigvalsh": 0, "post_init": 0}
+    eigvalsh, post_init = np.linalg.eigvalsh, DensityMatrix.__post_init__
+
+    def counted_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counted_post_init(self):
+        calls["post_init"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    outcomes = measure_selective(ch, rho)
+    assert calls == {"eigvalsh": 1, "post_init": 0} and len(outcomes) > 1
+    for (p, out), (q, ref) in zip(outcomes, want, strict=True):
+        assert type(p) is float and p == q and out.mat.tobytes() == ref.mat.tobytes()
+
+
+def test_measure_selective_with_every_outcome_dropped_is_empty():
+    ch = Channel((np.diag([1.0, 0.0]).astype(complex),))
+    assert measure_selective(ch, PureState(np.array([0.0, 1.0])).density()) == []
+
+
+@pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_an_outcome_record_survives_pickle_and_copy(clone):
+    # a record built from the checked stack rebuilds through the checked constructor
+    rng = make_rng(416)
+    b = random_basis(3, rng)
+    ch = free_channel(random_subnormalized_free_ops(b, rng, n_ops=2), b)
+    for _, out in measure_selective(ch, random_density(3, rng)):
+        twin = clone(out)
+        assert type(twin) is DensityMatrix and twin is not out
+        assert twin.mat.tobytes() == out.mat.tobytes() and not twin.mat.flags.writeable
+
+
+def test_complete_free_names_an_operator_shape_off_the_basis():
+    with pytest.raises(DimensionMismatch) as info:
+        complete_free([0.5 * np.eye(3, dtype=complex)], qubit_free_basis(0.2))
+    assert str(info.value) == "operator shape (3, 3) != (2, 2)"

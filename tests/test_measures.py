@@ -13,6 +13,7 @@ from scipy.optimize import minimize_scalar
 from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3
 from superpos.errors import NoConvergence
 from superpos.kraus import free_channel, measure_selective
+from superpos import measures, states
 from superpos.linalg import hermitian_part, psd_part
 from superpos.measures import (
     _cross_entropy_eig,
@@ -215,6 +216,66 @@ def test_rel_entropy_certifies_at_tol():
             assert rep.extra["weights"].min() >= 0.0
 
 
+def two_log_rel_ent_terms(rho_mat, basis, q):
+    """The kernel as it was before it took ln w once: the cross entropy from
+    ``_cross_entropy_eig`` at every support, then ln w again for the Loewner matrix."""
+    w, u = np.linalg.eigh(_mixture(basis, q))
+    uh = u.conj().T
+    rho_eig = uh @ rho_mat @ u
+    value = _cross_entropy_eig(w, rho_eig)
+    full = w[0] > 1e-15
+    if not full:
+        outside = w <= 1e-15
+        rho_eig[outside, :] = 0.0
+        rho_eig[:, outside] = 0.0
+        w = np.clip(w, 1e-300, None)
+    logs = np.log(w)
+    diff = w[:, None] - w[None, :]
+    loewner = np.repeat(1.0 / w[:, None], len(w), axis=1)
+    np.divide(logs[:, None] - logs[None, :], diff, out=loewner, where=np.abs(diff) > 1e-14)
+    a = uh @ basis.vectors
+    grad = -(a.conj() * ((loewner * rho_eig) @ a)).sum(axis=0).real
+    return value, grad, (w, loewner, rho_eig, a) if full else None
+
+
+def test_rel_ent_terms_match_the_two_log_kernel_bit_for_bit():
+    # at full support the cross entropy is -diag(rho~).ln w with the logs the
+    # Loewner matrix uses; off it _cross_entropy_eig still decides. Drawn at
+    # d = 2..8: full-rank and rank-deficient rho, with q interior, q with zero
+    # weights (sigma off full support) and q one-hot
+    rng = make_rng(1931)
+    partial = 0
+    for d in range(2, 9):
+        for j in range(30):
+            b = random_basis(d, rng)
+            rho = random_density(d, rng, rank=None if j % 2 else int(rng.integers(1, d)))
+            q = rng.dirichlet(np.ones(d))
+            if j % 3 == 1:
+                q[rng.permutation(d)[: int(rng.integers(1, d))]] = 0.0
+            elif j % 3 == 2:
+                q = np.eye(d)[int(rng.integers(d))]
+            q /= q.sum()
+            got, want = _rel_ent_terms(rho.mat, b, q), two_log_rel_ent_terms(rho.mat, b, q)
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes(), (d, j)
+            assert got[1].tobytes() == want[1].tobytes(), (d, j)
+            assert (got[2] is None) == (want[2] is None), (d, j)
+            partial += want[2] is None
+            for g, w in zip(got[2] or (), want[2] or (), strict=True):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (d, j)
+    assert 50 <= partial <= 160, partial
+
+
+def test_a_free_state_is_expanded_once(monkeypatch):
+    # the freeness test and the start weights share one W'rho W, wherever it is called from
+    calls = []
+    expansion = measures.free_expansion
+    for module in (measures, states):
+        monkeypatch.setattr(module, "free_expansion", lambda *args: calls.append(1) or expansion(*args))
+    b = qubit_free_basis(0.6)
+    rep = rel_entropy_measure(free_mixture(b, [0.3, 0.7]), b)
+    assert len(calls) == 1 and rep.value < 1e-8
+
+
 def plain_rel_ent_terms(rho_mat, basis, q):
     """The earlier kernel: the gradient through T = U(L o rho~)U' and a three-operand einsum."""
     w, u = np.linalg.eigh(_mixture(basis, q))
@@ -278,23 +339,28 @@ def test_rel_entropy_matches_plain_update():
             assert abs(rep.extra["weights"].sum() - 1.0) <= 1e-12
 
 
-def s2b_outcomes() -> list:
-    """300 (basis, outcome) draws at d = 2..4, in draw order (seed 2027).
+def s2b_draws() -> list:
+    """300 (basis, free operators, state, outcome) draws at d = 2..4, in draw order (seed 2027).
 
-    Each outcome is one selective outcome, drawn at random, of a random free
-    channel (2 operators and their completion) on a Haar state (even draws)
-    or a Ginibre state (odd draws).
+    Each outcome is one selective outcome, drawn at random, of the random free
+    channel of the 2 operators and their completion on a Haar state (even
+    draws) or a Ginibre state (odd draws).
     """
     rng = make_rng(2027)
     out = []
     for draw in range(300):
         d = int(rng.integers(2, 5))
         b = random_basis(d, rng)
-        ch = free_channel(random_subnormalized_free_ops(b, rng, n_ops=2), b)
+        ops = random_subnormalized_free_ops(b, rng, n_ops=2)
         rho = haar_state(d, rng).density() if draw % 2 == 0 else random_density(d, rng)
-        outcomes = measure_selective(ch, rho)
-        out.append((b, outcomes[int(rng.integers(len(outcomes)))][1]))
+        outcomes = measure_selective(free_channel(ops, b), rho)
+        out.append((b, ops, rho, outcomes[int(rng.integers(len(outcomes)))][1]))
     return out
+
+
+def s2b_outcomes() -> list:
+    """The (basis, outcome) pairs of ``s2b_draws``."""
+    return [(b, outcome) for b, _, _, outcome in s2b_draws()]
 
 
 def test_rel_entropy_tail_of_s2b_outcomes():

@@ -321,3 +321,50 @@ def test_records_unpickle_through_their_constructors():
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
                 else:
                     assert type(g) is type(w) and g == w
+
+
+# one planted matrix of each kind the density-matrix rule refuses, and a state it accepts
+GOOD = np.eye(2, dtype=complex) / 2
+BAD = {
+    "not_hermitian": np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex),
+    "trace": np.diag([0.5, 0.5 + 3e-9]).astype(complex),
+    "eigenvalue": np.diag([1.0 + 5e-9, -5e-9]).astype(complex),
+    "nan": np.diag([np.nan, 1.0]).astype(complex),
+}
+STACKS = [(kind,) for kind in BAD] + [(a, b) for a in BAD for b in BAD if a != b]
+
+
+def one_by_one_error(mats) -> tuple:
+    """The class and message that building the states one at a time raises first."""
+    for mat in mats:
+        try:
+            DensityMatrix(mat)
+        except (InvalidState, ValueError) as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no matrix of the stack fails")
+
+
+@pytest.mark.parametrize("kinds", STACKS, ids="-".join)
+def test_a_stack_raises_what_one_by_one_construction_raises(kinds):
+    # the stacked rule runs the Hermitian and finiteness check over the whole
+    # stack before any trace or eigenvalue test, yet must report the first
+    # failing matrix, as the states built one at a time would
+    mats = np.array([GOOD, *(BAD[kind] for kind in kinds), GOOD])
+    want = one_by_one_error(mats)
+    assert want[1] == one_by_one_error([BAD[kinds[0]]])[1]
+    with pytest.raises((InvalidState, ValueError)) as info:
+        DensityMatrix._stack(mats)
+    assert (type(info.value), str(info.value)) == want
+
+
+def test_a_stack_of_states_matches_one_by_one_records():
+    rng = make_rng(417)
+    for d in range(2, 9):
+        mats = np.array([haar_state(d, rng).density().mat for _ in range(5)]) * (1 + 1e-12)
+        mats[1] += 1e-12j * np.triu(np.ones((d, d)), 1)   # rounding residue the Hermitian part removes
+        records = DensityMatrix._stack(mats)
+        assert [type(r) for r in records] == [DensityMatrix] * 5
+        for record, mat in zip(records, mats):
+            want = DensityMatrix(mat).mat
+            assert record.mat.tobytes() == want.tobytes()
+            assert not record.mat.flags.writeable and record.mat.base is None   # its own array
