@@ -124,16 +124,15 @@ def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def measure_selective(ch: Channel, rho: DensityMatrix) -> list[tuple[float, DensityMatrix]]:
-    """Selective measurement outcomes (p_n, rho_n); outcomes below 1e-12 dropped. The rule of
-    ``DensityMatrix`` runs once for the stack of outcome states, not once per state."""
+    """Selective measurement outcomes (p_n, rho_n); outcomes below 1e-12 dropped. The outcome states are
+    taken Hermitian and checked by one run of ``DensityMatrix``'s rule for the stack, not once per state."""
     m = _sandwich(ch, rho)
     p = np.trace(m, axis1=1, axis2=2).real
     total = float(p.sum())
     if total > 1.0 + TP_TOL:
         raise NotSubnormalized(f"outcome probabilities sum to {total:.12g}")
     keep = p >= 1e-12
-    states = DensityMatrix._stack(m[keep] / p[keep, None, None]) if keep.any() else []
-    return list(zip(p[keep].tolist(), states))
+    return list(zip(p[keep].tolist(), DensityMatrix._stack(m[keep] / p[keep, None, None])))
 
 
 def complete_free(partial, basis: FreeBasis) -> list[np.ndarray]:

@@ -154,7 +154,7 @@ def free_qubit_kraus(kind: int, params, a: float) -> np.ndarray:
     antidiagonal. There must be two params, both finite.
     """
     index_fns = {1: (0, 0), 2: (0, 1), 3: (1, 1), 4: (1, 0)}
-    if kind not in index_fns:
+    if isinstance(kind, bool) or kind not in index_fns:   # a bool is an int, but not a kind
         raise ValueError(f"kind must be 1..4, got {kind}")
     if len(params) != 2:
         raise ValueError(f"params must be two coefficients, got {len(params)}")

@@ -57,33 +57,29 @@ class DensityMatrix(_Record):
     mat: np.ndarray
 
     def __post_init__(self):
-        self._store(mat=_density_rule(self.mat))
+        try:
+            mat = as_hermitian_matrix(self.mat, "density matrix", tol=HERMITIAN_TOL)
+        except NonHermitian:
+            raise InvalidState("density matrix is not Hermitian") from None
+        self._store(mat=_density_rule(mat))
 
     @classmethod
     def _stack(cls, mats: np.ndarray) -> list["DensityMatrix"]:
-        """A record per matrix of an (n, d, d) stack, each holding its own copy, from one run of the rule."""
-        return [cls.__new__(cls)._store(mat=mat.copy()) for mat in _density_rule(mats, stack=True)]
+        """A record per matrix of an (n, d, d) stack formed Hermitian up to rounding, each holding its own
+        copy of the matrix's Hermitian part, from one run of the rule."""
+        return [cls.__new__(cls)._store(mat=mat.copy()) for mat in _density_rule(hermitian_part(mats))]
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
 
-def _density_rule(mat, stack: bool = False) -> np.ndarray:
-    """The Hermitian part of a density matrix, or of each of an (n, d, d) ``stack``, checked by one Hermitian
-    check, trace test and ``eigvalsh``; a stack raises what building its states one by one raises."""
-    try:
-        m = as_hermitian_matrix(mat, "density matrix", tol=HERMITIAN_TOL, stack=stack)
-    except (NonHermitian, ValueError) as exc:   # ValueError: an entry that is not a finite number
-        if not stack:
-            not_hermitian = InvalidState("density matrix is not Hermitian")
-            raise (not_hermitian if isinstance(exc, NonHermitian) else exc) from None
-        m = None
-    if m is None:   # some matrix of the stack fails: check the matrices in order, one by one
-        return np.array([_density_rule(one) for one in mat])
+def _density_rule(m: np.ndarray) -> np.ndarray:
+    """A Hermitian matrix, or (n, d, d) stack of them, returned once its trace test and one ``eigvalsh``
+    pass; the first failing matrix in order raises."""
     mats = m.reshape(-1, *m.shape[-2:])   # one matrix as a stack of one
     for tr, wmin in zip(mats.trace(axis1=1, axis2=2).real.tolist(), np.linalg.eigvalsh(mats)[:, 0].tolist()):
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:   # written so that NaN fails
             raise InvalidState(f"trace {tr:.12g} != 1")
         if wmin < -PSD_TOL:
             raise InvalidState(f"negative eigenvalue {wmin:.3e}")

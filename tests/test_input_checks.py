@@ -99,6 +99,8 @@ CHECKS = {
                                      InvalidState, "Choi matrix has eigenvalue -1.000e-01: not CP"),
     "qubit.free_qubit_kraus": (lambda tmp: free_qubit_kraus(5, (1.0, 1.0), 0.5),
                                ValueError, "kind must be 1..4, got 5"),
+    "qubit.free_qubit_kraus.bool_kind": (lambda tmp: free_qubit_kraus(True, (1.0, 1.0), 0.5),
+                                         ValueError, "kind must be 1..4, got True"),
     "qubit.free_qubit_kraus.params": (lambda tmp: free_qubit_kraus(1, (np.nan, 1.0), 0.5),
                                       ValueError, "params must be finite, got ((nan+0j), (1+0j))"),
     "qubit.free_qubit_kraus.params_count": (lambda tmp: free_qubit_kraus(1, (1.0,), 0.5),
@@ -163,6 +165,12 @@ def test_numpy_integers_pass_as_seeds_and_turns():
     stats = simulate(build_game(B2), "free", np.int64(10), np.uint32(3))
     assert stats == simulate(build_game(B2), "free", 10, 3)
     assert make_rng(np.int64(7)).random() == make_rng(7).random()
+
+
+def test_numpy_integers_pass_as_qubit_kraus_kinds():
+    for kind in range(1, 5):
+        want = free_qubit_kraus(kind, (1.0, 0.5), 0.5)
+        assert np.array_equal(free_qubit_kraus(np.int64(kind), (1.0, 0.5), 0.5), want)
 
 
 def test_square_shape_messages_print_the_shape():

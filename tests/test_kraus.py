@@ -585,3 +585,21 @@ def test_complete_free_names_an_operator_shape_off_the_basis():
     with pytest.raises(DimensionMismatch) as info:
         complete_free([0.5 * np.eye(3, dtype=complex)], qubit_free_basis(0.2))
     assert str(info.value) == "operator shape (3, 3) != (2, 2)"
+
+
+def test_measure_selective_keeps_a_small_projective_outcome():
+    # the projective pair {1 - |v><v|, |v><v|}, v = psi_perp + eps psi normalised:
+    # the outcome |v><v| has p ~ eps^2, and the rounding of K rho K' divided by p
+    # once read as a state that is not Hermitian, so the whole call was refused
+    rng = make_rng(419)
+    for eps in (1e-5, 1e-4):
+        for _ in range(10):
+            psi = haar_state(3, rng).amp
+            perp = rng.normal(size=3) + 1j * rng.normal(size=3)
+            perp -= psi * np.vdot(psi, perp)
+            v = perp / np.linalg.norm(perp) + eps * psi
+            outer = np.outer(v, v.conj()) / np.vdot(v, v).real
+            (p0, rest), (p1, tilted) = measure_selective(Channel((np.eye(3) - outer, outer)),
+                                                         PureState(psi).density())
+            assert p1 == pytest.approx(eps ** 2 / (1 + eps ** 2), rel=1e-6) and p0 + p1 == pytest.approx(1.0)
+            assert np.abs(tilted.mat - outer).max() < 1e-5

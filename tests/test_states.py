@@ -9,6 +9,7 @@ from superpos.entangle import faithful_conversion
 from superpos.errors import DimensionMismatch, InvalidState, NotNormalized
 from superpos.game import build_game
 from superpos.kraus import Channel, FreeKrausForm, is_free_kraus
+from superpos.linalg import dagger, hermitian_part
 from superpos.measures import l1_measure, robustness
 from superpos.qubit import build_phi, qubit_free_basis, qubit_state
 from superpos.sdp import LmiProblem, solve_lmi
@@ -344,17 +345,56 @@ def one_by_one_error(mats) -> tuple:
     raise AssertionError("no matrix of the stack fails")
 
 
+def stack_error(mats) -> tuple | None:
+    """The class and message of the first matrix whose Hermitian part fails the trace or eigenvalue
+    test, as building that part one at a time raises them; a NaN on the diagonal fails the trace test.
+    None when every matrix passes."""
+    for mat in mats:
+        if np.isnan(mat.trace()):
+            return InvalidState, "trace nan != 1"
+        try:
+            DensityMatrix(hermitian_part(mat))
+        except InvalidState as exc:
+            return type(exc), str(exc)
+    return None
+
+
 @pytest.mark.parametrize("kinds", STACKS, ids="-".join)
 def test_a_stack_raises_what_one_by_one_construction_raises(kinds):
-    # the stacked rule runs the Hermitian and finiteness check over the whole
-    # stack before any trace or eigenvalue test, yet must report the first
-    # failing matrix, as the states built one at a time would
+    # the stacked rule takes the Hermitian part of the stack, then runs the trace
+    # and eigenvalue tests matrix by matrix: a non-Hermitian plant builds as its
+    # Hermitian part, a NaN plant fails its trace test where it stands, and a
+    # trace or eigenvalue plant raises what building the states one at a time raises
     mats = np.array([GOOD, *(BAD[kind] for kind in kinds), GOOD])
-    want = one_by_one_error(mats)
-    assert want[1] == one_by_one_error([BAD[kinds[0]]])[1]
-    with pytest.raises((InvalidState, ValueError)) as info:
+    want = stack_error(mats)
+    if kinds[0] in ("trace", "eigenvalue"):
+        assert want == one_by_one_error(mats) and want[1] == one_by_one_error([BAD[kinds[0]]])[1]
+    if want is None:
+        records = DensityMatrix._stack(mats)
+        assert [r.mat.tobytes() for r in records] == [hermitian_part(mat).tobytes() for mat in mats]
+        return
+    with pytest.raises(InvalidState) as info:
         DensityMatrix._stack(mats)
     assert (type(info.value), str(info.value)) == want
+
+
+def test_an_empty_stack_builds_no_record():
+    assert DensityMatrix._stack(np.zeros((0, 3, 3), dtype=complex)) == []
+
+
+def test_a_stack_with_anti_hermitian_residue_holds_each_hermitian_part():
+    # an outcome stack formed by a product carries rounding in its anti-Hermitian
+    # part; each record holds the Hermitian part of its own matrix, bit for bit
+    rng = make_rng(418)
+    for d in range(2, 9):
+        mats = np.array([haar_state(d, rng).density().mat for _ in range(4)])
+        noise = rng.normal(size=mats.shape) + 1j * rng.normal(size=mats.shape)
+        anti = noise - dagger(noise)
+        mats += 1e-6 * anti / np.linalg.norm(anti, axis=(1, 2))[:, None, None]   # unit-norm states
+        with pytest.raises(InvalidState, match="not Hermitian"):   # a matrix from outside is checked
+            DensityMatrix(mats[0])
+        for record, mat in zip(DensityMatrix._stack(mats), mats, strict=True):
+            assert record.mat.tobytes() == hermitian_part(mat).tobytes() and not record.mat.flags.writeable
 
 
 def test_a_stack_of_states_matches_one_by_one_records():
