@@ -119,7 +119,7 @@ def _convert_prob(args) -> dict:
         "dual": sol.dual,
         "gap": sol.gap,
         "p": sol.p.tolist(),
-        "deterministic": sol.completion is not None,
+        "deterministic": sol.deterministic,   # read without building the completion
     }
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import FreeBasis, _sigma_min, filter_probability
 from .errors import DimensionMismatch
-from .kraus import Channel, complete_free
+from .kraus import complete_free
 from .linalg import _Record, dagger
 from .sampling import make_rng
 from .states import PureState
@@ -53,10 +53,6 @@ class GameSpec(_Record):
         phase = np.exp(2j * np.pi * j * j[:, None] / d)[:, None, :]  # [n - 1, :, j - 1]
         ops = tuple((np.sqrt(p / d) * (basis.vectors * phase)) @ dagger(basis.reciprocal))
         self._store(p=p, informative=ops, restart=tuple(complete_free(ops, basis)))
-
-    @property
-    def channel(self) -> Channel:
-        return Channel(self.informative + self.restart)
 
 
 @dataclass(frozen=True)

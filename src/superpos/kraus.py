@@ -24,7 +24,7 @@ from .errors import (
     NotTracePreserving,
 )
 from .linalg import _Record, as_complex_matrix, as_tolerance, dagger, hermitian_part
-from .states import DensityMatrix, free_expansion, free_mixture, is_free
+from .states import DensityMatrix, _expansion, _is_free_coeffs, _mixture, free_expansion
 
 TP_TOL = 1e-9
 FREE_TOL = 1e-9
@@ -44,13 +44,15 @@ class FreeKrausForm:
 
     def matrix(self, basis: FreeBasis) -> np.ndarray:
         """The operator(s) on ``basis``, (..., d, d), each summed term by term in label order;
-        ``ValueError`` naming the first label that is not an integer in [0, d)."""
-        v, w, labels = basis.vectors, basis.reciprocal, np.asarray(self.index_fn)
-        bad = labels[(labels < 0) | (labels >= basis.d)] if labels.dtype.kind in "iu" else labels.ravel()
+        ``DimensionMismatch`` unless both fields end in an axis of d, ``ValueError`` for a label not in [0, d)."""
+        coeffs, labels, d = np.asarray(self.coeffs), np.asarray(self.index_fn), basis.d
+        if coeffs.shape[-1:] != (d,) or labels.shape[-1:] != (d,):
+            raise DimensionMismatch(f"coeffs shape {coeffs.shape}, index_fn shape {labels.shape} != (..., {d})")
+        bad = labels[(labels < 0) | (labels >= d)] if labels.dtype.kind in "iu" else labels.ravel()
         if bad.size:
-            raise ValueError(f"index_fn label {bad[0]} is not an integer in [0, {basis.d})")
-        outers = v.T[labels][..., None] * dagger(w)[:, None, :]
-        return (np.asarray(self.coeffs)[..., None, None] * outers).sum(axis=-3)
+            raise ValueError(f"index_fn label {bad[0]} is not an integer in [0, {d})")
+        outers = basis.vectors.T[labels][..., None] * dagger(basis.reciprocal)[:, None, :]
+        return (coeffs[..., None, None] * outers).sum(axis=-3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +74,8 @@ class Channel(_Record):
         stack = as_complex_matrix(self.kraus, "Kraus operator", stack=True).copy()   # made read-only below
         if stack.shape[1] != stack.shape[2]:
             raise DimensionMismatch(f"Kraus operators must be square, got shape {stack.shape[1:]}")
-        terms = np.empty((len(stack) + 1, stack.shape[2], stack.shape[2]), dtype=complex)
-        terms[0] = np.eye(stack.shape[2])
-        np.matmul(dagger(stack), stack, out=terms[1:])
-        defect = np.subtract.reduce(terms)   # I - K_1'K_1 - K_2'K_2 - ..., in operator order
+        # I - K_1'K_1 - K_2'K_2 - ..., subtracted in operator order, as the bits of defect depend on it
+        defect = np.subtract.reduce(np.concatenate([np.eye(stack.shape[2])[None], dagger(stack) @ stack]))
         eig = np.linalg.eigh(hermitian_part(defect))
         self._store(kraus=stack, defect=defect, defect_eig=eig)
         wmin = float(eig[0][0])
@@ -109,24 +109,29 @@ def is_free_kraus(k: np.ndarray, basis: FreeBasis, tol: float = FREE_TOL) -> Fre
     return FreeKrausForm(coeffs=coeffs, index_fn=index_fn)
 
 
-def _sandwich(ch: Channel, rho: DensityMatrix) -> np.ndarray:
-    """Every K rho K' of the channel, (n, d, d), from one batched product."""
-    if rho.dim != ch.dim:
-        raise DimensionMismatch(f"state dimension {rho.dim} != channel dimension {ch.dim}")
-    return ch.kraus @ rho.mat @ dagger(ch.kraus)
+def _sandwich(ch: Channel, m: np.ndarray) -> np.ndarray:
+    """Every K m K' of the channel from one batched product: (n, d, d), or (k, n, d, d) for k matrices m."""
+    if m.shape[-1] != ch.dim:
+        raise DimensionMismatch(f"state dimension {m.shape[-1]} != channel dimension {ch.dim}")
+    return ch.kraus @ m[..., None, :, :] @ dagger(ch.kraus)
+
+
+def _channel_sum(ch: Channel, m: np.ndarray) -> np.ndarray:
+    """sum K m K' of a trace-preserving channel, for one matrix or each of a stack."""
+    if not ch.is_trace_preserving:
+        raise NotTracePreserving(f"defect norm {np.linalg.norm(ch.defect):.3e}")
+    return _sandwich(ch, m).sum(axis=-3)
 
 
 def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a trace-preserving channel: sum K rho K'."""
-    if not ch.is_trace_preserving:
-        raise NotTracePreserving(f"defect norm {np.linalg.norm(ch.defect):.3e}")
-    return DensityMatrix(_sandwich(ch, rho).sum(axis=0))
+    return DensityMatrix(_channel_sum(ch, rho.mat))
 
 
 def measure_selective(ch: Channel, rho: DensityMatrix) -> list[tuple[float, DensityMatrix]]:
     """Selective measurement outcomes (p_n, rho_n); outcomes below 1e-12 dropped. The outcome states are
     taken Hermitian and checked by one run of ``DensityMatrix``'s rule for the stack, not once per state."""
-    m = _sandwich(ch, rho)
+    m = _sandwich(ch, rho.mat)
     p = np.trace(m, axis1=1, axis2=2).real
     total = float(p.sum())
     if total > 1.0 + TP_TOL:
@@ -161,14 +166,12 @@ def free_channel(operators, basis: FreeBasis) -> Channel:
 def is_mfo(ch: Channel, basis: FreeBasis, tol: float = FREE_TOL) -> bool:
     """True iff the channel maps every free state to a free state.
 
-    Checking the d pure free states suffices: the free set is their convex
-    hull and the channel is linear; ``apply_channel`` raises
-    ``NotTracePreserving`` for a trace-decreasing channel.
+    Checking the d pure free states suffices: the free set is their convex hull and the channel
+    is linear. Their images, from one product with the projectors |c_i><c_i|, are tested as one
+    stack of free expansions; ``NotTracePreserving`` for a trace-decreasing channel.
     """
-    for weights in np.eye(basis.d):
-        if not is_free(apply_channel(ch, free_mixture(basis, weights)), basis, tol):
-            return False
-    return True
+    images = _channel_sum(ch, _mixture(basis, np.eye(basis.d)[:, None, :]))
+    return _is_free_coeffs(_expansion(basis, images), as_tolerance(tol))
 
 
 def reduce_ancilla(l_op: np.ndarray, sigma_b: DensityMatrix, basis_a: FreeBasis,
@@ -180,14 +183,12 @@ def reduce_ancilla(l_op: np.ndarray, sigma_b: DensityMatrix, basis_a: FreeBasis,
     and, within each, over an orthonormal-basis index of B.
     """
     da, db = basis_a.d, basis_b.d
-    l_op = as_complex_matrix(l_op, "operator", shape=(da * db,) * 2)
-    product = tensor_basis(basis_a, basis_b)
-    form = is_free_kraus(l_op, product)
+    form = is_free_kraus(l_op, tensor_basis(basis_a, basis_b))
     if form is None:
         raise NotFree("L is not free on the product basis")
-    if not is_free(sigma_b, basis_b, FREE_TOL):
+    if not _is_free_coeffs(coeffs := free_expansion(sigma_b, basis_b), FREE_TOL):
         raise NotFree("sigma_B is not free")
-    weights = np.clip(np.diag(free_expansion(sigma_b, basis_b)).real, 0.0, None)
+    weights = np.clip(np.diag(coeffs).real, 0.0, None)
 
     labels = np.flatnonzero(weights >= 1e-14)
     k_in = np.arange(da) * db + labels[:, None]

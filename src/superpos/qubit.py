@@ -18,7 +18,7 @@ import numpy as np
 from .basis import FreeBasis, new_free_basis, tensor_basis
 from .errors import DimensionMismatch, InvalidState, NotUnitary
 from .kraus import Channel, FreeKrausForm, free_channel
-from .linalg import as_complex_matrix, as_hermitian_matrix, dagger
+from .linalg import _Record, as_complex_matrix, as_hermitian_matrix, dagger
 from .states import DensityMatrix, PureState, superposition_rank
 from .transform import max_conversion_prob
 
@@ -82,11 +82,19 @@ def state_from_bloch(r) -> DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class BlochMap:
-    """Affine Bloch-ball representation of a qubit map: r -> translation + matrix r."""
+class BlochMap(_Record):
+    """Affine Bloch-ball map of a qubit, r -> translation + matrix r; fields kept as read-only float copies."""
 
     translation: np.ndarray  # (3,) real
     matrix: np.ndarray       # (3, 3) real
+
+    def __post_init__(self):
+        t, m = np.asarray(self.translation), np.asarray(self.matrix)
+        if (t.shape, m.shape) != ((3,), (3, 3)):
+            raise DimensionMismatch(f"translation and matrix shapes {t.shape}, {m.shape} != (3,), (3, 3)")
+        if not all(a.dtype.kind in "biuf" and np.isfinite(a).all() for a in (t, m)):
+            raise ValueError("translation and matrix must hold finite real numbers")
+        self._store(translation=t.astype(float), matrix=m.astype(float))   # copies, never the caller's arrays
 
     def apply_operator(self, op: np.ndarray) -> np.ndarray:
         """Linear extension of the map to arbitrary 2x2 operators."""
@@ -111,9 +119,7 @@ def build_phi(a: float, theta: float, phi: float) -> BlochMap:
     cp, sp = np.cos(phi), np.sin(phi)
     w = np.array([a - cp * st, -sp * st, -0.5 * ct * (1 + a)]) / (1 + a)
     t = np.array([a * (1 + cp * st) / (1 + a), a * sp * st / (1 + a), 0.5 * ct])
-    matrix = np.zeros((3, 3))
-    matrix[:, 0] = w
-    return BlochMap(translation=t, matrix=matrix)
+    return BlochMap(translation=t, matrix=np.column_stack([w, np.zeros((3, 2))]))
 
 
 def choi(bloch_map: BlochMap) -> np.ndarray:

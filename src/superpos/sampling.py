@@ -76,7 +76,9 @@ def random_free_operator(basis: FreeBasis, rng: np.random.Generator) -> np.ndarr
 
 def random_subnormalized_free_ops(basis: FreeBasis, rng: np.random.Generator, n_ops: int = 2,
                                   slack: float = 0.9) -> list[np.ndarray]:
-    """Random free operators jointly scaled so sum K'K <= slack * identity."""
+    """Random free operators jointly scaled so sum K'K <= slack * identity, 0 < slack <= 1."""
+    if isinstance(n_ops, bool) or not isinstance(n_ops, (int, np.integer)) or n_ops < 1 or not 0.0 < slack <= 1.0:
+        raise ValueError(f"need an integer n_ops >= 1 and 0 < slack <= 1, got {n_ops!r} and {slack!r}")
     ops = [random_free_operator(basis, rng) for _ in range(n_ops)]
     total = np.sum([dagger(k) @ k for k in ops], axis=0)
     scale = np.sqrt(slack / max(float(np.linalg.eigvalsh(total)[-1]), 1e-300))

@@ -75,10 +75,10 @@ class LmiProblem(_Record):
 class SdpSolution:
     """Primal point p, dual certificate and duality gap of a solve of either shape.
 
-    ``completion`` is the free completion when a deterministic map exists, else
-    None. It is built on first read, by the ``_complete`` that
-    ``max_conversion_prob`` passes, and kept; so a completion's error
-    (``NotSubnormalized`` from ``Channel``, say) is raised by that read.
+    ``deterministic`` says whether a deterministic free map exists, read without
+    building it; ``completion`` is then its free completion, else None, built on
+    first read by the ``_complete`` that ``max_conversion_prob`` passes, and kept;
+    so a completion's error (``NotSubnormalized`` from ``Channel``, say) is raised by that read.
     """
 
     p: np.ndarray
@@ -91,7 +91,11 @@ class SdpSolution:
 
     @cached_property
     def completion(self) -> tuple | None:
-        return None if self._complete is None else self._complete()
+        return self._complete() if self.deterministic else None
+
+    @property
+    def deterministic(self) -> bool:
+        return self._complete is not None
 
 
 def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | None:

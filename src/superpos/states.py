@@ -90,8 +90,12 @@ def free_expansion(rho: DensityMatrix, basis: FreeBasis) -> np.ndarray:
     """Coefficients W' rho W of rho over |c_i><c_j|, W the reciprocal frame, made exactly Hermitian."""
     if rho.dim != basis.d:
         raise DimensionMismatch(f"state dimension {rho.dim} != basis dimension {basis.d}")
-    w = basis.reciprocal
-    return hermitian_part(dagger(w) @ rho.mat @ w)
+    return _expansion(basis, rho.mat)
+
+
+def _expansion(basis: FreeBasis, m: np.ndarray) -> np.ndarray:
+    """``free_expansion``'s W' m W, made exactly Hermitian, of one matrix or of each of a stack, unchecked."""
+    return hermitian_part(dagger(basis.reciprocal) @ m @ basis.reciprocal)
 
 
 def free_support(coeffs: np.ndarray, tol: float = RANK_TOL) -> tuple:
@@ -113,11 +117,10 @@ def is_free(rho: DensityMatrix, basis: FreeBasis, tol: float = RANK_TOL) -> bool
 
 
 def _is_free_coeffs(coeffs: np.ndarray, tol: float = RANK_TOL) -> bool:
-    """``is_free`` from rho's free expansion: off-diagonal moduli and negative diagonal within tol."""
-    off = coeffs - np.diag(np.diag(coeffs))
-    if np.abs(off).max(initial=0.0) > tol:
+    """``is_free`` on a free expansion, or on all of a stack: off-diagonal moduli, negative diagonal within tol."""
+    if np.abs(coeffs[..., ~np.eye(coeffs.shape[-1], dtype=bool)]).max(initial=0.0) > tol:
         return False
-    return bool(np.min(np.diag(coeffs).real) >= -tol)
+    return bool(np.diagonal(coeffs, axis1=-2, axis2=-1).real.min() >= -tol)
 
 
 def free_mixture(basis: FreeBasis, weights) -> DensityMatrix:

@@ -189,8 +189,8 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     to [0, 1]. A value of at least 1 - ``gap_tol``, as every deterministic
     pair's certified value is, gets a free completion of the optimal operators
     (enumerated again for it): the deterministic conversion channel made
-    explicit. It is built on first read of ``completion``, which raises any
-    error of the completion; other pairs read None.
+    explicit. It is built on first read of ``completion``, which raises any error
+    of the completion; other pairs read None. ``deterministic`` tells them apart.
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
     src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)

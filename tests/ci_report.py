@@ -13,7 +13,8 @@ Six reports, each under a ``## title`` line:
 - the relative-entropy loop's evaluations and Newton steps on the tests' draws;
 - the median time of a robustness and a relative-entropy call on the tests'
   draws, reading the value only and reading the certificate too, and of one
-  ``free_channel`` and one ``measure_selective`` call on the same draws' channels.
+  ``free_channel`` and one ``measure_selective`` call on the same draws' channels,
+  then the best time of one ``is_mfo`` call on a free channel at d = 2, 4 and 8.
 
 Each report restores whatever it patched before the next one runs. A report
 that raises prints its traceback, the others still run, and the script then
@@ -39,7 +40,7 @@ from superpos import sdp
 from superpos.cli import dispatch
 from superpos.errors import NoConvergence
 from superpos.measures import rel_entropy_measure
-from superpos.sampling import haar_state, make_rng, random_basis, random_density
+from superpos.sampling import haar_state, make_rng, random_basis, random_density, random_subnormalized_free_ops
 from test_measures import near_dependent_batch, s2b_draws, s2b_outcomes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -181,7 +182,8 @@ def measure_timings():
     the outcome that reads only the value, and of one that also reads the
     certificate (built on first read), with a count of NoConvergence; then of
     one ``free_channel`` call (the draw's 2 free operators and their completion)
-    and one ``measure_selective`` of that channel on the draw's state."""
+    and one ``measure_selective`` of that channel on the draw's state; then the
+    best of 7 x 200 ``is_mfo`` calls on a seeded free channel at d = 2, 4 and 8."""
     draws = s2b_draws()
     for name, measure in (("robustness", sp.robustness), ("rel_entropy_measure", rel_entropy_measure)):
         for label, read in (("value only", lambda rep: rep.value),
@@ -199,6 +201,12 @@ def measure_timings():
                        ("measure_selective", lambda b, ops, ch, rho: sp.measure_selective(ch, rho))):
         times = [min(timeit.repeat(lambda: call(*draw), number=1, repeat=3)) for draw in channels]
         print(f"{name} on the S2b channels: median {np.median(times) * 1e6:.1f} us over {len(times)} draws")
+    rng = make_rng(51)
+    for d in (2, 4, 8):
+        b = random_basis(d, rng)
+        ch = sp.free_channel(random_subnormalized_free_ops(b, rng), b)
+        best = min(timeit.repeat(lambda: sp.is_mfo(ch, b), number=200, repeat=7)) / 200
+        print(f"is_mfo on a free channel at d = {d}: {best * 1e6:.1f} us per call (best of 7 x 200)")
 
 
 REPORTS = {
@@ -207,7 +215,7 @@ REPORTS = {
     "np.linalg calls in one solve of each kind": linalg_calls,
     "Qubit landscape timings": landscape_timings,
     "Relative-entropy evaluations on S2b outcomes": rel_entropy_evaluations,
-    "Measure times with and without the certificate, and S2b channel times": measure_timings,
+    "Measure times with and without the certificate, S2b channel times and is_mfo": measure_timings,
 }
 
 

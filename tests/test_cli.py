@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from superpos import transform
 from superpos.basis import orthonormal_basis, symmetric_basis_d3
 from superpos.cli import _build_parser, dispatch
 from superpos.entangle import faithful_conversion, verify_faithful
@@ -383,6 +384,19 @@ def test_measure_robustness_builds_no_certificate(d3_files, capsys, monkeypatch)
     assert dispatch(argv) == 0
     assert len(records) == 1
     assert capsys.readouterr().out == GOLDEN["measure", "robustness", "--state", "candidate"]
+
+
+def test_convert_prob_prints_deterministic_without_building_the_completion(d3_files, capsys, monkeypatch):
+    # a self-conversion is deterministic; printing so reads SdpSolution.deterministic, not the completion
+    calls = []
+    complete_free = transform.complete_free
+    monkeypatch.setattr(transform, "complete_free", lambda *args: calls.append(1) or complete_free(*args))
+    code, payload = run_json(["convert", "prob", "--from", d3_files["candidate"], "--to", d3_files["candidate"],
+                              "--basis", d3_files["basis"]], capsys)
+    assert code == 0 and payload["deterministic"] is True and payload["value"] >= 1 - 1e-7
+    sol = max_conversion_prob(*[candidate_states_d3()[0]] * 2, symmetric_basis_d3())
+    assert sol.deterministic and calls == []
+    assert sol.completion is not None and len(calls) == 1
 
 
 @pytest.mark.parametrize("a", ["0.2", "0.5", "0.8"])

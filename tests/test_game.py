@@ -17,7 +17,7 @@ from superpos.game import (
     simulate,
     uniform_superposition,
 )
-from superpos.kraus import is_free_kraus
+from superpos.kraus import Channel, is_free_kraus
 from superpos.linalg import dagger
 from superpos.qubit import qubit_free_basis
 from superpos.sampling import make_rng, random_basis
@@ -38,7 +38,7 @@ def test_build_game_symmetric_d3():
     spec = build_game(b)
     assert abs(spec.p - 0.5) < 1e-12
     assert all(is_free_kraus(k, b) is not None for k in spec.informative)
-    assert spec.channel.is_trace_preserving
+    assert Channel(spec.informative + spec.restart).is_trace_preserving
 
 
 def test_informative_sum_matches_reciprocal_frame():

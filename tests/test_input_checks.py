@@ -1,5 +1,6 @@
 """Each input check of the library raises its stated type with its stated message."""
 
+import pickle
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from superpos.game import GameSpec, build_game, discriminate, simulate
 from superpos.kraus import Channel, FreeKrausForm, apply_channel, complete_free, is_free_kraus, reduce_ancilla
 from superpos.linalg import as_tolerance, fidelity, partial_trace
 from superpos.qubit import (
+    BlochMap,
     bloch_vector,
     build_phi,
     conversion_heatmap,
@@ -24,7 +26,7 @@ from superpos.qubit import (
     qubit_state,
     state_from_bloch,
 )
-from superpos.sampling import make_rng, random_basis, random_density
+from superpos.sampling import make_rng, random_basis, random_density, random_subnormalized_free_ops
 from superpos.sdp import LmiProblem, verify_dual
 from superpos.serialize import canonical_dumps, density_to_json
 from superpos.states import PureState, free_expansion, free_mixture
@@ -63,6 +65,10 @@ CHECKS = {
                                            ValueError, "index_fn label -1 is not an integer in [0, 3)"),
     "kraus.FreeKrausForm.label_above_d": (lambda tmp: FreeKrausForm(np.ones(3), np.array([0, 5, 1])).matrix(B3),
                                           ValueError, "index_fn label 5 is not an integer in [0, 3)"),
+    "kraus.FreeKrausForm.short_coeffs": (lambda tmp: FreeKrausForm([1.0], [0]).matrix(qubit_free_basis(0.3)),
+                                         DimensionMismatch, "coeffs shape (1,), index_fn shape (1,) != (..., 2)"),
+    "kraus.FreeKrausForm.short_index_fn": (lambda tmp: FreeKrausForm([1.0, 2.0], [0]).matrix(qubit_free_basis(0.3)),
+                                           DimensionMismatch, "coeffs shape (2,), index_fn shape (1,) != (..., 2)"),
     "kraus.is_free_kraus": (lambda tmp: is_free_kraus(np.eye(2), B3),
                             DimensionMismatch, "operator shape (2, 2) != (3, 3)"),
     "kraus.apply_channel": (lambda tmp: apply_channel(Channel([np.eye(2)]), RHO3),
@@ -89,6 +95,14 @@ CHECKS = {
                                       InvalidState, "Bloch vector length 2 > 1"),
     "qubit.BlochMap.apply_operator": (lambda tmp: build_phi(0.3, 1.0, 0.5).apply_operator(np.eye(3)),
                                       DimensionMismatch, "operator shape (3, 3) != (2, 2)"),
+    "qubit.BlochMap.translation": (lambda tmp: BlochMap(translation=[0.1], matrix=np.eye(3)),
+                                   DimensionMismatch, "translation and matrix shapes (1,), (3, 3) != (3,), (3, 3)"),
+    "qubit.BlochMap.matrix": (lambda tmp: BlochMap(translation=np.zeros(3), matrix=np.ones(3)),
+                              DimensionMismatch, "translation and matrix shapes (3,), (3,) != (3,), (3, 3)"),
+    "qubit.BlochMap.complex": (lambda tmp: BlochMap(translation=[0.1j, 0.0, 0.0], matrix=np.eye(3)),
+                               ValueError, "translation and matrix must hold finite real numbers"),
+    "qubit.BlochMap.nan": (lambda tmp: BlochMap(translation=np.zeros(3), matrix=np.diag([1.0, np.nan, 1.0])),
+                           ValueError, "translation and matrix must hold finite real numbers"),
     "qubit.build_phi": (lambda tmp: build_phi(-0.1, 0.3, 0.2),
                         ValueError, "overlap a must lie in [0, 1), got -0.1"),
     "qubit.build_phi.theta": (lambda tmp: build_phi(0.5, np.nan, 0.2),
@@ -131,6 +145,21 @@ CHECKS = {
                                         ValueError, "min_sigma must lie in [0, 1), got 1.5"),
     "sampling.random_basis.min_sigma_nan": (lambda tmp: random_basis(3, make_rng(1), min_sigma=np.nan),
                                             ValueError, "min_sigma must lie in [0, 1), got nan"),
+    "sampling.random_subnormalized_free_ops.no_ops": (
+        lambda tmp: random_subnormalized_free_ops(B2, make_rng(1), n_ops=0),
+        ValueError, "need an integer n_ops >= 1 and 0 < slack <= 1, got 0 and 0.9"),
+    "sampling.random_subnormalized_free_ops.bool_ops": (
+        lambda tmp: random_subnormalized_free_ops(B2, make_rng(1), n_ops=True),
+        ValueError, "need an integer n_ops >= 1 and 0 < slack <= 1, got True and 0.9"),
+    "sampling.random_subnormalized_free_ops.negative_slack": (
+        lambda tmp: random_subnormalized_free_ops(B2, make_rng(1), slack=-1.0),
+        ValueError, "need an integer n_ops >= 1 and 0 < slack <= 1, got 2 and -1.0"),
+    "sampling.random_subnormalized_free_ops.slack_above_1": (
+        lambda tmp: random_subnormalized_free_ops(B2, make_rng(1), slack=2.0),
+        ValueError, "need an integer n_ops >= 1 and 0 < slack <= 1, got 2 and 2.0"),
+    "sampling.random_subnormalized_free_ops.nan_slack": (
+        lambda tmp: random_subnormalized_free_ops(B2, make_rng(1), slack=np.nan),
+        ValueError, "need an integer n_ops >= 1 and 0 < slack <= 1, got 2 and nan"),
     "sdp.LmiProblem.negative": (lambda tmp: LmiProblem(np.array([-np.eye(2)])),
                                 BadData, "constraint matrix has negative eigenvalue -1.000e+00"),
     "sdp.LmiProblem.from_matrices.empty": (lambda tmp: LmiProblem.from_matrices([]),
@@ -165,6 +194,34 @@ def test_numpy_integers_pass_as_seeds_and_turns():
     stats = simulate(build_game(B2), "free", np.int64(10), np.uint32(3))
     assert stats == simulate(build_game(B2), "free", 10, 3)
     assert make_rng(np.int64(7)).random() == make_rng(7).random()
+
+
+def test_a_free_kraus_form_broadcasts_over_leading_axes():
+    # (2, 3) coefficients against (1, 3) labels: two operators, as reduce_ancilla passes them
+    coeffs, labels = np.array([[1.0, 2.0, 3.0], [0.5, 0.0, -1.0]]), np.array([[0, 2, 2]])
+    ops = FreeKrausForm(coeffs, labels).matrix(B3)
+    assert ops.shape == (2, 3, 3)
+    for op, row in zip(ops, coeffs):
+        assert np.array_equal(op, FreeKrausForm(row, labels[0]).matrix(B3))
+
+
+def test_bloch_map_keeps_read_only_float_copies():
+    # integer input is stored as float; a pickle rebuilds the map through its checks
+    translation, matrix = [0, 0, 1], np.eye(3)
+    m = BlochMap(translation=translation, matrix=matrix)
+    assert m.translation.dtype == m.matrix.dtype == float and matrix.flags.writeable
+    twin = pickle.loads(pickle.dumps(m))
+    for array in (m.translation, m.matrix, twin.translation, twin.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    assert np.array_equal(twin.matrix, matrix) and np.array_equal(twin.translation, translation)
+
+
+def test_valid_sampler_arguments_keep_their_streams():
+    # the argument checks draw nothing, so numpy integers and slack 1 draw as before
+    want = random_subnormalized_free_ops(B3, make_rng(5), n_ops=3, slack=1)
+    got = random_subnormalized_free_ops(B3, make_rng(5), n_ops=np.int64(3), slack=1.0)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_numpy_integers_pass_as_qubit_kraus_kinds():

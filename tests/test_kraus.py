@@ -22,6 +22,7 @@ from superpos.linalg import dagger, partial_trace
 from superpos.qubit import build_phi, channel_from_bloch, free_qubit_kraus, qubit_free_basis
 from superpos.sampling import (
     haar_state,
+    haar_unitary,
     make_rng,
     random_basis,
     random_density,
@@ -29,7 +30,7 @@ from superpos.sampling import (
     random_free_state,
     random_subnormalized_free_ops,
 )
-from superpos.states import DensityMatrix, PureState, free_expansion, is_free
+from superpos.states import DensityMatrix, PureState, free_expansion, free_mixture, is_free
 
 
 def test_identity_is_free():
@@ -321,6 +322,52 @@ def test_is_mfo_examples():
 def test_is_mfo_rejects_trace_decreasing_channel():
     with pytest.raises(NotTracePreserving):
         is_mfo(Channel((0.5 * np.eye(2, dtype=complex),)), qubit_free_basis(0.5))
+
+
+def per_state_is_mfo(ch, b, tol):
+    """The oracle: the image of each pure free state, built and tested one state at a time."""
+    return all(is_free(apply_channel(ch, free_mixture(b, e)), b, tol) for e in np.eye(b.d))
+
+
+def test_is_mfo_matches_the_per_state_test():
+    # free channels, the same mixed with a Haar unitary at weights around the
+    # tolerance, and Haar unitaries, at d = 2..8
+    rng = make_rng(417)
+    verdicts = []
+    for d in range(2, 9):
+        for _ in range(8):
+            b = random_basis(d, rng)
+            ch = free_channel(random_subnormalized_free_ops(b, rng, n_ops=int(rng.integers(1, 4))), b)
+            eps = 10.0 ** rng.uniform(-12, -6)
+            mixed = Channel(list(np.sqrt(1 - eps) * ch.kraus) + [np.sqrt(eps) * haar_unitary(d, rng)])
+            for case in (ch, mixed, Channel([haar_unitary(d, rng)])):
+                for tol in (1e-9, 1e-8):
+                    verdicts.append(is_mfo(case, b, tol))
+                    assert verdicts[-1] == per_state_is_mfo(case, b, tol)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_is_mfo_builds_no_state_record(monkeypatch):
+    b = qubit_free_basis(0.5)
+    plus = np.array([1, 1]) / np.sqrt(2)
+    free = channel_from_bloch(build_phi(0.5, np.pi / 4, 0.3))
+    replace = Channel((np.outer(plus, [1, 0]), np.outer(plus, [0, 1])))
+    records = []
+    post_init = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: records.append(1) or post_init(self))
+    assert is_mfo(free, b, 1e-8) and not is_mfo(replace, b)
+    assert records == []
+
+
+def test_is_mfo_refuses_in_the_per_state_order():
+    # trace preservation first, then the dimension, then the tolerance
+    b = qubit_free_basis(0.5)
+    with pytest.raises(NotTracePreserving):
+        is_mfo(Channel([0.5 * np.eye(3)]), b, tol=-1.0)
+    with pytest.raises(DimensionMismatch, match=re.escape("state dimension 2 != channel dimension 3")):
+        is_mfo(Channel([np.eye(3)]), b, tol=-1.0)
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        is_mfo(Channel([np.eye(2)]), b, tol=-1.0)
 
 
 def test_reduce_ancilla_identity():

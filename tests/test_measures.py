@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3
+from superpos.basis import FreeBasis, new_free_basis, orthonormal_basis, symmetric_basis_d3
 from superpos.errors import NoConvergence
 from superpos.kraus import free_channel, measure_selective
 from superpos import measures, states
-from superpos.linalg import hermitian_part, psd_part
+from superpos.linalg import dagger, hermitian_part, psd_part
 from superpos.measures import (
     _cross_entropy_eig,
     _entropy_terms,
@@ -31,6 +31,7 @@ from superpos.qubit import qubit_free_basis
 from superpos.sdp import solve_cover
 from superpos.sampling import (
     haar_state,
+    haar_unitary,
     make_rng,
     random_basis,
     random_density,
@@ -538,6 +539,30 @@ def test_rank_measure_matches_reshuffling_oracle():
             assert oracle - 1e-12 <= value <= oracle + 1e-12
             checked += 1
     assert checked >= 200
+
+
+def entropy(mat_or_probs) -> float:
+    """von Neumann entropy (nats) of a density matrix, or Shannon entropy of a distribution."""
+    w = np.linalg.eigvalsh(mat_or_probs) if np.ndim(mat_or_probs) == 2 else np.asarray(mat_or_probs)
+    w = w[w > 1e-300]
+    return float(-np.sum(w * np.log(w)))
+
+
+def test_coherence_limit_closed_forms():
+    # on an orthonormal basis U, the relative entropy of coherence is S(diag U'rho U) - S(rho),
+    # and the robustness is sum |C_ij| - 1 with C = U'rho U on pure states and at d = 2
+    # (Napoli et al., PRL 116, 150502, 2016)
+    rng = make_rng(31337)
+    for d in range(2, 9):
+        for b in (orthonormal_basis(d), FreeBasis(haar_unitary(d, rng))):
+            cases = ((random_density(d, rng), False), (random_density(d, rng, rank=2), False),
+                     (haar_state(d, rng).density(), True))
+            for rho, pure in cases:
+                c = dagger(b.vectors) @ rho.mat @ b.vectors
+                rep = rel_entropy_measure(rho, b)
+                assert abs(rep.value - (entropy(np.diag(c).real) - entropy(rho.mat))) <= rep.extra["fw_gap"] + 1e-12
+                if pure or d == 2:
+                    assert abs(robustness(rho, b).value - (np.abs(c).sum() - 1)) <= 1e-12
 
 
 def test_robustness_examples():
