@@ -75,7 +75,9 @@ class Channel(_Record):
         if stack.shape[1] != stack.shape[2]:
             raise DimensionMismatch(f"Kraus operators must be square, got shape {stack.shape[1:]}")
         # I - K_1'K_1 - K_2'K_2 - ..., subtracted in operator order, as the bits of defect depend on it
-        defect = np.subtract.reduce(np.concatenate([np.eye(stack.shape[2])[None], dagger(stack) @ stack]))
+        kk = dagger(stack) @ stack
+        kk[0] = np.eye(stack.shape[2]) - kk[0]
+        defect = np.subtract.reduce(kk)
         eig = np.linalg.eigh(hermitian_part(defect))
         self._store(kraus=stack, defect=defect, defect_eig=eig)
         wmin = float(eig[0][0])

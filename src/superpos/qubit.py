@@ -177,17 +177,19 @@ def generate_from_m2(theta_t: float, phi_t: float, a: float) -> Channel:
     With m and t the free-frame coefficients of source and target, the
     diagonal and antidiagonal types take (gamma, delta) = t / (sqrt(2) m) and
     (-delta, -gamma). Types 1 and 3 are s|c_k><w| with w = c_1^perp + c_2^perp,
-    which annihilates the source, so D = 1 - K_2'K_2 - K_4'K_4 = 2 s^2 |w><w|.
+    which annihilates the source, so D = 1 - K_2'K_2 - K_4'K_4 = 2 s^2 |w><w|; all
+    four are built on one basis, with the index functions of ``free_qubit_kraus``.
     """
     basis = qubit_free_basis(a)
     m = basis.to_free_frame(max_superposition_state().amp)
     gamma, delta = basis.to_free_frame(qubit_state(theta_t, phi_t).amp) / (np.sqrt(2) * m)
-    k2, k4 = free_qubit_kraus(2, (gamma, delta), a), free_qubit_kraus(4, (-delta, -gamma), a)
+    k2, k4 = FreeKrausForm(np.array([[gamma, delta], [-delta, -gamma]]),
+                           np.array([[0, 1], [1, 0]])).matrix(basis)
     w = basis.reciprocal.sum(axis=1)
-    defect = Channel((k2, k4)).defect
+    defect = np.eye(2) - dagger(k2) @ k2 - dagger(k4) @ k4    # Channel's order: the same bits
     # <w|D|w> is 0, up to rounding of either sign, at a = 0 and for the source as target
     shared = np.sqrt(max(np.vdot(w, defect @ w).real, 0.0) / (2 * np.vdot(w, w).real ** 2))
-    k1, k3 = (free_qubit_kraus(kind, (shared, shared), a) for kind in (1, 3))
+    k1, k3 = FreeKrausForm(np.full((2, 2), complex(shared)), np.array([[0, 0], [1, 1]])).matrix(basis)
     return Channel((k1, k2, k3, k4))
 
 

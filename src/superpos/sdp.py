@@ -14,11 +14,12 @@ returned with that dual matrix. A solve that cannot certify one raises
 ``NoConvergence``, and non-Hermitian data raises ``NonHermitian``.
 
 ``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1 (F0 = 1, sign +1; dual:
-minimize tr Y s.t. tr(Y A_n) >= 1). ``solve_cover`` minimizes sum x_i s.t.
-diag(x) >= C, the robustness cover in the free frame (F0 = -C, A_i = -e_i e_i',
-sign -1; dual: maximize tr(C Y) s.t. Y_ii <= 1). Variable counts stay at a
-few dozen (120 at support 5) and matrices at 8x8, so no sparsity or scaling
-tricks are needed.
+minimize tr Y s.t. tr(Y A_n) >= 1), whose value is 1 / min over the simplex of
+lam_max(sum a_n A_n) (Overton 1988); it first tries that minimum at a vertex, with a
+rank-one dual. ``solve_cover`` minimizes sum x_i s.t. diag(x) >= C, the robustness
+cover in the free frame (F0 = -C, A_i = -e_i e_i', sign -1; dual: maximize tr(C Y)
+s.t. Y_ii <= 1). Variable counts stay at a few dozen (120 at support 5) and
+matrices at 8x8, so no sparsity or scaling tricks are needed.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ _STEP = 0.95
 @dataclass(frozen=True, eq=False)
 class LmiProblem(_Record):
     """Data of "maximize sum p_n s.t. sum p_n A_n <= 1": the PSD matrices A_n, stacked as
-    one read-only (n, k, k) array ``operators``, and each one's largest eigenvalue, from
-    which ``solve_lmi`` takes its strictly feasible start. One ``as_hermitian_matrix`` pass
-    raises ``DimensionMismatch`` unless the A_n are at least one and share one square
+    one read-only (n, k, k) array ``operators``, and each one's largest eigenvalue, by which
+    ``solve_lmi`` picks its certificate's operator and starts its loop. One ``as_hermitian_matrix``
+    pass raises ``DimensionMismatch`` unless the A_n are at least one and share one square
     shape; ``BadData`` unless each is PSD and nonzero beyond _PSD_DATA_TOL * max(1, |A_n|)."""
 
     operators: np.ndarray
@@ -199,15 +200,25 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, sign: float, p: np.ndarray,
 def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     """Maximize sum p_n subject to sum p_n A_n <= 1, p >= 0.
 
-    Path following with F0 = 1 and sign +1, so Y >= 0 and s >= 0 reach
-    tr(A_n Y) - s_n = 1; p starts at 0.5 / (sum_n lam_max(A_n) + 1), and the
-    iterate Y is the one candidate dual.
+    First a one-operator certificate, from A_j of smallest lam_max, its top eigenvector
+    v and m_n = v'A_n v / v'v: p = e_j / max(lam_max(A_j), m_j) is feasible, Y = v v' /
+    (v'v m) with m = min_n m_n > 0 is dual feasible with tr Y = 1/m, and the pair is
+    returned when its gap, >= 0 as m <= m_j, is within ``gap_tol``. Otherwise path
+    following with F0 = 1 and sign +1, so Y >= 0 and s >= 0 reach tr(A_n Y) - s_n = 1;
+    p starts at 0.5 / (sum_n lam_max(A_n) + 1), and the iterate Y is the one candidate dual.
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
-    n = len(problem.operators)
+    ops, n = problem.operators, len(problem.operators)
+    j = int(np.argmin(problem._lambda_max))
+    v = np.linalg.eigh(ops[j])[1][:, -1]
+    norm = float(np.vdot(v, v).real)
+    pairings = (ops @ v @ v.conj()).real / norm
+    top, m = max(float(problem._lambda_max[j]), float(pairings[j])), float(pairings.min())
+    if m > 0 and (gap := 1.0 / m - 1.0 / top) <= gap_tol:
+        p = np.where(np.arange(n) == j, 1.0 / top, 0.0)
+        return SdpSolution(p, 1.0 / top, np.outer(v, v.conj()) / (norm * m), 1.0 / m, gap)
     p = np.full(n, 0.5 / (float(np.sum(problem._lambda_max)) + 1.0))
-    return _path_following(np.eye(problem.dim, dtype=complex), problem.operators, 1.0, p,
-                           lambda y: (y,), gap_tol)
+    return _path_following(np.eye(problem.dim, dtype=complex), ops, 1.0, p, lambda y: (y,), gap_tol)
 
 
 def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:

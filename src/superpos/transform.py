@@ -7,8 +7,8 @@ of the small LMI "maximize sum p_n s.t. sum p_n F_n'F_n <= 1" over them: the
 free optimum at full support r = d, a certified lower bound at r < d.
 Support r <= 2 (one or two operators on the span of the source's reciprocal
 vectors) is solved in closed form with its dual certificate, on r x r blocks
-read off the Gram matrix without building the operators; support r >= 3 goes
-to the primal-dual ``solve_lmi``, which certifies its optimum with the dual.
+read off the Gram matrix without building the operators; support r >= 3 goes to
+``solve_lmi``, whose dual certifies the optimum (rank one where one transformer suffices).
 A deterministic pair's free completion is built on first read of the
 solution's ``completion``, so a caller that keeps only the value never pays for it.
 """

@@ -4,12 +4,14 @@ Run from anywhere in a checkout whose parent commit is fetched::
 
     PYTHONPATH=src python tests/ci_report.py
 
-Six reports, each under a ``## title`` line:
+Seven reports, each under a ``## title`` line:
 - the size of each module of ``src/superpos`` and of the library, and the net
   change in lines against the parent commit (HEAD^1);
 - the number of public names ``import superpos`` binds, submodules excluded;
 - the np.linalg calls and primal-dual iterations of one solve of each kind;
 - the wall time of the criterion-07 qubit landscape and of its single cells;
+- how many seeded conversions at support 3, 4 and 5 solve_lmi's one-operator
+  certificate closes before its primal-dual loop, and their median times;
 - the relative-entropy loop's evaluations and Newton steps on the tests' draws;
 - the median time of a robustness and a relative-entropy call on the tests'
   draws, reading the value only and reading the certificate too, and of one
@@ -151,6 +153,27 @@ def landscape_timings():
         print(f"{label}: {best * 1e6:.1f} us (best of 5 x 1000 calls)")
 
 
+def conversion_certificates():
+    """Over Haar pairs on seeded random bases (60, 40 and 10 at support 3, 4 and 5),
+    the conversions solve_lmi's one-operator certificate closes without running
+    sdp._path_following, and the median best-of-3 time of one max_conversion_prob
+    among those it closes and among those that run the loop."""
+    rng, loop = make_rng(52), sdp._path_following
+    for support, draws in ((3, 60), (4, 40), (5, 10)):
+        times = {True: [], False: []}
+        for _ in range(draws):
+            basis = random_basis(support, rng)
+            pair = haar_state(support, rng), haar_state(support, rng)
+            loops = []
+            with mock.patch.object(sdp, "_path_following", lambda *args: loops.append(1) or loop(*args)):
+                sp.max_conversion_prob(*pair, basis)
+            times[not loops].append(min(timeit.repeat(lambda: sp.max_conversion_prob(*pair, basis),
+                                                      number=1, repeat=3)))
+        medians = {closed: f"{np.median(t) * 1e3:.2f} ms" if t else "none" for closed, t in times.items()}
+        print(f"support {support}: certificate closed {len(times[True])} of {draws} conversions; "
+              f"median time {medians[True]} closed, {medians[False]} through the loop")
+
+
 def rel_entropy_evaluations():
     """Evaluations (one eigh each) and Newton steps over the first 300 outcomes of
     random free channels at d = 2..4 (the stream of
@@ -214,6 +237,7 @@ REPORTS = {
     "Public names exported by superpos": exported_names,
     "np.linalg calls in one solve of each kind": linalg_calls,
     "Qubit landscape timings": landscape_timings,
+    "Conversions closed by the one-operator certificate": conversion_certificates,
     "Relative-entropy evaluations on S2b outcomes": rel_entropy_evaluations,
     "Measure times with and without the certificate, S2b channel times and is_mfo": measure_timings,
 }

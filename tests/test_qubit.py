@@ -1,3 +1,4 @@
+import collections
 import re
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from superpos import transform
 from superpos.errors import DimensionMismatch, NoConvergence, NonHermitian, NotUnitary
-from superpos.basis import tensor_basis
-from superpos.kraus import FreeKrausForm, apply_channel, complete_free, is_free_kraus, is_mfo
+from superpos.basis import FreeBasis, tensor_basis
+from superpos.kraus import Channel, FreeKrausForm, apply_channel, complete_free, is_free_kraus, is_mfo
 from superpos.linalg import dagger, fidelity, herm_eig, partial_trace
 from superpos.qubit import (
     PAULI,
@@ -302,6 +303,41 @@ def test_generate_from_m2_matches_transcribed_coefficients():
                     free_qubit_kraus(3, (shared, shared), a), free_qubit_kraus(4, (-delta, -gamma), a))
         for built, ref in zip(generate_from_m2(theta, phi, a).kraus, expected, strict=True):
             assert np.abs(built - ref).max() < 1e-13
+
+
+def _generate_from_m2_by_kinds(theta_t, phi_t, a):
+    """generate_from_m2 as first written, as a bit-for-bit oracle: each Kraus type
+    from free_qubit_kraus, which builds its own basis, and the partial defect
+    from a two-operator Channel."""
+    basis = qubit_free_basis(a)
+    m = basis.to_free_frame(max_superposition_state().amp)
+    gamma, delta = basis.to_free_frame(qubit_state(theta_t, phi_t).amp) / (np.sqrt(2) * m)
+    k2, k4 = free_qubit_kraus(2, (gamma, delta), a), free_qubit_kraus(4, (-delta, -gamma), a)
+    w = basis.reciprocal.sum(axis=1)
+    defect = Channel((k2, k4)).defect
+    shared = np.sqrt(max(np.vdot(w, defect @ w).real, 0.0) / (2 * np.vdot(w, w).real ** 2))
+    k1, k3 = (free_qubit_kraus(kind, (shared, shared), a) for kind in (1, 3))
+    return Channel((k1, k2, k3, k4))
+
+
+def test_generate_from_m2_builds_one_basis_and_one_channel(monkeypatch):
+    # one qubit basis for all four Kraus types and one Channel check, with the
+    # bytes of the channel built type by type (a = 0 and the source as target
+    # included, where <w|D|w> rounds to either sign)
+    rng = make_rng(809)
+    cases = [(np.pi / 2, np.pi, 0.5), (0.3, 1.0, 0.0)]
+    cases += [(float(rng.uniform(0, np.pi)), float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(0.0, 0.95)))
+              for _ in range(200)]
+    for theta, phi, a in cases:
+        got, want = generate_from_m2(theta, phi, a), _generate_from_m2_by_kinds(theta, phi, a)
+        for field in ("kraus", "defect"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (theta, phi, a, field)
+    built = collections.Counter()
+    for cls in (FreeBasis, Channel):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, init=cls.__post_init__, name=cls.__name__:
+                            built.update([name]) or init(self))
+    generate_from_m2(1.0, 0.5, 0.5)
+    assert built == {"FreeBasis": 1, "Channel": 1}
 
 
 def _transcribed_injection_operators(u, a):

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from superpos import sdp
-from superpos.basis import orthonormal_basis, symmetric_basis_d3
+from superpos.basis import new_free_basis, orthonormal_basis, symmetric_basis_d3, tensor_basis
 from superpos.errors import BadData, DimensionMismatch, NoConvergence, NonHermitian
 from superpos.linalg import dagger, hermitian_part
 from superpos.measures import rel_entropy_measure, robustness
+from superpos.qubit import qubit_free_basis
 from superpos.kraus import Channel, free_channel, is_free_kraus, is_mfo, measure_selective
 from superpos.sampling import (
     haar_state,
+    haar_unitary,
     make_rng,
     random_basis,
     random_density,
@@ -595,12 +597,23 @@ def assert_lmi_certified(sol, problem):
     assert np.linalg.eigvalsh(slack)[0] >= -1e-12
 
 
-def conversion_problem(support, rng):
-    """The conversion LMI between two Haar states on a random basis of full support."""
-    b = random_basis(support, rng)
-    psi, phi = haar_state(support, rng), haar_state(support, rng)
+def conversion_problem(support, rng, basis=None):
+    """The conversion LMI between two Haar states on ``basis`` (a random basis if
+    None) of full support."""
+    b = random_basis(support, rng) if basis is None else basis
+    psi, phi = haar_state(b.d, rng), haar_state(b.d, rng)
     ts = enumerate_transformers(psi, phi, b)
     return LmiProblem.from_matrices([dagger(f) @ f for f in ts.operators])
+
+
+def loop_lmi(problem, gap_tol=DEFAULT_GAP_TOL):
+    """``solve_lmi``'s primal-dual loop from ``solve_lmi``'s start, without the
+    one-operator certificate tried before it; ``sdp._path_following`` is looked up
+    at call time, so a patched loop runs. Where the certificate does not close,
+    ``solve_lmi`` returns this solution byte for byte (checked below)."""
+    p = np.full(len(problem.operators), 0.5 / (float(np.sum(problem._lambda_max)) + 1.0))
+    return sdp._path_following(np.eye(problem.dim, dtype=complex), problem.operators, 1.0, p,
+                               lambda y: (y,), gap_tol)
 
 
 @pytest.mark.parametrize("support, draws", [(3, 8), (4, 6), (5, 3)])
@@ -624,14 +637,17 @@ def test_lmi_certifies_support_five_conversions(seed, monkeypatch):
     # draws 5, 6 and 8 of seed 77, where _center stalls once mu <= 1e-4; each
     # primal-dual iteration sizes two steps (predictor and corrector), and these
     # solves take 10-16 iterations (some over 20 without the corrector's dY dZ term)
+    # (the loop runs from solve_lmi's start, past the one-operator certificate,
+    # which closes some of these draws with no iteration at all)
     steps = []
     step_lengths = sdp._step_lengths
     monkeypatch.setattr(sdp, "_step_lengths", lambda *args: steps.append(1) or step_lengths(*args))
     rng = make_rng(seed)
     for _ in range(15):
         problem = conversion_problem(5, rng)
-        steps.clear()
         assert_lmi_certified(solve_lmi(problem), problem)
+        steps.clear()
+        assert_lmi_certified(loop_lmi(problem), problem)
         assert 0 < len(steps) <= 2 * 20 and len(steps) % 2 == 0, len(steps)
 
 
@@ -739,21 +755,27 @@ def _cover_corpus():
         yield lambda coeffs=coeffs: solve_cover(coeffs.astype(complex), gap_tol=1e-8)
 
 
+# The conversion solves run the loop from solve_lmi's start (``loop_lmi``), so the
+# one-operator certificate, which closes some of them, leaves the oracle all 18.
+
 def _conversion_corpus():
     for support, draws in ((3, 6), (4, 4), (5, 2)):
         rng = make_rng(540 + support)
         for _ in range(draws):
             problem = conversion_problem(support, rng)
-            yield lambda problem=problem: solve_lmi(problem)
+            yield lambda problem=problem: loop_lmi(problem)
 
 
 def _criterion_06_corpus():
+    # the LMIs max_conversion_prob builds for the candidates
     b, target = symmetric_basis_d3(), PureState(np.array([1, 0, 0], dtype=complex))
-    for cand in candidate_states_d3():
-        yield lambda cand=cand: max_conversion_prob(cand, target, b)
+    problems = [LmiProblem.from_matrices(dagger(ops) @ ops) for ops in
+                (enumerate_transformers(cand, target, b).operators for cand in candidate_states_d3())]
+    for problem in problems:
+        yield lambda problem=problem: loop_lmi(problem)
     # a tolerance below what the iterates reach: the Z factorisation fails
-    yield lambda: max_conversion_prob(candidate_states_d3()[0], target, b, gap_tol=1e-9)
-    yield lambda: solve_lmi(LmiProblem.from_matrices([np.eye(3)]), gap_tol=1e-300)
+    yield lambda: loop_lmi(problems[0], gap_tol=1e-9)
+    yield lambda: loop_lmi(LmiProblem.from_matrices([np.eye(3)]), gap_tol=1e-300)
 
 
 @pytest.mark.parametrize("corpus, solves", [
@@ -790,18 +812,82 @@ def test_path_following_matches_reference_bit_for_bit(corpus, solves, monkeypatc
             "factorisation failed (Matrix is not positive definite) after 14 iterations"]
 
 
+# Two diagonal operators with the optimum p = (2/3, 2/3): the one-operator
+# certificate on A_0 pairs v = e_0 with A_1 at 1/2, a gap of 1, so solve_lmi runs the loop.
+TWO_ACTIVE = [np.diag([1.0, 0.5, 0.5]), np.diag([0.5, 1.0, 0.5])]
+
+
 def test_lmi_negative_tolerance_raises():
     # a negative tolerance is refused up front; a positive one below what the
     # iterates can reach still raises NoConvergence
-    problem = LmiProblem.from_matrices([np.eye(3)])
+    problem = LmiProblem.from_matrices(TWO_ACTIVE)
     with pytest.raises(ValueError, match="finite positive"):
         solve_lmi(problem, gap_tol=-1e-3)
     with pytest.raises(NoConvergence):
         solve_lmi(problem, gap_tol=1e-300)
 
 
-
 def test_lmi_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(sdp, "_MAX_PD_ITER", 1)
     with pytest.raises(NoConvergence, match="no certified gap after 1 iterations"):
-        solve_lmi(LmiProblem.from_matrices([np.eye(3)]))
+        solve_lmi(LmiProblem.from_matrices(TWO_ACTIVE))
+
+
+def test_identity_lmi_certifies_at_any_tolerance(monkeypatch):
+    # the loop lost its Z factor on this LMI at gap_tol 1e-300; the one-operator
+    # certificate meets it exactly, p = 1 against Y = v v' with v a unit vector
+    monkeypatch.setattr(sdp, "_path_following", None)
+    problem = LmiProblem.from_matrices([np.eye(3)])
+    sol = solve_lmi(problem, gap_tol=1e-300)
+    assert (sol.p.tolist(), sol.primal, sol.dual, sol.gap) == ([1.0], 1.0, 1.0, 0.0)
+    assert verify_dual(sol.dual_matrix, problem) == (True, 1.0)
+    assert np.linalg.matrix_rank(sol.dual_matrix) == 1
+
+
+def _certificate_corpus():
+    """660 conversion LMIs at support 3-5 by group: Haar pairs on random bases
+    (300, 200 and 40 at support 3, 4 and 5), on the orthonormal and on a
+    Haar-rotated orthonormal basis (10 of each at d = 3, 4 and 5), and on
+    tensor_basis(b, b) of qubit_free_basis(a) (d = 4, 20 at each of three a)."""
+    for support, draws in ((3, 300), (4, 200), (5, 40)):
+        rng = make_rng(9000 + support)
+        yield f"random r={support}", [conversion_problem(support, rng) for _ in range(draws)]
+    rng = make_rng(9010)
+    for d in (3, 4, 5):
+        bases = orthonormal_basis(d), new_free_basis(list(haar_unitary(d, rng).T))
+        yield f"orthonormal d={d}", [conversion_problem(d, rng, b) for b in bases for _ in range(10)]
+    for a in (0.3, 0.6, 0.9):
+        single = qubit_free_basis(a)
+        product = tensor_basis(single, single)
+        yield f"tensor a={a}", [conversion_problem(4, rng, product) for _ in range(20)]
+
+
+def test_one_operator_certificate_on_conversion_lmis(monkeypatch):
+    # where solve_lmi returns without running the loop, its one nonzero weight and
+    # rank-one dual certify on their own, and the loop run directly reaches a
+    # primal at most the certificate's and within gap_tol of it (6.7e-8 seen);
+    # where it runs the loop, the first three solutions of each group are
+    # loop_lmi's byte for byte
+    calls = []
+    real = sdp._path_following
+    monkeypatch.setattr(sdp, "_path_following", lambda *args: calls.append(1) or real(*args))
+    closed = {}
+    for group, problems in _certificate_corpus():
+        closed[group] = 0
+        for i, problem in enumerate(problems):
+            calls.clear()
+            sol = solve_lmi(problem)
+            if calls:
+                if i - closed[group] < 3:
+                    loop = loop_lmi(problem)
+                    assert sol.p.tobytes() == loop.p.tobytes()
+                    assert sol.dual_matrix.tobytes() == loop.dual_matrix.tobytes()
+                continue
+            closed[group] += 1
+            assert_lmi_certified(sol, problem)
+            assert np.count_nonzero(sol.p) == 1 and np.linalg.matrix_rank(sol.dual_matrix) == 1
+            loop = loop_lmi(problem)
+            assert sol.primal - DEFAULT_GAP_TOL <= loop.primal <= sol.primal, (group, loop.primal, sol.primal)
+    assert closed == {"random r=3": 117, "random r=4": 45, "random r=5": 7,
+                      "orthonormal d=3": 8, "orthonormal d=4": 8, "orthonormal d=5": 4,
+                      "tensor a=0.3": 0, "tensor a=0.6": 1, "tensor a=0.9": 9}, closed

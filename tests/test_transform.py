@@ -150,7 +150,8 @@ def test_relabeling_symmetry():
 def assert_certified_optimum(sol, problem):
     """The closed form against solve_lmi on the same LMI: a feasible p >= 0,
     a dual that verify_dual accepts, a gap at rounding level and a value at
-    or above solve_lmi's by at most its gap tolerance."""
+    or above solve_lmi's by at most its gap tolerance; below it only by rounding
+    (1e-15 max(1, value)), where solve_lmi's one-operator certificate is exact too."""
     feasible, bound = verify_dual(sol.dual_matrix, problem)
     assert feasible and abs(bound - sol.dual) <= 1e-12
     assert abs(sol.gap) <= 1e-12 and abs(sol.dual - sol.primal - sol.gap) <= 1e-15
@@ -158,7 +159,7 @@ def assert_certified_optimum(sol, problem):
     slack = np.eye(problem.dim) - sum(pn * a for pn, a in zip(sol.p, problem.operators))
     assert np.linalg.eigvalsh(slack)[0] >= -1e-12
     solved = solve_lmi(problem)
-    assert 0.0 <= sol.primal - solved.primal <= DEFAULT_GAP_TOL
+    assert -1e-15 * max(1.0, sol.primal) <= sol.primal - solved.primal <= DEFAULT_GAP_TOL
 
 
 def test_closed_form_matches_solve_lmi_on_random_supports():
@@ -502,8 +503,10 @@ def test_conversion_solutions_pickle_with_the_completion_unread_and_read():
     # a deterministic solution keeps its completion builder as a partial of a
     # module-level function, so it pickles before and after the first read, and
     # the copy builds, or keeps, the completion the original read: none at the
-    # qubit self-conversion, one operator at support 2 of 3 and three at the
-    # support-3 candidate; a pair below 1 - gap_tol pickles and reads None
+    # qubit self-conversion, one operator at support 2 of 3 and none at the
+    # support-3 candidate, whose one-operator certificate puts p = 1 on the
+    # identity transformer (the loop's interior point left three operators of
+    # its 1e-8 residue); a pair below 1 - gap_tol pickles and reads None
     qubit = qubit_free_basis(0.5)
     source = qubit_state(np.pi / 2, 0.0)
     plane = orthonormal_basis(3)
@@ -520,7 +523,7 @@ def test_conversion_solutions_pickle_with_the_completion_unread_and_read():
             assert np.array_equal(copy.p, sol.p) and (copy.value, copy.gap) == (sol.value, sol.gap)
             assert len(copy.completion) == len(completion)
             assert all(np.array_equal(got, want) for got, want in zip(copy.completion, completion))
-    assert sizes == [0, 1, 3]
+    assert sizes == [0, 1, 0]
     sol = max_conversion_prob(source, qubit_state(1.1, 2.0), qubit)
     copy = pickle.loads(pickle.dumps(sol))
     assert sol.value < 1.0 - 1e-7 and copy.value == sol.value and copy.completion is None
@@ -554,10 +557,15 @@ def test_two_copy_and_catalytic_conversions_bound_the_single_copy():
     # the product pair's, and the identity is one of chi -> chi's, so wherever the
     # product supports are the products of the supports:
     #   p(psi psi -> phi phi) >= p(psi -> phi)^2 and p(psi chi -> phi chi) >= p(psi -> phi),
-    # with the product solve's certified gap as the only slack. A support-4 solve
-    # whose Schur factorisation fails at the default gap_tol (a = 0.3 pairs 58 and
-    # 68, a = 0.6 pairs 49 and 83 for two copies; a = 0 pair 34, p = 1, for the
-    # catalyst) is counted, then solved again at gap_tol 1e-6
+    # with the product solve's certified gap as the only slack beyond rounding of
+    # p(psi -> phi) by 1e-15 max(1, p): where the one-operator certificate closes
+    # the product solve its gap is 0, and at a = 0.3 pair 103 the support-2
+    # closed form's p lies 7.0e-16 above the exact optimum of its own LMI, so its
+    # square lies 1.1e-15 above the product LMI's exact optimum, which the
+    # certificate meets within 1.1e-16 (both optima in 40-digit arithmetic). A
+    # support-4 solve whose Schur factorisation fails at the default gap_tol (a =
+    # 0.3 pairs 58 and 68, a = 0.6 pairs 49 and 83 for two copies; a = 0 pair 34,
+    # p = 1, for the catalyst) is counted, then solved again at gap_tol 1e-6
     failures, checked = [], 0
     for a, seed in ((0.0, 11), (0.3, 311), (0.6, 611)):
         basis = qubit_free_basis(a)
@@ -566,6 +574,7 @@ def test_two_copy_and_catalytic_conversions_bound_the_single_copy():
         for n in range(120):
             psi, phi, chi = (haar_state(2, rng) for _ in range(3))
             p1 = max_conversion_prob(psi, phi, basis).value
+            p1 -= 1e-15 * max(1.0, p1)
             for kind, x, y, bound in (("two copies", psi, phi, p1 ** 2), ("catalyst", chi, chi, p1)):
                 (src, src_ok), (dst, dst_ok) = (_product_pair(basis, product, psi, x),
                                                 _product_pair(basis, product, phi, y))
@@ -598,11 +607,11 @@ def test_orthonormal_conversions_follow_vidals_formula():
     # E_l(phi), so at least 1, and its trace is the formula. Checked on the
     # identity and on a Haar-rotated basis at d = 2..8 and equal supports
     # r = 2..5, 8 pairs each, with the certified gap as the only slack beyond
-    # rounding (1.2e-15 seen). Two solves lose the Schur factor at the default
-    # gap_tol on 1 to 8 OpenBLAS threads (d = 7, r = 3 pair 7 rotated; d = 7,
-    # r = 5 pair 3 on the identity), and a third (d = 8, r = 5 pair 4 rotated)
-    # only on one thread, whose summation order differs; they are counted, then
-    # solved at gap_tol 1e-6
+    # rounding (1.2e-15 seen). A solve that loses the Schur factor at the default
+    # gap_tol is counted, then solved at gap_tol 1e-6; none does on 1, 2, 4 or 8
+    # OpenBLAS threads. The three that did (d = 7, r = 3 pair 7 rotated; d = 7,
+    # r = 5 pair 3 on the identity; d = 8, r = 5 pair 4 rotated, on one thread
+    # only) now close by solve_lmi's one-operator certificate before the loop
     rounding = 1e-14
     rng = make_rng(123)
     failures, checked = [], 0
@@ -637,9 +646,7 @@ def test_orthonormal_conversions_follow_vidals_formula():
                     assert formula - sol.gap - rounding <= sol.value <= formula + rounding, \
                         (label, sol.value, formula, sol.gap)
     assert checked == 352
-    single_thread_only = (8, 5, "rotated", 4)
-    assert [label for label in failures if label != single_thread_only] == \
-        [(7, 3, "rotated", 7), (7, 5, "identity", 3)], failures
+    assert failures == []
 
 
 @pytest.mark.xfail(strict=True, reason="at support r < d max_conversion_prob optimizes only "
