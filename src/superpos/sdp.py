@@ -15,9 +15,12 @@ returned with that dual matrix. A solve that cannot certify one raises
 
 ``solve_lmi`` maximizes sum p_n s.t. sum p_n A_n <= 1 (F0 = 1, sign +1; dual:
 minimize tr Y s.t. tr(Y A_n) >= 1), whose value is 1 / min over the simplex of
-lam_max(sum a_n A_n) (Overton 1988); it first tries that minimum at a vertex, with a
-rank-one dual. ``solve_cover`` minimizes sum x_i s.t. diag(x) >= C, the robustness
-cover in the free frame (F0 = -C, A_i = -e_i e_i', sign -1; dual: maximize tr(C Y)
+lam_max(sum a_n A_n) (Overton 1988). It first runs Newton steps on that lam_max over the
+simplex from the vertex of smallest lam_max, where lam_max is smooth while simple, and
+certifies every iterate by the rank-one dual of its top eigenvector; it hands over to the
+loop where the top eigenvalue turns double (an optimum with a rank-2 dual), where a step
+fails, or at its step cap. ``solve_cover`` minimizes sum x_i s.t. diag(x) >= C, the
+robustness cover in the free frame (F0 = -C, A_i = -e_i e_i', sign -1; dual: maximize tr(C Y)
 s.t. Y_ii <= 1). Variable counts stay at a few dozen (120 at support 5) and
 matrices at 8x8, so no sparsity or scaling tricks are needed.
 """
@@ -38,6 +41,9 @@ COVER_GAP_TOL = 1e-8
 _PSD_DATA_TOL = 1e-9
 _DUAL_TOL = 1e-9
 _MAX_PD_ITER = 50
+_MAX_DESCENT_STEPS = 20
+_MAX_HALVINGS = 6
+_DOUBLE_TOL = 0.01
 _STEP = 0.95
 
 
@@ -45,9 +51,10 @@ _STEP = 0.95
 class LmiProblem(_Record):
     """Data of "maximize sum p_n s.t. sum p_n A_n <= 1": the PSD matrices A_n, stacked as
     one read-only (n, k, k) array ``operators``, and each one's largest eigenvalue, by which
-    ``solve_lmi`` picks its certificate's operator and starts its loop. One ``as_hermitian_matrix``
-    pass raises ``DimensionMismatch`` unless the A_n are at least one and share one square
-    shape; ``BadData`` unless each is PSD and nonzero beyond _PSD_DATA_TOL * max(1, |A_n|)."""
+    ``solve_lmi`` picks the vertex its descent starts from and starts its loop. One
+    ``as_hermitian_matrix`` pass raises ``DimensionMismatch`` unless the A_n are at least
+    one and share one square shape; ``BadData`` unless each is PSD and nonzero beyond
+    _PSD_DATA_TOL * max(1, |A_n|)."""
 
     operators: np.ndarray
     dim: int = field(init=False)
@@ -103,14 +110,16 @@ def _purify_dual(y: np.ndarray, ops: np.ndarray, sense: int) -> np.ndarray | Non
     """Project onto the PSD cone and rescale into the dual feasible set.
 
     The dual constraint is tr(y B_i) <= 1 for sense +1 and tr(y B_i) >= 1 for
-    sense -1; None when no positive rescale meets the latter.
+    sense -1. With m the binding pairing, sense +1 divides by m only when m > 1;
+    sense -1 divides by m whenever m > 0, so the smallest pairing is 1 and
+    tr(f0 y) the tightest bound along y, and is None when m <= 0.
     """
     y = psd_part(y)
     # the binding pairing: the largest for sense +1, the smallest for sense -1
     m = sense * float(np.max(sense * np.einsum("ij,nji->n", y, ops).real))
-    if sense < 0 and m <= 0:
-        return None
-    return y / m if sense * m > sense else y
+    if sense < 0:
+        return y / m if m > 0 else None
+    return y / m if m > 1 else y
 
 
 def _step_lengths(linv: np.ndarray, linv_h: np.ndarray, dy, dz, s, ds, p, dp) -> tuple[float, float]:
@@ -197,28 +206,89 @@ def _path_following(f0: np.ndarray, ops: np.ndarray, sign: float, p: np.ndarray,
                         f"complementarity {complementarity:.3e}")
 
 
+def _rank_one_descent(problem: LmiProblem, gap_tol: float) -> SdpSolution | None:
+    """Newton descent on f(a) = lam_max(sum a_n A_n) over the simplex, certified at every step.
+
+    From a = e_j, A_j of smallest lam_max, each step takes one ``eigh`` of M = sum a_n A_n
+    (top pair lam, v; the others lam_i, u_i) and the pairings g_n = v'A_n v / v'v in one
+    product. Then p = a / top with top = max(lam, a.g, m) is feasible, Y = v v' / (v'v m)
+    with m = min g > 0 is dual feasible with tr Y = 1/m, and the pair is returned when its
+    gap 1/m - 1/top, >= 0 as m <= top, is within ``gap_tol`` (m <= a.g in exact arithmetic,
+    so m enters top only against rounding). Otherwise a Newton step on the face
+    F = support(a) + {argmin g}: gradient g_F, Hessian of the simple eigenvalue
+    H_nm = 2 Re sum_i (v'A_n u_i)(u_i'A_m v) / (lam - lam_i), one KKT solve
+    [[H, 1], [1', 0]] for a direction d with sum d = 0, the ratio test that keeps a >= 0,
+    and up to ``_MAX_HALVINGS`` halvings until lam falls. None, for the primal-dual loop,
+    when the step cannot move a, when no halving lowers lam, after ``_MAX_DESCENT_STEPS``
+    steps, or when lam is double as far as the step can tell: its lead lam - lam_2 over the
+    next eigenvalue is at most ``_DOUBLE_TOL`` times top - m, the certificate's own gap,
+    as at an optimum with a rank-2 dual, where lam is not smooth.
+    """
+    ops, n, k = problem.operators, len(problem.operators), problem.dim
+    flat = ops.reshape(n, k * k)
+    j = int(np.argmin(problem._lambda_max))
+    a = np.where(np.arange(n) == j, 1.0, 0.0)
+    w, u = np.linalg.eigh(ops[j])
+    for step in range(_MAX_DESCENT_STEPS + 1):
+        lam, v = float(w[-1]), u[:, -1]
+        av = ops @ v
+        norm = float(np.vdot(v, v).real)
+        g = (av @ v.conj()).real / norm
+        m = float(g.min())
+        top = max(lam, float(a @ g), m)
+        if m > 0 and (gap := 1.0 / m - 1.0 / top) <= gap_tol:
+            return SdpSolution(a / top, 1.0 / top, np.outer(v, v.conj()) / (norm * m), 1.0 / m, gap)
+        if step == _MAX_DESCENT_STEPS or k == 1 or lam - w[-2] <= _DOUBLE_TOL * (top - m):
+            return None
+        on_face = a > 0
+        on_face[np.argmin(g)] = True
+        face = np.flatnonzero(on_face)
+        c = av[face] @ u[:, :-1].conj()
+        f = len(face)
+        kkt = np.ones((f + 1, f + 1))
+        kkt[:f, :f] = 2.0 * ((c.conj() / (lam - w[:-1])) @ c.T).real
+        kkt[f, f] = 0.0
+        d = np.linalg.lstsq(kkt, np.append(-g[face], 0.0), rcond=None)[0][:f]
+        falling = d < 0
+        ratios = np.full(f, np.inf)
+        ratios[falling] = a[face][falling] / -d[falling]
+        block = int(np.argmin(ratios))
+        t = min(1.0, float(ratios[block]))
+        if not np.any(t * d):
+            return None
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = a.copy()
+            trial[face] = np.maximum(a[face] + t * d, 0.0)
+            if t == ratios[block]:
+                trial[face[block]] = 0.0
+            trial /= trial.sum()
+            w_next, u_next = np.linalg.eigh((trial @ flat).reshape(k, k))
+            if w_next[-1] < lam:
+                break
+            t /= 2.0
+        else:
+            return None
+        a, w, u = trial, w_next, u_next
+
+
 def solve_lmi(problem: LmiProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     """Maximize sum p_n subject to sum p_n A_n <= 1, p >= 0.
 
-    First a one-operator certificate, from A_j of smallest lam_max, its top eigenvector
-    v and m_n = v'A_n v / v'v: p = e_j / max(lam_max(A_j), m_j) is feasible, Y = v v' /
-    (v'v m) with m = min_n m_n > 0 is dual feasible with tr Y = 1/m, and the pair is
-    returned when its gap, >= 0 as m <= m_j, is within ``gap_tol``. Otherwise path
-    following with F0 = 1 and sign +1, so Y >= 0 and s >= 0 reach tr(A_n Y) - s_n = 1;
-    p starts at 0.5 / (sum_n lam_max(A_n) + 1), and the iterate Y is the one candidate dual.
+    First ``_rank_one_descent``: Newton steps on lam_max(sum a_n A_n) over the simplex from
+    the vertex of smallest lam_max, where every iterate a gives the feasible p = a / lam_max
+    and the rank-one dual of its top eigenvector, returned once their gap is within
+    ``gap_tol``. It hands over where the top eigenvalue turns double (an optimum with a
+    rank-2 dual), where a step cannot lower lam_max, or after ``_MAX_DESCENT_STEPS`` steps;
+    then path following with F0 = 1 and sign +1, so Y >= 0 and s >= 0 reach
+    tr(A_n Y) - s_n = 1; p starts at 0.5 / (sum_n lam_max(A_n) + 1), and the iterate Y
+    is the one candidate dual.
     """
     gap_tol = as_tolerance(gap_tol, "gap_tol")
-    ops, n = problem.operators, len(problem.operators)
-    j = int(np.argmin(problem._lambda_max))
-    v = np.linalg.eigh(ops[j])[1][:, -1]
-    norm = float(np.vdot(v, v).real)
-    pairings = (ops @ v @ v.conj()).real / norm
-    top, m = max(float(problem._lambda_max[j]), float(pairings[j])), float(pairings.min())
-    if m > 0 and (gap := 1.0 / m - 1.0 / top) <= gap_tol:
-        p = np.where(np.arange(n) == j, 1.0 / top, 0.0)
-        return SdpSolution(p, 1.0 / top, np.outer(v, v.conj()) / (norm * m), 1.0 / m, gap)
-    p = np.full(n, 0.5 / (float(np.sum(problem._lambda_max)) + 1.0))
-    return _path_following(np.eye(problem.dim, dtype=complex), ops, 1.0, p, lambda y: (y,), gap_tol)
+    if (sol := _rank_one_descent(problem, gap_tol)) is not None:
+        return sol
+    p = np.full(len(problem.operators), 0.5 / (float(np.sum(problem._lambda_max)) + 1.0))
+    return _path_following(np.eye(problem.dim, dtype=complex), problem.operators, 1.0, p,
+                           lambda y: (y,), gap_tol)
 
 
 def verify_dual(lam: np.ndarray, problem: LmiProblem) -> tuple[bool, float]:

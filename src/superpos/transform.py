@@ -8,7 +8,9 @@ free optimum at full support r = d, a certified lower bound at r < d.
 Support r <= 2 (one or two operators on the span of the source's reciprocal
 vectors) is solved in closed form with its dual certificate, on r x r blocks
 read off the Gram matrix without building the operators; support r >= 3 goes to
-``solve_lmi``, whose dual certifies the optimum (rank one where one transformer suffices).
+``solve_lmi``, whose dual certifies the optimum: rank one wherever the optimum's top
+eigenvalue is simple, reached by Newton steps on lam_max over the transformer weights,
+and the primal-dual loop's iterate elsewhere.
 A deterministic pair's free completion is built on first read of the
 solution's ``completion``, so a caller that keeps only the value never pays for it.
 """
@@ -183,9 +185,9 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     at full support, a certified lower bound on it at support r < d.
 
     Support r <= 2 is answered in closed form on blocks read off the Gram
-    matrix, support r >= 3 by the primal-dual ``solve_lmi`` (up to 120
-    operators at r = 5); either way the certified gap is at most ``gap_tol``
-    (``NoConvergence`` otherwise). Returns the solution with ``value`` clamped
+    matrix, support r >= 3 by ``solve_lmi``, its rank-one descent and then its
+    primal-dual loop (up to 120 operators at r = 5); either way the certified
+    gap is at most ``gap_tol`` (``NoConvergence`` otherwise). Returns the solution with ``value`` clamped
     to [0, 1]. A value of at least 1 - ``gap_tol``, as every deterministic
     pair's certified value is, gets a free completion of the optimal operators
     (enumerated again for it): the deterministic conversion channel made

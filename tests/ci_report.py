@@ -10,8 +10,9 @@ Seven reports, each under a ``## title`` line:
 - the number of public names ``import superpos`` binds, submodules excluded;
 - the np.linalg calls and primal-dual iterations of one solve of each kind;
 - the wall time of the criterion-07 qubit landscape and of its single cells;
-- how many seeded conversions at support 3, 4 and 5 solve_lmi's one-operator
-  certificate closes before its primal-dual loop, and their median times;
+- how many seeded conversions at support 3, 4 and 5 solve_lmi's rank-one
+  descent closes before its primal-dual loop, its Newton steps, the time the
+  others spend before the loop, and the median times;
 - the relative-entropy loop's evaluations and Newton steps on the tests' draws;
 - the median time of a robustness and a relative-entropy call on the tests'
   draws, reading the value only and reading the certificate too, and of one
@@ -41,6 +42,7 @@ import superpos as sp
 from superpos import sdp
 from superpos.cli import dispatch
 from superpos.errors import NoConvergence
+from superpos.linalg import dagger
 from superpos.measures import rel_entropy_measure
 from superpos.sampling import haar_state, make_rng, random_basis, random_density, random_subnormalized_free_ops
 from test_measures import near_dependent_batch, s2b_draws, s2b_outcomes
@@ -74,15 +76,16 @@ def exported_names():
 
 def linalg_calls():
     """np.linalg calls made by one criterion-06 conversion (candidate 0 -> (1, 0, 0)
-    on the symmetric d = 3 basis, support 3: solve_lmi), by one support-5
-    conversion (a Haar pair on the seed-1501 random basis, 120 operators validated
-    in one stacked pass), by one support-2 heatmap cell (a = 0.5, source (pi/2, 0),
-    target (1.1, 2.0): the closed form on blocks read off the Gram matrix) and by
-    three robustness covers (candidate 0 on the symmetric d = 3 basis: the closed
-    form; the seed-608 d = 3 mixed state: the phase bracket; the seed-806
-    orthonormal d = 8 state, where the bracket stalls: solve_cover), each with its
-    primal-dual iterations (calls of the step rule sdp._step_lengths, two per
-    iteration; 0 where no primal-dual loop runs)."""
+    on the symmetric d = 3 basis, support 3: solve_lmi's rank-one descent, one
+    lstsq per Newton step), by one support-5 conversion (a Haar pair on the
+    seed-1501 random basis, 120 operators validated in one stacked pass; the
+    descent hands over to the loop), by one support-2 heatmap cell (a = 0.5,
+    source (pi/2, 0), target (1.1, 2.0): the closed form on blocks read off the
+    Gram matrix) and by three robustness covers (candidate 0 on the symmetric
+    d = 3 basis: the closed form; the seed-608 d = 3 mixed state: the phase
+    bracket; the seed-806 orthonormal d = 8 state, where the bracket stalls:
+    solve_cover), each with its primal-dual iterations (calls of the step rule
+    sdp._step_lengths, two per iteration; 0 where no primal-dual loop runs)."""
     calls = collections.Counter()
 
     def counted(name, real):
@@ -97,13 +100,13 @@ def linalg_calls():
         print(f"{label}: " + " ".join(f"{name} {calls[name]}" for name in names)
               + f"; primal-dual iterations {calls['steps'] // 2}")
 
-    names = ("cholesky", "inv", "eigh", "eigvalsh", "qr", "norm")
+    names = ("cholesky", "inv", "eigh", "eigvalsh", "lstsq", "qr", "norm")
     with contextlib.ExitStack() as patches:
         for name in names:
             patches.enter_context(mock.patch.object(np.linalg, name, counted(name, getattr(np.linalg, name))))
         patches.enter_context(mock.patch.object(sdp, "_step_lengths", counted("steps", sdp._step_lengths)))
         target = sp.PureState(np.array([1, 0, 0], dtype=complex))
-        report("support-3 conversion (primal-dual)", lambda: sp.max_conversion_prob(
+        report("support-3 conversion (rank-one descent)", lambda: sp.max_conversion_prob(
             sp.candidate_states_d3()[0], target, sp.symmetric_basis_d3()))
         rng = make_rng(1501)
         basis5 = random_basis(5, rng)
@@ -155,23 +158,44 @@ def landscape_timings():
 
 def conversion_certificates():
     """Over Haar pairs on seeded random bases (60, 40 and 10 at support 3, 4 and 5),
-    the conversions solve_lmi's one-operator certificate closes without running
-    sdp._path_following, and the median best-of-3 time of one max_conversion_prob
-    among those it closes and among those that run the loop."""
-    rng, loop = make_rng(52), sdp._path_following
+    the conversions solve_lmi's rank-one descent closes without running
+    sdp._path_following; the median and largest count of its Newton steps (one
+    np.linalg.lstsq KKT solve each) over the closed solves; the median, over the
+    solves it does not close, of the best-of-3 time solve_lmi spends before the
+    loop starts; and the median best-of-3 time of one max_conversion_prob among
+    the conversions it closes and among those that run the loop."""
+    rng, loop, lstsq = make_rng(52), sdp._path_following, np.linalg.lstsq
+    entered, solves = [], []
     for support, draws in ((3, 60), (4, 40), (5, 10)):
+        cases, steps, before_loop = [], [], []
+        with mock.patch.object(sdp, "_path_following", lambda *args: entered.append(time.perf_counter()) or loop(*args)), \
+                mock.patch.object(np.linalg, "lstsq", lambda *args, **kwargs: solves.append(1) or lstsq(*args, **kwargs)):
+            for _ in range(draws):
+                basis = random_basis(support, rng)
+                pair = haar_state(support, rng), haar_state(support, rng)
+                ops = sp.enumerate_transformers(*pair, basis).operators
+                problem = sp.LmiProblem.from_matrices(dagger(ops) @ ops)
+                waits = []
+                for _ in range(3):
+                    entered.clear()
+                    solves.clear()
+                    start = time.perf_counter()
+                    sp.solve_lmi(problem)
+                    waits += [entered[0] - start] if entered else []
+                if waits:
+                    before_loop.append(min(waits))
+                else:
+                    steps.append(len(solves))
+                cases.append((pair, basis, not waits))
         times = {True: [], False: []}
-        for _ in range(draws):
-            basis = random_basis(support, rng)
-            pair = haar_state(support, rng), haar_state(support, rng)
-            loops = []
-            with mock.patch.object(sdp, "_path_following", lambda *args: loops.append(1) or loop(*args)):
-                sp.max_conversion_prob(*pair, basis)
-            times[not loops].append(min(timeit.repeat(lambda: sp.max_conversion_prob(*pair, basis),
-                                                      number=1, repeat=3)))
+        for pair, basis, closed in cases:
+            times[closed].append(min(timeit.repeat(lambda: sp.max_conversion_prob(*pair, basis), number=1, repeat=3)))
         medians = {closed: f"{np.median(t) * 1e3:.2f} ms" if t else "none" for closed, t in times.items()}
-        print(f"support {support}: certificate closed {len(times[True])} of {draws} conversions; "
-              f"median time {medians[True]} closed, {medians[False]} through the loop")
+        newton = f"median {np.median(steps):g}, max {max(steps)}" if steps else "none"
+        waited = f"{np.median(before_loop) * 1e3:.2f} ms" if before_loop else "none"
+        print(f"support {support}: descent closed {len(steps)} of {draws} conversions; Newton steps "
+              f"per closed solve {newton}; median time before the loop {waited} unclosed; median "
+              f"time {medians[True]} closed, {medians[False]} through the loop")
 
 
 def rel_entropy_evaluations():
@@ -237,7 +261,7 @@ REPORTS = {
     "Public names exported by superpos": exported_names,
     "np.linalg calls in one solve of each kind": linalg_calls,
     "Qubit landscape timings": landscape_timings,
-    "Conversions closed by the one-operator certificate": conversion_certificates,
+    "Conversions closed by the rank-one descent": conversion_certificates,
     "Relative-entropy evaluations on S2b outcomes": rel_entropy_evaluations,
     "Measure times with and without the certificate, S2b channel times and is_mfo": measure_timings,
 }

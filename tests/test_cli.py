@@ -15,9 +15,11 @@ from superpos.cli import _build_parser, dispatch
 from superpos.entangle import faithful_conversion, verify_faithful
 from superpos.errors import SchemaViolation
 from superpos.kraus import is_free_kraus
+from superpos.linalg import dagger
 from superpos.measures import l1_measure, rel_entropy_measure
 from superpos.qubit import qubit_free_basis
 from superpos.sampling import make_rng
+from superpos.sdp import DEFAULT_GAP_TOL, LmiProblem, verify_dual
 from superpos.serialize import (
     basis_from_json,
     basis_to_json,
@@ -51,6 +53,9 @@ def d3_files(tmp_path):
                         pure_state_to_json(PureState(np.array([1, 0, 0], dtype=complex)))),
         "operators": write(tmp_path, "ops.json", {"operators": [
             [[[0.6 * (i == j), 0.0] for j in range(3)] for i in range(3)]]}),
+        "orthonormal": write(tmp_path, "orthonormal.json", basis_to_json(orthonormal_basis(3))),
+        "target_123": write(tmp_path, "target_123.json",
+                            pure_state_to_json(PureState.normalized(np.array([1, 2, 3], dtype=complex)))),
         "tmp": tmp_path,
     }
 
@@ -349,12 +354,14 @@ def test_tol_must_be_finite_and_positive(argv, d3_files, capsys):
 
 
 # Output of the paths whose numbers no solver change may move, byte for byte at
-# 9 significant digits, on the d3_files fixtures.
+# 9 significant digits, on the d3_files fixtures. The conversion's optimum 4/7 is
+# certified by solve_lmi's rank-one descent; the primal-dual loop printed primal
+# 0.571428569, dual 0.571428583 and six weights of 0.0952 (checked below).
 GOLDEN = {
     ("convert", "prob", "--from", "candidate", "--to", "target"):
-        '{"deterministic": false, "dual": 0.571428583, "gap": 1.35415302e-08, "p": [0.0952380948, '
-        '0.0952380949, 0.0952380948, 0.0952380948, 0.0952380949, 0.0952380949], "primal": 0.571428569, '
-        '"value": 0.571428569}\n',
+        '{"deterministic": false, "dual": 0.571428571, "gap": 8.27338198e-13, "p": [0.190171416, '
+        '0.000304774164, 0.19047619, 0.19047619, 0.0, 0.0], "primal": 0.571428571, '
+        '"value": 0.571428571}\n',
     ("measure", "robustness", "--state", "free_state"):
         '{"certificate": {"s": 0.0}, "convention": "nat", "upper_bound": false, "value": 0.0}\n',
     ("measure", "robustness", "--state", "candidate"):
@@ -372,6 +379,21 @@ def test_cli_output_is_pinned(argv, d3_files, capsys):
     resolved = [d3_files.get(a, a) for a in argv] + ["--basis", d3_files["basis"]]
     assert dispatch(resolved) == 0
     assert capsys.readouterr().out == GOLDEN[argv]
+
+
+def test_convert_prob_golden_stays_within_gap_tol_of_the_loop():
+    # the golden conversion moved from the loop's interior point to the descent's
+    # certificate: its primal is within gap_tol of the loop's pin and not below
+    # it, and verify_dual accepts its dual on the conversion's own LMI
+    b, target = symmetric_basis_d3(), PureState(np.array([1, 0, 0], dtype=complex))
+    sol = max_conversion_prob(candidate_states_d3()[0], target, b)
+    golden = json.loads(GOLDEN["convert", "prob", "--from", "candidate", "--to", "target"])
+    assert golden["primal"] == float(f"{sol.primal:.9g}")
+    loop_pin = 0.571428569
+    assert loop_pin <= sol.primal <= loop_pin + DEFAULT_GAP_TOL
+    ops = transform.enumerate_transformers(candidate_states_d3()[0], target, b).operators
+    feasible, bound = verify_dual(sol.dual_matrix, LmiProblem.from_matrices(dagger(ops) @ ops))
+    assert feasible and abs(bound - sol.dual) <= 1e-12
 
 
 def test_measure_robustness_builds_no_certificate(d3_files, capsys, monkeypatch):
@@ -508,15 +530,29 @@ def test_every_leaf_has_pinned_output():
     assert leaves <= pinned, sorted(leaves - pinned)
 
 
+# A conversion no tolerance of 1e-12 certifies: candidate 0 to (1, 2, 3)/sqrt(14)
+# on the orthonormal d = 3 basis has optimum 1 with the dual Y = 1/3 (rank 3), so
+# the rank-one descent hands over and the loop's factorisation fails before its
+# complementarity reaches 1e-12 (after 8 iterations, at 6.3e-10).
+SOLVER_FAILURE = ("convert", "prob", "--from", "candidate", "--to", "target_123",
+                  "--basis", "orthonormal", "--tol", "1e-12")
+
+
 def test_solver_failure_exits_three_with_nothing_on_stdout(d3_files, capsys):
-    # the support-3 conversion's factorisation fails before its complementarity
-    # reaches 1e-12, so it raises NoConvergence at that tolerance
-    code = dispatch(["convert", "prob", "--from", d3_files["candidate"], "--to", d3_files["target"],
-                     "--basis", d3_files["basis"], "--tol", "1e-12"])
+    code = dispatch([d3_files.get(a, a) for a in SOLVER_FAILURE])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_convert_prob_certifies_the_candidate_below_the_loops_floor(d3_files, capsys):
+    # the loop's factorisation failed on this conversion at every tolerance below
+    # ~1e-8; the rank-one descent certifies it with gap 8.3e-13
+    code, payload = run_json(["convert", "prob", "--from", d3_files["candidate"], "--to", d3_files["target"],
+                              "--basis", d3_files["basis"], "--tol", "1e-9"], capsys)
+    assert code == 0
+    assert 0.0 <= payload["gap"] <= 1e-9 and payload["dual"] - payload["primal"] <= 1e-9
 
 
 def _src_env() -> dict:
@@ -532,8 +568,7 @@ def test_main_exits_with_the_code_of_dispatch(d3_files, capsys):
     # is dispatch's return value, and a success writes dispatch's bytes
     env = _src_env()
     ok = ["measure", "l1", "--state", d3_files["free_state"], "--basis", d3_files["basis"]]
-    solver = ["convert", "prob", "--from", d3_files["candidate"], "--to", d3_files["target"],
-              "--basis", d3_files["basis"], "--tol", "1e-12"]
+    solver = [d3_files.get(a, a) for a in SOLVER_FAILURE]
     assert dispatch(ok) == 0
     expected = capsys.readouterr().out.encode()
     for argv, code in ((ok, 0), (["frobnicate"], 2), (solver, 3)):

@@ -608,8 +608,8 @@ def conversion_problem(support, rng, basis=None):
 
 def loop_lmi(problem, gap_tol=DEFAULT_GAP_TOL):
     """``solve_lmi``'s primal-dual loop from ``solve_lmi``'s start, without the
-    one-operator certificate tried before it; ``sdp._path_following`` is looked up
-    at call time, so a patched loop runs. Where the certificate does not close,
+    rank-one descent tried before it; ``sdp._path_following`` is looked up at
+    call time, so a patched loop runs. Where the descent does not close,
     ``solve_lmi`` returns this solution byte for byte (checked below)."""
     p = np.full(len(problem.operators), 0.5 / (float(np.sum(problem._lambda_max)) + 1.0))
     return sdp._path_following(np.eye(problem.dim, dtype=complex), problem.operators, 1.0, p,
@@ -637,8 +637,8 @@ def test_lmi_certifies_support_five_conversions(seed, monkeypatch):
     # draws 5, 6 and 8 of seed 77, where _center stalls once mu <= 1e-4; each
     # primal-dual iteration sizes two steps (predictor and corrector), and these
     # solves take 10-16 iterations (some over 20 without the corrector's dY dZ term)
-    # (the loop runs from solve_lmi's start, past the one-operator certificate,
-    # which closes some of these draws with no iteration at all)
+    # (the loop runs from solve_lmi's start, past the rank-one descent, which
+    # closes most of these draws with no iteration at all)
     steps = []
     step_lengths = sdp._step_lengths
     monkeypatch.setattr(sdp, "_step_lengths", lambda *args: steps.append(1) or step_lengths(*args))
@@ -655,7 +655,7 @@ def test_support_three_solve_calls_numpy_linalg_at_call_time(monkeypatch):
     # the np.linalg report of tests/ci_report.py and perfbench's kernel spans both
     # patch numpy.linalg from outside: a factorisation bound to a name when sdp
     # is imported would run unseen by either
-    calls = dict.fromkeys(("cholesky", "inv", "eigvalsh"), 0)
+    calls = dict.fromkeys(("cholesky", "inv", "eigvalsh", "eigh", "lstsq"), 0)
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -668,9 +668,12 @@ def test_support_three_solve_calls_numpy_linalg_at_call_time(monkeypatch):
     steps = []
     step_lengths = sdp._step_lengths
     monkeypatch.setattr(sdp, "_step_lengths", lambda *args: steps.append(1) or step_lengths(*args))
-    problem = conversion_problem(3, make_rng(523))
-    calls.update(cholesky=0, inv=0, eigvalsh=0)   # LmiProblem's own check called eigvalsh
+    # this draw's optimum has a rank-2 dual: the rank-one descent takes 5 Newton
+    # steps, each one KKT solve and at least one eigh, then hands over to the loop
+    problem = conversion_problem(3, make_rng(525))
+    calls.update(dict.fromkeys(calls, 0))   # LmiProblem's own check called eigvalsh
     assert_lmi_certified(solve_lmi(problem), problem)
+    assert calls["lstsq"] == 5 and calls["eigh"] >= 1 + calls["lstsq"], calls
     # each iteration factors the stacked (Y, Z) and the Schur matrix, and each
     # of its two steps takes the smallest eigenvalues of the scaled directions
     iterations = len(steps) // 2
@@ -756,7 +759,7 @@ def _cover_corpus():
 
 
 # The conversion solves run the loop from solve_lmi's start (``loop_lmi``), so the
-# one-operator certificate, which closes some of them, leaves the oracle all 18.
+# rank-one descent, which closes most of them, leaves the oracle all 18.
 
 def _conversion_corpus():
     for support, draws in ((3, 6), (4, 4), (5, 2)):
@@ -812,8 +815,10 @@ def test_path_following_matches_reference_bit_for_bit(corpus, solves, monkeypatc
             "factorisation failed (Matrix is not positive definite) after 14 iterations"]
 
 
-# Two diagonal operators with the optimum p = (2/3, 2/3): the one-operator
-# certificate on A_0 pairs v = e_0 with A_1 at 1/2, a gap of 1, so solve_lmi runs the loop.
+# Two diagonal operators with the optimum p = (2/3, 2/3): the rank-one certificate
+# on A_0 pairs v = e_0 with A_1 at 1/2, a gap of 1, and the descent cannot step (the
+# operators commute with A_0, so its Hessian is 0 and the KKT solve gives d = 0), so
+# solve_lmi runs the loop.
 TWO_ACTIVE = [np.diag([1.0, 0.5, 0.5]), np.diag([0.5, 1.0, 0.5])]
 
 
@@ -834,8 +839,9 @@ def test_lmi_iteration_cap_raises(monkeypatch):
 
 
 def test_identity_lmi_certifies_at_any_tolerance(monkeypatch):
-    # the loop lost its Z factor on this LMI at gap_tol 1e-300; the one-operator
-    # certificate meets it exactly, p = 1 against Y = v v' with v a unit vector
+    # the loop lost its Z factor on this LMI at gap_tol 1e-300; the rank-one
+    # certificate at the start of the descent meets it exactly, p = 1 against
+    # Y = v v' with v a unit vector
     monkeypatch.setattr(sdp, "_path_following", None)
     problem = LmiProblem.from_matrices([np.eye(3)])
     sol = solve_lmi(problem, gap_tol=1e-300)
@@ -862,12 +868,11 @@ def _certificate_corpus():
         yield f"tensor a={a}", [conversion_problem(4, rng, product) for _ in range(20)]
 
 
-def test_one_operator_certificate_on_conversion_lmis(monkeypatch):
-    # where solve_lmi returns without running the loop, its one nonzero weight and
-    # rank-one dual certify on their own, and the loop run directly reaches a
-    # primal at most the certificate's and within gap_tol of it (6.7e-8 seen);
-    # where it runs the loop, the first three solutions of each group are
-    # loop_lmi's byte for byte
+def test_rank_one_descent_on_conversion_lmis(monkeypatch):
+    # where solve_lmi returns without running the loop, its weights and rank-one
+    # dual certify on their own, and the loop run directly reaches a primal at
+    # most the descent's and within gap_tol of it (6.7e-8 seen); where it runs
+    # the loop, the first three solutions of each group are loop_lmi's byte for byte
     calls = []
     real = sdp._path_following
     monkeypatch.setattr(sdp, "_path_following", lambda *args: calls.append(1) or real(*args))
@@ -885,9 +890,24 @@ def test_one_operator_certificate_on_conversion_lmis(monkeypatch):
                 continue
             closed[group] += 1
             assert_lmi_certified(sol, problem)
-            assert np.count_nonzero(sol.p) == 1 and np.linalg.matrix_rank(sol.dual_matrix) == 1
+            assert np.linalg.matrix_rank(sol.dual_matrix) == 1
             loop = loop_lmi(problem)
             assert sol.primal - DEFAULT_GAP_TOL <= loop.primal <= sol.primal, (group, loop.primal, sol.primal)
-    assert closed == {"random r=3": 117, "random r=4": 45, "random r=5": 7,
+    assert closed == {"random r=3": 289, "random r=4": 171, "random r=5": 30,
                       "orthonormal d=3": 8, "orthonormal d=4": 8, "orthonormal d=5": 4,
-                      "tensor a=0.3": 0, "tensor a=0.6": 1, "tensor a=0.9": 9}, closed
+                      "tensor a=0.3": 16, "tensor a=0.6": 16, "tensor a=0.9": 18}, closed
+
+
+def test_loop_dual_is_scaled_to_its_smallest_pairing():
+    # at a loose gap_tol the loop stops early, where the iterate Y pairs above 1
+    # with every operator (smallest pairing 1.23 on the first draw): the purified
+    # dual is Y / min pairing, so its bound tr Y / m is the tightest along Y
+    rng = make_rng(520)
+    for _ in range(3):
+        problem = conversion_problem(4, rng)
+        sol = loop_lmi(problem, gap_tol=0.1)
+        pairings = np.einsum("ij,nji->n", sol.dual_matrix, problem.operators).real
+        assert abs(pairings.min() - 1.0) <= 1e-12, pairings.min()
+        feasible, bound = verify_dual(sol.dual_matrix, problem)
+        assert feasible and abs(bound - sol.dual) <= 1e-12
+        assert 0.0 <= sol.gap <= 0.1

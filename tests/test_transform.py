@@ -151,7 +151,7 @@ def assert_certified_optimum(sol, problem):
     """The closed form against solve_lmi on the same LMI: a feasible p >= 0,
     a dual that verify_dual accepts, a gap at rounding level and a value at
     or above solve_lmi's by at most its gap tolerance; below it only by rounding
-    (1e-15 max(1, value)), where solve_lmi's one-operator certificate is exact too."""
+    (1e-15 max(1, value)), where solve_lmi's rank-one certificate is exact too."""
     feasible, bound = verify_dual(sol.dual_matrix, problem)
     assert feasible and abs(bound - sol.dual) <= 1e-12
     assert abs(sol.gap) <= 1e-12 and abs(sol.dual - sol.primal - sol.gap) <= 1e-15
@@ -504,7 +504,7 @@ def test_conversion_solutions_pickle_with_the_completion_unread_and_read():
     # module-level function, so it pickles before and after the first read, and
     # the copy builds, or keeps, the completion the original read: none at the
     # qubit self-conversion, one operator at support 2 of 3 and none at the
-    # support-3 candidate, whose one-operator certificate puts p = 1 on the
+    # support-3 candidate, whose rank-one certificate puts p = 1 on the
     # identity transformer (the loop's interior point left three operators of
     # its 1e-8 residue); a pair below 1 - gap_tol pickles and reads None
     qubit = qubit_free_basis(0.5)
@@ -558,14 +558,15 @@ def test_two_copy_and_catalytic_conversions_bound_the_single_copy():
     # product supports are the products of the supports:
     #   p(psi psi -> phi phi) >= p(psi -> phi)^2 and p(psi chi -> phi chi) >= p(psi -> phi),
     # with the product solve's certified gap as the only slack beyond rounding of
-    # p(psi -> phi) by 1e-15 max(1, p): where the one-operator certificate closes
-    # the product solve its gap is 0, and at a = 0.3 pair 103 the support-2
-    # closed form's p lies 7.0e-16 above the exact optimum of its own LMI, so its
+    # p(psi -> phi) by 1e-15 max(1, p): where the rank-one certificate closes the
+    # product solve at its first vertex its gap is 0, and at a = 0.3 pair 103 the
+    # support-2 closed form's p lies 7.0e-16 above the exact optimum of its own LMI, so its
     # square lies 1.1e-15 above the product LMI's exact optimum, which the
     # certificate meets within 1.1e-16 (both optima in 40-digit arithmetic). A
     # support-4 solve whose Schur factorisation fails at the default gap_tol (a =
-    # 0.3 pairs 58 and 68, a = 0.6 pairs 49 and 83 for two copies; a = 0 pair 34,
-    # p = 1, for the catalyst) is counted, then solved again at gap_tol 1e-6
+    # 0.6 pair 83 for two copies; a = 0 pair 34, p = 1, for the catalyst; a = 0.3
+    # pairs 58 and 68 and a = 0.6 pair 49 failed too until the rank-one descent
+    # closed them) is counted, then solved again at gap_tol 1e-6
     failures, checked = [], 0
     for a, seed in ((0.0, 11), (0.3, 311), (0.6, 611)):
         basis = qubit_free_basis(a)
@@ -611,7 +612,7 @@ def test_orthonormal_conversions_follow_vidals_formula():
     # gap_tol is counted, then solved at gap_tol 1e-6; none does on 1, 2, 4 or 8
     # OpenBLAS threads. The three that did (d = 7, r = 3 pair 7 rotated; d = 7,
     # r = 5 pair 3 on the identity; d = 8, r = 5 pair 4 rotated, on one thread
-    # only) now close by solve_lmi's one-operator certificate before the loop
+    # only) now close by solve_lmi's rank-one certificate before the loop
     rounding = 1e-14
     rng = make_rng(123)
     failures, checked = [], 0
