@@ -6,8 +6,8 @@ state onto a multiple of a single pure free state, i.e. when the matrix
 column. ``FreeKrausForm`` stores that sparse data: one coefficient and one
 output label per input label, and ``FreeKrausForm.matrix`` is the one
 constructor that turns it into an operator, for ``enumerate_transformers``,
-``reduce_ancilla``, ``free_qubit_kraus``, ``inject_unitary`` and
-``random_free_operator``; ``complete_free`` and ``GameSpec`` build theirs directly.
+``reduce_ancilla``, ``free_qubit_kraus``, ``generate_from_m2``, ``inject_unitary``
+and ``random_free_operator``; ``complete_free`` and ``GameSpec`` build theirs directly.
 """
 
 from __future__ import annotations

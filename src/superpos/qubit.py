@@ -239,6 +239,8 @@ def conversion_heatmap(a: float, initial: tuple[float, float], grid_n: int) -> n
     support-2 conversion that ``heatmap_cell`` answers in closed form, with no
     solver run. Returns rows (theta, phi, p).
     """
+    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)):
+        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 8:
         raise ValueError(f"grid_n must be at least 8, got {grid_n}")
     basis = qubit_free_basis(a)

@@ -238,7 +238,7 @@ def _rank_one_descent(problem: LmiProblem, gap_tol: float) -> SdpSolution | None
         top = max(lam, float(a @ g), m)
         if m > 0 and (gap := 1.0 / m - 1.0 / top) <= gap_tol:
             return SdpSolution(a / top, 1.0 / top, np.outer(v, v.conj()) / (norm * m), 1.0 / m, gap)
-        if step == _MAX_DESCENT_STEPS or k == 1 or lam - w[-2] <= _DOUBLE_TOL * (top - m):
+        if step == _MAX_DESCENT_STEPS or lam - w[-2] <= _DOUBLE_TOL * (top - m):
             return None
         on_face = a > 0
         on_face[np.argmin(g)] = True

@@ -5,12 +5,12 @@ target exactly and vanish off the source support (one per bijection between
 the support sets) are enumerated; the conversion probability is the optimum
 of the small LMI "maximize sum p_n s.t. sum p_n F_n'F_n <= 1" over them: the
 free optimum at full support r = d, a certified lower bound at r < d.
-Support r <= 2 (one or two operators on the span of the source's reciprocal
-vectors) is solved in closed form with its dual certificate, on r x r blocks
-read off the Gram matrix without building the operators; support r >= 3 goes to
+Support 2 (two operators on the span of the source's reciprocal vectors) is
+solved in closed form with its dual certificate, on 2 x 2 blocks read off the
+Gram matrix without building the operators; every other support goes to
 ``solve_lmi``, whose dual certifies the optimum: rank one wherever the optimum's top
-eigenvalue is simple, reached by Newton steps on lam_max over the transformer weights,
-and the primal-dual loop's iterate elsewhere.
+eigenvalue is simple, reached by Newton steps on lam_max over the transformer weights
+(at support 1 by the first step), and the primal-dual loop's iterate elsewhere.
 A deterministic pair's free completion is built on first read of the
 solution's ``completion``, so a caller that keeps only the value never pays for it.
 """
@@ -120,7 +120,7 @@ def _qubit_optimum(a, b) -> tuple[float, list, float]:
 
 
 def _gram_blocks(basis: FreeBasis, src, dst, support_r, support_s) -> tuple[list, np.ndarray]:
-    """The r <= 2 transformers' blocks B_sigma = R H[sigma, sigma] R' (K'K = Q B Q') in Python
+    """The two transformers' 2 x 2 blocks B_sigma = R H[sigma, sigma] R' (K'K = Q B Q') in Python
     floats, H = diag(conj phi_T) G_TT diag(phi_T) from the Gram matrix G, and W_S diag(1/conj
     psi_S) = Q R by Gram-Schmidt run twice (Q orthonormal to rounding on near-dependent
     columns). Returns the blocks, in ``enumerate_transformers``' order, and the d rows of Q."""
@@ -129,8 +129,6 @@ def _gram_blocks(basis: FreeBasis, src, dst, support_r, support_s) -> tuple[list
     h = [[phi[i].conjugate() * gram[i][j] * phi[j] for j in support_s] for i in support_s]
     r00 = math.hypot(*map(abs, x[0]))
     q = [[z / r00 for z in x[0]]]
-    if len(x) == 1:
-        return [[[r00 * r00 * h[0][0]]]], list(zip(*q))
     rest, r01 = x[1], 0.0
     for _ in range(2):
         c = sum(u.conjugate() * z for u, z in zip(q[0], rest))
@@ -147,28 +145,23 @@ def _gram_blocks(basis: FreeBasis, src, dst, support_r, support_s) -> tuple[list
 
 
 def _closed_form(blocks: list, q: list) -> SdpSolution:
-    """Optimum and dual of "maximize sum p_n s.t. sum p_n B_n <= 1" for one or two
-    r x r blocks B_n (nested lists) on the span of the orthonormal Q (d rows), in Python floats.
+    """Optimum and dual of "maximize sum p_n s.t. sum p_n B_n <= 1" for two 2 x 2 blocks
+    B_n (nested lists) on the span of the orthonormal Q (d rows), in Python floats.
 
-    For r = 1 the block is a number lam: p = 1/lam with dual QQ'/lam. For r = 2
-    write the blocks as a_n 1 + b_n.sigma, b = (Re m01, -Im m01, (m00 - m11)/2):
+    Write the blocks as a_n 1 + b_n.sigma, b = (Re m01, -Im m01, (m00 - m11)/2):
     with alpha and the projector P from ``_qubit_optimum``, the optimum is
     p = (alpha, 1 - alpha)/lam, lam the top eigenvalue at alpha, and the dual
     is Q P Q' / min_n tr(P B_n); their traces meet at the optimum."""
-    if len(blocks) == 1:
-        lam = blocks[0][0][0].real
-        p, y = [1.0 / lam], [[u * (1.0 / lam) * v.conjugate() for v, in q] for u, in q]
-    else:
-        a = [(m[0][0].real + m[1][1].real) / 2 for m in blocks]
-        b = [[m[0][1].real, -m[0][1].imag, (m[0][0].real - m[1][1].real) / 2] for m in blocks]
-        alpha, r, least = _qubit_optimum(a, b)
-        top = [alpha * x + (1.0 - alpha) * y for x, y in zip(*b)]
-        lam = alpha * a[0] + (1.0 - alpha) * a[1] + math.sqrt(_dot(top, top))
-        p, s = [alpha / lam, (1.0 - alpha) / lam], 0.5 / least   # P = s (1 + r.sigma)
-        p00, p01, p11 = (1 + r[2]) * s, complex(r[0], -r[1]) * s, (1 - r[2]) * s
-        qp = [(u * p00 + v * p01.conjugate(), u * p01 + v * p11) for u, v in q]
-        qh = [(u.conjugate(), v.conjugate()) for u, v in q]
-        y = [[t0 * u + t1 * v for u, v in qh] for t0, t1 in qp]
+    a = [(m[0][0].real + m[1][1].real) / 2 for m in blocks]
+    b = [[m[0][1].real, -m[0][1].imag, (m[0][0].real - m[1][1].real) / 2] for m in blocks]
+    alpha, r, least = _qubit_optimum(a, b)
+    top = [alpha * x + (1.0 - alpha) * y for x, y in zip(*b)]
+    lam = alpha * a[0] + (1.0 - alpha) * a[1] + math.sqrt(_dot(top, top))
+    p, s = [alpha / lam, (1.0 - alpha) / lam], 0.5 / least   # P = s (1 + r.sigma)
+    p00, p01, p11 = (1 + r[2]) * s, complex(r[0], -r[1]) * s, (1 - r[2]) * s
+    qp = [(u * p00 + v * p01.conjugate(), u * p01 + v * p11) for u, v in q]
+    qh = [(u.conjugate(), v.conjugate()) for u, v in q]
+    y = [[t0 * u + t1 * v for u, v in qh] for t0, t1 in qp]
     primal, dual = sum(p), sum(row[i].real for i, row in enumerate(y))
     return SdpSolution(np.array(p), primal, np.array(y), dual, dual - primal)
 
@@ -184,10 +177,11 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     """Conversion probability over ``enumerate_transformers``: the free optimum
     at full support, a certified lower bound on it at support r < d.
 
-    Support r <= 2 is answered in closed form on blocks read off the Gram
-    matrix, support r >= 3 by ``solve_lmi``, its rank-one descent and then its
-    primal-dual loop (up to 120 operators at r = 5); either way the certified
-    gap is at most ``gap_tol`` (``NoConvergence`` otherwise). Returns the solution with ``value`` clamped
+    Support 2 is answered in closed form on blocks read off the Gram matrix,
+    every other support by ``solve_lmi``: its rank-one descent (which certifies
+    support 1 at its first step) and then its primal-dual loop (up to 120
+    operators at r = 5); either way the certified gap is at most ``gap_tol``
+    (``NoConvergence`` otherwise). Returns the solution with ``value`` clamped
     to [0, 1]. A value of at least 1 - ``gap_tol``, as every deterministic
     pair's certified value is, gets a free completion of the optimal operators
     (enumerated again for it): the deterministic conversion channel made
@@ -197,7 +191,7 @@ def max_conversion_prob(psi: PureState, phi: PureState, basis: FreeBasis,
     gap_tol = as_tolerance(gap_tol, "gap_tol")
     src, dst = basis.to_free_frame(psi.amp), basis.to_free_frame(phi.amp)
     support_r, support_s = free_support(src), free_support(dst)
-    if len(support_r) == len(support_s) <= 2:
+    if len(support_r) == len(support_s) == 2:
         sol = _closed_form(*_gram_blocks(basis, src, dst, support_r, support_s))
         if sol.gap > gap_tol:
             raise NoConvergence(f"duality gap {sol.gap:.3e} above {gap_tol:.1e}")

@@ -77,11 +77,12 @@ def exported_names():
 def linalg_calls():
     """np.linalg calls made by one criterion-06 conversion (candidate 0 -> (1, 0, 0)
     on the symmetric d = 3 basis, support 3: solve_lmi's rank-one descent, one
-    lstsq per Newton step), by one support-5 conversion (a Haar pair on the
-    seed-1501 random basis, 120 operators validated in one stacked pass; the
-    descent hands over to the loop), by one support-2 heatmap cell (a = 0.5,
-    source (pi/2, 0), target (1.1, 2.0): the closed form on blocks read off the
-    Gram matrix) and by three robustness covers (candidate 0 on the symmetric
+    lstsq per Newton step), by one support-1 conversion (free state 0 -> free state 1
+    on the same basis: one transformer, certified at the descent's first step), by
+    one support-5 conversion (a Haar pair on the seed-1501 random basis, 120
+    operators validated in one stacked pass; the descent hands over to the loop),
+    by one support-2 heatmap cell (a = 0.5, source (pi/2, 0), target (1.1, 2.0):
+    the closed form on blocks read off the Gram matrix) and by three robustness covers (candidate 0 on the symmetric
     d = 3 basis: the closed form; the seed-608 d = 3 mixed state: the phase
     bracket; the seed-806 orthonormal d = 8 state, where the bracket stalls:
     solve_cover), each with its primal-dual iterations (calls of the step rule
@@ -106,8 +107,12 @@ def linalg_calls():
             patches.enter_context(mock.patch.object(np.linalg, name, counted(name, getattr(np.linalg, name))))
         patches.enter_context(mock.patch.object(sdp, "_step_lengths", counted("steps", sdp._step_lengths)))
         target = sp.PureState(np.array([1, 0, 0], dtype=complex))
+        symmetric = sp.symmetric_basis_d3()
         report("support-3 conversion (rank-one descent)", lambda: sp.max_conversion_prob(
             sp.candidate_states_d3()[0], target, sp.symmetric_basis_d3()))
+        free = [sp.PureState(symmetric.state(i)) for i in (0, 1)]
+        report("support-1 conversion (rank-one descent, step 0)", lambda: sp.max_conversion_prob(
+            *free, symmetric))
         rng = make_rng(1501)
         basis5 = random_basis(5, rng)
         pair = haar_state(5, rng), haar_state(5, rng)
@@ -119,7 +124,6 @@ def linalg_calls():
         report("support-2 heatmap cell (closed form)", lambda: sp.qubit.heatmap_cell(
             basis, source, rank, (1.1, 2.0)))
         candidate = sp.candidate_states_d3()[0].density()
-        symmetric = sp.symmetric_basis_d3()
         report("d = 3 candidate robustness (closed form)", lambda: sp.robustness(
             candidate, symmetric))
         rng = make_rng(608)

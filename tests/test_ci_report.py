@@ -11,7 +11,7 @@ def test_linalg_report_restores_what_it_counts(capsys):
     ci_report.linalg_calls()
     assert [getattr(np.linalg, name) for name in names] + [sdp._step_lengths] == before
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6 and all("; primal-dual iterations " in line for line in lines)
+    assert len(lines) == 7 and all("; primal-dual iterations " in line for line in lines)
 
 
 def test_a_report_that_raises_leaves_the_others_running(monkeypatch, capsys):

@@ -123,6 +123,12 @@ CHECKS = {
                              DimensionMismatch, "u shape (3, 3) != (2, 2)"),
     "qubit.conversion_heatmap": (lambda tmp: conversion_heatmap(0.5, (0.3, 0.2), 4),
                                  ValueError, "grid_n must be at least 8, got 4"),
+    "qubit.conversion_heatmap.bool": (lambda tmp: conversion_heatmap(0.5, (0.3, 0.2), True),
+                                      ValueError, "grid_n must be an integer, got True"),
+    "qubit.conversion_heatmap.float": (lambda tmp: conversion_heatmap(0.5, (0.3, 0.2), 8.0),
+                                       ValueError, "grid_n must be an integer, got 8.0"),
+    "qubit.conversion_heatmap.numpy_float": (lambda tmp: conversion_heatmap(0.5, (0.3, 0.2), np.float64(9)),
+                                             ValueError, "grid_n must be an integer, got "),
     "qubit.qubit_state.theta": (lambda tmp: qubit_state(np.nan, 0.3),
                                 ValueError, "theta must be a finite angle, got nan"),
     "qubit.qubit_state.phi": (lambda tmp: qubit_state(0.3, np.inf),

@@ -841,13 +841,24 @@ def test_lmi_iteration_cap_raises(monkeypatch):
 def test_identity_lmi_certifies_at_any_tolerance(monkeypatch):
     # the loop lost its Z factor on this LMI at gap_tol 1e-300; the rank-one
     # certificate at the start of the descent meets it exactly, p = 1 against
-    # Y = v v' with v a unit vector
+    # Y = v v' with v a unit vector. So does every 1 x 1 LMI: v = [1], so the
+    # pairings are the A_n themselves and the vertex of the smallest A_j gives
+    # p = e_j / A_j against Y = 1 / A_j, gap exactly 0, at any tolerance
     monkeypatch.setattr(sdp, "_path_following", None)
     problem = LmiProblem.from_matrices([np.eye(3)])
     sol = solve_lmi(problem, gap_tol=1e-300)
     assert (sol.p.tolist(), sol.primal, sol.dual, sol.gap) == ([1.0], 1.0, 1.0, 0.0)
     assert verify_dual(sol.dual_matrix, problem) == (True, 1.0)
     assert np.linalg.matrix_rank(sol.dual_matrix) == 1
+    rng = make_rng(841)
+    for n in range(1, 8):
+        for _ in range(100):
+            entries = 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+            j = int(np.argmin(entries))
+            for gap_tol in (1e-7, 1e-300):
+                sol = solve_lmi(LmiProblem.from_matrices(entries[:, None, None]), gap_tol)
+                assert sol.p.tolist() == np.where(np.arange(n) == j, 1.0 / entries[j], 0.0).tolist()
+                assert (sol.primal, sol.dual, sol.gap) == (1.0 / entries[j], 1.0 / entries[j], 0.0)
 
 
 def _certificate_corpus():

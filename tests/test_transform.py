@@ -181,6 +181,31 @@ def test_closed_form_matches_solve_lmi_on_random_supports():
                     [dagger(f) @ f for f in ts.operators]))
 
 
+def test_support_one_conversions_are_certified_by_the_rank_one_descent():
+    # every ordered pair of randomly rephased free states on orthonormal_basis(d),
+    # random_basis(d) and random_basis(d, min_sigma=0), d = 2..8: 609 conversions of
+    # one transformer F, each at 1/lam_max(F'F) within 1e-15 relative, with a dual
+    # that verify_dual accepts and at or above the primal also at rounding level
+    # (the descent's gap is >= 0 by construction), and deterministic exactly where
+    # the value reaches 1 - gap_tol (every orthonormal pair)
+    rng = make_rng(9101)
+    count = 0
+    for d in range(2, 9):
+        for basis in (orthonormal_basis(d), random_basis(d, rng), random_basis(d, rng, min_sigma=0)):
+            states = [PureState(basis.state(i) * np.exp(2j * np.pi * rng.uniform())) for i in range(d)]
+            for psi, phi in itertools.product(states, states):
+                sol = max_conversion_prob(psi, phi, basis)
+                (f,) = enumerate_transformers(psi, phi, basis).operators
+                problem = LmiProblem.from_matrices([dagger(f) @ f])
+                assert sol.gap >= 0.0 and sol.dual >= sol.primal
+                expected = 1.0 / np.linalg.eigvalsh(problem.operators[0])[-1]
+                assert abs(sol.value - expected) <= 1e-15 * expected
+                assert verify_dual(sol.dual_matrix, problem)[0]
+                assert sol.deterministic == (sol.value >= 1.0 - DEFAULT_GAP_TOL)
+                count += 1
+    assert count == 609
+
+
 def bloch_operator(a, b):
     """The square root of a*1 + b.sigma (a > |b|), an operator F with F'F = a*1 + b.sigma."""
     w, v = np.linalg.eigh(a * PAULI[0] + sum(bk * pk for bk, pk in zip(b, PAULI[1:])))
