@@ -5,12 +5,12 @@ target exactly and vanish off the source support (one per bijection between
 the support sets) are enumerated; the conversion probability is the optimum
 of the small LMI "maximize sum p_n s.t. sum p_n F_n'F_n <= 1" over them: the
 free optimum at full support r = d, a certified lower bound at r < d.
-Support 2 (two operators on the span of the source's reciprocal vectors) is
-solved in closed form with its dual certificate, on 2 x 2 blocks read off the
-Gram matrix without building the operators; every other support goes to
-``solve_lmi``, whose dual certifies the optimum: rank one wherever the optimum's top
-eigenvalue is simple, reached by Newton steps on lam_max over the transformer weights
-(at support 1 by the first step), and the primal-dual loop's iterate elsewhere.
+Support 2 (two operators on the span of the source's reciprocal vectors) is solved in
+closed form on 2 x 2 blocks read off the Gram matrix; every other support by ``solve_lmi``,
+whose dual is rank one where the optimum's top eigenvalue is simple, reached by Newton
+steps on lam_max over the weights (support 1 at the first step), and the primal-dual
+loop's iterate elsewhere. Either rank-one dual reports primal 1/max(lam, m) and dual 1/m,
+m its least pairing (the rule of ``sdp._rank_one_descent``): no gap is negative.
 A deterministic pair's free completion is built on first read of the
 solution's ``completion``, so a caller that keeps only the value never pays for it.
 """
@@ -149,21 +149,20 @@ def _closed_form(blocks: list, q: list) -> SdpSolution:
     B_n (nested lists) on the span of the orthonormal Q (d rows), in Python floats.
 
     Write the blocks as a_n 1 + b_n.sigma, b = (Re m01, -Im m01, (m00 - m11)/2):
-    with alpha and the projector P from ``_qubit_optimum``, the optimum is
-    p = (alpha, 1 - alpha)/lam, lam the top eigenvalue at alpha, and the dual
-    is Q P Q' / min_n tr(P B_n); their traces meet at the optimum."""
+    with alpha, the projector P and m = min_n tr(P B_n) from ``_qubit_optimum``, the rule of
+    ``sdp._rank_one_descent`` gives top = max(lam, m) (lam the top eigenvalue at alpha),
+    p = (alpha, 1 - alpha)/top, primal 1/top, the dual Q P Q' / m and dual 1/m: gap >= 0."""
     a = [(m[0][0].real + m[1][1].real) / 2 for m in blocks]
     b = [[m[0][1].real, -m[0][1].imag, (m[0][0].real - m[1][1].real) / 2] for m in blocks]
     alpha, r, least = _qubit_optimum(a, b)
-    top = [alpha * x + (1.0 - alpha) * y for x, y in zip(*b)]
-    lam = alpha * a[0] + (1.0 - alpha) * a[1] + math.sqrt(_dot(top, top))
-    p, s = [alpha / lam, (1.0 - alpha) / lam], 0.5 / least   # P = s (1 + r.sigma)
+    bloch = [alpha * x + (1.0 - alpha) * y for x, y in zip(*b)]
+    top = max(alpha * a[0] + (1.0 - alpha) * a[1] + math.sqrt(_dot(bloch, bloch)), least)
+    p, s = [alpha / top, (1.0 - alpha) / top], 0.5 / least   # P = s (1 + r.sigma)
     p00, p01, p11 = (1 + r[2]) * s, complex(r[0], -r[1]) * s, (1 - r[2]) * s
     qp = [(u * p00 + v * p01.conjugate(), u * p01 + v * p11) for u, v in q]
     qh = [(u.conjugate(), v.conjugate()) for u, v in q]
     y = [[t0 * u + t1 * v for u, v in qh] for t0, t1 in qp]
-    primal, dual = sum(p), sum(row[i].real for i, row in enumerate(y))
-    return SdpSolution(np.array(p), primal, np.array(y), dual, dual - primal)
+    return SdpSolution(np.array(p), 1.0 / top, np.array(y), 1.0 / least, 1.0 / least - 1.0 / top)
 
 
 def _completion(psi: PureState, phi: PureState, basis: FreeBasis, p: np.ndarray) -> tuple:

@@ -12,7 +12,8 @@ Seven reports, each under a ``## title`` line:
 - the wall time of the criterion-07 qubit landscape and of its single cells;
 - how many seeded conversions at support 3, 4 and 5 solve_lmi's rank-one
   descent closes before its primal-dual loop, its Newton steps, the time the
-  others spend before the loop, and the median times;
+  others spend before the loop, and the median times; and how many of these,
+  and of seeded support-2 conversions (closed form), report a gap below 0;
 - the relative-entropy loop's evaluations and Newton steps on the tests' draws;
 - the median time of a robustness and a relative-entropy call on the tests'
   draws, reading the value only and reading the certificate too, and of one
@@ -166,8 +167,10 @@ def conversion_certificates():
     sdp._path_following; the median and largest count of its Newton steps (one
     np.linalg.lstsq KKT solve each) over the closed solves; the median, over the
     solves it does not close, of the best-of-3 time solve_lmi spends before the
-    loop starts; and the median best-of-3 time of one max_conversion_prob among
-    the conversions it closes and among those that run the loop."""
+    loop starts; the median best-of-3 time of one max_conversion_prob among
+    the conversions it closes and among those that run the loop; and how many
+    conversions report gap < 0, a dual below the primal, at each support and
+    over 60 Haar pairs on seeded random qubit bases (support 2, the closed form)."""
     rng, loop, lstsq = make_rng(52), sdp._path_following, np.linalg.lstsq
     entered, solves = [], []
     for support, draws in ((3, 60), (4, 40), (5, 10)):
@@ -192,6 +195,7 @@ def conversion_certificates():
                     steps.append(len(solves))
                 cases.append((pair, basis, not waits))
         times = {True: [], False: []}
+        negative = sum(sp.max_conversion_prob(*pair, basis).gap < 0 for pair, basis, _ in cases)
         for pair, basis, closed in cases:
             times[closed].append(min(timeit.repeat(lambda: sp.max_conversion_prob(*pair, basis), number=1, repeat=3)))
         medians = {closed: f"{np.median(t) * 1e3:.2f} ms" if t else "none" for closed, t in times.items()}
@@ -199,7 +203,11 @@ def conversion_certificates():
         waited = f"{np.median(before_loop) * 1e3:.2f} ms" if before_loop else "none"
         print(f"support {support}: descent closed {len(steps)} of {draws} conversions; Newton steps "
               f"per closed solve {newton}; median time before the loop {waited} unclosed; median "
-              f"time {medians[True]} closed, {medians[False]} through the loop")
+              f"time {medians[True]} closed, {medians[False]} through the loop; gap < 0 on {negative} "
+              f"of {draws}")
+    qubit = [(random_basis(2, rng), haar_state(2, rng), haar_state(2, rng)) for _ in range(60)]
+    negative = sum(sp.max_conversion_prob(psi, phi, basis).gap < 0 for basis, psi, phi in qubit)
+    print(f"support 2 (closed form): gap < 0 on {negative} of {len(qubit)} conversions")
 
 
 def rel_entropy_evaluations():

@@ -11,8 +11,9 @@ pure one and ``is_free`` on a free one, and reads each report's certificate
 (built on first read, so a certificate that fails counts against its
 function). ``max_conversion_prob`` runs on three pairs of support-2 and of
 support-3 states at d = 3 and 5, each on a fresh basis. An outcome is "ok",
-"misjudged" (``is_free`` calls a free mixture not free) or the class of the
-error raised.
+"misjudged" (``is_free`` calls a free mixture not free), "dual below primal"
+(a conversion whose certificate contradicts itself by weak duality) or the
+class of the error raised.
 
 A second grid, on its own seed, counts ``measure_selective`` on outcomes of
 small probability, tilt eps = 1e-6 ... 1e-3 at d = 3..8, 50 draws per d: the
@@ -38,6 +39,7 @@ from superpos.kraus import Channel, measure_selective
 from superpos.linalg import dagger
 from superpos.measures import MeasureReport, l1_measure, rank_measure, rel_entropy_measure, robustness
 from superpos.sampling import haar_state, haar_unitary, make_rng, random_basis, random_density, random_free_state
+from superpos.sdp import SdpSolution
 from superpos.states import DensityMatrix, PureState, is_free
 from superpos.transform import max_conversion_prob
 
@@ -160,6 +162,8 @@ def _outcome(call) -> str:
             result.certificate
     except Exception as exc:   # the census counts every failure by its class
         return type(exc).__name__
+    if isinstance(result, SdpSolution) and result.gap < 0:
+        return "dual below primal"
     return "misjudged" if result is False else "ok"
 
 

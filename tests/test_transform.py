@@ -315,7 +315,8 @@ def bloch_pair_operators():
 
 def test_closed_form_matches_numpy_oracle():
     # the Python-float closed form on the blocks against the numpy one on the
-    # operators: the arithmetic is the same but for the order of BLAS sums
+    # operators: the arithmetic is the same but for the order of BLAS sums and
+    # the bounds, 1/top and 1/m in place of sum p and tr y, whose gap is >= 0
     eye = np.eye(2, dtype=complex)
     for operators in bloch_pair_operators():
         a, b = numpy_bloch_parts(operators, eye)
@@ -328,6 +329,7 @@ def test_closed_form_matches_numpy_oracle():
         assert np.abs(sol.p - p).max() <= 1e-14
         assert abs(sol.primal - primal) <= 1e-14 and abs(sol.dual - dual) <= 1e-14
         assert np.abs(sol.dual_matrix - y).max() <= 1e-14
+        assert sol.gap >= 0
 
 
 def supported_state(rng, basis, support=(0, 1)):
@@ -383,7 +385,8 @@ def test_gram_blocks_match_numpy_oracle():
     # same Q, within 1e-14 of the largest entry compared. Gram-Schmidt run
     # twice keeps Q orthonormal to rounding also on the near-dependent bases,
     # where one pass left it off by ~4e-16/eps (1.4e-8 at eps = 3e-8). The
-    # returned dual passes verify_dual and pairs every K'K to 1 within 1e-13
+    # returned dual passes verify_dual, pairs every K'K to 1 within 1e-13 and
+    # lies at or above the primal
     conversions = gram_path_conversions()
     assert len(conversions) == 2110
     for psi, phi, basis in conversions:
@@ -410,16 +413,25 @@ def test_gram_blocks_match_numpy_oracle():
         assert verify_dual(sol.dual_matrix, problem)[0]
         pairings = np.einsum("nij,ji->n", problem.operators, sol.dual_matrix).real
         assert pairings.min() >= 1.0 - 1e-13
+        assert sol.gap >= 0 and sol.dual >= sol.primal
 
 
-def test_closed_form_keeps_the_gap_contract():
-    # a closed-form gap above the tolerance raises as solve_lmi does; this
-    # pair's gap is rounding residue (5.6e-17 with numpy 2.4, the closed form
-    # in Python floats), and a negative tolerance is refused up front
+def test_closed_form_keeps_the_gap_contract(monkeypatch):
+    # a closed-form gap above the tolerance raises as solve_lmi does, and a
+    # negative tolerance is refused up front. The optimum's gap is 0 here, so
+    # the dual's Bloch direction r is turned 0.01 rad off the optimal one: its
+    # pairing m falls and the gap 1/m - 1/top is ~1e-3 by construction
+    def turned(a, b):
+        alpha, r, _ = _qubit_optimum(a, b)
+        c, s = math.cos(0.01), math.sin(0.01)
+        r = [c * r[0] + s * r[2], r[1], c * r[2] - s * r[0]]
+        return alpha, r, min(an + transform._dot(bn, r) for an, bn in zip(a, b))
+
+    monkeypatch.setattr(transform, "_qubit_optimum", turned)
     b = qubit_free_basis(0.5)
     source, target = qubit_state(np.pi / 2, 0.0), qubit_state(0.2, 0.0)
-    gap = max_conversion_prob(source, target, b).gap
-    assert gap > 0
+    gap = max_conversion_prob(source, target, b, gap_tol=1.0).gap
+    assert 1e-4 < gap < 1e-2
     with pytest.raises(NoConvergence, match="duality gap"):
         max_conversion_prob(source, target, b, gap_tol=gap / 2)
     with pytest.raises(ValueError, match="finite positive"):
